@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario spec JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out", required=True, help="output prefix (writes PREFIX.det.txt, PREFIX.gt.txt)")
-    p.add_argument("--emit-gt-template", action="store_true",
-                   help="write the ground-truth sidecar (on by default; kept for explicitness)")
 
     p = sub.add_parser("bench", help="throughput benchmark on all backends")
     p.add_argument("--frames", type=int, default=5000)

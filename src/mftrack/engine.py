@@ -162,12 +162,18 @@ class TrackingEngine:
                       key=lambda t: t.track_id)
 
     def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
-        """Process one frame; frame ids must be strictly increasing."""
+        """Process one frame; frame ids must be strictly increasing.
+
+        A frame rejected by these checks leaves the engine as it was.
+        """
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
         seen_ids = set()
         for d in detections:
+            if d.frame_id != frame_id:
+                raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
+                                 f"expected {frame_id}")
             if d.detection_id in seen_ids:
                 raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
             seen_ids.add(d.detection_id)
@@ -175,8 +181,11 @@ class TrackingEngine:
         cfg = self.cfg
         report = FrameReport(frame_id=frame_id)
         live = self.live_tracks()
-        for t in live:
-            t.kalman, t.prediction = kalman.predict(t.kalman)
+        # every prediction is computed before any is stored, so an overflow
+        # leaves the engine as it was
+        predictions = [kalman.predict(t.kalman, cfg) for t in live]
+        for t, (ks, es) in zip(live, predictions):
+            t.kalman, t.prediction = ks, es
 
         result = match_frame(live, detections, cfg, frame_id, backend=self.backend)
         det_by_id = {d.detection_id: d for d in detections}
@@ -184,7 +193,8 @@ class TrackingEngine:
         for tid, did, score in result.pairs:
             t = self.tracks[tid]
             det = det_by_id[did]
-            t.kalman, cs = kalman.correct(t.kalman, t.prediction, det.state, t.last_cs, cfg.w)
+            t.kalman, cs = kalman.correct(t.kalman, t.prediction, det.state, t.last_cs, cfg.w,
+                                          cfg.measurement_noise)
             t.states[frame_id] = cs
             t.last_cs = cs
             t.last_histogram = det.histogram
@@ -226,16 +236,6 @@ class TrackingEngine:
         report.noise = life.noise
         self.last_frame = frame_id
         return report
-
-    def run(self, detections_by_frame: dict[int, list[Detection]],
-            first: int | None = None, last: int | None = None) -> None:
-        """Process a whole stream; frame-id gaps become empty frames."""
-        if not detections_by_frame and first is None:
-            return
-        lo = min(detections_by_frame) if first is None else first
-        hi = max(detections_by_frame) if last is None else last
-        for fid in range(lo, hi + 1):
-            self.step(fid, detections_by_frame.get(fid, []))
 
     def trajectories(self) -> dict[int, dict[int, "ObjectState"]]:
         """Per-frame states of every valid track (noise excluded)."""

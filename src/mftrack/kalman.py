@@ -1,6 +1,13 @@
 """Per-track linear filter: estimation and weighted correction.
 
-The filter carries the box state through a constant transition matrix.
+The box state (x, y, l, h) follows a constant-velocity model whose
+transition, noise terms and initial covariance never couple two axes and
+treat all four alike. So the filter is exactly four per-axis
+position/velocity filters sharing one 2x2 covariance [[p, c], [c, v]].
+The static model is the same filter with zero initial velocity variance
+and zero velocity process noise: velocity and c stay 0, and the
+covariance is the one variance p.
+
 The emitted corrected state is NOT the classic gain-fused posterior: it is
 the fixed-weight blend  CS = w * MS + (1 - w) * ES  of the measured and
 estimated states. The internal mean/covariance are still updated with the
@@ -8,6 +15,8 @@ measurement through the standard equations so that future estimates follow
 the detections.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,45 +31,38 @@ _MIN_EXTENT = 1e-6
 _INIT_VEL_VAR = 100.0
 
 
-def _cv_transition() -> np.ndarray:
-    phi = np.eye(8)
-    phi[:4, 4:] = np.eye(4)
-    return phi
+def _velocity_noise(cfg: TrackerConfig) -> tuple[float, float]:
+    """(initial velocity variance, velocity process noise) of the motion model."""
+    if cfg.motion_model == "static":
+        return 0.0, 0.0
+    return _INIT_VEL_VAR, cfg.process_noise_vel
+
+
+def _require_finite(ks: KalmanState, message: str) -> None:
+    if not (np.isfinite(ks.position).all() and np.isfinite(ks.velocity).all()
+            and math.isfinite(ks.p) and math.isfinite(ks.c) and math.isfinite(ks.v)):
+        raise NumericOverflowError(message)
 
 
 def init_kalman(state: ObjectState, cfg: TrackerConfig) -> KalmanState:
     """Filter for a newborn track, seeded at the spawning detection."""
-    r = cfg.measurement_noise * np.eye(4)
-    if cfg.motion_model == "static":
-        mean = state.as_vector()
-        cov = cfg.measurement_noise * np.eye(4)
-        phi = np.eye(4)
-        q = cfg.process_noise_pos * np.eye(4)
-    else:
-        mean = np.concatenate([state.as_vector(), np.zeros(4)])
-        cov = np.diag([cfg.measurement_noise] * 4 + [_INIT_VEL_VAR] * 4)
-        phi = _cv_transition()
-        q = np.diag([cfg.process_noise_pos] * 4 + [cfg.process_noise_vel] * 4)
-    return KalmanState(mean=mean, covariance=cov, transition=phi,
-                       process_noise=q, measurement_noise=r)
+    return KalmanState(position=state.as_vector(), velocity=np.zeros(4),
+                       p=cfg.measurement_noise, c=0.0, v=_velocity_noise(cfg)[0])
 
 
 def _state_from_mean(mean: np.ndarray) -> ObjectState:
-    x, y, l, h = mean[:4]
+    x, y, l, h = mean
     return ObjectState(float(x), float(y), max(float(l), _MIN_EXTENT), max(float(h), _MIN_EXTENT))
 
 
-def predict(ks: KalmanState) -> tuple[KalmanState, ObjectState]:
+def predict(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, ObjectState]:
     """One estimation step: propagate mean and covariance, extract the
     estimated box state."""
-    mean = ks.transition @ ks.mean
-    cov = ks.transition @ ks.covariance @ ks.transition.T + ks.process_noise
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericOverflowError("filter prediction produced non-finite values")
-    cov = 0.5 * (cov + cov.T)
-    new = KalmanState(mean=mean, covariance=cov, transition=ks.transition,
-                      process_noise=ks.process_noise, measurement_noise=ks.measurement_noise)
-    return new, _state_from_mean(mean)
+    new = KalmanState(position=ks.position + ks.velocity, velocity=ks.velocity,
+                      p=ks.p + 2.0 * ks.c + ks.v + cfg.process_noise_pos, c=ks.c + ks.v,
+                      v=ks.v + _velocity_noise(cfg)[1])
+    _require_finite(new, "filter prediction produced non-finite values")
+    return new, _state_from_mean(new.position)
 
 
 def correct(
@@ -69,6 +71,7 @@ def correct(
     measured: ObjectState | None,
     prev_corrected: ObjectState,
     w: float,
+    measurement_noise: float = TrackerConfig.measurement_noise,
 ) -> tuple[KalmanState, ObjectState]:
     """Correction step for one frame.
 
@@ -76,24 +79,21 @@ def correct(
     w * measured + (1 - w) * estimated, and the internal filter is updated
     with the measurement. Without one: the corrected state is held at the
     previous corrected state and the filter keeps its predicted (inflated)
-    covariance unchanged.
+    covariance unchanged. measurement_noise is the variance of each measured
+    box component.
     """
     if measured is None:
         return ks, prev_corrected
 
-    dim = ks.dim
-    obs = np.zeros((4, dim))
-    obs[:, :4] = np.eye(4)
-    innovation = measured.as_vector() - obs @ ks.mean
-    s = obs @ ks.covariance @ obs.T + ks.measurement_noise
-    gain = ks.covariance @ obs.T @ np.linalg.inv(s)
-    mean = ks.mean + gain @ innovation
-    cov = (np.eye(dim) - gain @ obs) @ ks.covariance
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericOverflowError("filter update produced non-finite values")
-    cov = 0.5 * (cov + cov.T)
-    new = KalmanState(mean=mean, covariance=cov, transition=ks.transition,
-                      process_noise=ks.process_noise, measurement_noise=ks.measurement_noise)
+    z = measured.as_vector()
+    innovation = z - ks.position
+    p, c, v = ks.p, ks.c, ks.v
+    s = p + measurement_noise
+    keep = measurement_noise / s  # 1 - position gain
+    new = KalmanState(position=ks.position + (p / s) * innovation,
+                      velocity=ks.velocity + (c / s) * innovation,
+                      p=p * keep, c=c * keep, v=v - c * c / s)
+    _require_finite(new, "filter update produced non-finite values")
 
-    blended = w * measured.as_vector() + (1.0 - w) * estimated.as_vector()
+    blended = w * z + (1.0 - w) * estimated.as_vector()
     return new, _state_from_mean(blended)

@@ -135,7 +135,7 @@ class TrackerConfig:
     assignment_policy: str = "greedy_global"  # or "per_track"
     eval_iou_threshold: float = 0.5
     eval_assignment: str = "greedy"  # or "hungarian"; affects metrics only
-    motion_model: str = "constant_velocity"  # or "static" (identity transition)
+    motion_model: str = "constant_velocity"  # or "static" (velocity held at 0)
     process_noise_pos: float = 1.0
     process_noise_vel: float = 0.01
     measurement_noise: float = 1.0
@@ -176,19 +176,16 @@ class TrackerConfig:
 class KalmanState:
     """Internal filter state of one track.
 
-    mean is 8-dimensional [x, y, l, h, vx, vy, vl, vh] under the
-    constant-velocity model, 4-dimensional under the static model.
+    position and velocity are indexed by axis (x, y, l, h). Every axis
+    shares the covariance [[p, c], [c, v]] of its (position, velocity)
+    pair; the static model keeps velocity, c and v at 0.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    transition: np.ndarray
-    process_noise: np.ndarray
-    measurement_noise: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
+    position: np.ndarray
+    velocity: np.ndarray
+    p: float
+    c: float
+    v: float
 
 
 @dataclass(eq=False)

@@ -69,8 +69,7 @@ def test_criterion_1_formula_unit_suite():
     ok &= global_similarity([1, 1, 1, 1], [1, 1, 1, 1]) == 1.0
     ok &= abs(global_similarity([0.5, 1, 1, 1], [1, 1, 1, 1]) - 0.875) < TOL
     # correction blend
-    ks = KalmanState(np.array([20.0, 0, 10, 10]), np.eye(4), np.eye(4),
-                     np.zeros((4, 4)), np.eye(4))
+    ks = KalmanState(np.array([20.0, 0, 10, 10]), np.zeros(4), p=1.0, c=0.0, v=0.0)
     _, cs = kalman.correct(ks, ObjectState(20, 0, 10, 10), ObjectState(10, 0, 10, 10),
                            ObjectState(20, 0, 10, 10), w=0.7)
     ok &= abs(cs.x - 13.0) < TOL

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_histogram, make_detection, make_track, peaked_histogram
 from mftrack.engine import TrackingEngine, match_frame
@@ -157,3 +159,56 @@ class TestStep:
 
         a, b = run(), run()
         assert a == b
+
+
+def _engine_state(eng):
+    """Everything step may mutate, in comparable form."""
+    def filt(ks):
+        return {k: np.asarray(v).tolist() for k, v in vars(ks).items()}
+    return (eng.last_frame, eng._next_id, {
+        tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.prediction,
+              t.last_cs, t.last_histogram, set(t.matched_frames), t.d_max, filt(t.kalman))
+        for tid, t in eng.tracks.items()})
+
+
+@st.composite
+def _streams(draw):
+    """Frames 0..n of up to four objects in straight-line motion, each seen or
+    missed per frame; frame n is the one the rejected call replaces."""
+    coord, speed = st.floats(50.0, 400.0), st.floats(-4.0, 4.0)
+    objects = draw(st.lists(st.tuples(coord, coord, speed, speed), min_size=1, max_size=4))
+    frames = []
+    for f in range(draw(st.integers(1, 12)) + 1):
+        seen = draw(st.lists(st.booleans(), min_size=len(objects), max_size=len(objects)))
+        frames.append([make_detection(f, j, x + vx * f, y + vy * f)
+                       for j, ((x, y, vx, vy), on) in enumerate(zip(objects, seen)) if on])
+    return frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=_streams(),
+       rejection=st.sampled_from(["wrong_frame_id", "duplicate_id", "stale_frame"]),
+       data=st.data())
+def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
+    *warm, valid = frames
+    n = len(warm)
+    eng, ref = TrackingEngine(), TrackingEngine()
+    for f, dets in enumerate(warm):
+        eng.step(f, dets)
+        ref.step(f, dets)
+    before = _engine_state(eng)
+
+    if rejection == "wrong_frame_id":
+        with pytest.raises(InputError):
+            eng.step(n, valid + [make_detection(n + 99, 100, 60, 60)])
+    elif rejection == "duplicate_id":
+        with pytest.raises(InputError):
+            eng.step(n, valid + [make_detection(n, 100, 60, 60), make_detection(n, 100, 90, 90)])
+    else:
+        stale = data.draw(st.integers(0, n - 1))
+        with pytest.raises(SequencingError):
+            eng.step(stale, frames[stale])
+
+    assert _engine_state(eng) == before
+    assert eng.step(n, valid) == ref.step(n, valid)
+    assert _engine_state(eng) == _engine_state(ref)

@@ -1,48 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mftrack import kalman
 from mftrack.errors import NumericOverflowError
 from mftrack.types import KalmanState, ObjectState, TrackerConfig
 
+# zero process noise and no velocity: predict holds the mean where it is
+STILL = TrackerConfig(motion_model="static", process_noise_pos=0.0)
 
-def identity_state(mean4, q=0.0):
-    return KalmanState(
-        mean=np.asarray(mean4, dtype=float),
-        covariance=np.eye(4),
-        transition=np.eye(4),
-        process_noise=q * np.eye(4),
-        measurement_noise=np.eye(4),
-    )
+
+def identity_state(mean4):
+    return KalmanState(position=np.asarray(mean4, dtype=float), velocity=np.zeros(4),
+                       p=1.0, c=0.0, v=0.0)
 
 
 def test_predict_identity_transition():
     ks = identity_state([10, 20, 5, 8])
-    _, es = kalman.predict(ks)
+    _, es = kalman.predict(ks, STILL)
     assert (es.x, es.y, es.l, es.h) == (10, 20, 5, 8)
 
 
 def test_predict_constant_velocity():
     cfg = TrackerConfig()
     ks = kalman.init_kalman(ObjectState(10, 20, 5, 8), cfg)
-    ks.mean[4:] = [2, -1, 0, 0]
-    _, es = kalman.predict(ks)
+    ks.velocity = np.array([2.0, -1, 0, 0])
+    _, es = kalman.predict(ks, cfg)
     assert (es.x, es.y, es.l, es.h) == (12, 19, 5, 8)
 
 
 def test_predict_idempotent_under_identity():
-    ks = identity_state([1, 2, 3, 4], q=0.0)
-    ks1, es1 = kalman.predict(ks)
-    ks2, es2 = kalman.predict(ks1)
-    assert np.array_equal(ks1.mean, ks2.mean)
+    ks = identity_state([1, 2, 3, 4])
+    ks1, es1 = kalman.predict(ks, STILL)
+    ks2, es2 = kalman.predict(ks1, STILL)
+    assert np.array_equal(ks1.position, ks2.position)
     assert es1 == es2
 
 
 def test_predict_overflow_detected():
     ks = identity_state([1e308, 0, 1, 1])
-    ks.transition = 10.0 * np.eye(4)
+    ks.velocity = np.array([1e308, 0, 0, 0])
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
-        kalman.predict(ks)
+        kalman.predict(ks, STILL)
+    # the covariance overflows with a finite mean
+    ks = identity_state([1, 1, 1, 1])
+    ks.p = ks.c = 1e308
+    with pytest.raises(NumericOverflowError):
+        kalman.predict(ks, STILL)
 
 
 def test_correct_agreement_fixed_point():
@@ -85,26 +90,29 @@ def test_blend_is_convex_combination():
 def test_predict_correct_fixed_point_with_zero_noise():
     # identity transition, zero process noise, measurement equal to the mean
     s = ObjectState(5, 6, 7, 8)
-    ks = identity_state(s.as_vector(), q=0.0)
+    ks = identity_state(s.as_vector())
     for _ in range(5):
-        ks, es = kalman.predict(ks)
+        ks, es = kalman.predict(ks, STILL)
         ks, cs = kalman.correct(ks, es, s, s, w=0.7)
         assert cs == s
-    assert np.allclose(ks.mean, s.as_vector())
+    assert np.allclose(ks.position, s.as_vector())
 
 
 def test_covariance_stays_symmetric_nonnegative_diagonal():
+    # [[p, c], [c, v]] is symmetric by construction; it must stay positive
+    # semi-definite
     rng = np.random.default_rng(7)
     cfg = TrackerConfig()
     ks = kalman.init_kalman(ObjectState(50, 50, 10, 20), cfg)
     prev = ObjectState(50, 50, 10, 20)
     for i in range(100):
-        ks, es = kalman.predict(ks)
+        ks, es = kalman.predict(ks, cfg)
         meas = ObjectState(*(np.abs(rng.uniform(5, 80, size=4))))
-        ks, prev = kalman.correct(ks, es, meas if i % 3 else None, prev, cfg.w)
-        scale = max(1.0, float(np.abs(ks.covariance).max()))
-        assert np.allclose(ks.covariance, ks.covariance.T, atol=1e-9 * scale)
-        assert np.all(np.diag(ks.covariance) >= -1e-9 * scale)
+        ks, prev = kalman.correct(ks, es, meas if i % 3 else None, prev, cfg.w,
+                                  cfg.measurement_noise)
+        scale = max(1.0, abs(ks.p), abs(ks.c), abs(ks.v))
+        assert ks.p >= 0 and ks.v >= 0
+        assert ks.p * ks.v - ks.c ** 2 >= -1e-9 * scale ** 2
 
 
 def test_internal_filter_follows_measurements():
@@ -113,8 +121,94 @@ def test_internal_filter_follows_measurements():
     ks = kalman.init_kalman(ObjectState(0, 0, 10, 10), cfg)
     prev = ObjectState(0.001, 0, 10, 10)
     for f in range(1, 80):
-        ks, es = kalman.predict(ks)
+        ks, es = kalman.predict(ks, cfg)
         meas = ObjectState(2.0 * f + 0.001, 0, 10, 10)
-        ks, prev = kalman.correct(ks, es, meas, prev, cfg.w)
-    _, es = kalman.predict(ks)
+        ks, prev = kalman.correct(ks, es, meas, prev, cfg.w, cfg.measurement_noise)
+    _, es = kalman.predict(ks, cfg)
     assert es.x == pytest.approx(2.0 * 80 + 0.001, abs=0.1)
+
+
+# -- reference: the textbook dense filter -------------------------------------
+
+class DenseFilter:
+    """Kalman filter written out with explicit matrices: 8x8 over
+    [x, y, l, h, vx, vy, vl, vh] for constant velocity, 4x4 over [x, y, l, h]
+    for the static model (identity transition)."""
+
+    def __init__(self, state: ObjectState, cfg: TrackerConfig):
+        r = cfg.measurement_noise
+        self.r = r * np.eye(4)
+        if cfg.motion_model == "static":
+            self.phi = np.eye(4)
+            self.q = cfg.process_noise_pos * np.eye(4)
+            self.mean = state.as_vector()
+            self.cov = r * np.eye(4)
+        else:
+            self.phi = np.eye(8)
+            self.phi[:4, 4:] = np.eye(4)
+            self.q = np.diag([cfg.process_noise_pos] * 4 + [cfg.process_noise_vel] * 4)
+            self.mean = np.concatenate([state.as_vector(), np.zeros(4)])
+            self.cov = np.diag([r] * 4 + [100.0] * 4)  # velocity starts unknown
+        self.h = np.eye(4, self.mean.size)
+
+    def predict(self):
+        self.mean = self.phi @ self.mean
+        self.cov = self.phi @ self.cov @ self.phi.T + self.q
+
+    def correct(self, z: np.ndarray):
+        s = self.h @ self.cov @ self.h.T + self.r
+        gain = self.cov @ self.h.T @ np.linalg.inv(s)
+        self.mean = self.mean + gain @ (z - self.h @ self.mean)
+        self.cov = (np.eye(self.mean.size) - gain @ self.h) @ self.cov
+
+
+def _expanded(ks: KalmanState, dim: int):
+    """(mean, covariance) of ks in the dense filter's coordinates: the
+    per-axis 2x2 covariance repeated over the four axes."""
+    if dim == 4:
+        assert np.all(ks.velocity == 0.0) and ks.c == 0.0 and ks.v == 0.0
+        return ks.position, ks.p * np.eye(4)
+    block = np.array([[ks.p, ks.c], [ks.c, ks.v]])
+    return np.concatenate([ks.position, ks.velocity]), np.kron(block, np.eye(4))
+
+
+def _assert_close(actual, desired):
+    scale = max(1.0, float(np.abs(desired).max()))
+    np.testing.assert_allclose(actual, desired, rtol=1e-9, atol=1e-9 * scale)
+
+
+_coord = st.floats(0.0, 1000.0)
+_extent = st.floats(1.0, 200.0)
+_box = st.builds(ObjectState, _coord, _coord, _extent, _extent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    motion_model=st.sampled_from(["constant_velocity", "static"]),
+    process_noise_pos=st.floats(0.0, 4.0),
+    process_noise_vel=st.floats(0.0, 1.0),
+    measurement_noise=st.floats(0.05, 10.0),
+    start=_box,
+    measurements=st.lists(st.one_of(st.none(), _box), min_size=1, max_size=40),
+)
+def test_matches_dense_reference_filter(motion_model, process_noise_pos, process_noise_vel,
+                                        measurement_noise, start, measurements):
+    cfg = TrackerConfig(motion_model=motion_model, process_noise_pos=process_noise_pos,
+                        process_noise_vel=process_noise_vel,
+                        measurement_noise=measurement_noise).validate()
+    ref = DenseFilter(start, cfg)
+    ks = kalman.init_kalman(start, cfg)
+    prev = start
+    dim = ref.mean.size
+    block = np.kron(np.ones((dim // 4, dim // 4)), np.eye(4)) != 0
+    for z in measurements:
+        ref.predict()
+        ks, es = kalman.predict(ks, cfg)
+        if z is not None:
+            ref.correct(z.as_vector())
+        ks, prev = kalman.correct(ks, es, z, prev, cfg.w, cfg.measurement_noise)
+        mean, cov = _expanded(ks, dim)
+        _assert_close(mean, ref.mean)
+        _assert_close(cov, ref.cov)
+        # axes never couple in the dense filter
+        assert np.all(ref.cov[~block] == 0.0)
