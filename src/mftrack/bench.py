@@ -1,31 +1,21 @@
-"""Throughput benchmark: same scenario through both scoring backends."""
+"""Throughput benchmark: the standard scenario through the tracking loop."""
 from __future__ import annotations
 
-from . import kernels, scenario
+from . import scenario
 from .pipeline import track_stream
 from .types import TrackerConfig
 
 
 def run_bench(frames: int = 5000, objects: int = 5, clutter: float = 5.0,
-              seed: int = 7, cfg: TrackerConfig | None = None) -> dict[str, float]:
+              seed: int = 7, cfg: TrackerConfig | None = None) -> float:
     """Generate the standard benchmark scenario and time the tracking loop
-    under every available backend. Returns backend -> fps."""
+    over it. Returns frames per second."""
     spec = scenario.bench_scenario(frames=frames, objects=objects,
                                    clutter=clutter, seed=seed)
     result = scenario.generate(spec)
-    cfg = cfg or TrackerConfig()
-
-    fps_by_backend: dict[str, float] = {}
-    for backend in kernels.available_backends():
-        _, fps = track_stream(result.detections_by_frame, cfg, backend=backend)
-        fps_by_backend[backend] = fps
-    return fps_by_backend
+    _, fps = track_stream(result.detections_by_frame, cfg or TrackerConfig())
+    return fps
 
 
-def print_bench(fps_by_backend: dict[str, float], frames: int) -> None:
-    print(f"tracking throughput over {frames} frames (tracking loop only):")
-    for backend, fps in fps_by_backend.items():
-        print(f"  {backend:>6}: {fps:10.1f} fps")
-    if "numba" in fps_by_backend and "numpy" in fps_by_backend:
-        ratio = fps_by_backend["numba"] / fps_by_backend["numpy"]
-        print(f"  numba/numpy speedup: {ratio:.2f}x")
+def print_bench(fps: float, frames: int) -> None:
+    print(f"tracking throughput over {frames} frames (tracking loop only): {fps:.1f} fps")

@@ -4,7 +4,7 @@ Subcommands:
   track     run the tracker over a detection file
   evaluate  score an existing trajectory file against ground truth
   simulate  generate a synthetic scenario (detections + ground-truth sidecar)
-  bench     run the standard throughput benchmark on every backend
+  bench     time the tracking loop over the standard benchmark scenario
 
 Exit codes: 0 success, 2 input error, 3 config error.
 """
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ground-truth", default=None)
     p.add_argument("--report", default=None, help="evaluation report JSON (needs --ground-truth)")
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
 
     p = sub.add_parser("evaluate", help="evaluate trajectories against ground truth")
     p.add_argument("--trajectories", required=True)
@@ -45,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out", required=True, help="output prefix (writes PREFIX.det.txt, PREFIX.gt.txt)")
 
-    p = sub.add_parser("bench", help="throughput benchmark on all backends")
+    p = sub.add_parser("bench", help="tracking-loop throughput benchmark")
     p.add_argument("--frames", type=int, default=5000)
     p.add_argument("--objects", type=int, default=5)
     p.add_argument("--clutter", type=float, default=5.0)
@@ -55,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_track(args) -> int:
     return run_pipeline(args.detections, args.config, args.out,
-                        gt_path=args.ground_truth, report_path=args.report,
-                        backend=args.backend)
+                        gt_path=args.ground_truth, report_path=args.report)
 
 
 def _cmd_evaluate(args) -> int:

@@ -78,7 +78,6 @@ def match_frame(
     detections: list[Detection],
     cfg: TrackerConfig,
     frame_id: int | None = None,
-    backend: str | None = None,
 ) -> MatchResult:
     """Score every (track, detection) pair and resolve the assignment.
 
@@ -104,7 +103,7 @@ def match_frame(
     dx, dy, darea, dratio, dhist = _detection_features(detections, cfg.n_bins)
     scores = kernels.score_matrix(tx, ty, treach, tarea, tratio, thist,
                                   dx, dy, darea, dratio, dhist,
-                                  cfg.feature_weights, backend=backend)
+                                  cfg.feature_weights)
 
     pairs: list[tuple[int, int, float]] = []
     if cfg.assignment_policy == "per_track":
@@ -114,8 +113,6 @@ def match_frame(
                     key=lambda j: (-scores[i, j], detections[j].detection_id))
             if scores[i, j] >= cfg.t1:
                 pairs.append((t.track_id, detections[j].detection_id, float(scores[i, j])))
-        matched_t = {p[0] for p in pairs}
-        matched_d = {p[1] for p in pairs}
     else:
         candidates = [
             (-float(scores[i, j]), tracks[i].track_id, detections[j].detection_id, i, j)
@@ -132,9 +129,9 @@ def match_frame(
             taken_t.add(i)
             taken_d.add(j)
             pairs.append((tid, did, -neg))
-        matched_t = {p[0] for p in pairs}
-        matched_d = {p[1] for p in pairs}
 
+    matched_t = {p[0] for p in pairs}
+    matched_d = {p[1] for p in pairs}
     return MatchResult(
         pairs=pairs,
         unmatched_tracks=[t.track_id for t in tracks if t.track_id not in matched_t],
@@ -143,18 +140,22 @@ def match_frame(
 
 
 class TrackingEngine:
-    """Stateful frame-by-frame tracker over a detection stream."""
+    """Stateful frame-by-frame tracker over a detection stream.
 
-    def __init__(self, cfg: TrackerConfig | None = None, backend: str | None = None):
+    `tracks` holds every track ever created, `_live` only the live ones;
+    ids only grow, so both are in id order.
+    """
+
+    def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = (cfg or TrackerConfig()).validate()
-        self.backend = backend
         self.tracks: dict[int, Track] = {}
+        self._live: dict[int, Track] = {}
         self.last_frame: int | None = None
         self._next_id = 1
 
     def live_tracks(self) -> list[Track]:
-        return sorted((t for t in self.tracks.values() if t.is_live()),
-                      key=lambda t: t.track_id)
+        """Every active or waiting track, in id order."""
+        return list(self._live.values())
 
     def valid_tracks(self) -> list[Track]:
         """Every track not flagged as noise, in id order."""
@@ -187,7 +188,7 @@ class TrackingEngine:
         for t, (ks, es) in zip(live, predictions):
             t.kalman, t.prediction = ks, es
 
-        result = match_frame(live, detections, cfg, frame_id, backend=self.backend)
+        result = match_frame(live, detections, cfg, frame_id)
         det_by_id = {d.detection_id: d for d in detections}
 
         for tid, did, score in result.pairs:
@@ -227,11 +228,13 @@ class TrackingEngine:
             t.last_cs = det.state
             t.matched_frames.add(frame_id)
             t.update_extent(det.state.x, det.state.y, cap=cfg.t4)
-            self.tracks[t.track_id] = t
+            self.tracks[t.track_id] = self._live[t.track_id] = t
             self._next_id += 1
             report.new_tracks.append(t.track_id)
 
-        life = lifecycle.sweep(self.tracks, frame_id, cfg)
+        life = lifecycle.sweep(list(self._live.values()), frame_id, cfg)
+        for tid in life.terminated + life.noise:
+            del self._live[tid]
         report.terminated = life.terminated
         report.noise = life.noise
         self.last_frame = frame_id

@@ -61,6 +61,7 @@ def write_detections(path: str | Path, detections_by_frame: dict[int, list[Detec
 
 def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
+    seen: set[tuple[int, int]] = set()  # (frame_id, detection_id)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -89,10 +90,10 @@ def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]
                 det = Detection(fid, did, ObjectState(x, y, l, h), hist)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-            frame = out.setdefault(fid, [])
-            if any(d.detection_id == did for d in frame):
+            if (fid, did) in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate detection_id {did} in frame {fid}")
-            frame.append(det)
+            seen.add((fid, did))
+            out.setdefault(fid, []).append(det)
     return out
 
 

@@ -1,87 +1,21 @@
-"""Pairwise similarity scoring kernels.
+"""Pairwise similarity scoring kernel.
 
 The hot loop of the engine is scoring every (track, detection) pair in a
-frame. Two interchangeable implementations live here:
-
-  * a numba @njit kernel (default when numba imports cleanly), and
-  * a vectorized pure-numpy fallback.
-
-Set the environment variable MFT_DISABLE_NUMBA=1 to force the numpy path.
-Both paths produce bitwise-comparable scores (same arithmetic order per
-pair for numba; the numpy path agrees to ~1e-15 and tests pin 1e-12).
+frame. `score_matrix` does that in one vectorized numpy pass; the scalar
+functions in `similarity.py` are its test oracle.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_DISABLED = os.environ.get("MFT_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
-
-def _score_matrix_loops(tx, ty, treach, tarea, tratio, thist,
-                        dx, dy, darea, dratio, dhist,
-                        w1, w2, w3, w4, out):
-    """Scalar-loop scoring; compiled by numba when available.
+def score_matrix(tx, ty, treach, tarea, tratio, thist,
+                 dx, dy, darea, dratio, dhist, weights) -> np.ndarray:
+    """Global-similarity matrix for all (track, detection) pairs.
 
     treach[i] is D_max * m for track i. Pairs with zero distance
-    similarity short-circuit to 0 (distance feature has priority).
+    similarity score 0 (distance feature has priority).
     """
-    nt = tx.shape[0]
-    nd = dx.shape[0]
-    nbins = thist.shape[1]
-    wsum = w1 + w2 + w3 + w4
-    for i in range(nt):
-        for j in range(nd):
-            ddx = tx[i] - dx[j]
-            ddy = ty[i] - dy[j]
-            d = (ddx * ddx + ddy * ddy) ** 0.5
-            ls1 = 1.0 - d / treach[i]
-            if ls1 <= 0.0:
-                out[i, j] = 0.0
-                continue
-            ai = tarea[i]
-            aj = darea[j]
-            ls2 = ai / aj if ai < aj else aj / ai
-            ri = tratio[i]
-            rj = dratio[j]
-            ls3 = ri / rj if ri < rj else rj / ri
-            acc = 0.0
-            for k in range(nbins):
-                hi = thist[i, k]
-                hj = dhist[j, k]
-                if hi < hj:
-                    mn, mx = hi, hj
-                else:
-                    mn, mx = hj, hi
-                acc += 1.0 if mx <= 0.0 else mn / mx
-            ls4 = acc / nbins
-            out[i, j] = (w1 * ls1 + w2 * ls2 + w3 * ls3 + w4 * ls4) / wsum
-    return out
-
-
-_NUMBA_KERNEL = None
-if not _ENV_DISABLED:
-    try:
-        from numba import njit
-
-        _NUMBA_KERNEL = njit(cache=True)(_score_matrix_loops)
-    except ImportError:  # pragma: no cover - numba is a hard dependency normally
-        _NUMBA_KERNEL = None
-
-DEFAULT_BACKEND = "numba" if _NUMBA_KERNEL is not None else "numpy"
-
-
-def available_backends() -> list[str]:
-    backends = ["numpy"]
-    if _NUMBA_KERNEL is not None:
-        backends.insert(0, "numba")
-    return backends
-
-
-def score_matrix_numpy(tx, ty, treach, tarea, tratio, thist,
-                       dx, dy, darea, dratio, dhist, weights) -> np.ndarray:
-    """Vectorized scoring, identical semantics to the loop kernel."""
     nt, nd = tx.size, dx.size
     if nt == 0 or nd == 0:
         return np.zeros((nt, nd))
@@ -96,35 +30,3 @@ def score_matrix_numpy(tx, ty, treach, tarea, tratio, thist,
     ls4 = rate.mean(axis=2)
     gs = (w1 * ls1 + w2 * ls2 + w3 * ls3 + w4 * ls4) / (w1 + w2 + w3 + w4)
     return np.where(ls1 > 0.0, gs, 0.0)
-
-
-def score_matrix(tx, ty, treach, tarea, tratio, thist,
-                 dx, dy, darea, dratio, dhist, weights,
-                 backend: str | None = None) -> np.ndarray:
-    """Global-similarity matrix for all (track, detection) pairs.
-
-    backend: "numba", "numpy", or None for the module default.
-    """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend == "numba":
-        if _NUMBA_KERNEL is None:
-            raise RuntimeError("numba backend requested but unavailable (MFT_DISABLE_NUMBA set or numba missing)")
-        out = np.empty((tx.size, dx.size))
-        if out.size == 0:
-            return out
-        w1, w2, w3, w4 = weights
-        return _NUMBA_KERNEL(tx, ty, treach, tarea, tratio, thist,
-                             dx, dy, darea, dratio, dhist,
-                             float(w1), float(w2), float(w3), float(w4), out)
-    if backend == "numpy":
-        return score_matrix_numpy(tx, ty, treach, tarea, tratio, thist,
-                                  dx, dy, darea, dratio, dhist, weights)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def warmup(backend: str | None = None) -> None:
-    """Trigger JIT compilation outside any timed region."""
-    z = np.ones(2)
-    h = np.ones((2, 4))
-    score_matrix(z, z, z, z, z, h, z, z, z, z, h, (1.0, 1.0, 1.0, 1.0), backend=backend)

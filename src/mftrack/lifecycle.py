@@ -42,17 +42,16 @@ class LifecycleReport:
     noise: list[int] = field(default_factory=list)  # flagged noise (any path)
 
 
-def sweep(tracks: dict[int, Track], f_c: int, cfg: TrackerConfig) -> LifecycleReport:
-    """Run once per frame after matching/correction.
+def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> LifecycleReport:
+    """Run once per frame after matching/correction, over the live tracks
+    in id order.
 
     Terminates overdue waiting tracks (noise-checking them at end of
     life), then applies the mid-life noise tests to every surviving live
     track old enough to judge.
     """
     report = LifecycleReport()
-    for track in sorted(tracks.values(), key=lambda t: t.track_id):
-        if not track.is_live():
-            continue
+    for track in live:
         if track.status == WAITING and should_terminate(track, f_c, cfg.t2):
             track.end_frame = f_c
             if is_noise(track, at_end_of_life=True, cfg=cfg):

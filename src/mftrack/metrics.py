@@ -108,16 +108,38 @@ def associate(
     return correspondence
 
 
+def _tally(correspondence: dict[int, list[tuple[int, int]]], gt_objects: list[GroundTruthObject],
+           ) -> tuple[dict[int, int], dict[int, set[int]], dict[int, set[int]]]:
+    """Count a correspondence once: per gt id (in gt_objects order) the
+    frames it is matched in and the track ids covering it; per track id
+    the gt ids it covers."""
+    frames = {g.gt_id: 0 for g in gt_objects}
+    gt_tracks: dict[int, set[int]] = {g.gt_id: set() for g in gt_objects}
+    track_gts: dict[int, set[int]] = {}
+    for pairs in correspondence.values():
+        for gid, tid in pairs:
+            frames[gid] = frames.get(gid, 0) + 1
+            gt_tracks.setdefault(gid, set()).add(tid)
+            track_gts.setdefault(tid, set()).add(gid)
+    return frames, gt_tracks, track_gts
+
+
+def _m1(frames: dict[int, int], gt_objects: list[GroundTruthObject]) -> float:
+    if not gt_objects:
+        raise MetricError("m1 undefined without ground-truth objects")
+    return float(np.mean([frames[g.gt_id] / len(g.states) for g in gt_objects]))
+
+
+def _mean_reciprocal(id_sets) -> float:
+    """Mean of 1/len over the non-empty sets; 0.0 if there are none."""
+    vals = [1.0 / len(s) for s in id_sets if s]
+    return float(np.mean(vals)) if vals else 0.0
+
+
 def m1(correspondence: dict[int, list[tuple[int, int]]],
        gt_objects: list[GroundTruthObject]) -> float:
     """Mean over ground-truth objects of their matched-frame fraction."""
-    if not gt_objects:
-        raise MetricError("m1 undefined without ground-truth objects")
-    matched: dict[int, int] = {g.gt_id: 0 for g in gt_objects}
-    for f, pairs in correspondence.items():
-        for gid, _ in pairs:
-            matched[gid] += 1
-    return float(np.mean([matched[g.gt_id] / len(g.states) for g in gt_objects]))
+    return _m1(_tally(correspondence, gt_objects)[0], gt_objects)
 
 
 def m2(correspondence: dict[int, list[tuple[int, int]]],
@@ -127,22 +149,13 @@ def m2(correspondence: dict[int, list[tuple[int, int]]],
     Objects never matched are excluded (their reciprocal is undefined);
     returns 0.0 if nothing matched at all.
     """
-    ids: dict[int, set[int]] = {g.gt_id: set() for g in gt_objects}
-    for pairs in correspondence.values():
-        for gid, tid in pairs:
-            ids[gid].add(tid)
-    vals = [1.0 / len(s) for s in ids.values() if s]
-    return float(np.mean(vals)) if vals else 0.0
+    gt_tracks = _tally(correspondence, gt_objects)[1]
+    return _mean_reciprocal(gt_tracks[g.gt_id] for g in gt_objects)
 
 
 def m3(correspondence: dict[int, list[tuple[int, int]]]) -> float:
     """Mean reciprocal ground-truth-id count per track with a match."""
-    ids: dict[int, set[int]] = {}
-    for pairs in correspondence.values():
-        for gid, tid in pairs:
-            ids.setdefault(tid, set()).add(gid)
-    vals = [1.0 / len(s) for s in ids.values()]
-    return float(np.mean(vals)) if vals else 0.0
+    return _mean_reciprocal(_tally(correspondence, [])[2].values())
 
 
 def evaluate(
@@ -152,22 +165,16 @@ def evaluate(
     method: str = "greedy",
     fps: float | None = None,
 ) -> EvalReport:
-    corr = associate(gt_objects, tracks, iou_threshold, method)
-    v1, v2, v3 = m1(corr, gt_objects), m2(corr, gt_objects), m3(corr)
-
-    coverage = {g.gt_id: 0 for g in gt_objects}
-    gt_tids: dict[int, set[int]] = {g.gt_id: set() for g in gt_objects}
-    tr_gids: dict[int, set[int]] = {}
-    for pairs in corr.values():
-        for gid, tid in pairs:
-            coverage[gid] += 1
-            gt_tids[gid].add(tid)
-            tr_gids.setdefault(tid, set()).add(gid)
+    frames, gt_tracks, track_gts = _tally(
+        associate(gt_objects, tracks, iou_threshold, method), gt_objects)
+    v1 = _m1(frames, gt_objects)
+    v2 = _mean_reciprocal(gt_tracks[g.gt_id] for g in gt_objects)
+    v3 = _mean_reciprocal(track_gts.values())
     return EvalReport(
         m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
-        per_gt_coverage={g.gt_id: coverage[g.gt_id] / len(g.states) for g in gt_objects},
-        per_gt_track_ids={gid: len(s) for gid, s in gt_tids.items()},
-        per_track_gt_ids={tid: len(s) for tid, s in tr_gids.items()},
+        per_gt_coverage={g.gt_id: frames[g.gt_id] / len(g.states) for g in gt_objects},
+        per_gt_track_ids={g.gt_id: len(gt_tracks[g.gt_id]) for g in gt_objects},
+        per_track_gt_ids={tid: len(s) for tid, s in track_gts.items()},
         fps=fps,
     )
 

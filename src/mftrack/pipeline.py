@@ -8,7 +8,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from . import fileio, kernels, metrics
+from . import fileio, metrics
 from .engine import TrackingEngine
 from .types import Detection, TrackerConfig
 
@@ -16,16 +16,14 @@ from .types import Detection, TrackerConfig
 def track_stream(
     detections_by_frame: dict[int, list[Detection]],
     cfg: TrackerConfig,
-    backend: str | None = None,
 ) -> tuple[TrackingEngine, float]:
     """Run the engine over a full stream; returns (engine, tracking fps).
 
     Frame-id gaps in the input are processed as empty frames.
     """
-    engine = TrackingEngine(cfg, backend=backend)
+    engine = TrackingEngine(cfg)
     if not detections_by_frame:
         return engine, 0.0
-    kernels.warmup(backend)  # JIT compile outside the timed region
     lo, hi = min(detections_by_frame), max(detections_by_frame)
     t0 = time.perf_counter()
     for fid in range(lo, hi + 1):
@@ -41,11 +39,10 @@ def run_pipeline(
     out_path: str | Path,
     gt_path: str | Path | None = None,
     report_path: str | Path | None = None,
-    backend: str | None = None,
 ) -> int:
     cfg = fileio.load_config(config_path) if config_path else TrackerConfig().validate()
     stream = fileio.load_detections(detections_path, cfg.n_bins)
-    engine, fps = track_stream(stream, cfg, backend=backend)
+    engine, fps = track_stream(stream, cfg)
     fileio.write_trajectories(out_path, engine.valid_tracks())
     if gt_path is not None:
         gt = fileio.load_ground_truth(gt_path)

@@ -223,7 +223,8 @@ class Track:
 
     @property
     def last_state_frame(self) -> int:
-        return max(self.states)
+        # states are inserted in frame order, so the last key is the latest
+        return next(reversed(self.states))
 
     @property
     def span(self) -> int:

@@ -60,14 +60,6 @@ def test_track_deterministic_output(sim_files):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_backend_flag(sim_files):
-    tmp_path, det_path, _ = sim_files
-    a, b = tmp_path / "np.txt", tmp_path / "nb.txt"
-    assert main(["track", "--detections", det_path, "--out", str(a), "--backend", "numpy"]) == 0
-    assert main(["track", "--detections", det_path, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()  # backends agree on output
-
-
 def test_invalid_config_exit_code(sim_files, tmp_path):
     _, det_path, _ = sim_files
     bad = tmp_path / "bad.cfg"

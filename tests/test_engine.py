@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_histogram, make_detection, make_track, peaked_histogram
+from mftrack import lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import InputError, SequencingError
 from mftrack.types import ObjectState, TrackerConfig
@@ -165,7 +166,7 @@ def _engine_state(eng):
     """Everything step may mutate, in comparable form."""
     def filt(ks):
         return {k: np.asarray(v).tolist() for k, v in vars(ks).items()}
-    return (eng.last_frame, eng._next_id, {
+    return (eng.last_frame, eng._next_id, [t.track_id for t in eng.live_tracks()], {
         tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.prediction,
               t.last_cs, t.last_histogram, set(t.matched_frames), t.d_max, filt(t.kalman))
         for tid, t in eng.tracks.items()})
@@ -212,3 +213,27 @@ def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
     assert _engine_state(eng) == before
     assert eng.step(n, valid) == ref.step(n, valid)
     assert _engine_state(eng) == _engine_state(ref)
+
+
+def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
+    """Over a long clutter stream, the lifecycle sweep is handed exactly the
+    live tracks (last frame's live set plus newborns), never the history."""
+    stream = scenario.generate(scenario.bench_scenario(frames=600, seed=7)).detections_by_frame
+    handed = []
+    real_sweep = lifecycle.sweep
+
+    def counting_sweep(live, f_c, cfg):
+        handed.append(len(live))
+        return real_sweep(live, f_c, cfg)
+
+    monkeypatch.setattr(lifecycle, "sweep", counting_sweep)
+    eng = TrackingEngine()
+    for f in range(min(stream), max(stream) + 1):
+        before = len(eng.live_tracks())
+        report = eng.step(f, stream.get(f, []))
+        assert handed[-1] == before + len(report.new_tracks)
+        live = eng.live_tracks()
+        assert [t.track_id for t in live] == [t.track_id for t in eng.tracks.values() if t.is_live()]
+        assert len(live) == handed[-1] - len(report.terminated) - len(report.noise)
+    assert len(handed) == 600
+    assert 10 * max(handed) < len(eng.tracks)

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from mftrack import kernels
 from mftrack.similarity import (
@@ -46,26 +41,14 @@ def scalar_reference(tboxes, dboxes, thist, dhist, m, weights):
     return out
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
-def test_kernel_matches_scalar_reference(backend):
+def test_kernel_matches_scalar_reference():
     rng = np.random.default_rng(123)
     weights = (1.0, 0.5, 2.0, 1.5)
     for _ in range(5):
         tboxes, dboxes, thist, dhist, m, args = random_batch(rng, 7, 9, 24)
-        got = kernels.score_matrix(*args, weights, backend=backend)
+        got = kernels.score_matrix(*args, weights)
         want = scalar_reference(tboxes, dboxes, thist, dhist, m, weights)
         assert np.allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.skipif(len(kernels.available_backends()) < 2, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(5)
-    weights = (1.0, 1.0, 1.0, 1.0)
-    for _ in range(10):
-        *_, args = random_batch(rng, 12, 8, 96)
-        a = kernels.score_matrix(*args, weights, backend="numba")
-        b = kernels.score_matrix(*args, weights, backend="numpy")
-        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_empty_inputs():
@@ -74,10 +57,3 @@ def test_empty_inputs():
     out = kernels.score_matrix(z, z, z, z, z, h, z, z, z, z, h, (1, 1, 1, 1))
     assert out.shape == (0, 0)
 
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, MFT_DISABLE_NUMBA="1")
-    code = "from mftrack import kernels; print(kernels.DEFAULT_BACKEND, kernels.available_backends())"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy ['numpy']"
