@@ -79,11 +79,12 @@ def match_frame(
     cfg: TrackerConfig,
     frame_id: int | None = None,
 ) -> MatchResult:
-    """Score every (track, detection) pair and resolve the assignment.
+    """Score the (track, detection) pairs and resolve the assignment.
 
     greedy_global accepts pairs one-to-one by descending score (ties broken
-    by lower track id then detection id); per_track lets each track take its
-    best candidate independently and may double-assign detections.
+    by lower track id then detection id; see `kernels.greedy_pairs`);
+    per_track lets each track take its best candidate independently and may
+    double-assign detections.
     """
     if detections:
         frames = {d.frame_id for d in detections}
@@ -105,30 +106,16 @@ def match_frame(
                                   dx, dy, darea, dratio, dhist,
                                   cfg.feature_weights)
 
-    pairs: list[tuple[int, int, float]] = []
+    dids = [d.detection_id for d in detections]
     if cfg.assignment_policy == "per_track":
-        for i, t in enumerate(tracks):
-            # argmax with ties broken by lower detection id
-            j = min(range(len(detections)),
-                    key=lambda j: (-scores[i, j], detections[j].detection_id))
-            if scores[i, j] >= cfg.t1:
-                pairs.append((t.track_id, detections[j].detection_id, float(scores[i, j])))
+        # argmax over the columns in detection-id order, so a tie goes to
+        # the lower detection id
+        by_id = np.argsort(dids, kind="stable")
+        best = by_id[np.argmax(scores[:, by_id], axis=1)]
+        index_pairs = [(i, j) for i, j in enumerate(best.tolist()) if scores[i, j] >= cfg.t1]
     else:
-        candidates = [
-            (-float(scores[i, j]), tracks[i].track_id, detections[j].detection_id, i, j)
-            for i in range(len(tracks))
-            for j in range(len(detections))
-            if scores[i, j] >= cfg.t1
-        ]
-        candidates.sort()
-        taken_t: set[int] = set()
-        taken_d: set[int] = set()
-        for neg, tid, did, i, j in candidates:
-            if i in taken_t or j in taken_d:
-                continue
-            taken_t.add(i)
-            taken_d.add(j)
-            pairs.append((tid, did, -neg))
+        index_pairs = kernels.greedy_pairs(scores, [t.track_id for t in tracks], dids, cfg.t1)
+    pairs = [(tracks[i].track_id, dids[j], float(scores[i, j])) for i, j in index_pairs]
 
     matched_t = {p[0] for p in pairs}
     matched_d = {p[1] for p in pairs}

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import MeasurementError, MetricError
 from .types import ObjectState
 
@@ -47,7 +48,10 @@ class EvalReport:
 
 
 def iou(a: ObjectState, b: ObjectState) -> float:
-    """Intersection over union of two center-format boxes."""
+    """Intersection over union of two center-format boxes.
+
+    The scalar reference for the IoU matrices `associate` builds.
+    """
     ax1, ay1 = a.x - a.l / 2, a.y - a.h / 2
     ax2, ay2 = a.x + a.l / 2, a.y + a.h / 2
     bx1, by1 = b.x - b.l / 2, b.y - b.h / 2
@@ -60,51 +64,62 @@ def iou(a: ObjectState, b: ObjectState) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _iou_matrix(gs: list[ObjectState], ts: list[ObjectState]) -> np.ndarray:
+    """`iou` of every pair (gs[i], ts[j]), with the same float operations."""
+    b = np.array([(s.x, s.y, s.l, s.h) for s in gs + ts])
+    x1, y1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
+    x2, y2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
+    area = b[:, 2] * b[:, 3]
+    n = len(gs)
+    iw = np.minimum(x2[:n, None], x2[None, n:]) - np.maximum(x1[:n, None], x1[None, n:])
+    ih = np.minimum(y2[:n, None], y2[None, n:]) - np.maximum(y1[:n, None], y1[None, n:])
+    out = np.zeros(iw.shape)
+    i, j = np.nonzero((iw > 0) & (ih > 0))
+    inter = iw[i, j] * ih[i, j]
+    out[i, j] = inter / (area[i] + area[n + j] - inter)
+    return out
+
+
 def associate(
     gt_objects: list[GroundTruthObject],
     tracks: Trajectories,
     iou_threshold: float = 0.5,
     method: str = "greedy",
 ) -> dict[int, list[tuple[int, int]]]:
-    """Per-frame one-to-one (gt_id, track_id) correspondences by IoU."""
+    """Per-frame one-to-one (gt_id, track_id) correspondences by IoU.
+
+    greedy takes pairs by descending IoU, ties broken by lower gt id then
+    lower track id; hungarian maximises the summed IoU.
+    """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
-    frames: set[int] = set()
+    if method not in ("greedy", "hungarian"):
+        raise ValueError(f"unknown association method {method!r}")
+    # what is present in each frame: gt objects in list order, track ids in
+    # id order
+    gts_at: dict[int, list[GroundTruthObject]] = {}
     for g in gt_objects:
-        frames.update(g.states)
+        for f in g.states:
+            gts_at.setdefault(f, []).append(g)
+    tids_at: dict[int, list[int]] = {}
+    for tid in sorted(tracks):
+        for f in tracks[tid]:
+            tids_at.setdefault(f, []).append(tid)
     correspondence: dict[int, list[tuple[int, int]]] = {}
-    track_ids = sorted(tracks)
-    for f in sorted(frames):
-        gts = [(g.gt_id, g.states[f]) for g in gt_objects if f in g.states]
-        trs = [(tid, tracks[tid][f]) for tid in track_ids if f in tracks[tid]]
-        if not gts or not trs:
+    for f in sorted(gts_at):
+        gts, tids = gts_at[f], tids_at.get(f)
+        if not tids:
             correspondence[f] = []
             continue
-        mat = np.array([[iou(gs, ts) for _, ts in trs] for _, gs in gts])
-        pairs: list[tuple[int, int]] = []
+        mat = _iou_matrix([g.states[f] for g in gts], [tracks[tid][f] for tid in tids])
         if method == "hungarian":
             from scipy.optimize import linear_sum_assignment
 
             rows, cols = linear_sum_assignment(-mat)
-            for i, j in zip(rows, cols):
-                if mat[i, j] >= iou_threshold:
-                    pairs.append((gts[i][0], trs[j][0]))
-        elif method == "greedy":
-            cand = sorted(
-                ((-mat[i, j], gts[i][0], trs[j][0], i, j)
-                 for i in range(len(gts)) for j in range(len(trs))
-                 if mat[i, j] >= iou_threshold))
-            used_g: set[int] = set()
-            used_t: set[int] = set()
-            for _, gid, tid, i, j in cand:
-                if i in used_g or j in used_t:
-                    continue
-                used_g.add(i)
-                used_t.add(j)
-                pairs.append((gid, tid))
+            index_pairs = [(i, j) for i, j in zip(rows, cols) if mat[i, j] >= iou_threshold]
         else:
-            raise ValueError(f"unknown association method {method!r}")
-        correspondence[f] = sorted(pairs)
+            index_pairs = kernels.greedy_pairs(mat, [g.gt_id for g in gts], tids, iou_threshold)
+        correspondence[f] = sorted((gts[i].gt_id, tids[j]) for i, j in index_pairs)
     return correspondence
 
 

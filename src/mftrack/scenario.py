@@ -141,6 +141,13 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     detections: dict[int, list[Detection]] = {f: [] for f in range(spec.duration)}
     provenance: dict[tuple[int, int], int] = {}
 
+    # blobs in order of start frame, and the started ones still alive kept
+    # as indices into `blobs`, so each frame visits only live blobs, in
+    # list order
+    by_start = sorted(range(len(blobs)), key=lambda k: blobs[k].start_frame)
+    started = 0
+    alive: list[int] = []
+
     for f in range(spec.duration):
         next_id = 0
         for gid, (script, g) in enumerate(zip(spec.objects, gt)):
@@ -163,9 +170,12 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             provenance[(f, next_id)] = gid
             next_id += 1
 
-        for blob in blobs:
-            if not (blob.start_frame <= f < blob.start_frame + blob.lifetime):
-                continue
+        while started < len(by_start) and blobs[by_start[started]].start_frame <= f:
+            alive.append(by_start[started])
+            started += 1
+        alive = sorted(k for k in alive if f < blobs[k].start_frame + blobs[k].lifetime)
+        for k in alive:
+            blob = blobs[k]
             # position wobbles inside a disc of diameter clutter_extent,
             # so pairwise spread never exceeds clutter_extent
             r = spec.clutter_extent / 2.0 * float(np.sqrt(rng.uniform()))

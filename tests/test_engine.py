@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_histogram, make_detection, make_track, peaked_histogram
-from mftrack import lifecycle, scenario
+from mftrack import kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import InputError, SequencingError
 from mftrack.types import ObjectState, TrackerConfig
@@ -66,6 +66,37 @@ class TestMatchFrame:
         assert [p[0] for p in r.pairs] == [1, 2]
         assert all(p[1] == 0 for p in r.pairs)
 
+    def test_per_track_tie_goes_to_lower_detection_id(self):
+        # both detections equidistant from the track, listed in descending id
+        cfg = TrackerConfig(assignment_policy="per_track")
+        t = make_track(1, ObjectState(50, 50, 10, 10))
+        dets = [make_detection(1, 9, 52, 50), make_detection(1, 4, 48, 50)]
+        r = match_frame([t], dets, cfg, frame_id=1)
+        assert [p[:2] for p in r.pairs] == [(1, 4)]
+        assert r.unmatched_detections == [9]
+
+    @pytest.mark.parametrize("policy", ["greedy_global", "per_track"])
+    @pytest.mark.parametrize("t1", [0.0, 0.8, 1.0])
+    def test_candidates_match_pairwise_loop(self, policy, t1, monkeypatch):
+        """Pairs equal those of a loop over every pair, gated ones included,
+        on grid frames where many scores tie and ids are out of order."""
+        cfg = TrackerConfig(t1=t1, assignment_policy=policy)
+        real = kernels.score_matrix
+        scored = []
+        monkeypatch.setattr(kernels, "score_matrix", lambda *a: scored.append(real(*a)) or scored[-1])
+        rng = np.random.default_rng(41)
+        n_zero = 0
+        for _ in range(60):
+            nt, nd = rng.integers(1, 7, 2)
+            tracks = [make_track(int(tid), ObjectState(*(50.0 + 4.0 * rng.integers(0, 5, 2)), 10, 10))
+                      for tid in rng.permutation(20)[:nt] + 1]
+            dets = [make_detection(1, int(did), *(50.0 + 4.0 * rng.integers(0, 5, 2)))
+                    for did in rng.permutation(20)[:nd]]
+            pairs = match_frame(tracks, dets, cfg, frame_id=1).pairs
+            assert pairs == _pairwise_loop(tracks, dets, scored[-1], cfg)
+            n_zero += sum(p[2] == 0.0 for p in pairs)
+        assert (n_zero > 0) == (t1 == 0.0)
+
     def test_greedy_never_shares_detections_random(self, cfg):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -79,6 +110,30 @@ class TestMatchFrame:
             assert len(tids) == len(set(tids))
             assert len(dids) == len(set(dids))
             assert all(p[2] >= cfg.t1 for p in r.pairs)
+
+
+def _pairwise_loop(tracks, detections, scores, cfg):
+    """Assignment by a loop over every (track, detection) pair."""
+    pairs = []
+    if cfg.assignment_policy == "per_track":
+        for i, t in enumerate(tracks):
+            j = min(range(len(detections)),
+                    key=lambda j: (-scores[i, j], detections[j].detection_id))
+            if scores[i, j] >= cfg.t1:
+                pairs.append((t.track_id, detections[j].detection_id, float(scores[i, j])))
+        return pairs
+    candidates = sorted(
+        (-float(scores[i, j]), tracks[i].track_id, detections[j].detection_id, i, j)
+        for i in range(len(tracks))
+        for j in range(len(detections))
+        if scores[i, j] >= cfg.t1)
+    taken_t, taken_d = set(), set()
+    for neg, tid, did, i, j in candidates:
+        if i not in taken_t and j not in taken_d:
+            taken_t.add(i)
+            taken_d.add(j)
+            pairs.append((tid, did, -neg))
+    return pairs
 
 
 class TestStep:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mftrack import kernels
 from mftrack.similarity import (
@@ -49,6 +50,43 @@ def test_kernel_matches_scalar_reference():
         got = kernels.score_matrix(*args, weights)
         want = scalar_reference(tboxes, dboxes, thist, dhist, m, weights)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def dense_reference(tx, ty, treach, tarea, tratio, thist,
+                    dx, dy, darea, dratio, dhist, weights):
+    """The kernel as a dense formula: every feature of every pair, then the gate."""
+    w1, w2, w3, w4 = weights
+    d = np.hypot(tx[:, None] - dx[None, :], ty[:, None] - dy[None, :])
+    ls1 = 1.0 - d / treach[:, None]
+    ls2 = np.minimum(tarea[:, None], darea[None, :]) / np.maximum(tarea[:, None], darea[None, :])
+    ls3 = np.minimum(tratio[:, None], dratio[None, :]) / np.maximum(tratio[:, None], dratio[None, :])
+    lo = np.minimum(thist[:, None, :], dhist[None, :, :])
+    hi = np.maximum(thist[:, None, :], dhist[None, :, :])
+    rate = np.where(hi > 0.0, lo / np.where(hi > 0.0, hi, 1.0), 1.0)
+    ls4 = rate.mean(axis=2)
+    gs = (w1 * ls1 + w2 * ls2 + w3 * ls3 + w4 * ls4) / (w1 + w2 + w3 + w4)
+    return np.where(ls1 > 0.0, gs, 0.0)
+
+
+@pytest.mark.parametrize("reach,gated", [(1e-3, "all"), (20.0, "some"), (1e4, "none")])
+@pytest.mark.parametrize("nt,nd", [(7, 9), (1, 9), (7, 1), (1, 1)])
+def test_sparse_kernel_equals_dense_reference_exactly(reach, gated, nt, nd):
+    rng = np.random.default_rng(nt * 100 + nd)
+    weights = (1.0, 0.5, 2.0, 1.5)
+    for nbins in (24, 96):
+        *_, args = random_batch(rng, nt, nd, nbins)
+        args = list(args)
+        args[2] = args[2] / 20.0 * reach
+        # bins empty in both histograms of some pairs
+        args[5][:, ::5] = 0.0
+        args[10][:, ::5] = 0.0
+        got = kernels.score_matrix(*args, weights)
+        want = dense_reference(*args, weights)
+        assert np.array_equal(got, want)
+        if gated == "all":
+            assert not got.any()
+        elif gated == "none":
+            assert got.all()
 
 
 def test_empty_inputs():

@@ -4,6 +4,7 @@ import pytest
 from mftrack.errors import MeasurementError, MetricError
 from mftrack.metrics import (
     GroundTruthObject,
+    _iou_matrix,
     associate,
     evaluate,
     iou,
@@ -33,6 +34,14 @@ class TestIoU:
         assert v == pytest.approx(1 / 7, abs=1e-9)
 
 
+    def test_matrix_equals_scalar_iou_exactly(self):
+        rng = np.random.default_rng(4)
+        boxes = [ObjectState(*rng.uniform(0, 60, 2), *rng.uniform(1, 30, 2)) for _ in range(40)]
+        gs, ts = boxes[:15], boxes[15:] + boxes[:3]
+        want = np.array([[iou(g, t) for t in ts] for g in gs])
+        assert np.array_equal(_iou_matrix(gs, ts), want)
+        assert 0 < np.count_nonzero(want) < want.size
+
 class TestAssociate:
     def test_matches_identical_boxes(self):
         gt = [gt_obj(0, range(3))]
@@ -55,6 +64,61 @@ class TestAssociate:
         tracks = {1: {0: ObjectState(51, 50, 10, 10)}}
         corr = associate(gt, tracks)
         assert len(corr[0]) == 1
+
+
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    def test_matches_pairwise_iou_loop(self, method):
+        """Fragmented, id-swapping tracks, plus a duplicate track and a
+        duplicate gt object listed first (so IoUs tie): the correspondence
+        equals a loop calling `iou` per pair."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            gt = [gt_obj(int(g), range(int(rng.integers(0, 10)), int(rng.integers(10, 30))),
+                         x=50 + 8 * k, step=float(rng.uniform(-2, 2)))
+                  for k, g in enumerate(rng.permutation(6)[:rng.integers(1, 5)])]
+            tracks = {}
+            for g in gt:
+                tid = int(rng.integers(1, 40))
+                for f, s in g.states.items():
+                    if rng.random() < 0.15:
+                        tid = int(rng.integers(1, 40))
+                    jitter = rng.normal(0, 1.5, 2) if rng.random() < 0.8 else (0, 0)
+                    tracks.setdefault(tid, {}).setdefault(
+                        f, ObjectState(s.x + jitter[0], s.y + jitter[1], s.l, s.h))
+            tracks[40] = dict(tracks[max(tracks)])
+            gt.insert(0, GroundTruthObject(9, dict(gt[-1].states)))
+            for thr in (0.3, 0.5):
+                assert associate(gt, tracks, thr, method) == _pairwise_iou_loop(gt, tracks, thr, method)
+
+
+def _pairwise_iou_loop(gt_objects, tracks, iou_threshold, method):
+    from scipy.optimize import linear_sum_assignment
+
+    correspondence = {}
+    for f in sorted({f for g in gt_objects for f in g.states}):
+        gts = [(g.gt_id, g.states[f]) for g in gt_objects if f in g.states]
+        trs = [(tid, tracks[tid][f]) for tid in sorted(tracks) if f in tracks[tid]]
+        if not trs:
+            correspondence[f] = []
+            continue
+        mat = np.array([[iou(gs, ts) for _, ts in trs] for _, gs in gts])
+        pairs = []
+        if method == "hungarian":
+            for i, j in zip(*linear_sum_assignment(-mat)):
+                if mat[i, j] >= iou_threshold:
+                    pairs.append((gts[i][0], trs[j][0]))
+        else:
+            used_g, used_t = set(), set()
+            for _, gid, tid, i, j in sorted(
+                    (-mat[i, j], gts[i][0], trs[j][0], i, j)
+                    for i in range(len(gts)) for j in range(len(trs))
+                    if mat[i, j] >= iou_threshold):
+                if i not in used_g and j not in used_t:
+                    used_g.add(i)
+                    used_t.add(j)
+                    pairs.append((gid, tid))
+        correspondence[f] = sorted(pairs)
+    return correspondence
 
 
 class TestM1:

@@ -74,6 +74,21 @@ class TestGenerate:
             for bx, by in pts:
                 assert math.hypot(ax - bx, ay - by) <= 3.0 + 1e-9
 
+    def test_clutter_follows_blob_order_and_lifetime(self):
+        # blobs listed out of start order, one never alive; each frame emits
+        # the blobs alive in it, in list order (sizes tell them apart)
+        blobs = (ClutterBlob(start_frame=20, lifetime=15, x=100, y=100, size=7.0),
+                 ClutterBlob(start_frame=5, lifetime=30, x=200, y=100, size=8.0),
+                 ClutterBlob(start_frame=12, lifetime=0, x=300, y=100, size=9.0),
+                 ClutterBlob(start_frame=5, lifetime=3, x=400, y=100, size=10.0),
+                 ClutterBlob(start_frame=-4, lifetime=9, x=500, y=100, size=11.0))
+        spec = lanes_scenario(n_objects=0, duration=50, seed=3, clutter_blobs=blobs,
+                              clutter_rate=0.0)
+        res = generate(spec)
+        for f, dets in res.detections_by_frame.items():
+            want = [b.size for b in blobs if b.start_frame <= f < b.start_frame + b.lifetime]
+            assert [d.state.l for d in dets] == want
+
     def test_clutter_rate_roughly_met(self):
         spec = lanes_scenario(n_objects=1, duration=400, seed=6, clutter_rate=4.0)
         res = generate(spec)
