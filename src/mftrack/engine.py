@@ -36,43 +36,6 @@ class FrameReport:
     noise: list[int] = field(default_factory=list)
 
 
-def _track_features(tracks: list[Track], frame_id: int, n_bins: int):
-    nt = len(tracks)
-    tx = np.empty(nt)
-    ty = np.empty(nt)
-    treach = np.empty(nt)
-    tarea = np.empty(nt)
-    tratio = np.empty(nt)
-    thist = np.empty((nt, n_bins))
-    for i, t in enumerate(tracks):
-        ref = t.prediction if t.prediction is not None else t.last_cs
-        tx[i] = ref.x
-        ty[i] = ref.y
-        tarea[i] = ref.area
-        tratio[i] = ref.aspect
-        # search radius scales with frames since the last match
-        m = max(1, frame_id - t.f_l)
-        treach[i] = diagonal_half(t.last_cs) * m
-        thist[i] = t.last_histogram.bins
-    return tx, ty, treach, tarea, tratio, thist
-
-
-def _detection_features(detections: list[Detection], n_bins: int):
-    nd = len(detections)
-    dx = np.empty(nd)
-    dy = np.empty(nd)
-    darea = np.empty(nd)
-    dratio = np.empty(nd)
-    dhist = np.empty((nd, n_bins))
-    for j, d in enumerate(detections):
-        dx[j] = d.state.x
-        dy[j] = d.state.y
-        darea[j] = d.state.area
-        dratio[j] = d.state.aspect
-        dhist[j] = d.histogram.bins
-    return dx, dy, darea, dratio, dhist
-
-
 def match_frame(
     tracks: list[Track],
     detections: list[Detection],
@@ -100,11 +63,15 @@ def match_frame(
     if not tracks or not detections:
         return MatchResult([], [t.track_id for t in tracks], [d.detection_id for d in detections])
 
-    tx, ty, treach, tarea, tratio, thist = _track_features(tracks, frame_id, cfg.n_bins)
-    dx, dy, darea, dratio, dhist = _detection_features(detections, cfg.n_bins)
-    scores = kernels.score_matrix(tx, ty, treach, tarea, tratio, thist,
-                                  dx, dy, darea, dratio, dhist,
-                                  cfg.feature_weights)
+    # a track is scored at its prediction; its search radius scales with
+    # the frames since its last match
+    tboxes = kernels.boxes([t.prediction if t.prediction is not None else t.last_cs
+                            for t in tracks])
+    treach = np.array([diagonal_half(t.last_cs) * max(1, frame_id - t.f_l) for t in tracks])
+    thist = np.array([t.last_histogram.bins for t in tracks])
+    dboxes = kernels.boxes([d.state for d in detections])
+    dhist = np.array([d.histogram.bins for d in detections])
+    scores = kernels.score_matrix(tboxes, treach, thist, dboxes, dhist, cfg.feature_weights)
 
     dids = [d.detection_id for d in detections]
     if cfg.assignment_policy == "per_track":
@@ -146,8 +113,7 @@ class TrackingEngine:
 
     def valid_tracks(self) -> list[Track]:
         """Every track not flagged as noise, in id order."""
-        return sorted((t for t in self.tracks.values() if t.status != "noise"),
-                      key=lambda t: t.track_id)
+        return [t for t in self.tracks.values() if t.status != "noise"]
 
     def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
@@ -195,9 +161,8 @@ class TrackingEngine:
 
         for tid in result.unmatched_tracks:
             t = self.tracks[tid]
-            t.kalman, cs = kalman.correct(t.kalman, t.prediction, None, t.last_cs, cfg.w)
-            t.states[frame_id] = cs
-            t.last_cs = cs
+            # a waiting track holds its last corrected state
+            t.states[frame_id] = t.last_cs
             t.t_w += 1
             t.status = WAITING
             report.waiting.append(tid)

@@ -59,41 +59,42 @@ def write_detections(path: str | Path, detections_by_frame: dict[int, list[Detec
                 fh.write(" ".join(cols) + "\n")
 
 
-def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
-    out: dict[int, list[Detection]] = {}
-    seen: set[tuple[int, int]] = set()  # (frame_id, detection_id)
+def _lines(path: str | Path):
+    """("path:lineno", text) of every line of `path` that has text left
+    once its '#' comment is cut."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) < 6:
-                raise ParseError(f"{path}:{lineno}: expected at least 6 columns, got {len(cols)}")
-            try:
-                fid = int(cols[0])
-                did = int(cols[1])
-                x, y, l, h = (float(c) for c in cols[2:6])
-                counts = np.array([float(c) for c in cols[6:]])
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            if counts.size == 0:
-                hist = ColorHistogram(np.zeros(n_bins))
-            elif counts.size == n_bins:
-                hist = ColorHistogram(counts)
-            elif counts.size == MAX_RAW_BINS:
-                hist = rebin(counts, n_bins)
-            else:
+            if line:
+                yield f"{path}:{lineno}", line
+
+
+def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
+    out: dict[int, list[Detection]] = {}
+    seen: set[tuple[int, int]] = set()  # (frame_id, detection_id)
+    for where, line in _lines(path):
+        cols = line.split()
+        if len(cols) < 6:
+            raise ParseError(f"{where}: expected at least 6 columns, got {len(cols)}")
+        try:
+            fid = int(cols[0])
+            did = int(cols[1])
+            x, y, l, h = (float(c) for c in cols[2:6])
+            counts = np.array([float(c) for c in cols[6:]])
+            if counts.size not in (0, n_bins, MAX_RAW_BINS):
                 raise HistogramShapeError(
-                    f"{path}:{lineno}: histogram has {counts.size} bins, expected {n_bins} or {MAX_RAW_BINS}")
-            try:
-                det = Detection(fid, did, ObjectState(x, y, l, h), hist)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            if (fid, did) in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate detection_id {did} in frame {fid}")
-            seen.add((fid, did))
-            out.setdefault(fid, []).append(det)
+                    f"{where}: histogram has {counts.size} bins, expected {n_bins} or {MAX_RAW_BINS}")
+            # a raw row's counts are checked before they are summed into bins
+            hist = ColorHistogram(counts if counts.size else np.zeros(n_bins))
+            if hist.n != n_bins:
+                hist = rebin(hist.bins, n_bins)
+            det = Detection(fid, did, ObjectState(x, y, l, h), hist)
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from e
+        if (fid, did) in seen:
+            raise ParseError(f"{where}: duplicate detection_id {did} in frame {fid}")
+        seen.add((fid, did))
+        out.setdefault(fid, []).append(det)
     return out
 
 
@@ -105,23 +106,27 @@ def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) ->
                 fh.write(f"{g.gt_id} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)}\n")
 
 
+def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
+    """{id: {frame: state}} from rows `id frame x y l h` plus, in a
+    trajectory file, an integer status flag; ncols is the row width."""
+    out: dict[int, dict[int, ObjectState]] = {}
+    for where, line in _lines(path):
+        cols = line.split()
+        if len(cols) != ncols:
+            raise ParseError(f"{where}: expected {ncols} columns, got {len(cols)}")
+        try:
+            oid, fid = int(cols[0]), int(cols[1])
+            s = ObjectState(*(float(c) for c in cols[2:6]))
+            if ncols == 7:
+                int(cols[6])  # status flag
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from e
+        out.setdefault(oid, {})[fid] = s
+    return out
+
+
 def load_ground_truth(path: str | Path) -> list[GroundTruthObject]:
-    states: dict[int, dict[int, ObjectState]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
-            try:
-                gid, fid = int(cols[0]), int(cols[1])
-                s = ObjectState(*(float(c) for c in cols[2:6]))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            states.setdefault(gid, {})[fid] = s
-    return [GroundTruthObject(gid, st) for gid, st in sorted(states.items())]
+    return [GroundTruthObject(gid, st) for gid, st in sorted(_load_table(path, 6).items())]
 
 
 def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
@@ -134,23 +139,7 @@ def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
 
 
 def load_trajectories(path: str | Path) -> dict[int, dict[int, ObjectState]]:
-    out: dict[int, dict[int, ObjectState]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) != 7:
-                raise ParseError(f"{path}:{lineno}: expected 7 columns, got {len(cols)}")
-            try:
-                tid, fid = int(cols[0]), int(cols[1])
-                s = ObjectState(*(float(c) for c in cols[2:6]))
-                int(cols[6])
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            out.setdefault(tid, {})[fid] = s
-    return out
+    return _load_table(path, 7)
 
 
 # -- configuration ------------------------------------------------------------
@@ -175,20 +164,16 @@ def _parse_value(name: str, text: str):
 def load_config(path: str | Path) -> TrackerConfig:
     """Flat key=value config; unknown keys are errors (fail fast)."""
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = (p.strip() for p in line.partition("="))
-            if key not in _CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _parse_value(key, val)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: {e}") from e
+    for where, line in _lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        key, _, val = (p.strip() for p in line.partition("="))
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(key, val)
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from e
     return TrackerConfig(**values).validate()
 
 

@@ -66,7 +66,7 @@ def iou(a: ObjectState, b: ObjectState) -> float:
 
 def _iou_matrix(gs: list[ObjectState], ts: list[ObjectState]) -> np.ndarray:
     """`iou` of every pair (gs[i], ts[j]), with the same float operations."""
-    b = np.array([(s.x, s.y, s.l, s.h) for s in gs + ts])
+    b = kernels.boxes(gs + ts)
     x1, y1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
     x2, y2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
     area = b[:, 2] * b[:, 3]

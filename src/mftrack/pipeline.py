@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import fileio, metrics
 from .engine import TrackingEngine
+from .errors import InputError
 from .types import Detection, TrackerConfig
 
 
@@ -40,6 +41,8 @@ def run_pipeline(
     gt_path: str | Path | None = None,
     report_path: str | Path | None = None,
 ) -> int:
+    if report_path is not None and gt_path is None:
+        raise InputError("an evaluation report needs ground truth (--report without --ground-truth)")
     cfg = fileio.load_config(config_path) if config_path else TrackerConfig().validate()
     stream = fileio.load_detections(detections_path, cfg.n_bins)
     engine, fps = track_stream(stream, cfg)

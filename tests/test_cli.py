@@ -82,6 +82,26 @@ def test_malformed_detections_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_bad_histogram_count_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_bins = 3\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0 10 10 5 5 1 2 -3\n")
+    rc = main(["track", "--detections", str(bad), "--config", str(cfg),
+               "--out", str(tmp_path / "o.txt")])
+    assert rc == 2
+    assert f"{bad}:1:" in capsys.readouterr().err
+
+
+def test_report_without_ground_truth_exit_code(sim_files, capsys):
+    tmp_path, det_path, _ = sim_files
+    out, report = tmp_path / "o.txt", tmp_path / "r.json"
+    rc = main(["track", "--detections", det_path, "--out", str(out), "--report", str(report)])
+    assert rc == 2
+    assert "--ground-truth" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_bench_subcommand_runs(capsys):
     assert main(["bench", "--frames", "120", "--objects", "2", "--clutter", "1"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from conftest import flat_histogram, make_detection, make_track, peaked_histogra
 from mftrack import kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import InputError, SequencingError
+from mftrack.similarity import distance_similarity, global_similarity
 from mftrack.types import ObjectState, TrackerConfig
 
 
@@ -51,6 +52,19 @@ class TestMatchFrame:
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == [0]
+
+    @pytest.mark.parametrize("frame_id", [1, 2, 3, 5])
+    def test_reach_grows_with_frames_since_last_match(self, frame_id):
+        # d_max = 5 (6x8 box), last match at frame 0, detection 8 px away:
+        # gated after one frame, inside the reach 5 * m after more
+        cfg = TrackerConfig(t1=0.0)
+        t = make_track(1, ObjectState(0, 0, 6, 8))
+        d = make_detection(frame_id, 0, 8.0, 0, l=6, h=8)
+        r = match_frame([t], [d], cfg, frame_id=frame_id)
+        ls1 = distance_similarity(t.prediction, d.state, 5.0, frame_id)
+        assert (ls1 > 0.0) == (frame_id > 1)
+        assert r.pairs == [(1, 0, pytest.approx(global_similarity([ls1, 1.0, 1.0, 1.0],
+                                                                   cfg.feature_weights)))]
 
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]

@@ -78,6 +78,17 @@ class TestDetectionsIO:
         with pytest.raises(HistogramShapeError):
             fileio.load_detections(path, 96)
 
+    @pytest.mark.parametrize("bad", ["-3", "nan", "inf"])
+    @pytest.mark.parametrize("n_bins,raw", [(3, False), (96, True)])
+    def test_bad_histogram_count_is_parse_error(self, tmp_path, bad, n_bins, raw):
+        # in the raw row the bad count shares its rebinning group with a
+        # larger one, so the group's sum alone would look valid
+        counts = ["10", bad] + ["1"] * (766 if raw else 1)
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0 10 10 5 5\n0 1 10 10 5 5 " + " ".join(counts) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:2: histogram counts must be finite"):
+            fileio.load_detections(path, n_bins)
+
     def test_duplicate_detection_id(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("0 1 10 10 5 5\n0 1 20 20 5 5\n")
@@ -106,6 +117,21 @@ class TestTrajectoriesIO:
         assert loaded == {4: dict(t.states)}
         lines = path.read_text().splitlines()
         assert [ln.split()[-1] for ln in lines] == ["1", "1", "0"]
+
+
+@pytest.mark.parametrize("load,row,message", [
+    (fileio.load_ground_truth, "0 0 10 10 5", "expected 6 columns, got 5"),
+    (fileio.load_ground_truth, "0 x 10 10 5 5", "invalid literal for int() with base 10: 'x'"),
+    (fileio.load_trajectories, "0 0 10 10 5 5", "expected 7 columns, got 6"),
+    (fileio.load_trajectories, "0 0 10 10 5 5 y", "invalid literal for int() with base 10: 'y'"),
+    (fileio.load_config, "w 0.7", "expected 'key = value'"),
+])
+def test_error_names_file_and_line(tmp_path, load, row, message):
+    path = tmp_path / "in.txt"
+    path.write_text(f"# header\n\n{row}  # third line\n")
+    with pytest.raises((ParseError, ConfigError)) as e:
+        load(path)
+    assert str(e.value) == f"{path}:3: {message}"
 
 
 class TestConfigIO:

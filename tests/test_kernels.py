@@ -13,25 +13,19 @@ from mftrack.types import ColorHistogram, ObjectState
 
 
 def random_batch(rng, nt, nd, nbins):
-    tboxes = [ObjectState(*rng.uniform(1, 200, 2), *rng.uniform(1, 50, 2)) for _ in range(nt)]
-    dboxes = [ObjectState(*rng.uniform(1, 200, 2), *rng.uniform(1, 50, 2)) for _ in range(nd)]
+    tstates = [ObjectState(*rng.uniform(1, 200, 2), *rng.uniform(1, 50, 2)) for _ in range(nt)]
+    dstates = [ObjectState(*rng.uniform(1, 200, 2), *rng.uniform(1, 50, 2)) for _ in range(nd)]
     thist = rng.uniform(0, 20, (nt, nbins)) * (rng.random((nt, nbins)) < 0.8)
     dhist = rng.uniform(0, 20, (nd, nbins)) * (rng.random((nd, nbins)) < 0.8)
     m = rng.integers(1, 6, nt)
     treach = np.array([20.0 * mi for mi in m])
-    args = (
-        np.array([b.x for b in tboxes]), np.array([b.y for b in tboxes]), treach,
-        np.array([b.area for b in tboxes]), np.array([b.aspect for b in tboxes]), thist,
-        np.array([b.x for b in dboxes]), np.array([b.y for b in dboxes]),
-        np.array([b.area for b in dboxes]), np.array([b.aspect for b in dboxes]), dhist,
-    )
-    return tboxes, dboxes, thist, dhist, m, args
+    return tstates, dstates, thist, dhist, m, treach
 
 
-def scalar_reference(tboxes, dboxes, thist, dhist, m, weights):
-    out = np.zeros((len(tboxes), len(dboxes)))
-    for i, tb in enumerate(tboxes):
-        for j, db in enumerate(dboxes):
+def scalar_reference(tstates, dstates, thist, dhist, m, weights):
+    out = np.zeros((len(tstates), len(dstates)))
+    for i, tb in enumerate(tstates):
+        for j, db in enumerate(dstates):
             ls = [
                 distance_similarity(tb, db, 20.0, int(m[i])),
                 area_similarity(tb, db),
@@ -46,15 +40,21 @@ def test_kernel_matches_scalar_reference():
     rng = np.random.default_rng(123)
     weights = (1.0, 0.5, 2.0, 1.5)
     for _ in range(5):
-        tboxes, dboxes, thist, dhist, m, args = random_batch(rng, 7, 9, 24)
-        got = kernels.score_matrix(*args, weights)
-        want = scalar_reference(tboxes, dboxes, thist, dhist, m, weights)
+        tstates, dstates, thist, dhist, m, treach = random_batch(rng, 7, 9, 24)
+        got = kernels.score_matrix(kernels.boxes(tstates), treach, thist,
+                                   kernels.boxes(dstates), dhist, weights)
+        want = scalar_reference(tstates, dstates, thist, dhist, m, weights)
         assert np.allclose(got, want, atol=1e-12)
 
 
-def dense_reference(tx, ty, treach, tarea, tratio, thist,
-                    dx, dy, darea, dratio, dhist, weights):
-    """The kernel as a dense formula: every feature of every pair, then the gate."""
+def dense_reference(tstates, treach, thist, dstates, dhist, weights):
+    """The kernel as a dense formula: every feature of every pair, then the
+    gate; area and aspect come from `ObjectState.area` and `.aspect`."""
+    def columns(states):
+        return (np.array([s.x for s in states]), np.array([s.y for s in states]),
+                np.array([s.area for s in states]), np.array([s.aspect for s in states]))
+    tx, ty, tarea, tratio = columns(tstates)
+    dx, dy, darea, dratio = columns(dstates)
     w1, w2, w3, w4 = weights
     d = np.hypot(tx[:, None] - dx[None, :], ty[:, None] - dy[None, :])
     ls1 = 1.0 - d / treach[:, None]
@@ -74,14 +74,14 @@ def test_sparse_kernel_equals_dense_reference_exactly(reach, gated, nt, nd):
     rng = np.random.default_rng(nt * 100 + nd)
     weights = (1.0, 0.5, 2.0, 1.5)
     for nbins in (24, 96):
-        *_, args = random_batch(rng, nt, nd, nbins)
-        args = list(args)
-        args[2] = args[2] / 20.0 * reach
+        tstates, dstates, thist, dhist, _, treach = random_batch(rng, nt, nd, nbins)
+        treach = treach / 20.0 * reach
         # bins empty in both histograms of some pairs
-        args[5][:, ::5] = 0.0
-        args[10][:, ::5] = 0.0
-        got = kernels.score_matrix(*args, weights)
-        want = dense_reference(*args, weights)
+        thist[:, ::5] = 0.0
+        dhist[:, ::5] = 0.0
+        got = kernels.score_matrix(kernels.boxes(tstates), treach, thist,
+                                   kernels.boxes(dstates), dhist, weights)
+        want = dense_reference(tstates, treach, thist, dstates, dhist, weights)
         assert np.array_equal(got, want)
         if gated == "all":
             assert not got.any()
@@ -89,9 +89,18 @@ def test_sparse_kernel_equals_dense_reference_exactly(reach, gated, nt, nd):
             assert got.all()
 
 
+def test_boxes_rows():
+    states = [ObjectState(1.5, 2.0, 3.0, 4.0), ObjectState(5.0, 6.0, 7.0, 8.5)]
+    assert np.array_equal(kernels.boxes(states), [[1.5, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.5]])
+    assert kernels.boxes([]).shape == (0, 4)
+
+
 def test_empty_inputs():
-    z = np.empty(0)
+    b = kernels.boxes([])
     h = np.empty((0, 8))
-    out = kernels.score_matrix(z, z, z, z, z, h, z, z, z, z, h, (1, 1, 1, 1))
+    out = kernels.score_matrix(b, np.empty(0), h, b, h, (1, 1, 1, 1))
     assert out.shape == (0, 0)
+    one = kernels.boxes([ObjectState(1.0, 1.0, 2.0, 2.0)])
+    out = kernels.score_matrix(one, np.ones(1), np.ones((1, 8)), b, h, (1, 1, 1, 1))
+    assert out.shape == (1, 0)
 
