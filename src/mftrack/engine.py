@@ -1,4 +1,9 @@
-"""Per-frame tracking engine: predict, match, correct, spawn, sweep."""
+"""Per-frame tracking engine.
+
+`match_frame` reads a frame: it validates the detections, predicts every
+live track, scores the pairs and resolves the assignment, changing no
+track. `TrackingEngine.step` then writes it: correct, hold, spawn, sweep.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,11 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman, kernels, lifecycle
-from .errors import InputError, SequencingError
+from .errors import HistogramShapeError, InputError, SequencingError
 from .types import (
     ACTIVE,
     WAITING,
     Detection,
+    KalmanState,
+    ObjectState,
     Track,
     TrackerConfig,
     diagonal_half,
@@ -19,11 +26,13 @@ from .types import (
 
 @dataclass
 class MatchResult:
-    """Accepted (track, detection) pairs plus leftovers for one frame."""
+    """Accepted (track, detection) pairs plus leftovers for one frame, and
+    each track's prediction for it, none of them stored on the track."""
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
     unmatched_tracks: list[int]
     unmatched_detections: list[int]
+    predicted: dict[int, tuple[KalmanState, ObjectState]]  # track_id -> kalman.predict
 
 
 @dataclass
@@ -36,37 +45,50 @@ class FrameReport:
     noise: list[int] = field(default_factory=list)
 
 
+def _check_frame(detections: list[Detection], frame_id: int | None, n_bins: int) -> int | None:
+    """The frame id of `detections` (`frame_id` when given, else the first
+    detection's), after rejecting a detection that carries another frame id,
+    repeats a detection id or holds a histogram of other than n_bins bins."""
+    if frame_id is None and detections:
+        frame_id = detections[0].frame_id
+    seen_ids = set()
+    for d in detections:
+        if d.frame_id != frame_id:
+            raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
+                             f"expected {frame_id}")
+        if d.detection_id in seen_ids:
+            raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
+        if d.histogram.n != n_bins:
+            raise HistogramShapeError(f"detection {d.detection_id} in frame {frame_id} has "
+                                      f"{d.histogram.n} histogram bins, expected {n_bins}")
+        seen_ids.add(d.detection_id)
+    return frame_id
+
+
 def match_frame(
     tracks: list[Track],
     detections: list[Detection],
     cfg: TrackerConfig,
     frame_id: int | None = None,
 ) -> MatchResult:
-    """Score the (track, detection) pairs and resolve the assignment.
+    """Validate the frame, predict every track, score the (track, detection)
+    pairs and resolve the assignment, without changing any track.
 
     greedy_global accepts pairs one-to-one by descending score (ties broken
     by lower track id then detection id; see `kernels.greedy_pairs`);
     per_track lets each track take its best candidate independently and may
     double-assign detections.
     """
-    if detections:
-        frames = {d.frame_id for d in detections}
-        if len(frames) > 1:
-            raise InputError(f"detections span multiple frames: {sorted(frames)}")
-        if frame_id is None:
-            frame_id = frames.pop()
-        elif frames != {frame_id}:
-            raise InputError(f"detections carry frame {frames.pop()}, expected {frame_id}")
-    if frame_id is None:
-        frame_id = 0
+    frame_id = _check_frame(detections, frame_id, cfg.n_bins)
+    predicted = {t.track_id: kalman.predict(t.kalman, cfg) for t in tracks}
 
     if not tracks or not detections:
-        return MatchResult([], [t.track_id for t in tracks], [d.detection_id for d in detections])
+        return MatchResult([], [t.track_id for t in tracks], [d.detection_id for d in detections],
+                           predicted)
 
     # a track is scored at its prediction; its search radius scales with
     # the frames since its last match
-    tboxes = kernels.boxes([t.prediction if t.prediction is not None else t.last_cs
-                            for t in tracks])
+    tboxes = kernels.boxes([predicted[t.track_id][1] for t in tracks])
     treach = np.array([diagonal_half(t.last_cs) * max(1, frame_id - t.f_l) for t in tracks])
     thist = np.array([t.last_histogram.bins for t in tracks])
     dboxes = kernels.boxes([d.state for d in detections])
@@ -90,6 +112,7 @@ def match_frame(
         pairs=pairs,
         unmatched_tracks=[t.track_id for t in tracks if t.track_id not in matched_t],
         unmatched_detections=[d.detection_id for d in detections if d.detection_id not in matched_d],
+        predicted=predicted,
     )
 
 
@@ -105,7 +128,6 @@ class TrackingEngine:
         self.tracks: dict[int, Track] = {}
         self._live: dict[int, Track] = {}
         self.last_frame: int | None = None
-        self._next_id = 1
 
     def live_tracks(self) -> list[Track]:
         """Every active or waiting track, in id order."""
@@ -118,80 +140,62 @@ class TrackingEngine:
     def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
-        A frame rejected by these checks leaves the engine as it was.
+        Everything that can reject the frame runs before the first write, so
+        a rejected frame leaves the engine as it was.
         """
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
-        seen_ids = set()
-        for d in detections:
-            if d.frame_id != frame_id:
-                raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
-                                 f"expected {frame_id}")
-            if d.detection_id in seen_ids:
-                raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
-            seen_ids.add(d.detection_id)
-
         cfg = self.cfg
-        report = FrameReport(frame_id=frame_id)
-        live = self.live_tracks()
-        # every prediction is computed before any is stored, so an overflow
-        # leaves the engine as it was
-        predictions = [kalman.predict(t.kalman, cfg) for t in live]
-        for t, (ks, es) in zip(live, predictions):
-            t.kalman, t.prediction = ks, es
-
-        result = match_frame(live, detections, cfg, frame_id)
+        result = match_frame(self.live_tracks(), detections, cfg, frame_id)
         det_by_id = {d.detection_id: d for d in detections}
+        # a correction can overflow too, so all of them are computed first
+        corrected = [kalman.correct(*result.predicted[tid], det_by_id[did].state,
+                                    self._live[tid].last_cs, cfg.w, cfg.measurement_noise)
+                     for tid, did, _ in result.pairs]
 
-        for tid, did, score in result.pairs:
-            t = self.tracks[tid]
-            det = det_by_id[did]
-            t.kalman, cs = kalman.correct(t.kalman, t.prediction, det.state, t.last_cs, cfg.w,
-                                          cfg.measurement_noise)
+        for (tid, did, _), (ks, cs) in zip(result.pairs, corrected):
+            t = self._live[tid]
+            t.kalman = ks
             t.states[frame_id] = cs
-            t.last_cs = cs
-            t.last_histogram = det.histogram
+            t.last_histogram = det_by_id[did].histogram
             t.f_l = frame_id
             t.n_r += 1
             t.status = ACTIVE
             t.matched_frames.add(frame_id)
             t.update_extent(cs.x, cs.y, cap=cfg.t4)
-            report.matches.append((tid, did, score))
 
         for tid in result.unmatched_tracks:
-            t = self.tracks[tid]
+            t = self._live[tid]
+            t.kalman = result.predicted[tid][0]
             # a waiting track holds its last corrected state
             t.states[frame_id] = t.last_cs
             t.t_w += 1
             t.status = WAITING
-            report.waiting.append(tid)
 
+        new_tracks = []
         for did in result.unmatched_detections:
             det = det_by_id[did]
             t = Track(
-                track_id=self._next_id,
+                track_id=len(self.tracks) + 1,
                 birth_frame=frame_id,
                 states={frame_id: det.state},
                 last_histogram=det.histogram,
                 kalman=kalman.init_kalman(det.state, cfg),
                 f_l=frame_id,
+                matched_frames={frame_id},
             )
-            t.last_cs = det.state
-            t.matched_frames.add(frame_id)
             t.update_extent(det.state.x, det.state.y, cap=cfg.t4)
             self.tracks[t.track_id] = self._live[t.track_id] = t
-            self._next_id += 1
-            report.new_tracks.append(t.track_id)
+            new_tracks.append(t.track_id)
 
-        life = lifecycle.sweep(list(self._live.values()), frame_id, cfg)
-        for tid in life.terminated + life.noise:
+        terminated, noise = lifecycle.sweep(list(self._live.values()), frame_id, cfg)
+        for tid in terminated + noise:
             del self._live[tid]
-        report.terminated = life.terminated
-        report.noise = life.noise
         self.last_frame = frame_id
-        return report
+        return FrameReport(frame_id, matches=result.pairs, new_tracks=new_tracks,
+                           waiting=result.unmatched_tracks, terminated=terminated, noise=noise)
 
-    def trajectories(self) -> dict[int, dict[int, "ObjectState"]]:
+    def trajectories(self) -> dict[int, dict[int, ObjectState]]:
         """Per-frame states of every valid track (noise excluded)."""
         return {t.track_id: dict(t.states) for t in self.valid_tracks()}

@@ -8,8 +8,6 @@ spend too large a fraction of their life waiting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .types import NOISE, TERMINATED, WAITING, Track, TrackerConfig
 
 
@@ -36,33 +34,28 @@ def is_noise(track: Track, at_end_of_life: bool, cfg: TrackerConfig) -> bool:
     return False
 
 
-@dataclass
-class LifecycleReport:
-    terminated: list[int] = field(default_factory=list)  # terminated, kept as valid
-    noise: list[int] = field(default_factory=list)  # flagged noise (any path)
-
-
-def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> LifecycleReport:
+def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> tuple[list[int], list[int]]:
     """Run once per frame after matching/correction, over the live tracks
-    in id order.
+    in id order; returns the ids it ended as (terminated, noise).
 
     Terminates overdue waiting tracks (noise-checking them at end of
     life), then applies the mid-life noise tests to every surviving live
-    track old enough to judge.
+    track old enough to judge. A terminated track stays valid; a noise
+    track, flagged by either path, does not. The engine has stored every
+    live track's state at f_c, so a track ended here reads f_c as its
+    `end_frame`.
     """
-    report = LifecycleReport()
+    terminated, noise = [], []
     for track in live:
         if track.status == WAITING and should_terminate(track, f_c, cfg.t2):
-            track.end_frame = f_c
             if is_noise(track, at_end_of_life=True, cfg=cfg):
                 track.status = NOISE
-                report.noise.append(track.track_id)
+                noise.append(track.track_id)
             else:
                 track.status = TERMINATED
-                report.terminated.append(track.track_id)
+                terminated.append(track.track_id)
             continue
         if track.span >= cfg.t3 and is_noise(track, at_end_of_life=False, cfg=cfg):
             track.status = NOISE
-            track.end_frame = f_c
-            report.noise.append(track.track_id)
-    return report
+            noise.append(track.track_id)
+    return terminated, noise

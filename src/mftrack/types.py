@@ -14,8 +14,6 @@ WAITING = "waiting"
 TERMINATED = "terminated"
 NOISE = "noise"
 
-LIVE_STATUSES = (ACTIVE, WAITING)
-
 MAX_RAW_BINS = 768  # 256 intensity levels x 3 channels
 
 
@@ -90,7 +88,7 @@ class ColorHistogram:
         return hash((self.bins.size, float(self.bins.sum())))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Detection:
     """One detected bounding box in one frame."""
 
@@ -102,16 +100,6 @@ class Detection:
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError("frame_id must be non-negative")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Detection):
-            return NotImplemented
-        return (
-            self.frame_id == other.frame_id
-            and self.detection_id == other.detection_id
-            and self.state == other.state
-            and self.histogram == other.histogram
-        )
 
 
 @dataclass(frozen=True)
@@ -190,7 +178,13 @@ class KalmanState:
 
 @dataclass(eq=False)
 class Track:
-    """A tracked object; mutated only by the owning engine."""
+    """A tracked object; mutated only by the owning engine.
+
+    `states` holds one state per frame from birth to the last processed
+    frame, in frame order: the corrected state on a matched frame, the
+    held one on a waiting frame. The last corrected state and the end
+    frame are read from it, not stored.
+    """
 
     track_id: int
     birth_frame: int
@@ -201,15 +195,11 @@ class Track:
     n_r: int = 1  # number of matched frames
     t_w: int = 0  # cumulative waiting frames
     status: str = ACTIVE
-    end_frame: int | None = None
-    prediction: ObjectState | None = None  # estimate for the frame being processed
-    last_cs: ObjectState | None = None  # corrected state of the last processed frame
     matched_frames: set[int] = field(default_factory=set)
     # spatial-extent bookkeeping: exact max pairwise center distance,
     # frozen once it crosses the cap the engine cares about (t4)
     _centers: list[tuple[float, float]] = field(default_factory=list)
     _d_max: float = 0.0
-    _extent_frozen: bool = False
 
     @property
     def d_max(self) -> float:
@@ -222,20 +212,28 @@ class Track:
         return self._d_max
 
     @property
+    def last_cs(self) -> ObjectState:
+        """State of the last processed frame: its corrected state, or the
+        one held while waiting."""
+        return next(reversed(self.states.values()))
+
+    @property
     def last_state_frame(self) -> int:
         # states are inserted in frame order, so the last key is the latest
         return next(reversed(self.states))
+
+    @property
+    def end_frame(self) -> int | None:
+        """Frame at which the lifecycle ended the track; None while live."""
+        return None if self.status in (ACTIVE, WAITING) else self.last_state_frame
 
     @property
     def span(self) -> int:
         """Trajectory length in frames, waiting time included."""
         return self.last_state_frame - self.birth_frame + 1
 
-    def is_live(self) -> bool:
-        return self.status in LIVE_STATUSES
-
     def update_extent(self, x: float, y: float, cap: float = math.inf) -> None:
-        if self._extent_frozen:
+        if self._d_max >= cap:
             return
         if self._centers:
             cx = np.array([c[0] for c in self._centers])
@@ -245,5 +243,4 @@ class Track:
                 self._d_max = d
         self._centers.append((x, y))
         if self._d_max >= cap:
-            self._extent_frozen = True
             self._centers.clear()

@@ -21,7 +21,8 @@ def make_detection(frame_id, det_id, x, y, l=10.0, h=10.0, hist=None, n=96):
 
 
 def make_track(track_id, state, birth=0, hist=None, cfg=None, n=96, **kw):
-    """Track ready for match_frame: prediction and last_cs set to `state`."""
+    """Track born in `state`, its filter seeded there; match_frame predicts
+    it at `state` again, since the seeded velocity is 0."""
     cfg = cfg or TrackerConfig()
     t = Track(
         track_id=track_id,
@@ -32,8 +33,6 @@ def make_track(track_id, state, birth=0, hist=None, cfg=None, n=96, **kw):
         f_l=birth,
         **kw,
     )
-    t.last_cs = state
-    t.prediction = state
     t.matched_frames.add(birth)
     t.update_extent(state.x, state.y)
     return t

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_histogram, make_detection, make_track, peaked_histogram
-from mftrack import kernels, lifecycle, scenario
+from mftrack import kalman, kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
-from mftrack.errors import InputError, SequencingError
+from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import ObjectState, TrackerConfig
+from mftrack.types import ACTIVE, WAITING, ObjectState, TrackerConfig
 
 
 class TestMatchFrame:
@@ -61,10 +61,37 @@ class TestMatchFrame:
         t = make_track(1, ObjectState(0, 0, 6, 8))
         d = make_detection(frame_id, 0, 8.0, 0, l=6, h=8)
         r = match_frame([t], [d], cfg, frame_id=frame_id)
-        ls1 = distance_similarity(t.prediction, d.state, 5.0, frame_id)
+        ls1 = distance_similarity(r.predicted[1][1], d.state, 5.0, frame_id)
         assert (ls1 > 0.0) == (frame_id > 1)
         assert r.pairs == [(1, 0, pytest.approx(global_similarity([ls1, 1.0, 1.0, 1.0],
                                                                    cfg.feature_weights)))]
+
+    @pytest.mark.parametrize("n_tracks", [0, 2])
+    @pytest.mark.parametrize("wrong", ["one", "all"])
+    def test_wrong_histogram_length_rejected(self, cfg, n_tracks, wrong):
+        tracks = [make_track(i + 1, ObjectState(50.0 * i, 50, 10, 10)) for i in range(n_tracks)]
+        half = cfg.n_bins // 2
+        dets = [make_detection(1, j, 50.0 * j, 50, n=half if wrong == "all" or j == 1 else cfg.n_bins)
+                for j in range(3)]
+        with pytest.raises(HistogramShapeError):
+            match_frame(tracks, dets, cfg, frame_id=1)
+
+    def test_reads_tracks_without_changing_them(self, cfg):
+        eng = TrackingEngine(cfg)
+        for f in range(6):
+            eng.step(f, [make_detection(f, j, 40.0 + 3 * f + 100 * j, 50.0 + f) for j in range(3)
+                         if (f + j) % 3])
+        before = _engine_state(eng)
+        tracks = eng.live_tracks()
+        dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
+        r = match_frame(tracks, dets, cfg, frame_id=6)
+        assert _engine_state(eng) == before
+        assert list(r.predicted) == [t.track_id for t in tracks]
+        for t in tracks:
+            ks, es = r.predicted[t.track_id]
+            ref_ks, ref_es = kalman.predict(t.kalman, cfg)
+            assert es == ref_es
+            assert _filter_fields(ks) == _filter_fields(ref_ks)
 
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
@@ -201,7 +228,7 @@ class TestStep:
                 dets.append(make_detection(f, 1, 30.0 + f, 300))
             eng.step(f, dets)
             for t in eng.tracks.values():
-                if t.is_live():
+                if t.status in (ACTIVE, WAITING):
                     assert t.t_w + t.n_r == f - t.birth_frame + 1
 
     def test_out_of_order_frame_rejected(self, cfg):
@@ -231,13 +258,15 @@ class TestStep:
         assert a == b
 
 
+def _filter_fields(ks):
+    return {k: np.asarray(v).tolist() for k, v in vars(ks).items()}
+
+
 def _engine_state(eng):
     """Everything step may mutate, in comparable form."""
-    def filt(ks):
-        return {k: np.asarray(v).tolist() for k, v in vars(ks).items()}
-    return (eng.last_frame, eng._next_id, [t.track_id for t in eng.live_tracks()], {
-        tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.prediction,
-              t.last_cs, t.last_histogram, set(t.matched_frames), t.d_max, filt(t.kalman))
+    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], {
+        tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
+              t.last_histogram, set(t.matched_frames), t.d_max, _filter_fields(t.kalman))
         for tid, t in eng.tracks.items()})
 
 
@@ -257,7 +286,8 @@ def _streams(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(frames=_streams(),
-       rejection=st.sampled_from(["wrong_frame_id", "duplicate_id", "stale_frame"]),
+       rejection=st.sampled_from(["wrong_frame_id", "duplicate_id", "stale_frame",
+                                  "ragged_histogram", "wrong_bins"]),
        data=st.data())
 def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
     *warm, valid = frames
@@ -274,6 +304,12 @@ def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
     elif rejection == "duplicate_id":
         with pytest.raises(InputError):
             eng.step(n, valid + [make_detection(n, 100, 60, 60), make_detection(n, 100, 90, 90)])
+    elif rejection == "ragged_histogram":
+        with pytest.raises(HistogramShapeError):
+            eng.step(n, valid + [make_detection(n, 100, 60, 60, n=eng.cfg.n_bins // 2)])
+    elif rejection == "wrong_bins":
+        with pytest.raises(HistogramShapeError):
+            eng.step(n, _with_bins(valid + [make_detection(n, 100, 60, 60)], eng.cfg.n_bins // 2))
     else:
         stale = data.draw(st.integers(0, n - 1))
         with pytest.raises(SequencingError):
@@ -282,6 +318,32 @@ def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
     assert _engine_state(eng) == before
     assert eng.step(n, valid) == ref.step(n, valid)
     assert _engine_state(eng) == _engine_state(ref)
+
+
+def _with_bins(detections, n):
+    return [make_detection(d.frame_id, d.detection_id, d.state.x, d.state.y, n=n)
+            for d in detections]
+
+
+def test_wrong_bins_on_first_frame_rejected():
+    """With no live track to score against, a frame of wrong-length
+    histograms is still rejected, and spawns nothing."""
+    eng = TrackingEngine()
+    dets = [make_detection(0, j, 50.0 + 100 * j, 50) for j in range(3)]
+    with pytest.raises(HistogramShapeError):
+        eng.step(0, _with_bins(dets, eng.cfg.n_bins // 2))
+    assert _engine_state(eng) == _engine_state(TrackingEngine())
+    assert eng.step(0, dets).new_tracks == [1, 2, 3]
+
+
+def test_update_overflow_leaves_engine_unchanged():
+    """A correction that overflows rejects the frame before anything is stored."""
+    eng = TrackingEngine(TrackerConfig(t1=0.0))
+    eng.step(0, [make_detection(0, 0, 1.5e308, 50)])
+    before = _engine_state(eng)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflowError):
+        eng.step(1, [make_detection(1, 0, -1.5e308, 50)])
+    assert _engine_state(eng) == before
 
 
 def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
@@ -302,7 +364,10 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
         report = eng.step(f, stream.get(f, []))
         assert handed[-1] == before + len(report.new_tracks)
         live = eng.live_tracks()
-        assert [t.track_id for t in live] == [t.track_id for t in eng.tracks.values() if t.is_live()]
+        assert [t.track_id for t in live] == [t.track_id for t in eng.tracks.values()
+                                              if t.status in (ACTIVE, WAITING)]
         assert len(live) == handed[-1] - len(report.terminated) - len(report.noise)
+        assert all(eng.tracks[tid].end_frame == f for tid in report.terminated + report.noise)
+        assert all(t.end_frame is None for t in live)
     assert len(handed) == 600
     assert 10 * max(handed) < len(eng.tracks)
