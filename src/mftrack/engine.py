@@ -1,8 +1,9 @@
 """Per-frame tracking engine.
 
-`match_frame` reads a frame: it validates the detections, predicts every
-live track, scores the pairs and resolves the assignment, changing no
-track. `TrackingEngine.step` then writes it: correct, hold, spawn, sweep.
+`match_frame` reads a frame: it validates the detections, predicts the
+filter rows of the live tracks, scores the pairs and resolves the
+assignment, changing nothing. `TrackingEngine.step` then writes it:
+correct, hold, spawn, sweep.
 """
 from __future__ import annotations
 
@@ -27,12 +28,17 @@ from .types import (
 @dataclass
 class MatchResult:
     """Accepted (track, detection) pairs plus leftovers for one frame, and
-    each track's prediction for it, none of them stored on the track."""
+    the prediction of the tracks' filter rows for it, none of them stored.
+
+    Row i of `predicted` and `boxes` belongs to the i-th track given to
+    `match_frame`.
+    """
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
     unmatched_tracks: list[int]
     unmatched_detections: list[int]
-    predicted: dict[int, tuple[KalmanState, ObjectState]]  # track_id -> kalman.predict
+    predicted: KalmanState  # kalman.predict_rows of the rows given
+    boxes: np.ndarray  # (n, 4) estimated boxes, l and h floored; the boxes scored
 
 
 @dataclass
@@ -67,12 +73,17 @@ def _check_frame(detections: list[Detection], frame_id: int | None, n_bins: int)
 
 def match_frame(
     tracks: list[Track],
+    rows: KalmanState,
     detections: list[Detection],
     cfg: TrackerConfig,
     frame_id: int | None = None,
 ) -> MatchResult:
-    """Validate the frame, predict every track, score the (track, detection)
-    pairs and resolve the assignment, without changing any track.
+    """Validate the frame, predict the filter rows, score the (track,
+    detection) pairs and resolve the assignment, changing neither the
+    tracks nor the rows.
+
+    Row i of `rows` is the filter of tracks[i]. Each track is scored at its
+    estimated box, the predicted row with l and h floored.
 
     greedy_global accepts pairs one-to-one by descending score (ties broken
     by lower track id then detection id; see `kernels.greedy_pairs`);
@@ -80,15 +91,13 @@ def match_frame(
     double-assign detections.
     """
     frame_id = _check_frame(detections, frame_id, cfg.n_bins)
-    predicted = {t.track_id: kalman.predict(t.kalman, cfg) for t in tracks}
+    predicted, tboxes = kalman.predict_rows(rows, cfg)
 
     if not tracks or not detections:
         return MatchResult([], [t.track_id for t in tracks], [d.detection_id for d in detections],
-                           predicted)
+                           predicted, tboxes)
 
-    # a track is scored at its prediction; its search radius scales with
-    # the frames since its last match
-    tboxes = kernels.boxes([predicted[t.track_id][1] for t in tracks])
+    # a track's search radius scales with the frames since its last match
     treach = np.array([diagonal_half(t.last_cs) * max(1, frame_id - t.f_l) for t in tracks])
     thist = np.array([t.last_histogram.bins for t in tracks])
     dboxes = kernels.boxes([d.state for d in detections])
@@ -113,6 +122,7 @@ def match_frame(
         unmatched_tracks=[t.track_id for t in tracks if t.track_id not in matched_t],
         unmatched_detections=[d.detection_id for d in detections if d.detection_id not in matched_d],
         predicted=predicted,
+        boxes=tboxes,
     )
 
 
@@ -120,13 +130,15 @@ class TrackingEngine:
     """Stateful frame-by-frame tracker over a detection stream.
 
     `tracks` holds every track ever created, `_live` only the live ones;
-    ids only grow, so both are in id order.
+    ids only grow, so both are in id order. `_rows` holds the filters of
+    the live tracks, row i for the i-th track of `_live`.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = (cfg or TrackerConfig()).validate()
         self.tracks: dict[int, Track] = {}
         self._live: dict[int, Track] = {}
+        self._rows = kalman.init_rows(np.empty((0, 4)), self.cfg)
         self.last_frame: int | None = None
 
     def live_tracks(self) -> list[Track]:
@@ -140,23 +152,34 @@ class TrackingEngine:
     def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
-        Everything that can reject the frame runs before the first write, so
-        a rejected frame leaves the engine as it was.
+        The filters of the matched tracks are corrected as one block of
+        rows, and the states recorded are built from the corrected box
+        rows. Everything that can reject the frame runs before the first
+        write, so a rejected frame leaves the engine as it was. Newborn
+        tracks append their rows, and the rows of the tracks the sweep
+        ends are dropped, which keeps row i on the i-th live track.
         """
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
         cfg = self.cfg
-        result = match_frame(self.live_tracks(), detections, cfg, frame_id)
+        live = self.live_tracks()
+        result = match_frame(live, self._rows, detections, cfg, frame_id)
         det_by_id = {d.detection_id: d for d in detections}
-        # a correction can overflow too, so all of them are computed first
-        corrected = [kalman.correct(*result.predicted[tid], det_by_id[did].state,
-                                    self._live[tid].last_cs, cfg.w, cfg.measurement_noise)
-                     for tid, did, _ in result.pairs]
+        row_of = {t.track_id: i for i, t in enumerate(live)}
+        matched = np.array([row_of[tid] for tid, _, _ in result.pairs], dtype=np.intp)
+        measured = kernels.boxes([det_by_id[did].state for _, did, _ in result.pairs])
+        # a correction can overflow too, so the whole frame is computed first
+        rows, cs_boxes = kalman.correct_rows(result.predicted, matched, measured,
+                                             result.boxes[matched], cfg.w, cfg.measurement_noise)
+        corrected = [ObjectState(*box) for box in cs_boxes.tolist()]
+        spawned = [det_by_id[did] for did in result.unmatched_detections]
+        if spawned:
+            rows = kalman.join_rows(rows, kalman.init_rows(
+                kernels.boxes([d.state for d in spawned]), cfg))
 
-        for (tid, did, _), (ks, cs) in zip(result.pairs, corrected):
+        for (tid, did, _), cs in zip(result.pairs, corrected):
             t = self._live[tid]
-            t.kalman = ks
             t.states[frame_id] = cs
             t.last_histogram = det_by_id[did].histogram
             t.f_l = frame_id
@@ -167,21 +190,18 @@ class TrackingEngine:
 
         for tid in result.unmatched_tracks:
             t = self._live[tid]
-            t.kalman = result.predicted[tid][0]
             # a waiting track holds its last corrected state
             t.states[frame_id] = t.last_cs
             t.t_w += 1
             t.status = WAITING
 
         new_tracks = []
-        for did in result.unmatched_detections:
-            det = det_by_id[did]
+        for det in spawned:
             t = Track(
                 track_id=len(self.tracks) + 1,
                 birth_frame=frame_id,
                 states={frame_id: det.state},
                 last_histogram=det.histogram,
-                kalman=kalman.init_kalman(det.state, cfg),
                 f_l=frame_id,
                 matched_frames={frame_id},
             )
@@ -190,8 +210,12 @@ class TrackingEngine:
             new_tracks.append(t.track_id)
 
         terminated, noise = lifecycle.sweep(list(self._live.values()), frame_id, cfg)
-        for tid in terminated + noise:
-            del self._live[tid]
+        if terminated or noise:
+            ended = set(terminated + noise)
+            rows = kalman.take_rows(rows, np.array([tid not in ended for tid in self._live]))
+            for tid in terminated + noise:
+                del self._live[tid]
+        self._rows = rows
         self.last_frame = frame_id
         return FrameReport(frame_id, matches=result.pairs, new_tracks=new_tracks,
                            waiting=result.unmatched_tracks, terminated=terminated, noise=noise)

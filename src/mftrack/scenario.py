@@ -8,13 +8,15 @@ are reproducible across machines.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .metrics import GroundTruthObject
-from .types import ColorHistogram, Detection, ObjectState, TrackerConfig
+from .types import MAX_RAW_BINS, ColorHistogram, Detection, ObjectState, TrackerConfig
 
 CLUTTER = -1  # provenance label for clutter detections
 
@@ -82,13 +84,35 @@ class ScenarioSpec:
     arena: tuple[float, float] = (640.0, 480.0)
 
     def validate(self) -> "ScenarioSpec":
-        if self.duration < 1:
-            raise InputError("duration must be >= 1")
+        if not isinstance(self.duration, numbers.Integral) or self.duration < 1:
+            raise InputError(f"duration must be an integer >= 1, got {self.duration}")
+        if not (1 <= self.n_bins <= MAX_RAW_BINS):
+            raise InputError(f"n_bins must be in 1..{MAX_RAW_BINS}, got {self.n_bins}")
         if not (0.0 <= self.drop_probability <= 1.0):
             raise InputError("drop_probability must be in [0,1]")
-        if self.clutter_rate < 0 or self.clutter_lifetime < 1 or self.clutter_extent <= 0:
+        for name in ("position_jitter_sigma", "size_jitter_sigma", "histogram_noise",
+                     "clutter_rate"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise InputError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if self.clutter_lifetime < 1 or not (0.0 < self.clutter_extent < math.inf):
             raise InputError("invalid clutter parameters")
+        if len(self.arena) != 2 or not all(0.0 < side < math.inf for side in self.arena):
+            raise InputError(f"arena must be 2 finite positive sizes, got {list(self.arena)}")
+        for k, script in enumerate(self.objects):
+            if not script.waypoints:
+                raise InputError(f"object {k} has no waypoints")
+            for wp in script.waypoints:
+                if not _is_box_row(wp):
+                    raise InputError(f"object {k}: waypoint {list(wp)} is not 5 finite numbers "
+                                     "(frame, x, y, l, h) with positive l and h")
         return self
+
+
+def _is_box_row(row) -> bool:
+    """True when row is (frame, x, y, l, h): 5 finite numbers, l and h positive."""
+    return (len(row) == 5 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in row)
+            and row[3] > 0 and row[4] > 0)
 
 
 @dataclass
@@ -240,6 +264,8 @@ def lanes_scenario(
     **overrides,
 ) -> ScenarioSpec:
     """Objects moving on parallel horizontal lanes, well separated."""
+    if n_objects < 0:
+        raise InputError(f"the number of objects must be non-negative, got {n_objects}")
     l, h = box
     objects = []
     for i in range(n_objects):
@@ -286,8 +312,7 @@ def spec_from_json(text: str) -> ScenarioSpec:
         blobs = tuple(ClutterBlob(**b) for b in raw.pop("clutter_blobs", []))
         burst = tuple(tuple(b) for b in raw.pop("burst_drops", []))
         arena = tuple(raw.pop("arena", (640.0, 480.0)))
-        spec = ScenarioSpec(objects=objects, clutter_blobs=blobs,
-                            burst_drops=burst, arena=arena, **raw)
+        return ScenarioSpec(objects=objects, clutter_blobs=blobs,
+                            burst_drops=burst, arena=arena, **raw).validate()
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"invalid scenario spec: {e}") from e
-    return spec.validate()

@@ -162,18 +162,20 @@ class TrackerConfig:
 
 @dataclass(eq=False)
 class KalmanState:
-    """Internal filter state of one track.
+    """Internal filter state of one track, or of n tracks as rows.
 
-    position and velocity are indexed by axis (x, y, l, h). Every axis
-    shares the covariance [[p, c], [c, v]] of its (position, velocity)
-    pair; the static model keeps velocity, c and v at 0.
+    position and velocity are indexed by axis (x, y, l, h): (4,) arrays
+    for one track, (n, 4) for n. Every axis shares the covariance
+    [[p, c], [c, v]] of its (position, velocity) pair, floats for one
+    track and (n,) arrays for n; the static model keeps velocity, c and v
+    at 0.
     """
 
     position: np.ndarray
     velocity: np.ndarray
-    p: float
-    c: float
-    v: float
+    p: float | np.ndarray
+    c: float | np.ndarray
+    v: float | np.ndarray
 
 
 @dataclass(eq=False)
@@ -183,14 +185,14 @@ class Track:
     `states` holds one state per frame from birth to the last processed
     frame, in frame order: the corrected state on a matched frame, the
     held one on a waiting frame. The last corrected state and the end
-    frame are read from it, not stored.
+    frame are read from it, not stored. The filter of a live track is a
+    row of the engine's row store, not a field of the track.
     """
 
     track_id: int
     birth_frame: int
     states: dict[int, ObjectState]
     last_histogram: ColorHistogram
-    kalman: KalmanState
     f_l: int  # frame of the last successful match
     n_r: int = 1  # number of matched frames
     t_w: int = 0  # cumulative waiting frames

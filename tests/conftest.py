@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mftrack import kalman
 from mftrack.types import ColorHistogram, Detection, ObjectState, Track, TrackerConfig
 
 
@@ -20,16 +19,14 @@ def make_detection(frame_id, det_id, x, y, l=10.0, h=10.0, hist=None, n=96):
                      hist if hist is not None else flat_histogram(n))
 
 
-def make_track(track_id, state, birth=0, hist=None, cfg=None, n=96, **kw):
-    """Track born in `state`, its filter seeded there; match_frame predicts
+def make_track(track_id, state, birth=0, hist=None, n=96, **kw):
+    """Track born in `state`; a filter row seeded at its `last_cs` predicts
     it at `state` again, since the seeded velocity is 0."""
-    cfg = cfg or TrackerConfig()
     t = Track(
         track_id=track_id,
         birth_frame=birth,
         states={birth: state},
         last_histogram=hist if hist is not None else flat_histogram(n),
-        kalman=kalman.init_kalman(state, cfg),
         f_l=birth,
         **kw,
     )

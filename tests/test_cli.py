@@ -106,3 +106,44 @@ def test_bench_subcommand_runs(capsys):
     assert main(["bench", "--frames", "120", "--objects", "2", "--clutter", "1"]) == 0
     out = capsys.readouterr().out
     assert "fps" in out
+
+
+
+def _first_waypoints(value):
+    def edit(raw):
+        raw["objects"][0]["waypoints"] = value
+    return edit
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda raw: raw.update(position_jitter_sigma=-1), id="position_jitter"),
+    pytest.param(lambda raw: raw.update(size_jitter_sigma=-1), id="size_jitter"),
+    pytest.param(lambda raw: raw.update(n_bins=0), id="zero_bins"),
+    pytest.param(lambda raw: raw.update(n_bins=1000), id="too_many_bins"),
+    pytest.param(lambda raw: raw.update(clutter_rate=float("inf")), id="infinite_clutter"),
+    pytest.param(lambda raw: raw.update(clutter_rate=float("nan")), id="nan_clutter"),
+    pytest.param(lambda raw: raw.update(histogram_noise=-1), id="histogram_noise"),
+    pytest.param(lambda raw: raw.update(duration=10.5), id="fractional_duration"),
+    pytest.param(lambda raw: raw.update(arena=[float("nan"), 480.0]), id="nan_arena"),
+    pytest.param(_first_waypoints([[0, 10, 10]]), id="three_value_waypoint"),
+    pytest.param(_first_waypoints([]), id="no_waypoints"),
+    pytest.param(_first_waypoints([[0, 10, 10, 0, 8], [9, 20, 10, 0, 8]]), id="zero_width"),
+    pytest.param(_first_waypoints([[0, float("nan"), 10, 4, 8]]), id="nan_waypoint"),
+    pytest.param(["--objects", "-1"], id="bench_negative_objects"),
+    pytest.param(["--clutter", "inf"], id="bench_infinite_clutter"),
+    pytest.param(["--clutter", "nan"], id="bench_nan_clutter"),
+])
+def test_invalid_scenario_exit_code(tmp_path, capsys, case):
+    """A bad scenario spec (edited into a valid one) or bench scene is an
+    input error, exit 2, for `simulate` and `bench` alike."""
+    if isinstance(case, list):
+        argv = ["bench", "--frames", "30", *case]
+    else:
+        raw = json.loads(spec_to_json(lanes_scenario(n_objects=2, duration=30, seed=3,
+                                                     clutter_rate=1.0)))
+        case(raw)
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(raw))
+        argv = ["simulate", "--scenario", str(spec_path), "--out", str(tmp_path / "s")]
+    assert main(argv) == 2
+    assert "mftrack: error:" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from mftrack.types import ACTIVE, WAITING, ObjectState, TrackerConfig
 class TestMatchFrame:
     def test_no_detections(self, cfg):
         tracks = [make_track(1, ObjectState(0, 0, 10, 10))]
-        r = match_frame(tracks, [], cfg, frame_id=1)
+        r = match_frame(tracks, _seeded_rows(tracks), [], cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == []
@@ -22,7 +22,7 @@ class TestMatchFrame:
     def test_exact_match_scores_one(self, cfg):
         t = make_track(1, ObjectState(50, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)
-        r = match_frame([t], [d], cfg, frame_id=1)
+        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=1)
         assert r.pairs == [(1, 0, pytest.approx(1.0))]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
@@ -31,7 +31,7 @@ class TestMatchFrame:
         t1 = make_track(1, ObjectState(50.0, 50.0, 10, 10))
         t2 = make_track(2, ObjectState(52.0, 50.0, 10, 10))
         d = make_detection(1, 0, 50.5, 50.0)
-        r = match_frame([t1, t2], [d], cfg, frame_id=1)
+        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
         assert len(r.pairs) == 1
         assert r.pairs[0][0] == 1
         assert r.unmatched_tracks == [2]
@@ -40,7 +40,7 @@ class TestMatchFrame:
         t1 = make_track(3, ObjectState(48, 50, 10, 10))
         t2 = make_track(7, ObjectState(52, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)  # equidistant
-        r = match_frame([t1, t2], [d], cfg, frame_id=1)
+        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
         assert r.pairs[0][0] == 3
         assert r.unmatched_tracks == [7]
 
@@ -48,7 +48,7 @@ class TestMatchFrame:
         # d_max = 5 (6x8 box), distance 4.5 -> LS1 = 0.1, GS = 0.775 < 0.8
         t = make_track(1, ObjectState(0, 0, 6, 8))
         d = make_detection(1, 0, 4.5, 0, l=6, h=8)
-        r = match_frame([t], [d], cfg, frame_id=1)
+        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == [0]
@@ -60,8 +60,8 @@ class TestMatchFrame:
         cfg = TrackerConfig(t1=0.0)
         t = make_track(1, ObjectState(0, 0, 6, 8))
         d = make_detection(frame_id, 0, 8.0, 0, l=6, h=8)
-        r = match_frame([t], [d], cfg, frame_id=frame_id)
-        ls1 = distance_similarity(r.predicted[1][1], d.state, 5.0, frame_id)
+        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=frame_id)
+        ls1 = distance_similarity(ObjectState(*r.boxes[0]), d.state, 5.0, frame_id)
         assert (ls1 > 0.0) == (frame_id > 1)
         assert r.pairs == [(1, 0, pytest.approx(global_similarity([ls1, 1.0, 1.0, 1.0],
                                                                    cfg.feature_weights)))]
@@ -74,36 +74,37 @@ class TestMatchFrame:
         dets = [make_detection(1, j, 50.0 * j, 50, n=half if wrong == "all" or j == 1 else cfg.n_bins)
                 for j in range(3)]
         with pytest.raises(HistogramShapeError):
-            match_frame(tracks, dets, cfg, frame_id=1)
+            match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1)
 
     def test_reads_tracks_without_changing_them(self, cfg):
         eng = TrackingEngine(cfg)
+        replay = _ScalarReplay(cfg)
         for f in range(6):
-            eng.step(f, [make_detection(f, j, 40.0 + 3 * f + 100 * j, 50.0 + f) for j in range(3)
-                         if (f + j) % 3])
+            dets = [make_detection(f, j, 40.0 + 3 * f + 100 * j, 50.0 + f) for j in range(3)
+                    if (f + j) % 3]
+            replay.follow(eng, dets, eng.step(f, dets))
         before = _engine_state(eng)
         tracks = eng.live_tracks()
         dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
-        r = match_frame(tracks, dets, cfg, frame_id=6)
+        r = match_frame(tracks, eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
-        assert list(r.predicted) == [t.track_id for t in tracks]
-        for t in tracks:
-            ks, es = r.predicted[t.track_id]
-            ref_ks, ref_es = kalman.predict(t.kalman, cfg)
-            assert es == ref_es
-            assert _filter_fields(ks) == _filter_fields(ref_ks)
+        assert len(r.predicted.p) == len(r.boxes) == len(tracks)
+        for i, t in enumerate(tracks):
+            ref_ks, ref_es = kalman.predict(replay.filters[t.track_id], cfg)
+            assert ObjectState(*r.boxes[i]) == ref_es
+            assert _filter_fields(kalman.take_rows(r.predicted, i)) == _filter_fields(ref_ks)
 
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
         with pytest.raises(InputError):
-            match_frame([], dets, cfg)
+            match_frame([], _seeded_rows([]), dets, cfg)
 
     def test_per_track_policy_can_share_a_detection(self):
         cfg = TrackerConfig(assignment_policy="per_track")
         t1 = make_track(1, ObjectState(49, 50, 10, 10))
         t2 = make_track(2, ObjectState(51, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)
-        r = match_frame([t1, t2], [d], cfg, frame_id=1)
+        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
         assert [p[0] for p in r.pairs] == [1, 2]
         assert all(p[1] == 0 for p in r.pairs)
 
@@ -112,7 +113,7 @@ class TestMatchFrame:
         cfg = TrackerConfig(assignment_policy="per_track")
         t = make_track(1, ObjectState(50, 50, 10, 10))
         dets = [make_detection(1, 9, 52, 50), make_detection(1, 4, 48, 50)]
-        r = match_frame([t], dets, cfg, frame_id=1)
+        r = match_frame([t], _seeded_rows([t]), dets, cfg, frame_id=1)
         assert [p[:2] for p in r.pairs] == [(1, 4)]
         assert r.unmatched_detections == [9]
 
@@ -133,7 +134,7 @@ class TestMatchFrame:
                       for tid in rng.permutation(20)[:nt] + 1]
             dets = [make_detection(1, int(did), *(50.0 + 4.0 * rng.integers(0, 5, 2)))
                     for did in rng.permutation(20)[:nd]]
-            pairs = match_frame(tracks, dets, cfg, frame_id=1).pairs
+            pairs = match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1).pairs
             assert pairs == _pairwise_loop(tracks, dets, scored[-1], cfg)
             n_zero += sum(p[2] == 0.0 for p in pairs)
         assert (n_zero > 0) == (t1 == 0.0)
@@ -145,7 +146,7 @@ class TestMatchFrame:
                       for i in range(rng.integers(1, 8))]
             dets = [make_detection(1, j, *rng.uniform(10, 200, 2), l=12, h=24)
                     for j in range(rng.integers(0, 8))]
-            r = match_frame(tracks, dets, cfg, frame_id=1)
+            r = match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1)
             tids = [p[0] for p in r.pairs]
             dids = [p[1] for p in r.pairs]
             assert len(tids) == len(set(tids))
@@ -264,10 +265,48 @@ def _filter_fields(ks):
 
 def _engine_state(eng):
     """Everything step may mutate, in comparable form."""
-    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], {
+    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], _filter_fields(eng._rows), {
         tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
-              t.last_histogram, set(t.matched_frames), t.d_max, _filter_fields(t.kalman))
+              t.last_histogram, set(t.matched_frames), t.d_max)
         for tid, t in eng.tracks.items()})
+
+
+def _seeded_rows(tracks):
+    """Filter rows seeded at the tracks' last states, row i for tracks[i]."""
+    return kalman.init_rows(kernels.boxes([t.last_cs for t in tracks]), TrackerConfig())
+
+
+class _ScalarReplay:
+    """Every track's filter rerun through the scalar kalman functions, frame
+    by frame from the engine's frame reports."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.filters = {}  # track id -> KalmanState
+
+    def follow(self, eng, detections, report):
+        """Advance the filters over the frame `report` describes, checking
+        each recorded state against the scalar one."""
+        cfg, f = self.cfg, report.frame_id
+        measured = {tid: next(d.state for d in detections if d.detection_id == did)
+                    for tid, did, _ in report.matches}
+        for tid in [tid for tid, _, _ in report.matches] + report.waiting:
+            t = eng.tracks[tid]
+            ks, es = kalman.predict(self.filters[tid], cfg)
+            prev = list(t.states.values())[-2]
+            self.filters[tid], cs = kalman.correct(ks, es, measured.get(tid), prev, cfg.w,
+                                                   cfg.measurement_noise)
+            assert t.states[f] == cs
+        for tid in report.new_tracks:
+            self.filters[tid] = kalman.init_kalman(eng.tracks[tid].states[f], cfg)
+
+    def check_rows(self, eng):
+        """The engine's rows are the live tracks' scalar filters, in order."""
+        live = eng.live_tracks()
+        assert len(eng._rows.p) == len(live)
+        for i, t in enumerate(live):
+            assert _filter_fields(kalman.take_rows(eng._rows, i)) == _filter_fields(
+                self.filters[t.track_id])
 
 
 @st.composite
@@ -359,9 +398,12 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
 
     monkeypatch.setattr(lifecycle, "sweep", counting_sweep)
     eng = TrackingEngine()
+    replay = _ScalarReplay(eng.cfg)
     for f in range(min(stream), max(stream) + 1):
         before = len(eng.live_tracks())
         report = eng.step(f, stream.get(f, []))
+        replay.follow(eng, stream.get(f, []), report)
+        replay.check_rows(eng)
         assert handed[-1] == before + len(report.new_tracks)
         live = eng.live_tracks()
         assert [t.track_id for t in live] == [t.track_id for t in eng.tracks.values()

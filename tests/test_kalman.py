@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mftrack import kalman
+from mftrack import kalman, kernels
 from mftrack.errors import NumericOverflowError
 from mftrack.types import KalmanState, ObjectState, TrackerConfig
 
@@ -212,3 +212,115 @@ def test_matches_dense_reference_filter(motion_model, process_noise_pos, process
         _assert_close(cov, ref.cov)
         # axes never couple in the dense filter
         assert np.all(ref.cov[~block] == 0.0)
+
+
+# -- row functions against the scalar oracle ----------------------------------
+
+def _assert_rows_equal(rows: KalmanState, filters: list[KalmanState]):
+    assert rows.position.shape == rows.velocity.shape == (len(filters), 4)
+    assert rows.p.shape == rows.c.shape == rows.v.shape == (len(filters),)
+    for i, ks in enumerate(filters):
+        assert np.array_equal(rows.position[i], ks.position)
+        assert np.array_equal(rows.velocity[i], ks.velocity)
+        assert (rows.p[i], rows.c[i], rows.v[i]) == (ks.p, ks.c, ks.v)
+
+
+def _raised(fn):
+    """The NumericOverflowError fn raises, or None."""
+    try:
+        fn()
+    except NumericOverflowError as e:
+        return e
+    return None
+
+
+# extents down to far below _MIN_EXTENT, so that a shrinking box drives
+# the predicted l and h under the floor
+_tiny = st.floats(1e-12, 1e-5)
+_any_box = st.builds(ObjectState, _coord, _coord, st.one_of(_extent, _tiny),
+                     st.one_of(_extent, _tiny))
+
+
+@st.composite
+def _row_runs(draw):
+    """Start boxes of n rows and, per frame, each row's measurement or None;
+    optionally one row pushed into overflow at some frame."""
+    n = draw(st.sampled_from([0, 1, 2, 7]))
+    starts = draw(st.lists(_any_box, min_size=n, max_size=n))
+    frames = draw(st.lists(st.lists(st.one_of(st.none(), _any_box), min_size=n, max_size=n),
+                           min_size=1, max_size=25))
+    overflow = None
+    if n and draw(st.booleans()):
+        overflow = (draw(st.integers(0, n - 1)), draw(st.integers(0, len(frames) - 1)),
+                    draw(st.sampled_from(["mean", "covariance", "update"])))
+    return starts, frames, overflow
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    motion_model=st.sampled_from(["constant_velocity", "static"]),
+    process_noise_pos=st.floats(0.0, 4.0),
+    process_noise_vel=st.floats(0.0, 1.0),
+    measurement_noise=st.floats(0.05, 10.0),
+    w=st.floats(0.0, 1.0),
+    run=_row_runs(),
+)
+def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise_vel,
+                                  measurement_noise, w, run):
+    """init_rows, predict_rows and correct_rows give, row by row, exactly the
+    floats and states of init_kalman, predict and correct, and raise the
+    same overflow error."""
+    cfg = TrackerConfig(motion_model=motion_model, process_noise_pos=process_noise_pos,
+                        process_noise_vel=process_noise_vel, measurement_noise=measurement_noise,
+                        w=w).validate()
+    starts, frames, overflow = run
+    filters = [kalman.init_kalman(s, cfg) for s in starts]
+    prev = list(starts)
+    rows = kalman.init_rows(kernels.boxes(starts), cfg)
+    _assert_rows_equal(rows, filters)
+
+    for f, measured in enumerate(frames):
+        if overflow is not None and overflow[1] == f:
+            i, _, kind = overflow
+            if kind == "mean":
+                filters[i].position[0] = filters[i].velocity[0] = 1e308
+            elif kind == "covariance":
+                filters[i].p = filters[i].c = 1e308
+            else:
+                filters[i].position[0] = 1.5e308
+                measured = list(measured)
+                measured[i] = ObjectState(-1.5e308, 0.0, 1.0, 1.0)
+            rows.position[i], rows.velocity[i] = filters[i].position, filters[i].velocity
+            rows.p[i], rows.c[i] = filters[i].p, filters[i].c
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _raised(lambda: [kalman.predict(ks, cfg) for ks in filters])
+            got = _raised(lambda: kalman.predict_rows(rows, cfg))
+        assert str(got) == str(want)
+        if want is not None:
+            return
+        predicted = [kalman.predict(ks, cfg) for ks in filters]
+        rows, boxes = kalman.predict_rows(rows, cfg)
+        _assert_rows_equal(rows, [ks for ks, _ in predicted])
+        assert [ObjectState(*b) for b in boxes.tolist()] == [es for _, es in predicted]
+
+        hit = np.array([i for i, z in enumerate(measured) if z is not None], dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _raised(lambda: [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
+                                    for (ks, es), z, p in zip(predicted, measured, prev)])
+            got = _raised(lambda: kalman.correct_rows(
+                rows, hit, kernels.boxes([measured[i] for i in hit]), boxes[hit], cfg.w,
+                cfg.measurement_noise))
+        assert str(got) == str(want)
+        if want is not None:
+            return
+        corrected = [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
+                     for (ks, es), z, p in zip(predicted, measured, prev)]
+        rows, cs = kalman.correct_rows(rows, hit, kernels.boxes([measured[i] for i in hit]),
+                                       boxes[hit], cfg.w, cfg.measurement_noise)
+        filters = [ks for ks, _ in corrected]
+        _assert_rows_equal(rows, filters)
+        assert [ObjectState(*b) for b in cs.tolist()] == [corrected[i][1] for i in hit]
+        prev = [state for _, state in corrected]
+    # an injected overflow has raised and returned above
+    assert overflow is None
