@@ -26,8 +26,10 @@ class MotionScript:
     """Piecewise-linear motion: waypoints are (frame, x, y, l, h).
 
     The object exists from the first to the last waypoint frame; states
-    in between are linearly interpolated. hist_peak places the object's
-    base color histogram bump.
+    in between are linearly interpolated. Each waypoint is 5 finite
+    numbers with l, h > 0, and the waypoint frames strictly increase.
+    hist_peak, an integer bin in 0..n_bins-1, places the object's base
+    color histogram bump; hist_width, finite and > 0, is its spread.
     """
 
     waypoints: tuple[tuple[float, ...], ...]
@@ -53,7 +55,13 @@ class MotionScript:
 
 @dataclass(frozen=True)
 class ClutterBlob:
-    """A short-lived near-stationary false detection source."""
+    """A short-lived near-stationary false detection source.
+
+    Alive in frames start_frame .. start_frame + lifetime - 1 (clipped to
+    the stream): start_frame is any integer, lifetime an integer >= 0.
+    x and y are finite, size (its box side) is finite and > 0, and
+    hist_peak is an integer bin in 0..n_bins-1.
+    """
 
     start_frame: int
     lifetime: int
@@ -65,6 +73,17 @@ class ClutterBlob:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """Everything a scenario is made from; `validate` enforces the rules.
+
+    seed is an integer >= 0 and duration an integer >= 1 (frames
+    0..duration-1). n_bins is in 1..768. drop_probability is in [0, 1];
+    the jitter sigmas, histogram_noise and clutter_rate are finite and
+    >= 0. clutter_lifetime (the longest random blob life) is an integer
+    >= 1, clutter_extent is finite and > 0, and arena is 2 finite
+    positive sizes. A burst_drops entry is 3 integers (object index of an
+    existing object, start frame, length >= 0).
+    """
+
     seed: int = 0
     duration: int = 100
     objects: tuple[MotionScript, ...] = ()
@@ -95,8 +114,12 @@ class ScenarioSpec:
             if not (0.0 <= getattr(self, name) < math.inf):
                 raise InputError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
-        if self.clutter_lifetime < 1 or not (0.0 < self.clutter_extent < math.inf):
-            raise InputError("invalid clutter parameters")
+        if not _is_int(self.seed, 0):
+            raise InputError(f"seed must be an integer >= 0, got {self.seed}")
+        if not _is_int(self.clutter_lifetime, 1):
+            raise InputError(f"clutter_lifetime must be an integer >= 1, got {self.clutter_lifetime}")
+        if not (0.0 < self.clutter_extent < math.inf):
+            raise InputError(f"clutter_extent must be finite and positive, got {self.clutter_extent}")
         if len(self.arena) != 2 or not all(0.0 < side < math.inf for side in self.arena):
             raise InputError(f"arena must be 2 finite positive sizes, got {list(self.arena)}")
         for k, script in enumerate(self.objects):
@@ -106,13 +129,42 @@ class ScenarioSpec:
                 if not _is_box_row(wp):
                     raise InputError(f"object {k}: waypoint {list(wp)} is not 5 finite numbers "
                                      "(frame, x, y, l, h) with positive l and h")
+            frames = [wp[0] for wp in script.waypoints]
+            if any(a >= b for a, b in zip(frames, frames[1:])):
+                raise InputError(f"object {k}: waypoint frames {frames} do not strictly increase")
+            if not (_is_int(script.hist_peak, 0) and script.hist_peak < self.n_bins):
+                raise InputError(f"object {k}: hist_peak must be an integer in 0..{self.n_bins - 1}, "
+                                 f"got {script.hist_peak}")
+            if not (0.0 < script.hist_width < math.inf):
+                raise InputError(f"object {k}: hist_width must be finite and positive, "
+                                 f"got {script.hist_width}")
+        for k, blob in enumerate(self.clutter_blobs):
+            if not (_is_int(blob.start_frame) and _is_int(blob.lifetime, 0)
+                    and _is_finite(blob.x) and _is_finite(blob.y)
+                    and _is_finite(blob.size) and blob.size > 0
+                    and _is_int(blob.hist_peak, 0) and blob.hist_peak < self.n_bins):
+                raise InputError(f"clutter blob {k}: {blob} needs integer start_frame and "
+                                 "lifetime >= 0, finite x and y, finite size > 0 and an "
+                                 f"integer hist_peak in 0..{self.n_bins - 1}")
+        for entry in self.burst_drops:
+            if not (len(entry) == 3 and all(_is_int(v) for v in entry)
+                    and 0 <= entry[0] < len(self.objects) and entry[2] >= 0):
+                raise InputError(f"burst_drops entry {list(entry)} is not 3 integers "
+                                 "(object index, start frame, length >= 0) naming an existing object")
         return self
+
+
+def _is_int(v, lo: float = -math.inf) -> bool:
+    return isinstance(v, numbers.Integral) and v >= lo
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 def _is_box_row(row) -> bool:
     """True when row is (frame, x, y, l, h): 5 finite numbers, l and h positive."""
-    return (len(row) == 5 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in row)
-            and row[3] > 0 and row[4] > 0)
+    return len(row) == 5 and all(_is_finite(v) for v in row) and row[3] > 0 and row[4] > 0
 
 
 @dataclass
@@ -123,28 +175,30 @@ class ScenarioResult:
     provenance: dict[tuple[int, int], int]
 
 
-def _base_histogram(n_bins: int, peak: int, width: float, pixel_count: float) -> np.ndarray:
+def _unit_histogram(n_bins: int, peak: int, width: float) -> np.ndarray:
+    """Gaussian bump over the bins, normalized to sum 1."""
     k = np.arange(n_bins, dtype=np.float64)
     bump = np.exp(-0.5 * ((k - peak) / width) ** 2)
-    return bump / bump.sum() * pixel_count
+    return bump / bump.sum()
 
 
 def generate(spec: ScenarioSpec) -> ScenarioResult:
-    """Ground truth plus perturbed detections, deterministic in the seed."""
+    """Ground truth plus perturbed detections, deterministic in the seed.
+
+    Each frame draws for its objects, then its live blobs, both in list
+    order; a detection's id is its position in the frame's list.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     gt: list[GroundTruthObject] = []
     for gid, script in enumerate(spec.objects):
         f0, f1 = script.frame_range()
-        f1 = min(f1, spec.duration - 1)
-        states = {f: script.state_at(f) for f in range(max(f0, 0), f1 + 1)}
+        states = {f: script.state_at(f) for f in range(max(f0, 0), min(f1 + 1, spec.duration))}
         gt.append(GroundTruthObject(gt_id=gid, states=states))
 
-    gaps: set[tuple[int, int]] = set()
-    for obj_idx, start, length in spec.burst_drops:
-        for f in range(start, start + length):
-            gaps.add((obj_idx, f))
+    gaps = {(obj_idx, f) for obj_idx, start, length in spec.burst_drops
+            for f in range(start, start + length)}
 
     # random clutter: spawn so the steady-state blob count ~ clutter_rate
     blobs = list(spec.clutter_blobs)
@@ -162,43 +216,39 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
                     hist_peak=int(rng.integers(0, spec.n_bins)),
                 ))
 
+    # computed once per source: an object's histogram scales with its
+    # jittered box, a blob's box and histogram never change
+    units = [_unit_histogram(spec.n_bins, s.hist_peak, s.hist_width) for s in spec.objects]
+    blob_hists = [ColorHistogram(_unit_histogram(spec.n_bins, b.hist_peak, 2.0) * (b.size * b.size))
+                  for b in blobs]
+    alive_at: list[list[int]] = [[] for _ in range(spec.duration)]
+    for k, blob in enumerate(blobs):
+        for f in range(max(blob.start_frame, 0), min(blob.start_frame + blob.lifetime, spec.duration)):
+            alive_at[f].append(k)
+
+    def jitter(sigma: float) -> float:
+        return rng.normal(0, sigma) if sigma else 0.0
+
     detections: dict[int, list[Detection]] = {f: [] for f in range(spec.duration)}
     provenance: dict[tuple[int, int], int] = {}
-
-    # blobs in order of start frame, and the started ones still alive kept
-    # as indices into `blobs`, so each frame visits only live blobs, in
-    # list order
-    by_start = sorted(range(len(blobs)), key=lambda k: blobs[k].start_frame)
-    started = 0
-    alive: list[int] = []
-
-    for f in range(spec.duration):
-        next_id = 0
-        for gid, (script, g) in enumerate(zip(spec.objects, gt)):
+    for f, dets in detections.items():
+        for gid, g in enumerate(gt):
             if f not in g.states or (gid, f) in gaps:
                 continue
             if spec.drop_probability > 0 and rng.random() < spec.drop_probability:
                 continue
             s = g.states[f]
-            x = s.x + (rng.normal(0, spec.position_jitter_sigma) if spec.position_jitter_sigma else 0.0)
-            y = s.y + (rng.normal(0, spec.position_jitter_sigma) if spec.position_jitter_sigma else 0.0)
-            l = s.l + (rng.normal(0, spec.size_jitter_sigma) if spec.size_jitter_sigma else 0.0)
-            h = s.h + (rng.normal(0, spec.size_jitter_sigma) if spec.size_jitter_sigma else 0.0)
-            l = max(l, 1.0)
-            h = max(h, 1.0)
-            hist = _base_histogram(spec.n_bins, script.hist_peak, script.hist_width, l * h)
+            x = s.x + jitter(spec.position_jitter_sigma)
+            y = s.y + jitter(spec.position_jitter_sigma)
+            l = max(s.l + jitter(spec.size_jitter_sigma), 1.0)
+            h = max(s.h + jitter(spec.size_jitter_sigma), 1.0)
+            hist = units[gid] * (l * h)
             if spec.histogram_noise > 0:
                 hist = np.clip(hist * (1.0 + spec.histogram_noise * rng.normal(size=hist.size)), 0.0, None)
-            det = Detection(f, next_id, ObjectState(x, y, l, h), ColorHistogram(hist))
-            detections[f].append(det)
-            provenance[(f, next_id)] = gid
-            next_id += 1
+            provenance[(f, len(dets))] = gid
+            dets.append(Detection(f, len(dets), ObjectState(x, y, l, h), ColorHistogram(hist)))
 
-        while started < len(by_start) and blobs[by_start[started]].start_frame <= f:
-            alive.append(by_start[started])
-            started += 1
-        alive = sorted(k for k in alive if f < blobs[k].start_frame + blobs[k].lifetime)
-        for k in alive:
+        for k in alive_at[f]:
             blob = blobs[k]
             # position wobbles inside a disc of diameter clutter_extent,
             # so pairwise spread never exceeds clutter_extent
@@ -206,11 +256,8 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
             x = blob.x + r * float(np.cos(theta))
             y = blob.y + r * float(np.sin(theta))
-            hist = _base_histogram(spec.n_bins, blob.hist_peak, 2.0, blob.size * blob.size)
-            det = Detection(f, next_id, ObjectState(x, y, blob.size, blob.size), ColorHistogram(hist))
-            detections[f].append(det)
-            provenance[(f, next_id)] = CLUTTER
-            next_id += 1
+            provenance[(f, len(dets))] = CLUTTER
+            dets.append(Detection(f, len(dets), ObjectState(x, y, blob.size, blob.size), blob_hists[k]))
 
     return ScenarioResult(gt=gt, detections_by_frame=detections, provenance=provenance)
 

@@ -131,8 +131,10 @@ class TrackerConfig:
     def validate(self) -> "TrackerConfig":
         if not (0.0 <= self.w <= 1.0):
             raise ConfigError(f"w must be in [0,1], got {self.w}")
-        if len(self.feature_weights) != 4 or any(wi < 0 for wi in self.feature_weights):
-            raise ConfigError(f"feature_weights must be 4 non-negative reals: {self.feature_weights}")
+        if len(self.feature_weights) != 4 or not all(0.0 <= wi < math.inf
+                                                     for wi in self.feature_weights):
+            raise ConfigError(f"feature_weights must be 4 finite non-negative reals: "
+                              f"{self.feature_weights}")
         if not any(wi > 0 for wi in self.feature_weights):
             raise ConfigError("at least one feature weight must be positive")
         if not (0.0 <= self.t1 <= 1.0):
@@ -141,8 +143,8 @@ class TrackerConfig:
             raise ConfigError(f"t2 must be a positive integer, got {self.t2}")
         if self.t3 < 1:
             raise ConfigError(f"t3 must be a positive integer, got {self.t3}")
-        if self.t4 <= 0:
-            raise ConfigError(f"t4 must be positive, got {self.t4}")
+        if not (0.0 < self.t4 < math.inf):
+            raise ConfigError(f"t4 must be finite and positive, got {self.t4}")
         if not (0.0 <= self.t5 <= 1.0):
             raise ConfigError(f"t5 must be in [0,1], got {self.t5}")
         if not (1 <= self.n_bins <= MAX_RAW_BINS):
@@ -155,8 +157,10 @@ class TrackerConfig:
             raise ConfigError(f"unknown eval_assignment {self.eval_assignment!r}")
         if self.motion_model not in ("constant_velocity", "static"):
             raise ConfigError(f"unknown motion_model {self.motion_model!r}")
-        if self.measurement_noise <= 0 or self.process_noise_pos < 0 or self.process_noise_vel < 0:
-            raise ConfigError("noise variances must be positive (measurement) / non-negative (process)")
+        if not (0.0 < self.measurement_noise < math.inf and 0.0 <= self.process_noise_pos < math.inf
+                and 0.0 <= self.process_noise_vel < math.inf):
+            raise ConfigError("noise variances must be finite and positive (measurement) / "
+                              "non-negative (process)")
         return self
 
 

@@ -69,6 +69,15 @@ def test_invalid_config_exit_code(sim_files, tmp_path):
     assert rc == 3
 
 
+def test_nonfinite_config_exit_code(sim_files, tmp_path):
+    _, det_path, _ = sim_files
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("feature_weights = nan 1 1 1\n")
+    rc = main(["track", "--detections", det_path, "--config", str(bad),
+               "--out", str(tmp_path / "o.txt")])
+    assert rc == 3
+
+
 def test_missing_input_exit_code(tmp_path):
     rc = main(["track", "--detections", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path / "o.txt")])
@@ -109,9 +118,15 @@ def test_bench_subcommand_runs(capsys):
 
 
 
-def _first_waypoints(value):
+def _first_object(**fields):
     def edit(raw):
-        raw["objects"][0]["waypoints"] = value
+        raw["objects"][0].update(fields)
+    return edit
+
+
+def _blob(**fields):
+    def edit(raw):
+        raw["clutter_blobs"] = [{"start_frame": 2, "lifetime": 5, "x": 50.0, "y": 60.0, **fields}]
     return edit
 
 
@@ -125,10 +140,24 @@ def _first_waypoints(value):
     pytest.param(lambda raw: raw.update(histogram_noise=-1), id="histogram_noise"),
     pytest.param(lambda raw: raw.update(duration=10.5), id="fractional_duration"),
     pytest.param(lambda raw: raw.update(arena=[float("nan"), 480.0]), id="nan_arena"),
-    pytest.param(_first_waypoints([[0, 10, 10]]), id="three_value_waypoint"),
-    pytest.param(_first_waypoints([]), id="no_waypoints"),
-    pytest.param(_first_waypoints([[0, 10, 10, 0, 8], [9, 20, 10, 0, 8]]), id="zero_width"),
-    pytest.param(_first_waypoints([[0, float("nan"), 10, 4, 8]]), id="nan_waypoint"),
+    pytest.param(_first_object(waypoints=[[0, 10, 10]]), id="three_value_waypoint"),
+    pytest.param(_first_object(waypoints=[]), id="no_waypoints"),
+    pytest.param(_first_object(waypoints=[[0, 10, 10, 0, 8], [9, 20, 10, 0, 8]]), id="zero_width"),
+    pytest.param(_first_object(waypoints=[[0, float("nan"), 10, 4, 8]]), id="nan_waypoint"),
+    pytest.param(_first_object(waypoints=[[9, 20, 10, 4, 8], [0, 10, 10, 4, 8]]),
+                 id="waypoints_out_of_order"),
+    pytest.param(_first_object(hist_width=0), id="zero_hist_width"),
+    pytest.param(lambda raw: raw.update(clutter_lifetime=2.5), id="fractional_clutter_lifetime"),
+    pytest.param(lambda raw: raw.update(seed=-1), id="negative_seed"),
+    pytest.param(_blob(lifetime=2.5), id="fractional_blob_lifetime"),
+    pytest.param(_blob(lifetime=-3), id="negative_blob_lifetime"),
+    pytest.param(_blob(start_frame=1.5), id="fractional_blob_start"),
+    pytest.param(_blob(x=float("nan")), id="nan_blob_x"),
+    pytest.param(_blob(size=0), id="zero_blob_size"),
+    pytest.param(_blob(hist_peak=500), id="blob_hist_peak_past_bins"),
+    pytest.param(lambda raw: raw.update(objects=raw["objects"][:1], burst_drops=[[5, 0, 3]]),
+                 id="burst_drop_missing_object"),
+    pytest.param(lambda raw: raw.update(burst_drops=[[0, 1.5, 3]]), id="fractional_burst_drop"),
     pytest.param(["--objects", "-1"], id="bench_negative_objects"),
     pytest.param(["--clutter", "inf"], id="bench_infinite_clutter"),
     pytest.param(["--clutter", "nan"], id="bench_nan_clutter"),

@@ -81,13 +81,21 @@ class TestGenerate:
                  ClutterBlob(start_frame=5, lifetime=30, x=200, y=100, size=8.0),
                  ClutterBlob(start_frame=12, lifetime=0, x=300, y=100, size=9.0),
                  ClutterBlob(start_frame=5, lifetime=3, x=400, y=100, size=10.0),
-                 ClutterBlob(start_frame=-4, lifetime=9, x=500, y=100, size=11.0))
+                 ClutterBlob(start_frame=-4, lifetime=9, x=500, y=100, size=11.0),
+                 ClutterBlob(start_frame=40, lifetime=25, x=600, y=100, size=12.0),
+                 ClutterBlob(start_frame=49, lifetime=4, x=100, y=200, size=13.0, hist_peak=9))
         spec = lanes_scenario(n_objects=0, duration=50, seed=3, clutter_blobs=blobs,
                               clutter_rate=0.0)
         res = generate(spec)
         for f, dets in res.detections_by_frame.items():
             want = [b.size for b in blobs if b.start_frame <= f < b.start_frame + b.lifetime]
             assert [d.state.l for d in dets] == want
+        # one histogram per blob, whatever the frame
+        first = {}
+        for dets in res.detections_by_frame.values():
+            for d in dets:
+                assert first.setdefault(d.state.l, d.histogram) == d.histogram
+        assert sorted(first) == [7.0, 8.0, 10.0, 11.0, 12.0, 13.0]
 
     def test_clutter_rate_roughly_met(self):
         spec = lanes_scenario(n_objects=1, duration=400, seed=6, clutter_rate=4.0)

@@ -75,6 +75,13 @@ class TestTrackerConfig:
         {"assignment_policy": "optimal"},
         {"eval_iou_threshold": 0.0},
         {"motion_model": "brownian"},
+        {"feature_weights": (math.nan, 1.0, 1.0, 1.0)},
+        {"feature_weights": (math.inf, 1.0, 1.0, 1.0)},
+        {"t4": math.nan},
+        {"t4": math.inf},
+        {"process_noise_pos": math.nan},
+        {"process_noise_vel": math.inf},
+        {"measurement_noise": math.inf},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
