@@ -11,6 +11,10 @@ allowed, fixed column order:
 Floats are written with repr so that write -> read round-trips exactly.
 A detection row's histogram must have either the configured bin count or
 768 raw bins (then rebinned); a missing histogram is stored as all zeros.
+
+Detection, ground-truth and trajectory files are parsed in one np.loadtxt
+pass and checked as arrays; a file that pass rejects is read again line by
+line, so every error names its `path:line`.
 """
 from __future__ import annotations
 
@@ -34,14 +38,18 @@ def rebin(raw: np.ndarray, n: int) -> ColorHistogram:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size != MAX_RAW_BINS:
         raise HistogramShapeError(f"raw histogram must have {MAX_RAW_BINS} bins, got {raw.size}")
+    return ColorHistogram(raw.reshape(3, -1, _rebin_group(n)).sum(axis=2).reshape(-1))
+
+
+def _rebin_group(n: int) -> int:
+    """Raw levels summed into each of n bins, or ConfigError when n is not
+    3*b with b a divisor of 256."""
     if n % 3 != 0:
         raise ConfigError(f"n_bins={n} is not 3*b")
     b = n // 3
     if b < 1 or 256 % b != 0:
         raise ConfigError(f"n_bins={n}: {b} bins per channel does not divide 256")
-    group = 256 // b
-    binned = raw.reshape(3, b, group).sum(axis=2).reshape(-1)
-    return ColorHistogram(binned)
+    return 256 // b
 
 
 def _fmt(v: float) -> str:
@@ -69,7 +77,85 @@ def _lines(path: str | Path):
                 yield f"{path}:{lineno}", line
 
 
+def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
+    """Every data row of `path` parsed by one np.loadtxt pass, or None when
+    this fast path cannot read the file and the line parser must.
+
+    The rows become a structured array with fields "ids" (2 int64), "box"
+    (4 float64) and "tail" (the other w - 6 columns as tail_type), where w
+    is the width of the first data row. None stands for mixed widths, fewer
+    than 6 columns, a token numpy refuses (some `int`/`float` accept, such
+    as 1_000) and any non-ASCII text: numpy's int64 parser takes some
+    non-ASCII letters before a number as digits, where `int` refuses them.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            first = next((cols for cols in (line.split("#", 1)[0].split() for line in fh) if cols), [])
+            dtype = [("ids", np.int64, (2,)), ("box", np.float64, (4,)),
+                     ("tail", tail_type, (max(len(first) - 6, 0),))]
+            if not first:
+                # np.loadtxt warns on a file without data rows
+                return np.zeros(0, dtype=dtype)
+            if len(first) < 6:
+                return None
+            fh.seek(0)
+            return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
 def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
+    """{frame_id: detections in file order}, frames in order of first
+    appearance. Rows are parsed and validated as one block; a file the
+    block path rejects goes to the line parser, which gives the same
+    result or raises the error naming `path:line`."""
+    block = _read_block(path, np.float64)
+    if block is not None:
+        try:
+            return _detections_from_block(block, n_bins)
+        except (ValueError, ConfigError):
+            pass
+    return _detections_by_line(path, n_bins)
+
+
+def _detections_from_block(block: np.ndarray, n_bins: int) -> dict[int, list[Detection]]:
+    """_detections_by_line's result for a parsed block; each of its per-row
+    checks runs once over the block (ValueError on any failure), except
+    the ones ObjectState and Detection make."""
+    ids, counts = block["ids"], block["tail"]
+    if _repeats_a_pair(ids):
+        raise ValueError("duplicate (frame_id, detection_id)")
+    if counts.shape[1] == 0:
+        counts = np.zeros((len(block), n_bins))
+    elif counts.shape[1] != n_bins:
+        if counts.shape[1] != MAX_RAW_BINS:
+            raise ValueError(f"histograms have {counts.shape[1]} bins")
+        # raw counts are checked before they are summed into bins
+        ColorHistogram.rows(counts)
+        counts = counts.reshape(len(block), 3, -1, _rebin_group(n_bins)).sum(axis=3)
+        counts = counts.reshape(len(block), n_bins)
+    # whole columns as lists: one list per row would stay behind as
+    # fragmented heap and raise peak RSS
+    out: dict[int, list[Detection]] = {}
+    for fid, did, x, y, l, h, hist in zip(*ids.T.tolist(), *block["box"].T.tolist(),
+                                          ColorHistogram.rows(counts)):
+        out.setdefault(fid, []).append(Detection(fid, did, ObjectState(x, y, l, h), hist))
+    return out
+
+
+def _repeats_a_pair(ids: np.ndarray) -> bool:
+    """True when a row of the (n, 2) ids array occurs twice."""
+    f, d = ids[:, 0], ids[:, 1]
+    # write_detections lists the pairs in rising order, which proves them
+    # distinct without np.unique's sort, whose scratch arrays stay in the
+    # process's heap and raise peak RSS
+    rising = (f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (d[1:] > d[:-1]))
+    return not rising.all() and len(np.unique(ids, axis=0)) < len(ids)
+
+
+def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
+    """load_detections one line at a time: the error path, and the
+    reference the block path is tested against."""
     out: dict[int, list[Detection]] = {}
     seen: set[tuple[int, int]] = set()  # (frame_id, detection_id)
     for where, line in _lines(path):
@@ -108,7 +194,22 @@ def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) ->
 
 def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
     """{id: {frame: state}} from rows `id frame x y l h` plus, in a
-    trajectory file, an integer status flag; ncols is the row width."""
+    trajectory file, an integer status flag; ncols is the row width.
+    Read as one block like load_detections, with the same fallback."""
+    block = _read_block(path, np.int64)  # the flag parses as a strict integer
+    if block is not None and (len(block) == 0 or block["tail"].shape[1] == ncols - 6):
+        try:
+            out: dict[int, dict[int, ObjectState]] = {}
+            for oid, fid, x, y, l, h in zip(*block["ids"].T.tolist(), *block["box"].T.tolist()):
+                out.setdefault(oid, {})[fid] = ObjectState(x, y, l, h)
+            return out
+        except ValueError:
+            pass
+    return _table_by_line(path, ncols)
+
+
+def _table_by_line(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
+    """_load_table one line at a time: the error path and the reference."""
     out: dict[int, dict[int, ObjectState]] = {}
     for where, line in _lines(path):
         cols = line.split()

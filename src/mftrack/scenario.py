@@ -27,9 +27,11 @@ class MotionScript:
 
     The object exists from the first to the last waypoint frame; states
     in between are linearly interpolated. Each waypoint is 5 finite
-    numbers with l, h > 0, and the waypoint frames strictly increase.
-    hist_peak, an integer bin in 0..n_bins-1, places the object's base
-    color histogram bump; hist_width, finite and > 0, is its spread.
+    numbers with l, h > 0, the largest l times the largest h is finite,
+    and the waypoint frames strictly increase. hist_peak, an integer bin
+    in 0..n_bins-1, places the object's base color histogram bump;
+    hist_width, finite and > 0 with (n_bins / hist_width)**2 finite, is
+    its spread.
     """
 
     waypoints: tuple[tuple[float, ...], ...]
@@ -59,8 +61,8 @@ class ClutterBlob:
 
     Alive in frames start_frame .. start_frame + lifetime - 1 (clipped to
     the stream): start_frame is any integer, lifetime an integer >= 0.
-    x and y are finite, size (its box side) is finite and > 0, and
-    hist_peak is an integer bin in 0..n_bins-1.
+    x and y are finite, size (its box side) is > 0 with size * size
+    finite, and hist_peak is an integer bin in 0..n_bins-1.
     """
 
     start_frame: int
@@ -135,17 +137,25 @@ class ScenarioSpec:
             if not (_is_int(script.hist_peak, 0) and script.hist_peak < self.n_bins):
                 raise InputError(f"object {k}: hist_peak must be an integer in 0..{self.n_bins - 1}, "
                                  f"got {script.hist_peak}")
-            if not (0.0 < script.hist_width < math.inf):
-                raise InputError(f"object {k}: hist_width must be finite and positive, "
-                                 f"got {script.hist_width}")
+            # the histogram scales with l * h, bounded by max l * max h over
+            # the waypoints and their interpolation
+            if not _is_finite(max(wp[3] for wp in script.waypoints)
+                              * max(wp[4] for wp in script.waypoints)):
+                raise InputError(f"object {k}: box area l * h overflows")
+            # _unit_histogram squares (bin - peak) / hist_width, |bin - peak| < n_bins
+            width = script.hist_width
+            if not (0.0 < width < math.inf
+                    and _is_finite(self.n_bins / width * (self.n_bins / width))):
+                raise InputError(f"object {k}: hist_width must be finite and positive, with "
+                                 f"(n_bins / hist_width) ** 2 finite, got {script.hist_width}")
         for k, blob in enumerate(self.clutter_blobs):
             if not (_is_int(blob.start_frame) and _is_int(blob.lifetime, 0)
                     and _is_finite(blob.x) and _is_finite(blob.y)
-                    and _is_finite(blob.size) and blob.size > 0
+                    and _is_finite(blob.size * blob.size) and blob.size > 0
                     and _is_int(blob.hist_peak, 0) and blob.hist_peak < self.n_bins):
                 raise InputError(f"clutter blob {k}: {blob} needs integer start_frame and "
-                                 "lifetime >= 0, finite x and y, finite size > 0 and an "
-                                 f"integer hist_peak in 0..{self.n_bins - 1}")
+                                 "lifetime >= 0, finite x and y, size > 0 with size * size "
+                                 f"finite and an integer hist_peak in 0..{self.n_bins - 1}")
         for entry in self.burst_drops:
             if not (len(entry) == 3 and all(_is_int(v) for v in entry)
                     and 0 <= entry[0] < len(self.objects) and entry[2] >= 0):

@@ -57,7 +57,16 @@ def diagonal_half(state: ObjectState) -> float:
     return math.hypot(state.l, state.h) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
+def _check_counts(arr: np.ndarray) -> None:
+    """ValueError unless the last axis has a histogram length in 1..768
+    and every count is finite and non-negative."""
+    if not 1 <= arr.shape[-1] <= MAX_RAW_BINS:
+        raise ValueError(f"histogram length {arr.shape[-1]} outside 1..{MAX_RAW_BINS}")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise ValueError("histogram counts must be finite and non-negative")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ColorHistogram:
     """Binned color histogram (pixel counts), already rebinned to n bins."""
 
@@ -67,13 +76,30 @@ class ColorHistogram:
         arr = np.asarray(self.bins, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("histogram must be 1-dimensional")
-        if arr.size < 1 or arr.size > MAX_RAW_BINS:
-            raise ValueError(f"histogram length {arr.size} outside 1..{MAX_RAW_BINS}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("histogram counts must be finite and non-negative")
+        _check_counts(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "bins", arr)
+
+    @classmethod
+    def rows(cls, block: np.ndarray) -> list["ColorHistogram"]:
+        """One histogram per row of a 2-D block of counts.
+
+        The block is checked once, as the constructor checks one row, and
+        marked read-only; each histogram's bins are a view of its row, not
+        a copy, so the block must not be written through another view.
+        """
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2:
+            raise ValueError("histogram block must be 2-dimensional")
+        _check_counts(block)
+        block.flags.writeable = False
+        hists = []
+        for row in block:
+            h = object.__new__(cls)
+            object.__setattr__(h, "bins", row)
+            hists.append(h)
+        return hists
 
     @property
     def n(self) -> int:

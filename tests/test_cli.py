@@ -4,6 +4,7 @@ import pytest
 
 from mftrack import fileio
 from mftrack.cli import main
+from mftrack.pipeline import track_stream
 from mftrack.scenario import lanes_scenario, spec_to_json
 
 
@@ -58,6 +59,23 @@ def test_track_deterministic_output(sim_files):
     assert main(["track", "--detections", det_path, "--out", str(a)]) == 0
     assert main(["track", "--detections", det_path, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("config", ["", "motion_model = static\n",
+                                    "assignment_policy = per_track\n"])
+def test_track_matches_line_parsed_stream(sim_files, config):
+    """`mftrack track` writes the same trajectory file as tracking the
+    stream the line parser reads."""
+    tmp_path, det_path, _ = sim_files
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(config)
+    out, ref = tmp_path / "tracks.txt", tmp_path / "ref.txt"
+    assert main(["track", "--detections", det_path, "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    cfg = fileio.load_config(cfg_path)
+    engine, _ = track_stream(fileio._detections_by_line(det_path, cfg.n_bins), cfg)
+    fileio.write_trajectories(ref, engine.valid_tracks())
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_invalid_config_exit_code(sim_files, tmp_path):
@@ -147,6 +165,9 @@ def _blob(**fields):
     pytest.param(_first_object(waypoints=[[9, 20, 10, 4, 8], [0, 10, 10, 4, 8]]),
                  id="waypoints_out_of_order"),
     pytest.param(_first_object(hist_width=0), id="zero_hist_width"),
+    pytest.param(_first_object(hist_width=1e-300), id="tiny_hist_width"),
+    pytest.param(_first_object(waypoints=[[0, 10, 10, 1e200, 8], [9, 20, 10, 4, 1e200]]),
+                 id="box_area_overflow"),
     pytest.param(lambda raw: raw.update(clutter_lifetime=2.5), id="fractional_clutter_lifetime"),
     pytest.param(lambda raw: raw.update(seed=-1), id="negative_seed"),
     pytest.param(_blob(lifetime=2.5), id="fractional_blob_lifetime"),
@@ -154,6 +175,7 @@ def _blob(**fields):
     pytest.param(_blob(start_frame=1.5), id="fractional_blob_start"),
     pytest.param(_blob(x=float("nan")), id="nan_blob_x"),
     pytest.param(_blob(size=0), id="zero_blob_size"),
+    pytest.param(_blob(size=1e200), id="blob_area_overflow"),
     pytest.param(_blob(hist_peak=500), id="blob_hist_peak_past_bins"),
     pytest.param(lambda raw: raw.update(objects=raw["objects"][:1], burst_drops=[[5, 0, 3]]),
                  id="burst_drop_missing_object"),

@@ -5,7 +5,8 @@ from conftest import make_detection, make_track
 from mftrack import fileio
 from mftrack.errors import ConfigError, HistogramShapeError, ParseError
 from mftrack.metrics import GroundTruthObject
-from mftrack.scenario import generate, lanes_scenario
+from mftrack.pipeline import track_stream
+from mftrack.scenario import bench_scenario, generate, lanes_scenario
 from mftrack.types import ColorHistogram, ObjectState, TrackerConfig
 
 
@@ -94,6 +95,129 @@ class TestDetectionsIO:
         path.write_text("0 1 10 10 5 5\n0 1 20 20 5 5\n")
         with pytest.raises(ParseError):
             fileio.load_detections(path, 96)
+
+
+def _raw_rows(n_rows, seed=5):
+    rng = np.random.default_rng(seed)
+    counts = rng.random((n_rows, 768)) * rng.integers(1, 10**6, (n_rows, 1))
+    return "".join(f"0 {i} 10 10 5 5 " + " ".join(repr(float(c)) for c in row) + "\n"
+                   for i, row in enumerate(counts))
+
+
+_HIST = " ".join(repr(0.5 * k) for k in range(96))
+
+# (id, file text, n_bins): every case loads both ways to the same result
+# or fails both ways with the same error
+_DETECTION_CORPUS = [
+    ("signed_id", "+3 1 10 10 5 5\n3 2 11 10 5 5\n", 96),
+    ("underscored_id", "3 1_000 10 10 5 5\n3 2 11 10 5 5\n", 96),
+    ("float_id", "0 0 10 10 5 5\n1.0 0 10 10 5 5\n", 96),
+    ("exponent_id", "1e3 0 10 10 5 5\n", 96),
+    ("non_ascii_before_id", "\u01fe1 0 10 10 5 5\n", 96),
+    ("nan_box", "0 0 nan 10 5 5\n", 96),
+    ("inf_box", "0 0 10 10 inf 5\n", 96),
+    ("negative_zero", "0 0 -0.0 10 5 5\n0 1 10 -0.0 5 5\n", 96),
+    ("comments_and_blank_lines", "# header\n\n0 0 10 10 5 5  # a box\n   \n# end\n1 0 11 10 5 5\n", 96),
+    ("mixed_widths", f"0 0 10 10 5 5\n0 1 20 20 5 5 {_HIST}\n1 0 11 10 5 5\n", 96),
+    ("full_histograms", f"0 0 10 10 5 5 {_HIST}\n0 1 20 20 5 5 {_HIST}\n", 96),
+    ("raw_rebinned_to_96", _raw_rows(3), 96),
+    ("raw_rebinned_to_3", _raw_rows(3), 3),
+    ("raw_kept_at_768", _raw_rows(2), 768),
+    ("raw_unrepresentable_bins", _raw_rows(2), 100),
+    # the negative count shares its rebinning group with a larger one
+    ("raw_negative_count", _raw_rows(1) + "1 0 10 10 5 5 10 -3 " + " ".join(["1"] * 766) + "\n", 96),
+    ("wrong_histogram_length", "0 0 10 10 5 5 1 2 3\n", 96),
+    ("duplicate_frame_and_id", "0 1 10 10 5 5\n1 1 10 10 5 5\n0 1 20 20 5 5\n", 96),
+    ("negative_frame", "0 0 10 10 5 5\n-1 0 10 10 5 5\n", 96),
+    ("frames_out_of_order", "5 0 10 10 5 5\n2 0 10 10 5 5\n5 1 20 20 5 5\n3 0 1 1 1 1\n", 96),
+    ("only_comments", "# nothing here\n\n   # nor here\n", 96),
+    ("empty", "", 96),
+    ("too_few_columns", "0 0 10 10 5\n", 96),
+]
+
+
+def _outcome(load, *args):
+    """What a loader made of a file: its result, bit for bit, or its error."""
+    try:
+        loaded = load(*args)
+    except Exception as e:  # compared between the two loaders
+        return type(e), str(e)
+    return [(f, [(d.frame_id, d.detection_id, repr(d.state), d.histogram.bins.tobytes())
+                 for d in dets]) for f, dets in loaded.items()]
+
+
+@pytest.mark.parametrize("text,n_bins", [pytest.param(t, n, id=i) for i, t, n in _DETECTION_CORPUS])
+def test_load_detections_matches_line_parser(tmp_path, text, n_bins):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    assert _outcome(fileio.load_detections, path, n_bins) == \
+        _outcome(fileio._detections_by_line, path, n_bins)
+
+
+@pytest.mark.parametrize("text,lineno", [("0 0 10 10 5 5\n1.0 0 10 10 5 5\n", 2),
+                                         ("\u01fe1 0 10 10 5 5\n", 1)])
+def test_non_integer_id_is_parse_error(tmp_path, text, lineno):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{path}:{lineno}: invalid literal for int"):
+        fileio.load_detections(path, 96)
+
+
+@pytest.mark.parametrize("text", [
+    f"0 0 10 10 5 5 {_HIST}\n0 1 20 20 5 5 {_HIST}\n",  # rows of the parsed block
+    _raw_rows(2),  # rebinned as one block
+    f"0 0 10 10 5 5 {_HIST}\n0 1 20 20 5 5\n",  # mixed widths, read line by line
+])
+def test_loaded_histograms_are_read_only(tmp_path, text):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    for det in fileio.load_detections(path, 96)[0]:
+        with pytest.raises(ValueError):
+            det.histogram.bins[0] = 1.0
+
+
+@pytest.mark.parametrize("ncols,text", [
+    (6, "# gt\n3 0 10 10 5 5\n1 0 1 1 1 1  # one\n3 1 -0.0 10 5 5\n3 0 2 2 2 2\n"),
+    (6, "1_0 0 10 10 5 5\n"),
+    (6, "0 0 10 10 5 0\n"),
+    (6, "0 0 10 10 5 5\n0 0 10 10 5 5 1\n"),
+    (6, "0 0 10 10 5 5 1\n"),
+    (7, "2 0 10 10 5 5 1\n2 1 10 10 5 5 0\n0 4 1 1 1 1 1\n"),
+    (7, "2 0 10 10 5 5 1.0\n"),
+    (7, "2 0 10 10 5 5 +1\n"),
+    (7, "2 0 10 10 nan 5 1\n"),
+    (7, "# only a comment\n"),
+])
+def test_table_reader_matches_line_parser(tmp_path, ncols, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+
+    def outcome(read):
+        try:
+            return repr(read(path, ncols))
+        except Exception as e:  # compared between the two readers
+            return type(e), str(e)
+
+    assert outcome(fileio._load_table) == outcome(fileio._table_by_line)
+
+
+@pytest.mark.parametrize("spec", [
+    # the benchmark workloads at seed 7: clutter_long and crowd
+    pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
+    pytest.param(lanes_scenario(n_objects=32, duration=350, seed=7, speed=0.8, lane_gap=40.0,
+                                drop_probability=0.1, position_jitter_sigma=0.5,
+                                histogram_noise=0.05), id="crowd"),
+])
+def test_workload_tables_match_line_parser(tmp_path, spec):
+    res = generate(spec)
+    engine, _ = track_stream(res.detections_by_frame, TrackerConfig())
+    traj, gt = tmp_path / "trk.txt", tmp_path / "gt.txt"
+    fileio.write_trajectories(traj, engine.valid_tracks())
+    fileio.write_ground_truth(gt, res.gt)
+    assert fileio.load_trajectories(traj) == engine.trajectories()
+    assert fileio.load_ground_truth(gt) == res.gt
+    for path, ncols in ((traj, 7), (gt, 6)):
+        assert repr(fileio._load_table(path, ncols)) == repr(fileio._table_by_line(path, ncols))
 
 
 class TestGroundTruthIO:
