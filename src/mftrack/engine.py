@@ -1,12 +1,16 @@
 """Per-frame tracking engine.
 
-`match_frame` reads a frame: it validates the detections, predicts the
-filter rows of the live tracks, scores the pairs and resolves the
-assignment, changing nothing. `TrackingEngine.step` then writes it:
-correct, hold, spawn, sweep.
+The engine keeps the live tracks as one column store (`LiveRows`, a row
+per live track in id order) and the history as an append-only log of
+one block per frame. `match_frame` reads a frame: it validates the
+detections, predicts the filter rows, scores the pairs and resolves the
+assignment, changing nothing. `TrackingEngine.step` then writes it, one
+column operation at a time: correct, hold, spawn, log, sweep. `Track`
+objects are filled from the store and the log only when they are read.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,14 +19,126 @@ from . import kalman, kernels, lifecycle
 from .errors import HistogramShapeError, InputError, SequencingError
 from .types import (
     ACTIVE,
+    NOISE,
+    TERMINATED,
     WAITING,
     Detection,
     KalmanState,
     ObjectState,
     Track,
     TrackerConfig,
-    diagonal_half,
+    column_view,
 )
+
+
+_KF = KalmanState.WIDTH  # LiveRows.real: filter, box, base, d_max, histogram
+_READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
+
+
+@dataclass(eq=False)
+class LiveRows:
+    """The live tracks as columns, row i for the i-th live track in id order.
+
+    The columns are views of four blocks, so a take or a join of rows is
+    four numpy calls. `real` holds, per row:
+      kf      the filter (see `KalmanState`);
+      box     the last corrected box (x, y, l, h), held while the track waits;
+      base    its `diagonal_half`, the search radius per frame since the
+              last match;
+      d_max   `Track.d_max`;
+      hist    the histogram of the last matched detection.
+    `count` holds the integer columns ids, birth, f_l and n_r (the `Track`
+    fields of those names) and n_c; a live track waited on every frame of
+    its span that did not match it, so its t_w is f_c - birth + 1 - n_r at
+    frame f_c and needs no column. While a row's d_max is under
+    the engine's cap t4, `centers[i, :n_c[i]]` holds the (x, y) of its
+    matched boxes, as `Track.update_extent` keeps them; the slots after
+    them repeat its first center, which leaves every maximum distance as
+    it is. `histograms` holds the last matched detection's
+    `ColorHistogram` itself, which becomes `Track.last_histogram`.
+    """
+
+    real: np.ndarray  # (n, KalmanState.WIDTH + 6 + n_bins)
+    count: np.ndarray  # (n, 5) int
+    centers: np.ndarray  # (n, k, 2), k >= 1
+    histograms: np.ndarray  # (n,) object
+
+    kf = column_view("real", slice(0, _KF))
+    box = column_view("real", slice(_KF, _KF + 4))
+    base = column_view("real", _KF + 4)
+    d_max = column_view("real", _KF + 5)
+    hist = column_view("real", slice(_KF + 6, None))
+    ids = column_view("count", 0)
+    birth = column_view("count", 1)
+    f_l = column_view("count", 2)
+    n_r = column_view("count", 3)
+    n_c = column_view("count", 4)
+
+    @classmethod
+    def born(cls, ids: np.ndarray, boxes: np.ndarray, hists: np.ndarray,
+             histograms: np.ndarray, frame_id: int, cfg: TrackerConfig) -> "LiveRows":
+        """Rows of tracks born at frame_id from detection box and histogram
+        rows and the detections' histograms, as a first match seeds them."""
+        n = len(ids)
+        real = np.empty((n, _KF + 6 + hists.shape[1]))
+        real[:, :_KF] = kalman.init_rows(boxes, cfg).block
+        real[:, _KF:] = np.column_stack((boxes, _half_diagonals(boxes), np.zeros(n), hists))
+        count = np.empty((n, 5), dtype=np.int64)
+        count[:] = (0, frame_id, frame_id, 1, 1)  # birth, f_l, n_r and n_c
+        count[:, 0] = ids
+        return cls(real, count, boxes[:, None, :2].copy(), histograms)
+
+    @property
+    def filters(self) -> KalmanState:
+        return KalmanState.of(self.kf)
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def take(self, index) -> "LiveRows":
+        """The rows picked by an index array or a boolean mask (a copy)."""
+        return LiveRows(self.real[index], self.count[index], self.centers[index],
+                        self.histograms[index])
+
+    @staticmethod
+    def concat(parts: list["LiveRows"]) -> "LiveRows":
+        """The rows of every part, in order."""
+        k = max(p.centers.shape[1] for p in parts)
+        return LiveRows(np.concatenate([p.real for p in parts]),
+                        np.concatenate([p.count for p in parts]),
+                        np.concatenate([_widen(p.centers, k) for p in parts]),
+                        np.concatenate([p.histograms for p in parts]))
+
+    def extend(self, index: np.ndarray, xy: np.ndarray, cap: float) -> None:
+        """`Track.update_extent(x, y, cap)` on the rows `index`, row j of
+        xy being the new center of row index[j], in place. A row whose
+        d_max has reached the cap is left as it is for good."""
+        open_ = self.d_max[index] < cap
+        index, xy = index[open_], xy[open_]
+        if not len(index):
+            return
+        n_c = self.n_c[index]
+        if n_c.max() == self.centers.shape[1]:
+            self.centers = _widen(self.centers, 2 * self.centers.shape[1])
+        seen = self.centers[index]
+        d = np.hypot(seen[..., 0] - xy[:, :1], seen[..., 1] - xy[:, 1:]).max(axis=1)
+        d_max = np.maximum(self.d_max[index], d)
+        self.d_max[index] = d_max
+        self.centers[index, n_c] = xy
+        self.n_c[index] = n_c + 1
+
+
+def _widen(centers: np.ndarray, k: int) -> np.ndarray:
+    """centers with room for k per row, the new slots repeating the first."""
+    pad = k - centers.shape[1]
+    return centers if pad <= 0 else np.concatenate(
+        (centers, np.repeat(centers[:, :1], pad, axis=1)), axis=1)
+
+
+def _half_diagonals(boxes: np.ndarray) -> np.ndarray:
+    """`diagonal_half` of each box row. math.hypot, as there: np.hypot can
+    differ from it in the last bit."""
+    return np.fromiter(map(math.hypot, *boxes[:, 2:].T.tolist()), np.float64, len(boxes)) / 2.0
 
 
 @dataclass
@@ -30,8 +146,11 @@ class MatchResult:
     """Accepted (track, detection) pairs plus leftovers for one frame, and
     the prediction of the tracks' filter rows for it, none of them stored.
 
-    Row i of `predicted` and `boxes` belongs to the i-th track given to
-    `match_frame`.
+    Row i of `predicted` and `boxes` belongs to row i of the `LiveRows`
+    given to `match_frame`; pair k joins its row `rows[k]` and the
+    detection `columns[k]`, an index into the frame's detections, whose
+    box and histogram rows are `dboxes` and `dhist` and whose histograms
+    are `histograms`. `spawn` indexes the unmatched detections.
     """
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
@@ -39,6 +158,12 @@ class MatchResult:
     unmatched_detections: list[int]
     predicted: KalmanState  # kalman.predict_rows of the rows given
     boxes: np.ndarray  # (n, 4) estimated boxes, l and h floored; the boxes scored
+    rows: np.ndarray
+    columns: np.ndarray
+    spawn: np.ndarray
+    dboxes: np.ndarray  # (m, 4)
+    dhist: np.ndarray  # (m, n_bins)
+    histograms: np.ndarray  # (m,) object
 
 
 @dataclass
@@ -72,18 +197,17 @@ def _check_frame(detections: list[Detection], frame_id: int | None, n_bins: int)
 
 
 def match_frame(
-    tracks: list[Track],
-    rows: KalmanState,
+    tracks: LiveRows,
     detections: list[Detection],
     cfg: TrackerConfig,
     frame_id: int | None = None,
 ) -> MatchResult:
     """Validate the frame, predict the filter rows, score the (track,
-    detection) pairs and resolve the assignment, changing neither the
-    tracks nor the rows.
+    detection) pairs and resolve the assignment, changing nothing.
 
-    Row i of `rows` is the filter of tracks[i]. Each track is scored at its
-    estimated box, the predicted row with l and h floored.
+    Each track is scored at its estimated box, the predicted row with l
+    and h floored, within a reach of its `base` times the frames since its
+    last match.
 
     greedy_global accepts pairs one-to-one by descending score (ties broken
     by lower track id then detection id; see `kernels.greedy_pairs`);
@@ -91,134 +215,192 @@ def match_frame(
     double-assign detections.
     """
     frame_id = _check_frame(detections, frame_id, cfg.n_bins)
-    predicted, tboxes = kalman.predict_rows(rows, cfg)
-
-    if not tracks or not detections:
-        return MatchResult([], [t.track_id for t in tracks], [d.detection_id for d in detections],
-                           predicted, tboxes)
-
-    # a track's search radius scales with the frames since its last match
-    treach = np.array([diagonal_half(t.last_cs) * max(1, frame_id - t.f_l) for t in tracks])
-    thist = np.array([t.last_histogram.bins for t in tracks])
+    predicted, tboxes = kalman.predict_rows(tracks.filters, cfg)
     dboxes = kernels.boxes([d.state for d in detections])
-    dhist = np.array([d.histogram.bins for d in detections])
-    scores = kernels.score_matrix(tboxes, treach, thist, dboxes, dhist, cfg.feature_weights)
+    histograms = np.fromiter((d.histogram for d in detections), dtype=object, count=len(detections))
+    dhist = np.array([h.bins for h in histograms]).reshape(len(detections), cfg.n_bins)
+    dids = np.array([d.detection_id for d in detections], dtype=np.int64)
 
-    dids = [d.detection_id for d in detections]
-    if cfg.assignment_policy == "per_track":
-        # argmax over the columns in detection-id order, so a tie goes to
-        # the lower detection id
-        by_id = np.argsort(dids, kind="stable")
-        best = by_id[np.argmax(scores[:, by_id], axis=1)]
-        index_pairs = [(i, j) for i, j in enumerate(best.tolist()) if scores[i, j] >= cfg.t1]
+    ti = dj = np.zeros(0, dtype=np.intp)
+    if len(tracks) and detections:
+        treach = tracks.base * np.maximum(1, frame_id - tracks.f_l)
+        scores = kernels.score_matrix(tboxes, treach, tracks.hist, dboxes, dhist,
+                                      cfg.feature_weights)
+        if cfg.assignment_policy == "per_track":
+            # argmax over the columns in detection-id order, so a tie goes
+            # to the lower detection id
+            by_id = np.argsort(dids, kind="stable")
+            best = by_id[np.argmax(scores[:, by_id], axis=1)]
+            ti = np.flatnonzero(scores[np.arange(len(tracks)), best] >= cfg.t1)
+            dj = best[ti]
+        else:
+            index_pairs = kernels.greedy_pairs(scores, tracks.ids, dids, cfg.t1)
+            ti, dj = np.array(index_pairs, dtype=np.intp).reshape(-1, 2).T
+        pairs = list(zip(tracks.ids[ti].tolist(), dids[dj].tolist(), scores[ti, dj].tolist()))
     else:
-        index_pairs = kernels.greedy_pairs(scores, [t.track_id for t in tracks], dids, cfg.t1)
-    pairs = [(tracks[i].track_id, dids[j], float(scores[i, j])) for i, j in index_pairs]
+        pairs = []
 
-    matched_t = {p[0] for p in pairs}
-    matched_d = {p[1] for p in pairs}
+    waiting = np.ones(len(tracks), dtype=bool)
+    waiting[ti] = False
+    spawn = np.ones(len(detections), dtype=bool)
+    spawn[dj] = False
+    spawn = np.flatnonzero(spawn)
     return MatchResult(
         pairs=pairs,
-        unmatched_tracks=[t.track_id for t in tracks if t.track_id not in matched_t],
-        unmatched_detections=[d.detection_id for d in detections if d.detection_id not in matched_d],
+        unmatched_tracks=tracks.ids[waiting].tolist(),
+        unmatched_detections=dids[spawn].tolist(),
         predicted=predicted,
         boxes=tboxes,
+        rows=ti,
+        columns=dj,
+        spawn=spawn,
+        dboxes=dboxes,
+        dhist=dhist,
+        histograms=histograms,
     )
 
 
 class TrackingEngine:
     """Stateful frame-by-frame tracker over a detection stream.
 
-    `tracks` holds every track ever created, `_live` only the live ones;
-    ids only grow, so both are in id order. `_rows` holds the filters of
-    the live tracks, row i for the i-th track of `_live`.
+    `_rows` holds the live tracks as columns, in id order. `_log` holds one
+    block per processed frame, (frame, ids, boxes, matched): the live rows'
+    ids and boxes at that frame (corrected, or held while waiting) and
+    whether the frame matched them, spawns included; a track ended by the
+    sweep still has its block at its end frame. `step` touches no `Track`.
+
+    `tracks` holds every track ever created, in id order. Reading it, or
+    any method that lists tracks, first folds the log blocks not yet read
+    into the tracks' states and copies the counters from the store; the
+    rows the sweep dropped wait in `_ended` until then. Ids only grow.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = (cfg or TrackerConfig()).validate()
-        self.tracks: dict[int, Track] = {}
-        self._live: dict[int, Track] = {}
-        self._rows = kalman.init_rows(np.empty((0, 4)), self.cfg)
+        self._rows = LiveRows.born(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
+                                   np.zeros((0, self.cfg.n_bins)), np.zeros(0, dtype=object),
+                                   0, self.cfg)
+        self._log: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (frame, count, d_max, histograms, statuses) of the rows each sweep ended
+        self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[str]]] = []
+        self._tracks: dict[int, Track] = {}
+        self._n_read = 0  # log blocks folded into _tracks
+        self._n_born = 0
         self.last_frame: int | None = None
+
+    @property
+    def tracks(self) -> dict[int, Track]:
+        """Every track ever created, in id order, as of the last step."""
+        self._read()
+        return self._tracks
 
     def live_tracks(self) -> list[Track]:
         """Every active or waiting track, in id order."""
-        return list(self._live.values())
+        tracks = self.tracks
+        return [tracks[tid] for tid in self._rows.ids.tolist()]
 
     def valid_tracks(self) -> list[Track]:
         """Every track not flagged as noise, in id order."""
-        return [t for t in self.tracks.values() if t.status != "noise"]
+        return [t for t in self.tracks.values() if t.status != NOISE]
 
     def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
-        The filters of the matched tracks are corrected as one block of
-        rows, and the states recorded are built from the corrected box
-        rows. Everything that can reject the frame runs before the first
-        write, so a rejected frame leaves the engine as it was. Newborn
-        tracks append their rows, and the rows of the tracks the sweep
-        ends are dropped, which keeps row i on the i-th live track.
+        The filters of the matched rows are corrected as one block, and
+        every other per-track fact is written with one column operation:
+        everything that can reject the frame runs before the first write,
+        so a rejected frame leaves the engine as it was. Newborn tracks
+        append their rows, the frame's block goes to the log, and the rows
+        of the tracks the sweep ends are dropped, which keeps row i on the
+        i-th live track.
         """
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
         cfg = self.cfg
-        live = self.live_tracks()
-        result = match_frame(live, self._rows, detections, cfg, frame_id)
-        det_by_id = {d.detection_id: d for d in detections}
-        row_of = {t.track_id: i for i, t in enumerate(live)}
-        matched = np.array([row_of[tid] for tid, _, _ in result.pairs], dtype=np.intp)
-        measured = kernels.boxes([det_by_id[did].state for _, did, _ in result.pairs])
+        rows = self._rows
+        result = match_frame(rows, detections, cfg, frame_id)
+        hit, det = result.rows, result.columns
         # a correction can overflow too, so the whole frame is computed first
-        rows, cs_boxes = kalman.correct_rows(result.predicted, matched, measured,
-                                             result.boxes[matched], cfg.w, cfg.measurement_noise)
-        corrected = [ObjectState(*box) for box in cs_boxes.tolist()]
-        spawned = [det_by_id[did] for did in result.unmatched_detections]
-        if spawned:
-            rows = kalman.join_rows(rows, kalman.init_rows(
-                kernels.boxes([d.state for d in spawned]), cfg))
+        filters, cs = kalman.correct_rows(result.predicted, hit, result.dboxes[det],
+                                          result.boxes[hit], cfg.w, cfg.measurement_noise)
 
-        for (tid, did, _), cs in zip(result.pairs, corrected):
-            t = self._live[tid]
-            t.states[frame_id] = cs
-            t.last_histogram = det_by_id[did].histogram
-            t.f_l = frame_id
-            t.n_r += 1
-            t.status = ACTIVE
-            t.matched_frames.add(frame_id)
-            t.update_extent(cs.x, cs.y, cap=cfg.t4)
+        rows.kf = filters.block
+        # the matched rows only: a waiting row holds its box and counts
+        rows.box[hit] = cs
+        rows.base[hit] = _half_diagonals(cs)
+        rows.f_l[hit] = frame_id
+        rows.n_r[hit] += 1
+        rows.hist[hit] = result.dhist[det]
+        rows.histograms[hit] = result.histograms[det]
+        rows.extend(hit, cs[:, :2], cfg.t4)
 
-        for tid in result.unmatched_tracks:
-            t = self._live[tid]
-            # a waiting track holds its last corrected state
-            t.states[frame_id] = t.last_cs
-            t.t_w += 1
-            t.status = WAITING
+        spawn = result.spawn
+        new_ids = np.arange(self._n_born + 1, self._n_born + 1 + len(spawn))
+        if len(spawn):
+            self._n_born += len(spawn)
+            rows = LiveRows.concat([rows, LiveRows.born(
+                new_ids, result.dboxes[spawn], result.dhist[spawn], result.histograms[spawn],
+                frame_id, cfg)])
+        if len(rows):
+            self._log.append((frame_id, rows.ids.copy(), rows.box.copy(), rows.f_l == frame_id))
 
-        new_tracks = []
-        for det in spawned:
-            t = Track(
-                track_id=len(self.tracks) + 1,
-                birth_frame=frame_id,
-                states={frame_id: det.state},
-                last_histogram=det.histogram,
-                f_l=frame_id,
-                matched_frames={frame_id},
-            )
-            t.update_extent(det.state.x, det.state.y, cap=cfg.t4)
-            self.tracks[t.track_id] = self._live[t.track_id] = t
-            new_tracks.append(t.track_id)
-
-        terminated, noise = lifecycle.sweep(list(self._live.values()), frame_id, cfg)
-        if terminated or noise:
-            ended = set(terminated + noise)
-            rows = kalman.take_rows(rows, np.array([tid not in ended for tid in self._live]))
-            for tid in terminated + noise:
-                del self._live[tid]
+        terminated, noise = lifecycle.sweep_rows(rows, frame_id, cfg)
+        ended = terminated | noise
+        if ended.any():
+            self._ended.append((frame_id, rows.count[ended], rows.d_max[ended],
+                                rows.histograms[ended],
+                                [NOISE if n else TERMINATED for n in noise[ended].tolist()]))
+            terminated, noise = rows.ids[terminated].tolist(), rows.ids[noise].tolist()
+            rows = rows.take(~ended)
+        else:
+            terminated, noise = [], []
         self._rows = rows
         self.last_frame = frame_id
-        return FrameReport(frame_id, matches=result.pairs, new_tracks=new_tracks,
+        return FrameReport(frame_id, matches=result.pairs, new_tracks=new_ids.tolist(),
                            waiting=result.unmatched_tracks, terminated=terminated, noise=noise)
+
+    def _read(self) -> None:
+        """Bring `_tracks` up to the last step: fold the unread log blocks
+        into the states, then copy the counters of the ended rows and of
+        the live rows."""
+        if self._n_read == len(self._log):
+            return
+        tracks = self._tracks
+        # a chunk of blocks at a time, which bounds the memory the read takes
+        for start in range(self._n_read, len(self._log), _READ_CHUNK):
+            blocks = self._log[start:start + _READ_CHUNK]
+            # each frame's int as step was given it, not a copy per row
+            frames = [f for f, ids, _, _ in blocks for _ in range(len(ids))]
+            ids, boxes, matched = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+            corrected = iter(ObjectState.rows(boxes[matched]))
+            for f, tid, hit in zip(frames, ids.tolist(), matched.tolist()):
+                t = tracks.get(tid)
+                if t is None:  # its first block: born at f
+                    t = tracks[tid] = Track(tid, f, {}, None, f)
+                if hit:
+                    t.states[f] = next(corrected)
+                    t.matched_frames.add(f)
+                else:
+                    t.states[f] = t.last_cs
+        self._n_read = len(self._log)
+        for ended in self._ended:
+            self._fill(*ended)
+        self._ended.clear()
+        rows = self._rows
+        self._fill(self.last_frame, rows.count, rows.d_max, rows.histograms,
+                   [ACTIVE if hit else WAITING for hit in (rows.f_l == self.last_frame).tolist()])
+
+    def _fill(self, f_c: int, count: np.ndarray, d_max: np.ndarray, histograms: np.ndarray,
+              statuses: list[str]) -> None:
+        """Copy into their tracks the counters that some rows had at frame
+        f_c, given as their `LiveRows` count, d_max and histograms columns.
+        The centers behind d_max stay in the store."""
+        for (tid, birth, f_l, n_r, _), d, hist, status in zip(
+                count.tolist(), d_max.tolist(), histograms.tolist(), statuses):
+            t = self._tracks[tid]
+            t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t._d_max = (
+                f_l, n_r, f_c - birth + 1 - n_r, status, hist, d)
 
     def trajectories(self) -> dict[int, dict[int, ObjectState]]:
         """Per-frame states of every valid track (noise excluded)."""

@@ -69,9 +69,17 @@ def write_detections(path: str | Path, detections_by_frame: dict[int, list[Detec
 
 def _lines(path: str | Path):
     """("path:lineno", text) of every line of `path` that has text left
-    once its '#' comment is cut."""
-    with open(path) as fh:
+    once its '#' comment is cut. A line that is not UTF-8 text, comment
+    included, is a ParseError."""
+    # undecodable bytes read as lone surrogates, which only such a line holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise ParseError(f"{path}:{lineno}: bytes that are not UTF-8 text "
+                                     f"at column {e.start + 1}") from None
             line = line.split("#", 1)[0].strip()
             if line:
                 yield f"{path}:{lineno}", line
@@ -137,9 +145,9 @@ def _detections_from_block(block: np.ndarray, n_bins: int) -> dict[int, list[Det
     # whole columns as lists: one list per row would stay behind as
     # fragmented heap and raise peak RSS
     out: dict[int, list[Detection]] = {}
-    for fid, did, x, y, l, h, hist in zip(*ids.T.tolist(), *block["box"].T.tolist(),
-                                          ColorHistogram.rows(counts)):
-        out.setdefault(fid, []).append(Detection(fid, did, ObjectState(x, y, l, h), hist))
+    for fid, did, state, hist in zip(*ids.T.tolist(), ObjectState.rows(block["box"]),
+                                     ColorHistogram.rows(counts)):
+        out.setdefault(fid, []).append(Detection(fid, did, state, hist))
     return out
 
 
@@ -200,8 +208,8 @@ def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState
     if block is not None and (len(block) == 0 or block["tail"].shape[1] == ncols - 6):
         try:
             out: dict[int, dict[int, ObjectState]] = {}
-            for oid, fid, x, y, l, h in zip(*block["ids"].T.tolist(), *block["box"].T.tolist()):
-                out.setdefault(oid, {})[fid] = ObjectState(x, y, l, h)
+            for oid, fid, state in zip(*block["ids"].T.tolist(), ObjectState.rows(block["box"])):
+                out.setdefault(oid, {})[fid] = state
             return out
         except ValueError:
             pass

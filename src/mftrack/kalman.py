@@ -9,12 +9,11 @@ and zero velocity process noise: velocity and c stay 0, and the
 covariance is the one variance p.
 
 The engine runs the filter once per frame over rows: one `KalmanState`
-whose position and velocity are (n, 4) arrays and whose p, c, v are (n,)
-arrays, one row per live track (`init_rows`, `predict_rows`,
-`correct_rows`). The scalar `init_kalman`, `predict` and `correct` filter
-one track; they are the test oracle of the row functions, which apply the
-same elementwise formulas in the same order and so give the same floats,
-bit for bit.
+whose block is (n, 11), one row per live track (`init_rows`,
+`predict_rows`, `correct_rows`). The scalar `init_kalman`, `predict` and
+`correct` filter one track; they are the test oracle of the row
+functions, which apply the same elementwise formulas in the same order
+and so give the same floats, bit for bit.
 
 The emitted corrected state is NOT the classic gain-fused posterior: it is
 the fixed-weight blend  CS = w * MS + (1 - w) * ES  of the measured and
@@ -44,11 +43,9 @@ def _velocity_noise(cfg: TrackerConfig) -> tuple[float, float]:
     return _INIT_VEL_VAR, cfg.process_noise_vel
 
 
-def _require_finite(ks: KalmanState, message: str) -> None:
-    """Reject a filter, or a block of rows, holding a non-finite value."""
-    if not (np.isfinite(ks.position).all() and np.isfinite(ks.velocity).all()
-            and np.isfinite(ks.p).all() and np.isfinite(ks.c).all()
-            and np.isfinite(ks.v).all()):
+def _require_finite(values: np.ndarray, message: str) -> None:
+    """Reject a filter block, or a box, holding a non-finite value."""
+    if not np.isfinite(values).all():
         raise NumericOverflowError(message)
 
 
@@ -63,11 +60,13 @@ def _state_from_mean(mean: np.ndarray) -> ObjectState:
     return ObjectState(float(x), float(y), max(float(l), _MIN_EXTENT), max(float(h), _MIN_EXTENT))
 
 
+# per-column floor of a box row: x and y free, l and h at least _MIN_EXTENT
+_FLOOR = np.array([-np.inf, -np.inf, _MIN_EXTENT, _MIN_EXTENT])
+
+
 def _floored(means: np.ndarray) -> np.ndarray:
     """Box rows of `means`, with l and h raised to at least _MIN_EXTENT."""
-    out = means.copy()
-    out[:, 2:] = np.maximum(means[:, 2:], _MIN_EXTENT)
-    return out
+    return np.maximum(means, _FLOOR)
 
 
 def predict(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, ObjectState]:
@@ -76,7 +75,7 @@ def predict(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, ObjectSta
     new = KalmanState(position=ks.position + ks.velocity, velocity=ks.velocity,
                       p=ks.p + 2.0 * ks.c + ks.v + cfg.process_noise_pos, c=ks.c + ks.v,
                       v=ks.v + _velocity_noise(cfg)[1])
-    _require_finite(new, "filter prediction produced non-finite values")
+    _require_finite(new.block, "filter prediction produced non-finite values")
     return new, _state_from_mean(new.position)
 
 
@@ -108,9 +107,10 @@ def correct(
     new = KalmanState(position=ks.position + (p / s) * innovation,
                       velocity=ks.velocity + (c / s) * innovation,
                       p=p * keep, c=c * keep, v=v - c * c / s)
-    _require_finite(new, "filter update produced non-finite values")
+    _require_finite(new.block, "filter update produced non-finite values")
 
     blended = w * z + (1.0 - w) * estimated.as_vector()
+    _require_finite(blended, "filter update produced non-finite values")
     return new, _state_from_mean(blended)
 
 
@@ -119,20 +119,27 @@ def correct(
 def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> KalmanState:
     """Filters for newborn tracks, one row per (x, y, l, h) box row,
     each as `init_kalman` seeds it."""
-    n = len(boxes)
-    return KalmanState(position=np.array(boxes, dtype=np.float64).reshape(n, 4),
-                       velocity=np.zeros((n, 4)), p=np.full(n, cfg.measurement_noise),
-                       c=np.zeros(n), v=np.full(n, _velocity_noise(cfg)[0]))
+    return KalmanState(position=np.reshape(boxes, (len(boxes), 4)), velocity=0.0,
+                       p=cfg.measurement_noise, c=0.0, v=_velocity_noise(cfg)[0])
 
 
 def predict_rows(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, np.ndarray]:
     """`predict` on every row: the propagated rows and the estimated box
-    rows, l and h floored at _MIN_EXTENT."""
-    new = KalmanState(position=ks.position + ks.velocity, velocity=ks.velocity,
-                      p=ks.p + 2.0 * ks.c + ks.v + cfg.process_noise_pos, c=ks.c + ks.v,
-                      v=ks.v + _velocity_noise(cfg)[1])
-    _require_finite(new, "filter prediction produced non-finite values")
-    return new, _floored(new.position)
+    rows, l and h floored at _MIN_EXTENT.
+
+    The new rows are computed in place on a copy, each column's formula in
+    `predict`'s order, and each before the columns it reads change.
+    """
+    new = KalmanState.of(ks.block.copy())
+    position, p, c, v = new.position, new.p, new.c, new.v
+    position += new.velocity
+    p += 2.0 * c
+    p += v
+    p += cfg.process_noise_pos
+    c += v
+    v += _velocity_noise(cfg)[1]
+    _require_finite(new.block, "filter prediction produced non-finite values")
+    return new, _floored(position)
 
 
 def correct_rows(
@@ -150,30 +157,26 @@ def correct_rows(
     values, as `correct` without a measurement does) and the corrected
     box rows of `matched`, l and h floored at _MIN_EXTENT.
     """
-    old = take_rows(ks, matched)
-    innovation = measured - old.position
-    p, c, v = old.p, old.c, old.v
+    new = take_rows(ks, matched)  # updated in place, as predict_rows does
+    position, velocity, p, c, v = new.position, new.velocity, new.p, new.c, new.v
+    innovation = measured - position
     s = p + measurement_noise
     keep = measurement_noise / s  # 1 - position gain
-    new = KalmanState(position=old.position + (p / s)[:, None] * innovation,
-                      velocity=old.velocity + (c / s)[:, None] * innovation,
-                      p=p * keep, c=c * keep, v=v - c * c / s)
-    _require_finite(new, "filter update produced non-finite values")
-
-    out = KalmanState(**{name: a.copy() for name, a in vars(ks).items()})
-    for name, values in vars(new).items():
-        getattr(out, name)[matched] = values
+    position += (p / s)[:, None] * innovation
+    velocity += (c / s)[:, None] * innovation
+    v -= c * c / s
+    p *= keep
+    c *= keep
+    _require_finite(new.block, "filter update produced non-finite values")
     blended = w * measured + (1.0 - w) * estimated
-    return out, _floored(blended)
+    _require_finite(blended, "filter update produced non-finite values")
+
+    out = ks.block.copy()
+    out[matched] = new.block
+    return KalmanState.of(out), _floored(blended)
 
 
 def take_rows(ks: KalmanState, index) -> KalmanState:
     """The rows of ks picked by `index`, an index array or a boolean mask
     (both copy)."""
-    return KalmanState(**{name: a[index] for name, a in vars(ks).items()})
-
-
-def join_rows(first: KalmanState, second: KalmanState) -> KalmanState:
-    """The rows of first followed by those of second."""
-    return KalmanState(**{name: np.concatenate((a, getattr(second, name)))
-                          for name, a in vars(first).items()})
+    return KalmanState.of(ks.block[index])

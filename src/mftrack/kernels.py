@@ -40,13 +40,15 @@ def score_matrix(tboxes, treach, thist, dboxes, dhist, weights) -> np.ndarray:
     d = np.hypot(tx[:, None] - dx[None, :], ty[:, None] - dy[None, :])
     ls1 = 1.0 - d / treach[:, None]
     i, j = np.nonzero(ls1 > 0.0)
-    tarea, tratio = tl[i] * th[i], tl[i] / th[i]
-    darea, dratio = dl[j] * dh[j], dl[j] / dh[j]
+    # area and aspect once per box, then gathered for the gated pairs
+    tarea, tratio = (tl * th)[i], (tl / th)[i]
+    darea, dratio = (dl * dh)[j], (dl / dh)[j]
     ls2 = np.minimum(tarea, darea) / np.maximum(tarea, darea)
     ls3 = np.minimum(tratio, dratio) / np.maximum(tratio, dratio)
-    lo = np.minimum(thist[i], dhist[j])
-    hi = np.maximum(thist[i], dhist[j])
-    rate = np.where(hi > 0.0, lo / np.where(hi > 0.0, hi, 1.0), 1.0)
+    ti, dj = thist[i], dhist[j]
+    hi = np.maximum(ti, dj)
+    # a bin empty in both histograms agrees fully
+    rate = np.divide(np.minimum(ti, dj), hi, out=np.ones_like(hi), where=hi > 0.0)
     ls4 = rate.mean(axis=1)
     out[i, j] = (w1 * ls1[i, j] + w2 * ls2 + w3 * ls3 + w4 * ls4) / (w1 + w2 + w3 + w4)
     return out

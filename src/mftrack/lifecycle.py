@@ -5,8 +5,14 @@ match exceed min(N_r, T2): reliable tracks (many matched frames) wait
 longer, but never more than T2 frames. Trajectories are flagged as noise
 when they are too short (only checked at end of life), barely move, or
 spend too large a fraction of their life waiting.
+
+The engine runs the rules as masks over the columns of its live rows
+(`sweep_rows`); the scalar `should_terminate`, `is_noise` and `sweep` over
+`Track` objects are the oracle those masks are tested against.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .types import NOISE, TERMINATED, WAITING, Track, TrackerConfig
 
@@ -35,8 +41,9 @@ def is_noise(track: Track, at_end_of_life: bool, cfg: TrackerConfig) -> bool:
 
 
 def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> tuple[list[int], list[int]]:
-    """Run once per frame after matching/correction, over the live tracks
-    in id order; returns the ids it ended as (terminated, noise).
+    """The lifecycle rules over the live tracks in id order, once a frame
+    is matched and corrected; returns the ids it ended as (terminated,
+    noise). The engine runs them as `sweep_rows`, tested against this.
 
     Terminates overdue waiting tracks (noise-checking them at end of
     life), then applies the mid-life noise tests to every surviving live
@@ -59,3 +66,21 @@ def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> tuple[list[int], l
             track.status = NOISE
             noise.append(track.track_id)
     return terminated, noise
+
+
+def sweep_rows(rows, f_c: int, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`sweep` over the live tracks as columns: boolean masks (terminated,
+    noise) over the rows.
+
+    rows carries one entry per live track in its birth, f_l, n_r and
+    d_max columns. Every live track holds a state at f_c, so its span is
+    f_c - birth + 1 and it waited the span's frames that did not match it;
+    it waits now when f_l < f_c, which an overdue track does.
+    """
+    span = f_c + 1 - rows.birth
+    judged = span >= cfg.t3
+    noisy = judged & ((rows.d_max < cfg.t4) | ((span - rows.n_r) / span >= cfg.t5))
+    overdue = rows.f_l + np.minimum(rows.n_r, cfg.t2) < f_c
+    # an overdue track too young to judge is short-lived noise
+    noise = noisy | (overdue & ~judged)
+    return overdue & ~noise, noise

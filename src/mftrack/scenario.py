@@ -113,16 +113,16 @@ class ScenarioSpec:
             raise InputError("drop_probability must be in [0,1]")
         for name in ("position_jitter_sigma", "size_jitter_sigma", "histogram_noise",
                      "clutter_rate"):
-            if not (0.0 <= getattr(self, name) < math.inf):
+            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise InputError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
         if not _is_int(self.seed, 0):
             raise InputError(f"seed must be an integer >= 0, got {self.seed}")
         if not _is_int(self.clutter_lifetime, 1):
             raise InputError(f"clutter_lifetime must be an integer >= 1, got {self.clutter_lifetime}")
-        if not (0.0 < self.clutter_extent < math.inf):
+        if not (_is_finite(self.clutter_extent) and self.clutter_extent > 0):
             raise InputError(f"clutter_extent must be finite and positive, got {self.clutter_extent}")
-        if len(self.arena) != 2 or not all(0.0 < side < math.inf for side in self.arena):
+        if len(self.arena) != 2 or not all(_is_finite(side) and side > 0 for side in self.arena):
             raise InputError(f"arena must be 2 finite positive sizes, got {list(self.arena)}")
         for k, script in enumerate(self.objects):
             if not script.waypoints:
@@ -137,14 +137,15 @@ class ScenarioSpec:
             if not (_is_int(script.hist_peak, 0) and script.hist_peak < self.n_bins):
                 raise InputError(f"object {k}: hist_peak must be an integer in 0..{self.n_bins - 1}, "
                                  f"got {script.hist_peak}")
-            # the histogram scales with l * h, bounded by max l * max h over
-            # the waypoints and their interpolation
-            if not _is_finite(max(wp[3] for wp in script.waypoints)
-                              * max(wp[4] for wp in script.waypoints)):
-                raise InputError(f"object {k}: box area l * h overflows")
+            # a detection's box is the waypoints' interpolation plus jitter,
+            # and its histogram scales with l * h times the histogram noise
+            if not _jittered_box_fits(script, self):
+                raise InputError(f"object {k}: box or histogram overflows: the largest "
+                                 f"x, y, l * h or histogram count, jitter and histogram "
+                                 f"noise included, is not finite")
             # _unit_histogram squares (bin - peak) / hist_width, |bin - peak| < n_bins
             width = script.hist_width
-            if not (0.0 < width < math.inf
+            if not (_is_finite(width) and width > 0
                     and _is_finite(self.n_bins / width * (self.n_bins / width))):
                 raise InputError(f"object {k}: hist_width must be finite and positive, with "
                                  f"(n_bins / hist_width) ** 2 finite, got {script.hist_width}")
@@ -169,7 +170,33 @@ def _is_int(v, lo: float = -math.inf) -> bool:
 
 
 def _is_finite(v) -> bool:
-    return isinstance(v, numbers.Real) and math.isfinite(v)
+    """True for a real number that is finite as a float; an integer too
+    large for a float (such as a JSON 10**400) is not."""
+    try:
+        return isinstance(v, numbers.Real) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# bound on a standard normal draw, in sigmas, used to bound the jitter;
+# numpy's generator draws within about 14
+_NORMAL_BOUND = 64.0
+
+
+def _jittered_box_fits(script: MotionScript, spec: ScenarioSpec) -> bool:
+    """True when every detection of script stays finite: its center and
+    l and h (interpolated from the waypoints, which bound them, then
+    jittered) and its histogram counts (l * h, times the noise factor)."""
+    pos = _NORMAL_BOUND * float(spec.position_jitter_sigma)
+    size = _NORMAL_BOUND * float(spec.size_jitter_sigma)
+    noise = 1.0 + _NORMAL_BOUND * float(spec.histogram_noise)
+    wps = script.waypoints
+    # an interpolated x lies between two waypoints' x and steps by their difference
+    x = 2.0 * max(abs(float(wp[1])) for wp in wps) + pos
+    y = 2.0 * max(abs(float(wp[2])) for wp in wps) + pos
+    l = max(float(wp[3]) for wp in wps) + size
+    h = max(float(wp[4]) for wp in wps) + size
+    return all(map(math.isfinite, (x, y, l * h * noise)))
 
 
 def _is_box_row(row) -> bool:
@@ -371,5 +398,5 @@ def spec_from_json(text: str) -> ScenarioSpec:
         arena = tuple(raw.pop("arena", (640.0, 480.0)))
         return ScenarioSpec(objects=objects, clutter_blobs=blobs,
                             burst_drops=burst, arena=arena, **raw).validate()
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"invalid scenario spec: {e}") from e

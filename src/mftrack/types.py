@@ -17,7 +17,7 @@ NOISE = "noise"
 MAX_RAW_BINS = 768  # 256 intensity levels x 3 channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectState:
     """Bounding box at one frame: center (x, y), width l, height h, in pixels.
 
@@ -35,6 +35,29 @@ class ObjectState:
                 raise ValueError(f"non-finite state component: {self!r}")
         if self.l <= 0 or self.h <= 0:
             raise ValueError(f"box dimensions must be positive: l={self.l}, h={self.h}")
+
+    @classmethod
+    def rows(cls, boxes: np.ndarray) -> list["ObjectState"]:
+        """One state per (x, y, l, h) row of an (n, 4) array.
+
+        The rows are checked at once, as the constructor checks one state,
+        and each state is then made without a check of its own.
+        """
+        boxes = np.asarray(boxes, dtype=np.float64)
+        if not np.isfinite(boxes).all():
+            raise ValueError("non-finite state component in box rows")
+        if not (boxes[:, 2:] > 0).all():
+            raise ValueError("box dimensions must be positive")
+        states = []
+        new, put = object.__new__, object.__setattr__
+        for x, y, l, h in zip(*boxes.T.tolist()):
+            s = new(cls)
+            put(s, "x", x)
+            put(s, "y", y)
+            put(s, "l", l)
+            put(s, "h", h)
+            states.append(s)
+        return states
 
     @property
     def center(self) -> tuple[float, float]:
@@ -190,33 +213,71 @@ class TrackerConfig:
         return self
 
 
-@dataclass(eq=False)
+def column_view(block: str, index) -> property:
+    """Property reading and writing `index` of the array attribute `block`
+    along its last axis: a view, or a float where that is a single value."""
+    def get(self):
+        value = getattr(self, block)[..., index]
+        return value if value.ndim else float(value)
+
+    def set(self, value):
+        getattr(self, block)[..., index] = value
+    return property(get, set)
+
+
 class KalmanState:
     """Internal filter state of one track, or of n tracks as rows.
 
-    position and velocity are indexed by axis (x, y, l, h): (4,) arrays
-    for one track, (n, 4) for n. Every axis shares the covariance
-    [[p, c], [c, v]] of its (position, velocity) pair, floats for one
-    track and (n,) arrays for n; the static model keeps velocity, c and v
+    The state is one float block, (11,) for one track and (n, 11) for n.
+    Along its last axis it holds the position (x, y, l, h), the velocity
+    of the same axes, and p, c, v: every axis shares the covariance
+    [[p, c], [c, v]] of its (position, velocity) pair. The five fields are
+    views of the block (p, c and v of one track read as floats), so a
+    copy, a take, a join or a scatter of rows, or a finiteness check, is
+    one numpy call on `block`. The static model keeps velocity, c and v
     at 0.
     """
 
-    position: np.ndarray
-    velocity: np.ndarray
-    p: float | np.ndarray
-    c: float | np.ndarray
-    v: float | np.ndarray
+    __slots__ = ("block",)
+    WIDTH = 11
+
+    def __init__(self, position, velocity, p, c, v):
+        position = np.asarray(position, dtype=np.float64)
+        self.block = np.empty(position.shape[:-1] + (self.WIDTH,))
+        self.position, self.velocity, self.p, self.c, self.v = position, velocity, p, c, v
+
+    @classmethod
+    def of(cls, block: np.ndarray) -> "KalmanState":
+        """The state whose block is `block` (not a copy)."""
+        ks = object.__new__(cls)
+        ks.block = block
+        return ks
+
+    position = column_view("block", slice(0, 4))
+    velocity = column_view("block", slice(4, 8))
+    p = column_view("block", 8)
+    c = column_view("block", 9)
+    v = column_view("block", 10)
 
 
 @dataclass(eq=False)
 class Track:
-    """A tracked object; mutated only by the owning engine.
+    """A tracked object, as the owning engine reports it.
 
     `states` holds one state per frame from birth to the last processed
     frame, in frame order: the corrected state on a matched frame, the
     held one on a waiting frame. The last corrected state and the end
-    frame are read from it, not stored. The filter of a live track is a
-    row of the engine's row store, not a field of the track.
+    frame are read from it, not stored.
+
+    The engine keeps a live track as a row of its column store and its
+    history as blocks of its append-only log, and fills the track from
+    them when it is read (`TrackingEngine.tracks` and the methods that
+    list tracks), so a track held from before a step is brought up to date
+    by the next such read. The filter of a live track is a row of the
+    store, not a field of the track, and so are the centers behind its
+    d_max: `update_extent` and `_centers` are the scalar rule the store's
+    extent columns are tested against, and stay empty on the engine's
+    tracks.
     """
 
     track_id: int

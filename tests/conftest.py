@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mftrack import kernels
+from mftrack.engine import LiveRows
 from mftrack.types import ColorHistogram, Detection, ObjectState, Track, TrackerConfig
 
 
@@ -33,6 +35,28 @@ def make_track(track_id, state, birth=0, hist=None, n=96, **kw):
     t.matched_frames.add(birth)
     t.update_extent(state.x, state.y)
     return t
+
+
+def live_rows(tracks, cfg=None):
+    """The tracks as an engine's live rows, row i for tracks[i], its filter
+    seeded at the track's last state."""
+    cfg = cfg or TrackerConfig()
+    n_bins = tracks[0].last_histogram.n if tracks else cfg.n_bins
+    rows = LiveRows.born(np.array([t.track_id for t in tracks], dtype=np.int64),
+                         kernels.boxes([t.last_cs for t in tracks]),
+                         np.array([t.last_histogram.bins for t in tracks]).reshape(-1, n_bins),
+                         np.fromiter((t.last_histogram for t in tracks), dtype=object,
+                                     count=len(tracks)), 0, cfg)
+    rows.birth = [t.birth_frame for t in tracks]
+    rows.f_l, rows.n_r = [t.f_l for t in tracks], [t.n_r for t in tracks]
+    rows.d_max = [t.d_max for t in tracks]
+    rows.n_c = [len(t._centers) for t in tracks]
+    rows.centers = np.zeros((len(tracks), max([1, *rows.n_c.tolist()]), 2))
+    for i, t in enumerate(tracks):
+        if t._centers:  # the slots after a row's centers repeat its first
+            rows.centers[i] = t._centers[0]
+            rows.centers[i, :len(t._centers)] = t._centers
+    return rows
 
 
 @pytest.fixture

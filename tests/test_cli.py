@@ -120,6 +120,18 @@ def test_bad_histogram_count_exit_code(tmp_path, capsys):
     assert f"{bad}:1:" in capsys.readouterr().err
 
 
+def test_undecodable_detections_exit_code(sim_files, capsys):
+    """A byte that is not UTF-8 text, here a latin-1 e-acute in a comment,
+    is a parse error naming its line, exit 2."""
+    tmp_path, det_path, _ = sim_files
+    bad = tmp_path / "latin1.txt"
+    lines = open(det_path, "rb").read().splitlines(keepends=True)
+    bad.write_bytes(b"".join(lines[:2]) + "# cam\xe9ra 2\n".encode("latin-1") + b"".join(lines[2:]))
+    rc = main(["track", "--detections", str(bad), "--out", str(tmp_path / "o.txt")])
+    assert rc == 2
+    assert f"{bad}:3: bytes that are not UTF-8 text" in capsys.readouterr().err
+
+
 def test_report_without_ground_truth_exit_code(sim_files, capsys):
     tmp_path, det_path, _ = sim_files
     out, report = tmp_path / "o.txt", tmp_path / "r.json"
@@ -168,6 +180,14 @@ def _blob(**fields):
     pytest.param(_first_object(hist_width=1e-300), id="tiny_hist_width"),
     pytest.param(_first_object(waypoints=[[0, 10, 10, 1e200, 8], [9, 20, 10, 4, 1e200]]),
                  id="box_area_overflow"),
+    pytest.param(lambda raw: raw.update(size_jitter_sigma=1e200), id="size_jitter_overflows_area"),
+    pytest.param(lambda raw: raw.update(position_jitter_sigma=1e308), id="position_jitter_overflows"),
+    pytest.param(lambda raw: raw.update(histogram_noise=1e308), id="histogram_noise_overflows"),
+    pytest.param(_first_object(waypoints=[[0, 10**400, 10, 4, 8]]), id="huge_int_waypoint"),
+    pytest.param(lambda raw: raw.update(size_jitter_sigma=10**400), id="huge_int_jitter"),
+    pytest.param(lambda raw: raw.update(clutter_extent=10**400), id="huge_int_clutter_extent"),
+    pytest.param(lambda raw: raw.update(arena=[10**400, 480]), id="huge_int_arena"),
+    pytest.param(_first_object(hist_width=10**400), id="huge_int_hist_width"),
     pytest.param(lambda raw: raw.update(clutter_lifetime=2.5), id="fractional_clutter_lifetime"),
     pytest.param(lambda raw: raw.update(seed=-1), id="negative_seed"),
     pytest.param(_blob(lifetime=2.5), id="fractional_blob_lifetime"),

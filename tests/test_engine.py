@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_histogram, make_detection, make_track, peaked_histogram
+from conftest import flat_histogram, live_rows, make_detection, make_track, peaked_histogram
 from mftrack import kalman, kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import ACTIVE, WAITING, ObjectState, TrackerConfig
+from mftrack.types import ACTIVE, WAITING, ObjectState, Track, TrackerConfig, diagonal_half
 
 
 class TestMatchFrame:
     def test_no_detections(self, cfg):
         tracks = [make_track(1, ObjectState(0, 0, 10, 10))]
-        r = match_frame(tracks, _seeded_rows(tracks), [], cfg, frame_id=1)
+        r = match_frame(live_rows(tracks), [], cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == []
@@ -22,7 +22,7 @@ class TestMatchFrame:
     def test_exact_match_scores_one(self, cfg):
         t = make_track(1, ObjectState(50, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)
-        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t]), [d], cfg, frame_id=1)
         assert r.pairs == [(1, 0, pytest.approx(1.0))]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
@@ -31,7 +31,7 @@ class TestMatchFrame:
         t1 = make_track(1, ObjectState(50.0, 50.0, 10, 10))
         t2 = make_track(2, ObjectState(52.0, 50.0, 10, 10))
         d = make_detection(1, 0, 50.5, 50.0)
-        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
         assert len(r.pairs) == 1
         assert r.pairs[0][0] == 1
         assert r.unmatched_tracks == [2]
@@ -40,7 +40,7 @@ class TestMatchFrame:
         t1 = make_track(3, ObjectState(48, 50, 10, 10))
         t2 = make_track(7, ObjectState(52, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)  # equidistant
-        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
         assert r.pairs[0][0] == 3
         assert r.unmatched_tracks == [7]
 
@@ -48,7 +48,7 @@ class TestMatchFrame:
         # d_max = 5 (6x8 box), distance 4.5 -> LS1 = 0.1, GS = 0.775 < 0.8
         t = make_track(1, ObjectState(0, 0, 6, 8))
         d = make_detection(1, 0, 4.5, 0, l=6, h=8)
-        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t]), [d], cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == [0]
@@ -60,7 +60,7 @@ class TestMatchFrame:
         cfg = TrackerConfig(t1=0.0)
         t = make_track(1, ObjectState(0, 0, 6, 8))
         d = make_detection(frame_id, 0, 8.0, 0, l=6, h=8)
-        r = match_frame([t], _seeded_rows([t]), [d], cfg, frame_id=frame_id)
+        r = match_frame(live_rows([t]), [d], cfg, frame_id=frame_id)
         ls1 = distance_similarity(ObjectState(*r.boxes[0]), d.state, 5.0, frame_id)
         assert (ls1 > 0.0) == (frame_id > 1)
         assert r.pairs == [(1, 0, pytest.approx(global_similarity([ls1, 1.0, 1.0, 1.0],
@@ -74,7 +74,7 @@ class TestMatchFrame:
         dets = [make_detection(1, j, 50.0 * j, 50, n=half if wrong == "all" or j == 1 else cfg.n_bins)
                 for j in range(3)]
         with pytest.raises(HistogramShapeError):
-            match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1)
+            match_frame(live_rows(tracks), dets, cfg, frame_id=1)
 
     def test_reads_tracks_without_changing_them(self, cfg):
         eng = TrackingEngine(cfg)
@@ -86,7 +86,7 @@ class TestMatchFrame:
         before = _engine_state(eng)
         tracks = eng.live_tracks()
         dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
-        r = match_frame(tracks, eng._rows, dets, cfg, frame_id=6)
+        r = match_frame(eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
         assert len(r.predicted.p) == len(r.boxes) == len(tracks)
         for i, t in enumerate(tracks):
@@ -97,14 +97,14 @@ class TestMatchFrame:
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
         with pytest.raises(InputError):
-            match_frame([], _seeded_rows([]), dets, cfg)
+            match_frame(live_rows([]), dets, cfg)
 
     def test_per_track_policy_can_share_a_detection(self):
         cfg = TrackerConfig(assignment_policy="per_track")
         t1 = make_track(1, ObjectState(49, 50, 10, 10))
         t2 = make_track(2, ObjectState(51, 50, 10, 10))
         d = make_detection(1, 0, 50, 50)
-        r = match_frame([t1, t2], _seeded_rows([t1, t2]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
         assert [p[0] for p in r.pairs] == [1, 2]
         assert all(p[1] == 0 for p in r.pairs)
 
@@ -113,7 +113,7 @@ class TestMatchFrame:
         cfg = TrackerConfig(assignment_policy="per_track")
         t = make_track(1, ObjectState(50, 50, 10, 10))
         dets = [make_detection(1, 9, 52, 50), make_detection(1, 4, 48, 50)]
-        r = match_frame([t], _seeded_rows([t]), dets, cfg, frame_id=1)
+        r = match_frame(live_rows([t]), dets, cfg, frame_id=1)
         assert [p[:2] for p in r.pairs] == [(1, 4)]
         assert r.unmatched_detections == [9]
 
@@ -134,7 +134,7 @@ class TestMatchFrame:
                       for tid in rng.permutation(20)[:nt] + 1]
             dets = [make_detection(1, int(did), *(50.0 + 4.0 * rng.integers(0, 5, 2)))
                     for did in rng.permutation(20)[:nd]]
-            pairs = match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1).pairs
+            pairs = match_frame(live_rows(tracks), dets, cfg, frame_id=1).pairs
             assert pairs == _pairwise_loop(tracks, dets, scored[-1], cfg)
             n_zero += sum(p[2] == 0.0 for p in pairs)
         assert (n_zero > 0) == (t1 == 0.0)
@@ -146,7 +146,7 @@ class TestMatchFrame:
                       for i in range(rng.integers(1, 8))]
             dets = [make_detection(1, j, *rng.uniform(10, 200, 2), l=12, h=24)
                     for j in range(rng.integers(0, 8))]
-            r = match_frame(tracks, _seeded_rows(tracks), dets, cfg, frame_id=1)
+            r = match_frame(live_rows(tracks), dets, cfg, frame_id=1)
             tids = [p[0] for p in r.pairs]
             dids = [p[1] for p in r.pairs]
             assert len(tids) == len(set(tids))
@@ -213,8 +213,11 @@ class TestStep:
         eng.step(0, [make_detection(0, 0, 50, 50)])
         t = eng.tracks[1]
         eng.step(1, [make_detection(1, 0, 51, 50)])
+        # a track is brought up to the last step when the engine's tracks are read
+        assert eng.tracks[1] is t
         assert (t.n_r, t.t_w) == (2, 0)
         eng.step(2, [])
+        assert eng.tracks[1] is t
         assert (t.n_r, t.t_w) == (2, 1)
         assert t.states[2] == t.states[1]  # held corrected state
 
@@ -260,53 +263,82 @@ class TestStep:
 
 
 def _filter_fields(ks):
-    return {k: np.asarray(v).tolist() for k, v in vars(ks).items()}
+    return ks.block.tolist()
 
 
 def _engine_state(eng):
-    """Everything step may mutate, in comparable form."""
-    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], _filter_fields(eng._rows), {
+    """Everything step may mutate, in comparable form: the live rows, the
+    log, and every track as the engine reports it."""
+    rows = {name: a.tolist() for name, a in vars(eng._rows).items()}  # histograms by value
+    log = [(f, ids.tolist(), boxes.tolist(), matched.tolist()) for f, ids, boxes, matched in eng._log]
+    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], rows, log, {
         tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
               t.last_histogram, set(t.matched_frames), t.d_max)
         for tid, t in eng.tracks.items()})
 
 
-def _seeded_rows(tracks):
-    """Filter rows seeded at the tracks' last states, row i for tracks[i]."""
-    return kalman.init_rows(kernels.boxes([t.last_cs for t in tracks]), TrackerConfig())
-
-
 class _ScalarReplay:
-    """Every track's filter rerun through the scalar kalman functions, frame
-    by frame from the engine's frame reports."""
+    """The engine's frames rerun through the scalar rules, from its frame
+    reports: every track's filter through the scalar kalman functions, and
+    its counters, extent and lifecycle through `Track.update_extent` and
+    `lifecycle.sweep` on shadow tracks, which the engine's columns must
+    agree with."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.filters = {}  # track id -> KalmanState
+        self.shadows = {}  # track id -> Track, live ones only
 
     def follow(self, eng, detections, report):
-        """Advance the filters over the frame `report` describes, checking
-        each recorded state against the scalar one."""
+        """Advance the replay over the frame `report` describes, checking
+        each recorded state, the sweep's verdicts and every track the
+        engine reports against the scalar ones."""
         cfg, f = self.cfg, report.frame_id
-        measured = {tid: next(d.state for d in detections if d.detection_id == did)
-                    for tid, did, _ in report.matches}
+        by_id = {d.detection_id: d for d in detections}
+        matched = {tid: by_id[did] for tid, did, _ in report.matches}
         for tid in [tid for tid, _, _ in report.matches] + report.waiting:
-            t = eng.tracks[tid]
+            shadow, det = self.shadows[tid], matched.get(tid)
             ks, es = kalman.predict(self.filters[tid], cfg)
-            prev = list(t.states.values())[-2]
-            self.filters[tid], cs = kalman.correct(ks, es, measured.get(tid), prev, cfg.w,
-                                                   cfg.measurement_noise)
-            assert t.states[f] == cs
-        for tid in report.new_tracks:
-            self.filters[tid] = kalman.init_kalman(eng.tracks[tid].states[f], cfg)
+            self.filters[tid], cs = kalman.correct(ks, es, det and det.state, shadow.last_cs,
+                                                   cfg.w, cfg.measurement_noise)
+            shadow.states[f] = cs
+            if det is None:
+                shadow.t_w += 1
+                shadow.status = WAITING
+            else:
+                shadow.last_histogram, shadow.f_l, shadow.status = det.histogram, f, ACTIVE
+                shadow.n_r += 1
+                shadow.matched_frames.add(f)
+                shadow.update_extent(cs.x, cs.y, cap=cfg.t4)
+        spawned = [d for d in detections if d.detection_id not in {did for _, did, _ in report.matches}]
+        assert len(spawned) == len(report.new_tracks)
+        for tid, det in zip(report.new_tracks, spawned):
+            self.filters[tid] = kalman.init_kalman(det.state, cfg)
+            self.shadows[tid] = shadow = Track(tid, f, {f: det.state}, det.histogram, f,
+                                               matched_frames={f})
+            shadow.update_extent(det.state.x, det.state.y, cap=cfg.t4)
+        shadows = list(self.shadows.values())
+        assert lifecycle.sweep(shadows, f, cfg) == (report.terminated, report.noise)
+        for shadow in shadows:
+            t = eng.tracks[shadow.track_id]
+            assert (t.status, t.birth_frame, t.f_l, t.n_r, t.t_w, t.d_max, t.states,
+                    t.matched_frames) == (
+                shadow.status, shadow.birth_frame, shadow.f_l, shadow.n_r, shadow.t_w,
+                shadow.d_max, shadow.states, shadow.matched_frames)
+            assert t.last_histogram is shadow.last_histogram
+            if shadow.status not in (ACTIVE, WAITING):
+                del self.shadows[shadow.track_id]
 
     def check_rows(self, eng):
-        """The engine's rows are the live tracks' scalar filters, in order."""
-        live = eng.live_tracks()
-        assert len(eng._rows.p) == len(live)
+        """The engine's rows are the live tracks' scalar filters, boxes and
+        search bases, in order."""
+        rows, live = eng._rows, eng.live_tracks()
+        assert rows.ids.tolist() == [t.track_id for t in live] == list(self.shadows)
         for i, t in enumerate(live):
-            assert _filter_fields(kalman.take_rows(eng._rows, i)) == _filter_fields(
+            assert _filter_fields(kalman.take_rows(rows.filters, i)) == _filter_fields(
                 self.filters[t.track_id])
+            assert ObjectState(*rows.box[i]) == t.last_cs
+            assert rows.base[i] == diagonal_half(t.last_cs)
 
 
 @st.composite
@@ -385,18 +417,43 @@ def test_update_overflow_leaves_engine_unchanged():
     assert _engine_state(eng) == before
 
 
+@settings(max_examples=100, deadline=None)
+@given(starts=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6),
+       cap=st.sampled_from([2.0, 5.0, 9.0]), data=st.data())
+def test_extend_equals_update_extent(starts, cap, data):
+    """LiveRows.extend keeps, row by row, the d_max and centers that
+    Track.update_extent keeps, across the widening of the centers block."""
+    tracks = [make_track(i + 1, ObjectState(float(x), float(y), 10, 10))
+              for i, (x, y) in enumerate(starts)]
+    rows = live_rows(tracks)
+    for _ in range(data.draw(st.integers(1, 20))):
+        index = data.draw(st.lists(st.sampled_from(range(len(tracks))), unique=True))
+        xy = [(float(x), float(y)) for x, y in
+              data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                 min_size=len(index), max_size=len(index)))]
+        rows.extend(np.array(index, dtype=np.intp), np.array(xy).reshape(-1, 2), cap)
+        for i, (x, y) in zip(index, xy):
+            tracks[i].update_extent(x, y, cap=cap)
+        assert rows.d_max.tolist() == [t.d_max for t in tracks]
+        for i, t in enumerate(tracks):
+            if t.d_max < cap:
+                assert rows.centers[i, :rows.n_c[i]].tolist() == [list(c) for c in t._centers]
+
+
 def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
     """Over a long clutter stream, the lifecycle sweep is handed exactly the
-    live tracks (last frame's live set plus newborns), never the history."""
+    live rows (last frame's live set plus newborns), never the history, and
+    the engine agrees with the scalar replay on every frame."""
     stream = scenario.generate(scenario.bench_scenario(frames=600, seed=7)).detections_by_frame
     handed = []
-    real_sweep = lifecycle.sweep
+    real_sweep = lifecycle.sweep_rows
 
-    def counting_sweep(live, f_c, cfg):
-        handed.append(len(live))
-        return real_sweep(live, f_c, cfg)
+    def counting_sweep(rows, f_c, cfg):
+        handed.append(len(rows))
+        assert all(len(column) == len(rows) for column in vars(rows).values())
+        return real_sweep(rows, f_c, cfg)
 
-    monkeypatch.setattr(lifecycle, "sweep", counting_sweep)
+    monkeypatch.setattr(lifecycle, "sweep_rows", counting_sweep)
     eng = TrackingEngine()
     replay = _ScalarReplay(eng.cfg)
     for f in range(min(stream), max(stream) + 1):

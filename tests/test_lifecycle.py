@@ -1,13 +1,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_track, peaked_histogram
+from conftest import live_rows, make_track, peaked_histogram
 from mftrack.engine import TrackingEngine
-from mftrack.lifecycle import is_noise, should_terminate, sweep
+from mftrack.lifecycle import is_noise, should_terminate, sweep, sweep_rows
 from mftrack.scenario import MotionScript, ScenarioSpec, generate
 from mftrack.pipeline import track_stream
-from mftrack.types import ObjectState, TrackerConfig
+from mftrack.types import ACTIVE, WAITING, ObjectState, TrackerConfig
 from conftest import make_detection
 
 
@@ -123,3 +125,38 @@ class TestSweep:
         assert noise_ids == [1, 2]
         assert eng.tracks[1].status == "noise"
         assert all(t.span < cfg.t3 for t in eng.valid_tracks())
+
+
+@st.composite
+def _live_tracks(draw):
+    """A frame f_c and live tracks as the engine holds them there: a state
+    at f_c, n_r matched frames from birth to f_l, and the other frames of
+    the span waited."""
+    f_c = draw(st.integers(0, 60))
+    tracks = []
+    for tid in range(1, draw(st.integers(0, 8)) + 1):
+        birth = draw(st.integers(0, f_c))
+        span = f_c - birth + 1
+        n_r = draw(st.integers(1, span))
+        f_l = draw(st.integers(birth + n_r - 1, f_c))
+        t = make_track(tid, ObjectState(10, 10, 10, 10), birth=birth, n_r=n_r, t_w=span - n_r,
+                       status=ACTIVE if f_l == f_c else WAITING)
+        t.f_l = f_l
+        t.states[f_c] = t.last_cs
+        t._d_max = draw(st.sampled_from([0.0, 2.5, 4.999, 5.0, 7.5, 40.0]))
+        tracks.append(t)
+    return f_c, tracks
+
+
+@settings(max_examples=300, deadline=None)
+@given(live=_live_tracks(), t2=st.integers(1, 25), t3=st.integers(1, 40),
+       t4=st.sampled_from([2.5, 5.0, 6.0]), t5=st.sampled_from([0.0, 0.2, 0.4, 1.0]))
+def test_sweep_rows_equal_scalar_sweep(live, t2, t3, t4, t5):
+    """The column sweep ends the same tracks, the same way, as the scalar
+    rules on Track objects."""
+    f_c, tracks = live
+    cfg = TrackerConfig(t2=t2, t3=t3, t4=t4, t5=t5)
+    terminated, noise = sweep_rows(live_rows(tracks), f_c, cfg)
+    ids = [t.track_id for t in tracks]
+    assert ([i for i, end in zip(ids, terminated) if end],
+            [i for i, end in zip(ids, noise) if end]) == sweep(tracks, f_c, cfg)

@@ -2,9 +2,9 @@
 
 Each case tracks a small generated stream, then 25 empty frames so that
 every track ends, and hashes three things: the trajectory file, the
-pickled list of frame reports and the public fields of every track. The
-hashes were recorded before the engine kept its live set as columns; a
-refactor that changes any byte of the output fails here.
+pickled list of frame reports and the public fields of every track. A
+refactor that changes any byte of that output fails here; one that means
+to change it records the table again and says why.
 
     PYTHONPATH=src python tests/test_parity.py   # print the table anew
 """
