@@ -10,6 +10,7 @@ from .metrics import EvalReport, GroundTruthObject, evaluate
 from .types import (
     ColorHistogram,
     Detection,
+    Frame,
     KalmanState,
     ObjectState,
     Track,
@@ -23,6 +24,7 @@ __all__ = [
     "ColorHistogram",
     "Detection",
     "EvalReport",
+    "Frame",
     "GroundTruthObject",
     "KalmanState",
     "MatchResult",

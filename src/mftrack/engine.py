@@ -1,12 +1,15 @@
 """Per-frame tracking engine.
 
+A frame enters as a `Frame`, the detections' ids, boxes and histograms as
+arrays; a list of `Detection`s is turned into one by `Frame.of` first.
 The engine keeps the live tracks as one column store (`LiveRows`, a row
 per live track in id order) and the history as an append-only log of
-one block per frame. `match_frame` reads a frame: it validates the
-detections, predicts the filter rows, scores the pairs and resolves the
-assignment, changing nothing. `TrackingEngine.step` then writes it, one
-column operation at a time: correct, hold, spawn, log, sweep. `Track`
-objects are filled from the store and the log only when they are read.
+one block per frame. `match_frame` reads a frame: it validates it,
+predicts the filter rows, scores the pairs and resolves the assignment,
+changing nothing. `TrackingEngine.step` then writes it, one column
+operation at a time: correct, hold, spawn, log, sweep. No object is made
+per detection or per track on the way; `Track` objects are filled from
+the store and the log only when they are read.
 """
 from __future__ import annotations
 
@@ -16,13 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman, kernels, lifecycle
-from .errors import HistogramShapeError, InputError, SequencingError
+from .errors import SequencingError
 from .types import (
     ACTIVE,
     NOISE,
     TERMINATED,
     WAITING,
+    ColorHistogram,
     Detection,
+    Frame,
     KalmanState,
     ObjectState,
     Track,
@@ -32,6 +37,8 @@ from .types import (
 
 
 _KF = KalmanState.WIDTH  # LiveRows.real: filter, box, base, d_max, histogram
+_BOX, _BASE, _D_MAX, _HIST = slice(_KF, _KF + 4), _KF + 4, _KF + 5, slice(_KF + 6, None)
+_ID, _F_L, _N_R = 0, 2, 3  # LiveRows.count columns
 _READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
 
 
@@ -54,31 +61,30 @@ class LiveRows:
     the engine's cap t4, `centers[i, :n_c[i]]` holds the (x, y) of its
     matched boxes, as `Track.update_extent` keeps them; the slots after
     them repeat its first center, which leaves every maximum distance as
-    it is. `histograms` holds the last matched detection's
-    `ColorHistogram` itself, which becomes `Track.last_histogram`.
+    it is. No column holds an object: a track's `last_histogram` is made
+    from its hist row when the track is read.
     """
 
     real: np.ndarray  # (n, KalmanState.WIDTH + 6 + n_bins)
     count: np.ndarray  # (n, 5) int
     centers: np.ndarray  # (n, k, 2), k >= 1
-    histograms: np.ndarray  # (n,) object
 
     kf = column_view("real", slice(0, _KF))
-    box = column_view("real", slice(_KF, _KF + 4))
-    base = column_view("real", _KF + 4)
-    d_max = column_view("real", _KF + 5)
-    hist = column_view("real", slice(_KF + 6, None))
-    ids = column_view("count", 0)
+    box = column_view("real", _BOX)
+    base = column_view("real", _BASE)
+    d_max = column_view("real", _D_MAX)
+    hist = column_view("real", _HIST)
+    ids = column_view("count", _ID)
     birth = column_view("count", 1)
-    f_l = column_view("count", 2)
-    n_r = column_view("count", 3)
+    f_l = column_view("count", _F_L)
+    n_r = column_view("count", _N_R)
     n_c = column_view("count", 4)
 
     @classmethod
     def born(cls, ids: np.ndarray, boxes: np.ndarray, hists: np.ndarray,
-             histograms: np.ndarray, frame_id: int, cfg: TrackerConfig) -> "LiveRows":
+             frame_id: int, cfg: TrackerConfig) -> "LiveRows":
         """Rows of tracks born at frame_id from detection box and histogram
-        rows and the detections' histograms, as a first match seeds them."""
+        rows, as a first match seeds them."""
         n = len(ids)
         real = np.empty((n, _KF + 6 + hists.shape[1]))
         real[:, :_KF] = kalman.init_rows(boxes, cfg).block
@@ -86,7 +92,7 @@ class LiveRows:
         count = np.empty((n, 5), dtype=np.int64)
         count[:] = (0, frame_id, frame_id, 1, 1)  # birth, f_l, n_r and n_c
         count[:, 0] = ids
-        return cls(real, count, boxes[:, None, :2].copy(), histograms)
+        return cls(real, count, boxes[:, None, :2].copy())
 
     @property
     def filters(self) -> KalmanState:
@@ -97,8 +103,7 @@ class LiveRows:
 
     def take(self, index) -> "LiveRows":
         """The rows picked by an index array or a boolean mask (a copy)."""
-        return LiveRows(self.real[index], self.count[index], self.centers[index],
-                        self.histograms[index])
+        return LiveRows(self.real[index], self.count[index], self.centers[index])
 
     @staticmethod
     def concat(parts: list["LiveRows"]) -> "LiveRows":
@@ -106,8 +111,7 @@ class LiveRows:
         k = max(p.centers.shape[1] for p in parts)
         return LiveRows(np.concatenate([p.real for p in parts]),
                         np.concatenate([p.count for p in parts]),
-                        np.concatenate([_widen(p.centers, k) for p in parts]),
-                        np.concatenate([p.histograms for p in parts]))
+                        np.concatenate([_widen(p.centers, k) for p in parts]))
 
     def extend(self, index: np.ndarray, xy: np.ndarray, cap: float) -> None:
         """`Track.update_extent(x, y, cap)` on the rows `index`, row j of
@@ -148,9 +152,8 @@ class MatchResult:
 
     Row i of `predicted` and `boxes` belongs to row i of the `LiveRows`
     given to `match_frame`; pair k joins its row `rows[k]` and the
-    detection `columns[k]`, an index into the frame's detections, whose
-    box and histogram rows are `dboxes` and `dhist` and whose histograms
-    are `histograms`. `spawn` indexes the unmatched detections.
+    detection `columns[k]`, a row of the frame, whose box and histogram
+    rows are `dboxes` and `dhist`. `spawn` indexes the unmatched detections.
     """
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
@@ -163,7 +166,6 @@ class MatchResult:
     spawn: np.ndarray
     dboxes: np.ndarray  # (m, 4)
     dhist: np.ndarray  # (m, n_bins)
-    histograms: np.ndarray  # (m,) object
 
 
 @dataclass
@@ -176,34 +178,14 @@ class FrameReport:
     noise: list[int] = field(default_factory=list)
 
 
-def _check_frame(detections: list[Detection], frame_id: int | None, n_bins: int) -> int | None:
-    """The frame id of `detections` (`frame_id` when given, else the first
-    detection's), after rejecting a detection that carries another frame id,
-    repeats a detection id or holds a histogram of other than n_bins bins."""
-    if frame_id is None and detections:
-        frame_id = detections[0].frame_id
-    seen_ids = set()
-    for d in detections:
-        if d.frame_id != frame_id:
-            raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
-                             f"expected {frame_id}")
-        if d.detection_id in seen_ids:
-            raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
-        if d.histogram.n != n_bins:
-            raise HistogramShapeError(f"detection {d.detection_id} in frame {frame_id} has "
-                                      f"{d.histogram.n} histogram bins, expected {n_bins}")
-        seen_ids.add(d.detection_id)
-    return frame_id
-
-
 def match_frame(
     tracks: LiveRows,
-    detections: list[Detection],
+    detections: Frame | list[Detection],
     cfg: TrackerConfig,
     frame_id: int | None = None,
 ) -> MatchResult:
-    """Validate the frame, predict the filter rows, score the (track,
-    detection) pairs and resolve the assignment, changing nothing.
+    """Validate the frame (`Frame.of`), predict the filter rows, score the
+    (track, detection) pairs and resolve the assignment, changing nothing.
 
     Each track is scored at its estimated box, the predicted row with l
     and h floored, within a reach of its `base` times the frames since its
@@ -214,16 +196,14 @@ def match_frame(
     per_track lets each track take its best candidate independently and may
     double-assign detections.
     """
-    frame_id = _check_frame(detections, frame_id, cfg.n_bins)
+    frame = Frame.of(detections, frame_id, cfg.n_bins)
     predicted, tboxes = kalman.predict_rows(tracks.filters, cfg)
-    dboxes = kernels.boxes([d.state for d in detections])
-    histograms = np.fromiter((d.histogram for d in detections), dtype=object, count=len(detections))
-    dhist = np.array([h.bins for h in histograms]).reshape(len(detections), cfg.n_bins)
-    dids = np.array([d.detection_id for d in detections], dtype=np.int64)
+    dboxes, dhist, dids, tids = frame.boxes, frame.hist, frame.ids, tracks.ids
 
     ti = dj = np.zeros(0, dtype=np.intp)
-    if len(tracks) and detections:
-        treach = tracks.base * np.maximum(1, frame_id - tracks.f_l)
+    pairs = []
+    if len(tids) and len(dids):
+        treach = tracks.base * np.maximum(1, frame.frame_id - tracks.f_l)
         scores = kernels.score_matrix(tboxes, treach, tracks.hist, dboxes, dhist,
                                       cfg.feature_weights)
         if cfg.assignment_policy == "per_track":
@@ -231,23 +211,21 @@ def match_frame(
             # to the lower detection id
             by_id = np.argsort(dids, kind="stable")
             best = by_id[np.argmax(scores[:, by_id], axis=1)]
-            ti = np.flatnonzero(scores[np.arange(len(tracks)), best] >= cfg.t1)
+            ti = np.flatnonzero(scores[np.arange(len(tids)), best] >= cfg.t1)
             dj = best[ti]
         else:
-            index_pairs = kernels.greedy_pairs(scores, tracks.ids, dids, cfg.t1)
+            index_pairs = kernels.greedy_pairs(scores, tids, dids, cfg.t1)
             ti, dj = np.array(index_pairs, dtype=np.intp).reshape(-1, 2).T
-        pairs = list(zip(tracks.ids[ti].tolist(), dids[dj].tolist(), scores[ti, dj].tolist()))
-    else:
-        pairs = []
+        pairs = list(zip(tids[ti].tolist(), dids[dj].tolist(), scores[ti, dj].tolist()))
 
-    waiting = np.ones(len(tracks), dtype=bool)
+    waiting = np.ones(len(tids), dtype=bool)
     waiting[ti] = False
-    spawn = np.ones(len(detections), dtype=bool)
+    spawn = np.ones(len(dids), dtype=bool)
     spawn[dj] = False
     spawn = np.flatnonzero(spawn)
     return MatchResult(
         pairs=pairs,
-        unmatched_tracks=tracks.ids[waiting].tolist(),
+        unmatched_tracks=tids[waiting].tolist(),
         unmatched_detections=dids[spawn].tolist(),
         predicted=predicted,
         boxes=tboxes,
@@ -256,7 +234,6 @@ def match_frame(
         spawn=spawn,
         dboxes=dboxes,
         dhist=dhist,
-        histograms=histograms,
     )
 
 
@@ -278,10 +255,9 @@ class TrackingEngine:
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = (cfg or TrackerConfig()).validate()
         self._rows = LiveRows.born(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
-                                   np.zeros((0, self.cfg.n_bins)), np.zeros(0, dtype=object),
-                                   0, self.cfg)
+                                   np.zeros((0, self.cfg.n_bins)), 0, self.cfg)
         self._log: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        # (frame, count, d_max, histograms, statuses) of the rows each sweep ended
+        # (frame, count, d_max, hist, statuses) of the rows each sweep ended
         self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[str]]] = []
         self._tracks: dict[int, Track] = {}
         self._n_read = 0  # log blocks folded into _tracks
@@ -303,7 +279,7 @@ class TrackingEngine:
         """Every track not flagged as noise, in id order."""
         return [t for t in self.tracks.values() if t.status != NOISE]
 
-    def step(self, frame_id: int, detections: list[Detection]) -> FrameReport:
+    def step(self, frame_id: int, detections: Frame | list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
         The filters of the matched rows are corrected as one block, and
@@ -319,39 +295,40 @@ class TrackingEngine:
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
         cfg = self.cfg
         rows = self._rows
+        real, count = rows.real, rows.count
         result = match_frame(rows, detections, cfg, frame_id)
         hit, det = result.rows, result.columns
-        # a correction can overflow too, so the whole frame is computed first
-        filters, cs = kalman.correct_rows(result.predicted, hit, result.dboxes[det],
-                                          result.boxes[hit], cfg.w, cfg.measurement_noise)
-
-        rows.kf = filters.block
-        # the matched rows only: a waiting row holds its box and counts
-        rows.box[hit] = cs
-        rows.base[hit] = _half_diagonals(cs)
-        rows.f_l[hit] = frame_id
-        rows.n_r[hit] += 1
-        rows.hist[hit] = result.dhist[det]
-        rows.histograms[hit] = result.histograms[det]
-        rows.extend(hit, cs[:, :2], cfg.t4)
+        # the correction checks its rows before it writes the filter column,
+        # the first write of the frame
+        _, cs = kalman.correct_rows(result.predicted, hit, result.dboxes[det],
+                                    result.boxes[hit], cfg.w, cfg.measurement_noise,
+                                    out=real[:, :_KF])
+        if len(hit):
+            # the matched rows only: a waiting row holds its box and counts
+            real[hit, _BOX] = cs
+            real[hit, _BASE] = _half_diagonals(cs)
+            real[hit, _HIST] = result.dhist[det]
+            count[hit, _F_L] = frame_id
+            count[hit, _N_R] += 1
+            rows.extend(hit, cs[:, :2], cfg.t4)
 
         spawn = result.spawn
         new_ids = np.arange(self._n_born + 1, self._n_born + 1 + len(spawn))
         if len(spawn):
             self._n_born += len(spawn)
             rows = LiveRows.concat([rows, LiveRows.born(
-                new_ids, result.dboxes[spawn], result.dhist[spawn], result.histograms[spawn],
-                frame_id, cfg)])
-        if len(rows):
-            self._log.append((frame_id, rows.ids.copy(), rows.box.copy(), rows.f_l == frame_id))
+                new_ids, result.dboxes[spawn], result.dhist[spawn], frame_id, cfg)])
+            real, count = rows.real, rows.count
+        if len(count):
+            self._log.append((frame_id, count[:, _ID].copy(), real[:, _BOX].copy(),
+                              count[:, _F_L] == frame_id))
 
         terminated, noise = lifecycle.sweep_rows(rows, frame_id, cfg)
         ended = terminated | noise
         if ended.any():
-            self._ended.append((frame_id, rows.count[ended], rows.d_max[ended],
-                                rows.histograms[ended],
+            self._ended.append((frame_id, count[ended], real[ended, _D_MAX], real[ended, _HIST],
                                 [NOISE if n else TERMINATED for n in noise[ended].tolist()]))
-            terminated, noise = rows.ids[terminated].tolist(), rows.ids[noise].tolist()
+            terminated, noise = count[terminated, _ID].tolist(), count[noise, _ID].tolist()
             rows = rows.take(~ended)
         else:
             terminated, noise = [], []
@@ -388,19 +365,21 @@ class TrackingEngine:
             self._fill(*ended)
         self._ended.clear()
         rows = self._rows
-        self._fill(self.last_frame, rows.count, rows.d_max, rows.histograms,
+        # a copy of the hist rows, which the next match overwrites
+        self._fill(self.last_frame, rows.count, rows.d_max, rows.hist.copy(),
                    [ACTIVE if hit else WAITING for hit in (rows.f_l == self.last_frame).tolist()])
 
-    def _fill(self, f_c: int, count: np.ndarray, d_max: np.ndarray, histograms: np.ndarray,
+    def _fill(self, f_c: int, count: np.ndarray, d_max: np.ndarray, hist: np.ndarray,
               statuses: list[str]) -> None:
         """Copy into their tracks the counters that some rows had at frame
-        f_c, given as their `LiveRows` count, d_max and histograms columns.
-        The centers behind d_max stay in the store."""
-        for (tid, birth, f_l, n_r, _), d, hist, status in zip(
-                count.tolist(), d_max.tolist(), histograms.tolist(), statuses):
+        f_c, given as their `LiveRows` count, d_max and hist columns; each
+        `last_histogram` is a view of its hist row. The centers behind
+        d_max stay in the store."""
+        for (tid, birth, f_l, n_r, _), d, h, status in zip(
+                count.tolist(), d_max.tolist(), ColorHistogram.rows(hist), statuses):
             t = self._tracks[tid]
             t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t._d_max = (
-                f_l, n_r, f_c - birth + 1 - n_r, status, hist, d)
+                f_l, n_r, f_c - birth + 1 - n_r, status, h, d)
 
     def trajectories(self) -> dict[int, dict[int, ObjectState]]:
         """Per-frame states of every valid track (noise excluded)."""

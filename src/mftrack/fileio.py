@@ -26,7 +26,17 @@ import numpy as np
 
 from .errors import ConfigError, HistogramShapeError, ParseError
 from .metrics import EvalReport, GroundTruthObject
-from .types import MAX_RAW_BINS, ColorHistogram, Detection, ObjectState, Track, TrackerConfig
+from .types import (
+    MAX_RAW_BINS,
+    ColorHistogram,
+    Detection,
+    Frame,
+    ObjectState,
+    Track,
+    TrackerConfig,
+    check_boxes,
+    check_counts,
+)
 
 
 def rebin(raw: np.ndarray, n: int) -> ColorHistogram:
@@ -112,25 +122,36 @@ def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
         return None
 
 
-def load_detections(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
-    """{frame_id: detections in file order}, frames in order of first
-    appearance. Rows are parsed and validated as one block; a file the
-    block path rejects goes to the line parser, which gives the same
-    result or raises the error naming `path:line`."""
+def load_detections(path: str | Path, n_bins: int) -> dict[int, Frame]:
+    """{frame_id: the frame's detections in file order}, frames in order of
+    first appearance. Rows are parsed and validated as one block, and each
+    frame is a view of its rows of that block; a file the block path
+    rejects goes to the line parser, which gives the same result or raises
+    the error naming `path:line`."""
     block = _read_block(path, np.float64)
     if block is not None:
         try:
-            return _detections_from_block(block, n_bins)
+            return _frames_from_block(block, n_bins)
         except (ValueError, ConfigError):
             pass
     return _detections_by_line(path, n_bins)
 
 
-def _detections_from_block(block: np.ndarray, n_bins: int) -> dict[int, list[Detection]]:
+def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
     """_detections_by_line's result for a parsed block; each of its per-row
-    checks runs once over the block (ValueError on any failure), except
-    the ones ObjectState and Detection make."""
-    ids, counts = block["ids"], block["tail"]
+    checks runs once over the block (ValueError on any failure), and each
+    frame is a view of its rows."""
+    if not len(block):
+        return {}
+    ids, boxes, counts = block["ids"], block["box"], block["tail"]
+    frame_ids = ids[:, 0]
+    # the first row of each run of one frame id
+    heads = np.flatnonzero(np.r_[True, frame_ids[1:] != frame_ids[:-1]])
+    if len(np.unique(frame_ids[heads])) < len(heads):
+        # a frame's rows are split: order the rows by the first row of their
+        # frame, file order within a frame, with one stable argsort
+        _, first, inverse = np.unique(frame_ids, return_index=True, return_inverse=True)
+        return _frames_from_block(block[np.argsort(first[inverse], kind="stable")], n_bins)
     if _repeats_a_pair(ids):
         raise ValueError("duplicate (frame_id, detection_id)")
     if counts.shape[1] == 0:
@@ -139,16 +160,16 @@ def _detections_from_block(block: np.ndarray, n_bins: int) -> dict[int, list[Det
         if counts.shape[1] != MAX_RAW_BINS:
             raise ValueError(f"histograms have {counts.shape[1]} bins")
         # raw counts are checked before they are summed into bins
-        ColorHistogram.rows(counts)
+        check_counts(counts)
         counts = counts.reshape(len(block), 3, -1, _rebin_group(n_bins)).sum(axis=3)
         counts = counts.reshape(len(block), n_bins)
-    # whole columns as lists: one list per row would stay behind as
-    # fragmented heap and raise peak RSS
-    out: dict[int, list[Detection]] = {}
-    for fid, did, state, hist in zip(*ids.T.tolist(), ObjectState.rows(block["box"]),
-                                     ColorHistogram.rows(counts)):
-        out.setdefault(fid, []).append(Detection(fid, did, state, hist))
-    return out
+    if (frame_ids < 0).any():
+        raise ValueError("frame_id must be non-negative")
+    check_boxes(boxes)
+    check_counts(counts)
+    bounds = [*heads.tolist(), len(block)]
+    return {f: Frame.view(f, ids[a:b, 1], boxes[a:b], counts[a:b])
+            for f, a, b in zip(frame_ids[heads].tolist(), bounds, bounds[1:])}
 
 
 def _repeats_a_pair(ids: np.ndarray) -> bool:
@@ -161,7 +182,7 @@ def _repeats_a_pair(ids: np.ndarray) -> bool:
     return not rising.all() and len(np.unique(ids, axis=0)) < len(ids)
 
 
-def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, list[Detection]]:
+def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
     """load_detections one line at a time: the error path, and the
     reference the block path is tested against."""
     out: dict[int, list[Detection]] = {}
@@ -189,7 +210,7 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, list[Detecti
             raise ParseError(f"{where}: duplicate detection_id {did} in frame {fid}")
         seen.add((fid, did))
         out.setdefault(fid, []).append(det)
-    return out
+    return {fid: Frame.of(dets, fid, n_bins) for fid, dets in out.items()}
 
 
 def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) -> None:

@@ -149,15 +149,22 @@ def correct_rows(
     estimated: np.ndarray,
     w: float,
     measurement_noise: float = TrackerConfig.measurement_noise,
+    out: np.ndarray | None = None,
 ) -> tuple[KalmanState, np.ndarray]:
     """`correct` with a measurement on the rows `matched` of ks.
 
-    measured and estimated hold one box row per index in `matched`. Returns a
-    copy of ks with those rows updated (the others keep their predicted
-    values, as `correct` without a measurement does) and the corrected
-    box rows of `matched`, l and h floored at _MIN_EXTENT.
+    measured and estimated hold one box row per index in `matched`. Returns
+    the rows of ks with those rows updated (the others keep their predicted
+    values, as `correct` without a measurement does), written into `out`
+    (default a new block) only once the updated rows and the corrected box
+    rows of `matched` are all finite, and those box rows, l and h floored
+    at _MIN_EXTENT. ks itself is left as it is.
     """
-    new = take_rows(ks, matched)  # updated in place, as predict_rows does
+    # the matched rows and their blended boxes side by side, so that one
+    # check covers both; each row is updated in place, as predict_rows does
+    work = np.empty((len(matched), KalmanState.WIDTH + 4))
+    new = KalmanState.of(work[:, :KalmanState.WIDTH])
+    new.block[:] = ks.block[matched]
     position, velocity, p, c, v = new.position, new.velocity, new.p, new.c, new.v
     innovation = measured - position
     s = p + measurement_noise
@@ -167,16 +174,13 @@ def correct_rows(
     v -= c * c / s
     p *= keep
     c *= keep
-    _require_finite(new.block, "filter update produced non-finite values")
-    blended = w * measured + (1.0 - w) * estimated
-    _require_finite(blended, "filter update produced non-finite values")
+    blended = work[:, KalmanState.WIDTH:]
+    np.multiply(w, measured, out=blended)
+    blended += (1.0 - w) * estimated
+    _require_finite(work, "filter update produced non-finite values")
 
-    out = ks.block.copy()
+    out = np.empty_like(ks.block) if out is None else out
+    out[:] = ks.block
     out[matched] = new.block
     return KalmanState.of(out), _floored(blended)
 
-
-def take_rows(ks: KalmanState, index) -> KalmanState:
-    """The rows of ks picked by `index`, an index array or a boolean mask
-    (both copy)."""
-    return KalmanState.of(ks.block[index])

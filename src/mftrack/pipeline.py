@@ -11,16 +11,19 @@ from pathlib import Path
 from . import fileio, metrics
 from .engine import TrackingEngine
 from .errors import InputError
-from .types import Detection, TrackerConfig
+from .types import Detection, Frame, TrackerConfig
 
 
 def track_stream(
-    detections_by_frame: dict[int, list[Detection]],
+    detections_by_frame: dict[int, Frame | list[Detection]],
     cfg: TrackerConfig,
 ) -> tuple[TrackingEngine, float]:
     """Run the engine over a full stream; returns (engine, tracking fps).
 
-    Frame-id gaps in the input are processed as empty frames.
+    Each frame is a `Frame`, as `fileio.load_detections` gives them, or a
+    list of `Detection`s, as `scenario.generate` does, which `step` turns
+    into a `Frame` first. Frame-id gaps in the input are processed as
+    empty frames.
     """
     engine = TrackingEngine(cfg)
     if not detections_by_frame:

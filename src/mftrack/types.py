@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, HistogramShapeError, InputError
 
 # Track status values
 ACTIVE = "active"
@@ -44,10 +44,7 @@ class ObjectState:
         and each state is then made without a check of its own.
         """
         boxes = np.asarray(boxes, dtype=np.float64)
-        if not np.isfinite(boxes).all():
-            raise ValueError("non-finite state component in box rows")
-        if not (boxes[:, 2:] > 0).all():
-            raise ValueError("box dimensions must be positive")
+        check_boxes(boxes)
         states = []
         new, put = object.__new__, object.__setattr__
         for x, y, l, h in zip(*boxes.T.tolist()):
@@ -80,7 +77,15 @@ def diagonal_half(state: ObjectState) -> float:
     return math.hypot(state.l, state.h) / 2.0
 
 
-def _check_counts(arr: np.ndarray) -> None:
+def check_boxes(boxes: np.ndarray) -> None:
+    """ValueError unless every (x, y, l, h) row is finite with l, h > 0."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite state component in box rows")
+    if not (boxes[:, 2:] > 0).all():
+        raise ValueError("box dimensions must be positive")
+
+
+def check_counts(arr: np.ndarray) -> None:
     """ValueError unless the last axis has a histogram length in 1..768
     and every count is finite and non-negative."""
     if not 1 <= arr.shape[-1] <= MAX_RAW_BINS:
@@ -99,7 +104,7 @@ class ColorHistogram:
         arr = np.asarray(self.bins, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("histogram must be 1-dimensional")
-        _check_counts(arr)
+        check_counts(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "bins", arr)
@@ -115,7 +120,7 @@ class ColorHistogram:
         block = np.asarray(block, dtype=np.float64)
         if block.ndim != 2:
             raise ValueError("histogram block must be 2-dimensional")
-        _check_counts(block)
+        check_counts(block)
         block.flags.writeable = False
         hists = []
         for row in block:
@@ -149,6 +154,121 @@ class Detection:
     def __post_init__(self):
         if self.frame_id < 0:
             raise ValueError("frame_id must be non-negative")
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The detections of one frame as columns, row i for the i-th detection:
+    ids (m,) int64, boxes (m, 4) rows (x, y, l, h) and hist (m, n_bins)
+    counts, all three read-only.
+
+    The constructor copies the rows and checks them once, as arrays: a
+    frame id >= 0, unique ids, finite boxes with l, h > 0, and finite,
+    non-negative counts. `of` builds a frame from `Detection`s, and
+    iterating a frame builds them back, so code written for lists of
+    detections reads a frame too.
+    """
+
+    frame_id: int
+    ids: np.ndarray
+    boxes: np.ndarray
+    hist: np.ndarray
+
+    def __post_init__(self):
+        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        boxes = np.array(self.boxes, dtype=np.float64).reshape(len(ids), 4)
+        hist = np.array(self.hist, dtype=np.float64)
+        if hist.ndim != 2 or len(hist) != len(ids):
+            raise ValueError(f"histogram block of shape {hist.shape} for {len(ids)} detections")
+        if self.frame_id < 0:
+            raise ValueError("frame_id must be non-negative")
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise InputError(f"duplicate detection_id {repeat} in frame {self.frame_id}")
+        check_boxes(boxes)
+        check_counts(hist)
+        Frame._fill(self, self.frame_id, ids, boxes, hist)
+
+    @classmethod
+    def view(cls, frame_id: int, ids: np.ndarray, boxes: np.ndarray, hist: np.ndarray) -> "Frame":
+        """A frame of rows the caller has checked as the constructor does:
+        no check and no copy. The arrays are marked read-only."""
+        return cls._fill(object.__new__(cls), frame_id, ids, boxes, hist)
+
+    @staticmethod
+    def _fill(frame: "Frame", frame_id: int, ids, boxes, hist) -> "Frame":
+        for name, value in (("ids", ids), ("boxes", boxes), ("hist", hist)):
+            value.flags.writeable = False
+            object.__setattr__(frame, name, value)
+        object.__setattr__(frame, "frame_id", frame_id)
+        return frame
+
+    @classmethod
+    def of(cls, detections: "Frame | list[Detection]", frame_id: int | None,
+           n_bins: int) -> "Frame":
+        """`detections` as a frame of id `frame_id` (when None, the first
+        detection's, or 0 for none), after rejecting a detection that
+        carries another frame id, repeats a detection id or holds a
+        histogram of other than n_bins bins. A frame with detections is
+        checked the same way and returned as it is."""
+        if isinstance(detections, Frame):
+            frame = detections
+            if len(frame):
+                first = frame.ids[0]
+                if frame_id is not None and frame.frame_id != frame_id:
+                    raise InputError(f"detection {first} carries frame {frame.frame_id}, "
+                                     f"expected {frame_id}")
+                if frame.n_bins != n_bins:
+                    raise HistogramShapeError(f"detection {first} in frame {frame.frame_id} has "
+                                              f"{frame.n_bins} histogram bins, expected {n_bins}")
+                return frame
+            detections, frame_id = [], frame.frame_id if frame_id is None else frame_id
+        if frame_id is None:
+            frame_id = detections[0].frame_id if detections else 0
+        if frame_id < 0:
+            raise ValueError("frame_id must be non-negative")
+        seen_ids = set()
+        for d in detections:
+            if d.frame_id != frame_id:
+                raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
+                                 f"expected {frame_id}")
+            if d.detection_id in seen_ids:
+                raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
+            if d.histogram.n != n_bins:
+                raise HistogramShapeError(f"detection {d.detection_id} in frame {frame_id} has "
+                                          f"{d.histogram.n} histogram bins, expected {n_bins}")
+            seen_ids.add(d.detection_id)
+        m = len(detections)
+        # the states and histograms were checked when they were made
+        return cls.view(frame_id, np.fromiter((d.detection_id for d in detections), np.int64, m),
+                        np.array([(d.state.x, d.state.y, d.state.l, d.state.h)
+                                  for d in detections]).reshape(m, 4),
+                        np.array([d.histogram.bins for d in detections]).reshape(m, n_bins))
+
+    @property
+    def n_bins(self) -> int:
+        return self.hist.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        """The frame's `Detection`s, built on demand; their histograms are
+        views of the hist rows."""
+        return map(Detection, [self.frame_id] * len(self), self.ids.tolist(),
+                   ObjectState.rows(self.boxes), ColorHistogram.rows(self.hist))
+
+    def __getitem__(self, i: int) -> Detection:
+        """Detection i; it builds them all, so iterate to read many."""
+        return list(self)[i]
+
+
+def _first_repeat(ids: np.ndarray) -> int | None:
+    """The first id, in order, that repeats an earlier one, or None."""
+    order = np.argsort(ids, kind="stable")
+    # in the stable order, an id equal to its predecessor comes later in ids
+    later = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    return int(ids[later.min()]) if len(later) else None
 
 
 @dataclass(frozen=True)

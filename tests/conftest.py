@@ -45,8 +45,7 @@ def live_rows(tracks, cfg=None):
     rows = LiveRows.born(np.array([t.track_id for t in tracks], dtype=np.int64),
                          kernels.boxes([t.last_cs for t in tracks]),
                          np.array([t.last_histogram.bins for t in tracks]).reshape(-1, n_bins),
-                         np.fromiter((t.last_histogram for t in tracks), dtype=object,
-                                     count=len(tracks)), 0, cfg)
+                         0, cfg)
     rows.birth = [t.birth_frame for t in tracks]
     rows.f_l, rows.n_r = [t.f_l for t in tracks], [t.n_r for t in tracks]
     rows.d_max = [t.d_max for t in tracks]

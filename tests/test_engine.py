@@ -8,7 +8,7 @@ from mftrack import kalman, kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import ACTIVE, WAITING, ObjectState, Track, TrackerConfig, diagonal_half
+from mftrack.types import ACTIVE, WAITING, Frame, ObjectState, Track, TrackerConfig, diagonal_half
 
 
 class TestMatchFrame:
@@ -92,7 +92,7 @@ class TestMatchFrame:
         for i, t in enumerate(tracks):
             ref_ks, ref_es = kalman.predict(replay.filters[t.track_id], cfg)
             assert ObjectState(*r.boxes[i]) == ref_es
-            assert _filter_fields(kalman.take_rows(r.predicted, i)) == _filter_fields(ref_ks)
+            assert r.predicted.block[i].tolist() == _filter_fields(ref_ks)
 
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
@@ -221,6 +221,17 @@ class TestStep:
         assert (t.n_r, t.t_w) == (2, 1)
         assert t.states[2] == t.states[1]  # held corrected state
 
+    def test_last_histogram_read_is_kept(self, cfg):
+        """A track's last_histogram is made from its row when read; one held
+        from an earlier read keeps its bins when the row changes."""
+        eng = TrackingEngine(cfg)
+        first, second = peaked_histogram(total=1000.0), peaked_histogram(total=1100.0)
+        eng.step(0, [make_detection(0, 0, 50, 50, hist=first)])
+        held = eng.tracks[1].last_histogram
+        eng.step(1, [make_detection(1, 0, 51, 50, hist=second)])
+        assert eng.tracks[1].n_r == 2
+        assert held == first and eng.tracks[1].last_histogram == second
+
     def test_span_invariant_every_step(self, cfg):
         rng = np.random.default_rng(23)
         eng = TrackingEngine(cfg)
@@ -325,7 +336,8 @@ class _ScalarReplay:
                     t.matched_frames) == (
                 shadow.status, shadow.birth_frame, shadow.f_l, shadow.n_r, shadow.t_w,
                 shadow.d_max, shadow.states, shadow.matched_frames)
-            assert t.last_histogram is shadow.last_histogram
+            # made from the track's hist row when read: the same bins, bit for bit
+            assert t.last_histogram.bins.tobytes() == shadow.last_histogram.bins.tobytes()
             if shadow.status not in (ACTIVE, WAITING):
                 del self.shadows[shadow.track_id]
 
@@ -335,8 +347,7 @@ class _ScalarReplay:
         rows, live = eng._rows, eng.live_tracks()
         assert rows.ids.tolist() == [t.track_id for t in live] == list(self.shadows)
         for i, t in enumerate(live):
-            assert _filter_fields(kalman.take_rows(rows.filters, i)) == _filter_fields(
-                self.filters[t.track_id])
+            assert rows.kf[i].tolist() == _filter_fields(self.filters[t.track_id])
             assert ObjectState(*rows.box[i]) == t.last_cs
             assert rows.base[i] == diagonal_half(t.last_cs)
 
@@ -470,3 +481,120 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
         assert all(t.end_frame is None for t in live)
     assert len(handed) == 600
     assert 10 * max(handed) < len(eng.tracks)
+
+
+def _frame(detections, frame_id, n_bins=96):
+    """detections as a Frame built by its constructor, at frame_id."""
+    return Frame(frame_id, [d.detection_id for d in detections],
+                 [d.state.as_vector() for d in detections],
+                 np.array([d.histogram.bins for d in detections]).reshape(len(detections), n_bins))
+
+
+@pytest.mark.parametrize("policy", ["greedy_global", "per_track"])
+def test_frame_and_list_give_same_reports_and_tracks(policy):
+    """Stepping a stream as constructed Frames gives the frame reports and
+    the engine state that stepping it as lists of detections gives."""
+    cfg = TrackerConfig(assignment_policy=policy)
+    stream = scenario.generate(scenario.bench_scenario(frames=120, seed=3)).detections_by_frame
+    as_list, as_frame = TrackingEngine(cfg), TrackingEngine(cfg)
+    for f in range(min(stream), max(stream) + 1):
+        dets = stream.get(f, [])
+        assert as_frame.step(f, _frame(dets, f)) == as_list.step(f, dets)
+    assert _engine_state(as_frame) == _engine_state(as_list)
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as e:  # compared between the two forms of a frame
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("rejection", ["duplicate_id", "wrong_bins", "wrong_frame_id",
+                                       "negative_frame_id", "overflow"])
+def test_rejected_frame_raises_as_list_does(rejection):
+    """A Frame is rejected with the exception class and message of its list
+    form, and either rejection leaves the engine as it was."""
+    cfg = TrackerConfig(t1=0.0)  # every pair is accepted, so the overflow case corrects
+    f, n_bins = 1, cfg.n_bins
+    dets = [make_detection(f, j, 40.0 + 100 * j, 50.0) for j in range(3)]
+    if rejection == "duplicate_id":
+        dets.append(make_detection(f, 1, 300.0, 50.0))
+    elif rejection == "wrong_bins":
+        n_bins = cfg.n_bins // 2
+        dets = _with_bins(dets, n_bins)
+    elif rejection == "wrong_frame_id":
+        f = 7
+        dets = [make_detection(f, d.detection_id, d.state.x, d.state.y) for d in dets]
+    elif rejection == "overflow":
+        dets = [make_detection(f, 0, -1.5e308, 50.0)]
+    forms = {
+        # a Detection cannot carry a negative frame id: its list form fails
+        # where it is made
+        "list": (lambda: [make_detection(-1, 0, 40.0, 50.0)]) if rejection == "negative_frame_id"
+        else (lambda: dets),
+        "frame": lambda: _frame(dets, -1 if rejection == "negative_frame_id" else f, n_bins),
+    }
+    outcomes, states = [], []
+    for make in forms.values():
+        eng = TrackingEngine(cfg)
+        eng.step(0, [make_detection(0, 0, 1.5e308, 50.0)])
+        before = _engine_state(eng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes.append(_outcome(lambda: eng.step(1, make())))
+        assert _engine_state(eng) == before
+        states.append(before)
+    assert outcomes[0] is not None
+    assert outcomes[1] == outcomes[0]
+    assert states[1] == states[0]
+
+
+@pytest.mark.parametrize("box", [(float("nan"), 50.0, 10.0, 10.0), (40.0, float("inf"), 10.0, 10.0),
+                                 (40.0, 50.0, 0.0, 10.0), (40.0, 50.0, 10.0, -1.0)])
+def test_frame_rejects_bad_box_as_states_do(box):
+    """A non-finite or non-positive box row is the ValueError, with the
+    message, of the bulk state check `ObjectState.rows`; a single
+    `ObjectState` of it is a ValueError too."""
+    boxes = np.array([[10.0, 10.0, 5.0, 5.0], box])
+    with pytest.raises(ValueError) as state_error:
+        ObjectState.rows(boxes)
+    with pytest.raises(ValueError):
+        ObjectState(*box)
+    with pytest.raises(ValueError) as frame_error:
+        Frame(0, [0, 1], boxes, np.ones((2, 96)))
+    assert str(frame_error.value) == str(state_error.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=_streams(),
+       rejection=st.sampled_from(["wrong_frame_id", "wrong_bins", "stale_frame"]),
+       data=st.data())
+def test_rejected_frame_leaves_engine_unchanged(frames, rejection, data):
+    """A stream fed as Frames: a rejected Frame changes nothing, and the
+    engine goes on as one that never saw it."""
+    *warm, valid = frames
+    n = len(warm)
+    eng, ref = TrackingEngine(), TrackingEngine()
+    for f, dets in enumerate(warm):
+        eng.step(f, _frame(dets, f))
+        ref.step(f, dets)
+    before = _engine_state(eng)
+
+    bad = valid + [make_detection(n, 100, 60, 60)]
+    if rejection == "wrong_frame_id":
+        with pytest.raises(InputError, match=f"^detection {bad[0].detection_id} carries frame "
+                                             f"{n + 99}, expected {n}$"):
+            eng.step(n, _frame(bad, n + 99))
+    elif rejection == "wrong_bins":
+        half = eng.cfg.n_bins // 2
+        with pytest.raises(HistogramShapeError):
+            eng.step(n, _frame(_with_bins(bad, half), n, half))
+    else:
+        stale = data.draw(st.integers(0, n - 1))
+        with pytest.raises(SequencingError):
+            eng.step(stale, _frame(frames[stale], stale))
+
+    assert _engine_state(eng) == before
+    assert eng.step(n, _frame(valid, n)) == ref.step(n, valid)
+    assert _engine_state(eng) == _engine_state(ref)

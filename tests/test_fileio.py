@@ -7,7 +7,7 @@ from mftrack.errors import ConfigError, HistogramShapeError, ParseError
 from mftrack.metrics import GroundTruthObject
 from mftrack.pipeline import track_stream
 from mftrack.scenario import bench_scenario, generate, lanes_scenario
-from mftrack.types import ColorHistogram, ObjectState, TrackerConfig
+from mftrack.types import ColorHistogram, Frame, ObjectState, TrackerConfig
 
 
 class TestRebin:
@@ -45,7 +45,7 @@ class TestDetectionsIO:
         loaded = fileio.load_detections(path, n_bins=96)
         assert set(loaded) == {f for f, d in res.detections_by_frame.items() if d}
         for f in loaded:
-            assert loaded[f] == res.detections_by_frame[f]
+            assert list(loaded[f]) == res.detections_by_frame[f]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -152,6 +152,45 @@ def test_load_detections_matches_line_parser(tmp_path, text, n_bins):
     path.write_text(text)
     assert _outcome(fileio.load_detections, path, n_bins) == \
         _outcome(fileio._detections_by_line, path, n_bins)
+
+
+def test_interleaved_frames_load_as_line_parser(tmp_path):
+    """Rows of one frame spread over the file load, grouped by one stable
+    sort, to the frames of the line parser: in order of first appearance,
+    file order within a frame, each a view of the one sorted block."""
+    res = generate(lanes_scenario(n_objects=3, duration=12, seed=4, histogram_noise=0.1))
+    path = tmp_path / "by_frame.txt"
+    fileio.write_detections(path, res.detections_by_frame)
+    lines = path.read_text().splitlines()
+    # the rows dealt out by their index modulo 3, which splits every frame
+    path.write_text("".join(f"{ln}\n" for k in range(3) for ln in lines[k::3]))
+    assert _outcome(fileio.load_detections, path, 96) == \
+        _outcome(fileio._detections_by_line, path, 96)
+    frames = list(fileio.load_detections(path, 96).values())
+    assert len(frames) == len(res.detections_by_frame) > 1
+    # the line parser builds each frame on its own; the block path shares one block
+    block = frames[0].hist.base
+    assert all(np.shares_memory(column, block) for fr in frames for column in (fr.ids, fr.hist))
+
+
+def test_loaded_frames_are_views_of_one_block(tmp_path):
+    res = generate(bench_scenario(frames=40, objects=3, clutter=2.0, seed=9))
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, res.detections_by_frame)
+    loaded = fileio.load_detections(path, 96)
+    assert len(loaded) > 1 and all(isinstance(fr, Frame) for fr in loaded.values())
+    block = next(iter(loaded.values())).hist.base
+    for fr in loaded.values():
+        for column in (fr.ids, fr.boxes, fr.hist):
+            assert np.shares_memory(column, block)
+            assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("text", ["", "# nothing here\n\n   # nor here\n"])
+def test_file_without_rows_loads_no_frames(tmp_path, text):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    assert fileio.load_detections(path, 96) == {}
 
 
 @pytest.mark.parametrize("text,lineno", [("0 0 10 10 5 5\n1.0 0 10 10 5 5\n", 2),

@@ -4,7 +4,10 @@ Each case tracks a small generated stream, then 25 empty frames so that
 every track ends, and hashes three things: the trajectory file, the
 pickled list of frame reports and the public fields of every track. A
 refactor that changes any byte of that output fails here; one that means
-to change it records the table again and says why.
+to change it records the table again and says why. Every case runs twice
+against the same table: on the generated lists of detections, and on the
+`Frame`s that writing the stream to a detection file and loading it back
+gives.
 
     PYTHONPATH=src python tests/test_parity.py   # print the table anew
 """
@@ -17,7 +20,7 @@ import pytest
 
 from mftrack import fileio, scenario
 from mftrack.engine import TrackingEngine
-from mftrack.types import TrackerConfig
+from mftrack.types import Frame, TrackerConfig
 
 CONFIGS = {
     "default": TrackerConfig(),
@@ -110,8 +113,14 @@ def _track_fields(t) -> tuple:
             t.last_histogram.bins.tolist())
 
 
-def digests(workload: str, seed: int, config: str, tmp_path) -> tuple[str, str, str]:
+def digests(workload: str, seed: int, config: str, tmp_path,
+            via_file: bool = False) -> tuple[str, str, str]:
     stream = scenario.generate(_spec(workload, seed)).detections_by_frame
+    if via_file:
+        det = tmp_path / f"{workload}-{seed}.det.txt"
+        fileio.write_detections(det, stream)
+        stream = fileio.load_detections(det, CONFIGS[config].n_bins)
+        assert all(isinstance(frame, Frame) for frame in stream.values())
     engine = TrackingEngine(CONFIGS[config])
     last = max(stream)
     reports = [engine.step(f, stream.get(f, [])) for f in range(min(stream), last + 26)]
@@ -127,6 +136,16 @@ def digests(workload: str, seed: int, config: str, tmp_path) -> tuple[str, str, 
 @pytest.mark.parametrize("config", list(CONFIGS))
 def test_output_matches_golden(workload, seed, config, tmp_path):
     assert digests(workload, seed, config, tmp_path) == GOLDEN[(workload, seed, config)]
+
+
+@pytest.mark.parametrize("workload", ["crowd", "clutter_long"])
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_file_path_matches_golden(workload, seed, config, tmp_path):
+    """write_detections, load_detections and step on the loaded frames give
+    the output of the generated lists, byte for byte."""
+    assert digests(workload, seed, config, tmp_path, via_file=True) == \
+        GOLDEN[(workload, seed, config)]
 
 
 if __name__ == "__main__":

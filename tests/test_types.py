@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mftrack.errors import ConfigError
-from mftrack.types import ColorHistogram, ObjectState, TrackerConfig, diagonal_half
+from mftrack.errors import ConfigError, InputError
+from mftrack.types import (
+    ColorHistogram,
+    Detection,
+    Frame,
+    ObjectState,
+    TrackerConfig,
+    diagonal_half,
+)
 
 
 class TestObjectState:
@@ -53,6 +60,36 @@ class TestColorHistogram:
             h.bins[0] = 99
         assert h == ColorHistogram(np.arange(4, dtype=float))
         assert h != ColorHistogram(np.zeros(4))
+
+
+class TestFrame:
+    def test_rows_copied_read_only_and_read_back_as_detections(self):
+        ids, boxes, hist = [4, 2], [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], np.ones((2, 3))
+        frame = Frame(9, ids, boxes, hist)
+        hist[0, 0] = 5.0  # the frame holds a copy
+        assert len(frame) == 2 and frame.n_bins == 3
+        for column in (frame.ids, frame.boxes, frame.hist):
+            assert not column.flags.writeable
+        want = [Detection(9, 4, ObjectState(1, 2, 3, 4), ColorHistogram(np.ones(3))),
+                Detection(9, 2, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3)))]
+        assert list(frame) == want
+        assert frame[1] == want[1]
+        assert list(Frame.of(want, None, 3)) == want
+
+    def test_first_repeated_id_named_as_the_list_check_names_it(self):
+        # in order, 5 is the first id seen before; 3 repeats only later
+        with pytest.raises(InputError, match="^duplicate detection_id 5 in frame 0$"):
+            Frame(0, [3, 5, 5, 3], np.ones((4, 4)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("hist", [np.full((1, 3), -1.0), np.full((1, 3), np.nan),
+                                      np.ones((1, 0)), np.ones((2, 3)), np.ones(3)])
+    def test_rejects_bad_counts(self, hist):
+        with pytest.raises(ValueError):
+            Frame(0, [1], [[0.0, 0.0, 1.0, 1.0]], hist)
+
+    def test_empty_frame(self):
+        frame = Frame.of([], 4, 96)
+        assert (frame.frame_id, len(frame), frame.hist.shape, list(frame)) == (4, 0, (0, 96), [])
 
 
 class TestTrackerConfig:
