@@ -4,10 +4,11 @@ Each case tracks a small generated stream, then 25 empty frames so that
 every track ends, and hashes three things: the trajectory file, the
 pickled list of frame reports and the public fields of every track. A
 refactor that changes any byte of that output fails here; one that means
-to change it records the table again and says why. Every case runs twice
-against the same table: on the generated lists of detections, and on the
-`Frame`s that writing the stream to a detection file and loading it back
-gives.
+to change it records the table again and says why. Every case runs three
+times against the same table: on the generated `Frame`s, on the same
+frames as lists of `Detection`s, and on the `Frame`s that writing the
+stream to a detection file and loading it back gives. The detection file
+itself is pinned too.
 
     PYTHONPATH=src python tests/test_parity.py   # print the table anew
 """
@@ -93,6 +94,15 @@ GOLDEN = {
 }
 
 
+# (workload, seed) -> the detection file write_detections writes for the stream
+DETECTION_FILES = {
+    ('crowd', 7): '22ba41de897b0f66e317ecfefd8d6b1986c97e91d015fd11734cfdeeae752fae',
+    ('crowd', 23): '2989e87b815b8962af9c075de35eccfa9a09aa822e7e9474b7fad6622c73686c',
+    ('clutter_long', 7): '96f9367fd9d46c127e86723c5511becaea01ca6010abec97a306a289b470f680',
+    ('clutter_long', 23): '1213ff3b3ee90c5487d254e2ab99fe5a8fc76d86d8523213895fe5a92502f238',
+}
+
+
 def _spec(workload: str, seed: int) -> scenario.ScenarioSpec:
     """Small versions of the two benchmark workloads."""
     if workload == "crowd":
@@ -114,9 +124,13 @@ def _track_fields(t) -> tuple:
 
 
 def digests(workload: str, seed: int, config: str, tmp_path,
-            via_file: bool = False) -> tuple[str, str, str]:
+            form: str = "frames") -> tuple[str, str, str]:
+    """The three digests of one case, the stream stepped as generated
+    ("frames"), as lists of detections ("lists") or through a file ("file")."""
     stream = scenario.generate(_spec(workload, seed)).detections_by_frame
-    if via_file:
+    if form == "lists":
+        stream = {f: list(frame) for f, frame in stream.items()}
+    elif form == "file":
         det = tmp_path / f"{workload}-{seed}.det.txt"
         fileio.write_detections(det, stream)
         stream = fileio.load_detections(det, CONFIGS[config].n_bins)
@@ -144,8 +158,26 @@ def test_output_matches_golden(workload, seed, config, tmp_path):
 def test_file_path_matches_golden(workload, seed, config, tmp_path):
     """write_detections, load_detections and step on the loaded frames give
     the output of the generated lists, byte for byte."""
-    assert digests(workload, seed, config, tmp_path, via_file=True) == \
+    assert digests(workload, seed, config, tmp_path, form="file") == \
         GOLDEN[(workload, seed, config)]
+
+
+@pytest.mark.parametrize("workload", ["crowd", "clutter_long"])
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_detection_lists_match_golden(workload, seed, config, tmp_path):
+    """The generated frames stepped as lists of `Detection`s, the public
+    list form of `step`, give the same output."""
+    assert digests(workload, seed, config, tmp_path, form="lists") == \
+        GOLDEN[(workload, seed, config)]
+
+
+@pytest.mark.parametrize("workload", ["crowd", "clutter_long"])
+@pytest.mark.parametrize("seed", [7, 23])
+def test_detection_file_matches_golden(workload, seed, tmp_path):
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, scenario.generate(_spec(workload, seed)).detections_by_frame)
+    assert _sha(path.read_bytes()) == DETECTION_FILES[(workload, seed)]
 
 
 if __name__ == "__main__":
