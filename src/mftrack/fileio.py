@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, HistogramShapeError, ParseError
+from .errors import ConfigError, HistogramShapeError, InputError, ParseError
 from .metrics import EvalReport, GroundTruthObject
 from .types import (
     MAX_RAW_BINS,
@@ -40,41 +40,42 @@ from .types import (
 
 
 def rebin(raw: np.ndarray, n: int) -> ColorHistogram:
-    """Collapse a 768-bin raw histogram (3 channels x 256 levels) to n bins.
-
-    n must be 3*b with b a divisor of 256; consecutive groups of 256/b
-    levels are summed within each channel block.
-    """
+    """Collapse a 768-bin raw histogram (3 channels x 256 levels) to n bins,
+    as `_rebin` does."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size != MAX_RAW_BINS:
         raise HistogramShapeError(f"raw histogram must have {MAX_RAW_BINS} bins, got {raw.size}")
-    return ColorHistogram(raw.reshape(3, -1, _rebin_group(n)).sum(axis=2).reshape(-1))
+    return ColorHistogram(_rebin(raw.reshape(MAX_RAW_BINS), n))
 
 
-def _rebin_group(n: int) -> int:
-    """Raw levels summed into each of n bins, or ConfigError when n is not
-    3*b with b a divisor of 256."""
+def _rebin(raw: np.ndarray, n: int) -> np.ndarray:
+    """The 768 raw counts along the last axis of raw summed into n bins.
+
+    n must be 3*b with b a divisor of 256, else ConfigError; consecutive
+    groups of 256/b levels are summed within each channel block.
+    """
     if n % 3 != 0:
         raise ConfigError(f"n_bins={n} is not 3*b")
     b = n // 3
     if b < 1 or 256 % b != 0:
         raise ConfigError(f"n_bins={n}: {b} bins per channel does not divide 256")
-    return 256 // b
+    lead = raw.shape[:-1]
+    return raw.reshape(*lead, 3, b, 256 // b).sum(axis=-1).reshape(*lead, n)
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_detections(path: str | Path, detections_by_frame: dict[int, list[Detection]]) -> None:
+def write_detections(path: str | Path, frames: dict[int, Frame]) -> None:
+    """One row per detection, frames in id order, rows in frame order."""
     with open(path, "w") as fh:
-        for f in sorted(detections_by_frame):
-            for d in detections_by_frame[f]:
-                s = d.state
-                cols = [str(d.frame_id), str(d.detection_id),
-                        _fmt(s.x), _fmt(s.y), _fmt(s.l), _fmt(s.h)]
-                cols.extend(_fmt(c) for c in d.histogram.bins)
-                fh.write(" ".join(cols) + "\n")
+        for f in sorted(frames):
+            frame = frames[f]
+            # tolist gives Python floats, whose repr is _fmt's text
+            rows = np.hstack([frame.boxes, frame.hist]).tolist()
+            fh.writelines(f"{frame.frame_id} {did} {' '.join(map(repr, row))}\n"
+                          for did, row in zip(frame.ids.tolist(), rows))
 
 
 def _lines(path: str | Path):
@@ -161,8 +162,7 @@ def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
             raise ValueError(f"histograms have {counts.shape[1]} bins")
         # raw counts are checked before they are summed into bins
         check_counts(counts)
-        counts = counts.reshape(len(block), 3, -1, _rebin_group(n_bins)).sum(axis=3)
-        counts = counts.reshape(len(block), n_bins)
+        counts = _rebin(counts, n_bins)
     if (frame_ids < 0).any():
         raise ValueError("frame_id must be non-negative")
     check_boxes(boxes)
@@ -256,7 +256,10 @@ def _table_by_line(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectSt
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthObject]:
-    return [GroundTruthObject(gid, st) for gid, st in sorted(_load_table(path, 6).items())]
+    table = _load_table(path, 6)
+    if not table:  # no metric is defined without ground truth
+        raise InputError(f"{path}: no ground-truth rows")
+    return [GroundTruthObject(gid, st) for gid, st in sorted(table.items())]
 
 
 def write_trajectories(path: str | Path, tracks: list[Track]) -> None:

@@ -11,19 +11,18 @@ from pathlib import Path
 from . import fileio, metrics
 from .engine import TrackingEngine
 from .errors import InputError
-from .types import Detection, Frame, TrackerConfig
+from .types import Frame, TrackerConfig
 
 
 def track_stream(
-    detections_by_frame: dict[int, Frame | list[Detection]],
+    detections_by_frame: dict[int, Frame],
     cfg: TrackerConfig,
 ) -> tuple[TrackingEngine, float]:
     """Run the engine over a full stream; returns (engine, tracking fps).
 
-    Each frame is a `Frame`, as `fileio.load_detections` gives them, or a
-    list of `Detection`s, as `scenario.generate` does, which `step` turns
-    into a `Frame` first. Frame-id gaps in the input are processed as
-    empty frames.
+    Each frame is a `Frame`, as `fileio.load_detections` and
+    `scenario.generate` give them. Frame-id gaps in the input are
+    processed as empty frames.
     """
     engine = TrackingEngine(cfg)
     if not detections_by_frame:
@@ -47,11 +46,12 @@ def run_pipeline(
     if report_path is not None and gt_path is None:
         raise InputError("an evaluation report needs ground truth (--report without --ground-truth)")
     cfg = fileio.load_config(config_path) if config_path else TrackerConfig().validate()
+    # a bad ground-truth file is rejected before any output is written
+    gt = fileio.load_ground_truth(gt_path) if gt_path is not None else None
     stream = fileio.load_detections(detections_path, cfg.n_bins)
     engine, fps = track_stream(stream, cfg)
     fileio.write_trajectories(out_path, engine.valid_tracks())
-    if gt_path is not None:
-        gt = fileio.load_ground_truth(gt_path)
+    if gt is not None:
         report = metrics.evaluate(gt, engine.trajectories(),
                                   iou_threshold=cfg.eval_iou_threshold,
                                   method=cfg.eval_assignment, fps=fps)

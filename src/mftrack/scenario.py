@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .metrics import GroundTruthObject
-from .types import MAX_RAW_BINS, ColorHistogram, Detection, ObjectState, TrackerConfig
+from .types import MAX_RAW_BINS, Frame, ObjectState, TrackerConfig
 
 CLUTTER = -1  # provenance label for clutter detections
 
@@ -207,7 +207,7 @@ def _is_box_row(row) -> bool:
 @dataclass
 class ScenarioResult:
     gt: list[GroundTruthObject]
-    detections_by_frame: dict[int, list[Detection]]
+    detections_by_frame: dict[int, Frame]  # every frame 0..duration-1, empty ones too
     # (frame_id, detection_id) -> gt_id, or CLUTTER
     provenance: dict[tuple[int, int], int]
 
@@ -223,7 +223,7 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     """Ground truth plus perturbed detections, deterministic in the seed.
 
     Each frame draws for its objects, then its live blobs, both in list
-    order; a detection's id is its position in the frame's list.
+    order, into one checked `Frame`; a detection's id is its row.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -256,8 +256,7 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     # computed once per source: an object's histogram scales with its
     # jittered box, a blob's box and histogram never change
     units = [_unit_histogram(spec.n_bins, s.hist_peak, s.hist_width) for s in spec.objects]
-    blob_hists = [ColorHistogram(_unit_histogram(spec.n_bins, b.hist_peak, 2.0) * (b.size * b.size))
-                  for b in blobs]
+    blob_hists = [_unit_histogram(spec.n_bins, b.hist_peak, 2.0) * (b.size * b.size) for b in blobs]
     alive_at: list[list[int]] = [[] for _ in range(spec.duration)]
     for k, blob in enumerate(blobs):
         for f in range(max(blob.start_frame, 0), min(blob.start_frame + blob.lifetime, spec.duration)):
@@ -266,9 +265,10 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     def jitter(sigma: float) -> float:
         return rng.normal(0, sigma) if sigma else 0.0
 
-    detections: dict[int, list[Detection]] = {f: [] for f in range(spec.duration)}
+    frames: dict[int, Frame] = {}
     provenance: dict[tuple[int, int], int] = {}
-    for f, dets in detections.items():
+    for f in range(spec.duration):
+        boxes, hists = [], []
         for gid, g in enumerate(gt):
             if f not in g.states or (gid, f) in gaps:
                 continue
@@ -282,8 +282,9 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             hist = units[gid] * (l * h)
             if spec.histogram_noise > 0:
                 hist = np.clip(hist * (1.0 + spec.histogram_noise * rng.normal(size=hist.size)), 0.0, None)
-            provenance[(f, len(dets))] = gid
-            dets.append(Detection(f, len(dets), ObjectState(x, y, l, h), ColorHistogram(hist)))
+            provenance[(f, len(boxes))] = gid
+            boxes.append((x, y, l, h))
+            hists.append(hist)
 
         for k in alive_at[f]:
             blob = blobs[k]
@@ -291,12 +292,13 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             # so pairwise spread never exceeds clutter_extent
             r = spec.clutter_extent / 2.0 * float(np.sqrt(rng.uniform()))
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
-            x = blob.x + r * float(np.cos(theta))
-            y = blob.y + r * float(np.sin(theta))
-            provenance[(f, len(dets))] = CLUTTER
-            dets.append(Detection(f, len(dets), ObjectState(x, y, blob.size, blob.size), blob_hists[k]))
+            provenance[(f, len(boxes))] = CLUTTER
+            boxes.append((blob.x + r * float(np.cos(theta)), blob.y + r * float(np.sin(theta)),
+                          blob.size, blob.size))
+            hists.append(blob_hists[k])
+        frames[f] = Frame(f, np.arange(len(boxes)), boxes, hists or np.zeros((0, spec.n_bins)))
 
-    return ScenarioResult(gt=gt, detections_by_frame=detections, provenance=provenance)
+    return ScenarioResult(gt=gt, detections_by_frame=frames, provenance=provenance)
 
 
 def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple[int, list[int]]]:
@@ -355,8 +357,9 @@ def lanes_scenario(
     for i in range(n_objects):
         y = 60.0 + i * lane_gap
         x0 = 30.0 + 10.0 * i
+        start, end = (0, x0, y, l, h), (duration - 1, x0 + speed * (duration - 1), y, l, h)
         objects.append(MotionScript(
-            waypoints=((0, x0, y, l, h), (duration - 1, x0 + speed * (duration - 1), y, l, h)),
+            waypoints=(start, end) if duration > 1 else (start,),
             hist_peak=(5 + 17 * i) % overrides.get("n_bins", 96),
         ))
     return ScenarioSpec(seed=seed, duration=duration, objects=tuple(objects),

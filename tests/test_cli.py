@@ -141,6 +141,30 @@ def test_report_without_ground_truth_exit_code(sim_files, capsys):
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("gt_text", ["0 0 10 10 5\n", "", "# header only\n"])
+def test_bad_ground_truth_exit_code(sim_files, capsys, gt_text):
+    """A malformed or row-less ground-truth file is an input error naming
+    the file, and `track` rejects it before writing any output."""
+    tmp_path, det_path, _ = sim_files
+    gt = tmp_path / "bad.gt.txt"
+    gt.write_text(gt_text)
+    out, report = tmp_path / "o.txt", tmp_path / "r.json"
+    rc = main(["track", "--detections", det_path, "--out", str(out),
+               "--ground-truth", str(gt), "--report", str(report)])
+    assert rc == 2
+    assert str(gt) in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+    assert main(["track", "--detections", det_path, "--out", str(out)]) == 0
+    rc = main(["evaluate", "--trajectories", str(out), "--ground-truth", str(gt)])
+    assert rc == 2
+    assert str(gt) in capsys.readouterr().err
+
+
+def test_bench_one_frame(capsys):
+    assert main(["bench", "--frames", "1"]) == 0
+    assert "over 1 frames" in capsys.readouterr().out
+
+
 def test_bench_subcommand_runs(capsys):
     assert main(["bench", "--frames", "120", "--objects", "2", "--clutter", "1"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_histogram, live_rows, make_detection, make_track, peaked_histogram
-from mftrack import kalman, kernels, lifecycle, scenario
+from mftrack import bench, kalman, kernels, lifecycle, scenario
 from mftrack.engine import TrackingEngine, match_frame
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
@@ -498,9 +498,25 @@ def test_frame_and_list_give_same_reports_and_tracks(policy):
     stream = scenario.generate(scenario.bench_scenario(frames=120, seed=3)).detections_by_frame
     as_list, as_frame = TrackingEngine(cfg), TrackingEngine(cfg)
     for f in range(min(stream), max(stream) + 1):
-        dets = stream.get(f, [])
+        dets = list(stream.get(f, []))
         assert as_frame.step(f, _frame(dets, f)) == as_list.step(f, dets)
     assert _engine_state(as_frame) == _engine_state(as_list)
+
+
+def test_bench_steps_generated_frames_as_they_are(monkeypatch):
+    """run_bench steps the generator's `Frame`s: `Frame.of` hands each one
+    back as it is, so no frame goes through the list adapter."""
+    handed_back = []
+    real_of = Frame.of.__func__
+
+    def of(cls, detections, frame_id, n_bins):
+        frame = real_of(cls, detections, frame_id, n_bins)
+        handed_back.append(frame is detections)
+        return frame
+
+    monkeypatch.setattr(Frame, "of", classmethod(of))
+    bench.run_bench(frames=50)
+    assert len(handed_back) == 50 and all(handed_back)
 
 
 def _outcome(call):

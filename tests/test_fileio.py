@@ -35,6 +35,20 @@ class TestRebin:
         with pytest.raises(HistogramShapeError):
             fileio.rebin(np.zeros(100), 96)
 
+    @pytest.mark.parametrize("n", [3 * b for b in (1, 2, 4, 8, 16, 32, 64, 128, 256)])
+    def test_block_rebin_equals_row_formula(self, tmp_path, n):
+        """One rebin serves a row and a block; over a block, the loader's
+        strided one included, every row equals the per-channel group sum
+        of that row alone, bit for bit."""
+        path = tmp_path / "raw.txt"
+        path.write_text(_raw_rows(50))
+        raw = np.array([[float(c) for c in line.split()[6:]]
+                        for line in path.read_text().splitlines()])
+        want = [row.reshape(3, n // 3, -1).sum(axis=2).reshape(-1).tolist() for row in raw]
+        assert [fileio.rebin(row, n).bins.tolist() for row in raw] == want
+        assert fileio._rebin(raw, n).tolist() == want
+        assert fileio.load_detections(path, n)[0].hist.tolist() == want
+
 
 class TestDetectionsIO:
     def test_round_trip(self, tmp_path):
@@ -45,7 +59,7 @@ class TestDetectionsIO:
         loaded = fileio.load_detections(path, n_bins=96)
         assert set(loaded) == {f for f, d in res.detections_by_frame.items() if d}
         for f in loaded:
-            assert list(loaded[f]) == res.detections_by_frame[f]
+            assert list(loaded[f]) == list(res.detections_by_frame[f])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

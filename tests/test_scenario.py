@@ -17,7 +17,7 @@ from mftrack.scenario import (
     spec_from_json,
     spec_to_json,
 )
-from mftrack.types import TrackerConfig
+from mftrack.types import Frame, TrackerConfig
 
 
 def single_object_spec(duration=100, speed=2.0, **kw):
@@ -106,6 +106,31 @@ class TestGenerate:
         ]
         mean = np.mean(clutter_counts[50:])  # after warm-in
         assert 2.0 < mean < 6.0
+
+    def test_one_frame_lanes(self):
+        res = generate(bench_scenario(frames=1, objects=5, clutter=0.0))
+        assert list(res.detections_by_frame) == [0]
+        frame = res.detections_by_frame[0]
+        assert frame.ids.tolist() == [0, 1, 2, 3, 4]
+        assert [res.provenance[(0, i)] for i in range(5)] == [0, 1, 2, 3, 4]
+
+    def test_every_frame_is_a_frame_in_source_order(self):
+        """Every frame 0..duration-1 is a read-only Frame, empty ones
+        included, whose rows are its detections in source order, ids 0..m-1."""
+        spec = lanes_scenario(n_objects=2, duration=30, seed=3, burst_drops=((0, 5, 4), (1, 6, 2)),
+                              clutter_rate=1.0, histogram_noise=0.1)
+        res = generate(spec)
+        assert list(res.detections_by_frame) == list(range(30))
+        for f, frame in res.detections_by_frame.items():
+            assert isinstance(frame, Frame) and frame.frame_id == f and frame.n_bins == 96
+            assert frame.ids.tolist() == list(range(len(frame)))
+            assert not (frame.boxes.flags.writeable or frame.hist.flags.writeable)
+            sources = [res.provenance[(f, i)] for i in range(len(frame))]
+            objects = [s for s in sources if s != CLUTTER]
+            assert sources == objects + [CLUTTER] * (len(sources) - len(objects))
+            assert objects == sorted(objects)
+        assert len(res.detections_by_frame[7]) == sum(s == CLUTTER for (f, _), s in
+                                                      res.provenance.items() if f == 7)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(InputError):
