@@ -36,9 +36,10 @@ from .types import (
 )
 
 
-_KF = KalmanState.WIDTH  # LiveRows.real: filter, box, base, d_max, histogram
-_BOX, _BASE, _D_MAX, _HIST = slice(_KF, _KF + 4), _KF + 4, _KF + 5, slice(_KF + 6, None)
-_ID, _F_L, _N_R = 0, 2, 3  # LiveRows.count columns
+_KF = KalmanState.WIDTH  # LiveRows.real: filter, d_max, box, base, histogram
+_D_MAX, _BOX, _BASE, _HIST = _KF, slice(_KF + 1, _KF + 5), _KF + 5, slice(_KF + 6, None)
+_MATCHED = slice(_KF + 1, None)  # box, base and histogram: what a match writes
+_ID, _F_L, _N_R, _N_C = 0, 2, 3, 4  # LiveRows.count columns
 _READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
 
 
@@ -47,13 +48,14 @@ class LiveRows:
     """The live tracks as columns, row i for the i-th live track in id order.
 
     The columns are views of four blocks, so a take or a join of rows is
-    four numpy calls. `real` holds, per row:
+    four numpy calls. `real` holds, per row and in this column order:
       kf      the filter (see `KalmanState`);
+      d_max   `Track.d_max`;
       box     the last corrected box (x, y, l, h), held while the track waits;
       base    its `diagonal_half`, the search radius per frame since the
               last match;
-      d_max   `Track.d_max`;
       hist    the histogram of the last matched detection.
+    A match writes box, base and hist, the last columns, as one block.
     `count` holds the integer columns ids, birth, f_l and n_r (the `Track`
     fields of those names) and n_c; a live track waited on every frame of
     its span that did not match it, so its t_w is f_c - birth + 1 - n_r at
@@ -78,58 +80,53 @@ class LiveRows:
     birth = column_view("count", 1)
     f_l = column_view("count", _F_L)
     n_r = column_view("count", _N_R)
-    n_c = column_view("count", 4)
+    n_c = column_view("count", _N_C)
 
     @classmethod
-    def born(cls, ids: np.ndarray, boxes: np.ndarray, hists: np.ndarray,
+    def born(cls, ids: np.ndarray | list[int], boxes: np.ndarray, hists: np.ndarray,
              frame_id: int, cfg: TrackerConfig) -> "LiveRows":
         """Rows of tracks born at frame_id from detection box and histogram
         rows, as a first match seeds them."""
         n = len(ids)
-        real = np.empty((n, _KF + 6 + hists.shape[1]))
-        real[:, :_KF] = kalman.init_rows(boxes, cfg).block
-        real[:, _KF:] = np.column_stack((boxes, _half_diagonals(boxes), np.zeros(n), hists))
+        real = np.concatenate((kalman.init_rows(boxes, cfg).block, np.zeros((n, 1)), boxes,
+                               _half_diagonals(boxes)[:, None], hists), axis=1)
         count = np.empty((n, 5), dtype=np.int64)
         count[:] = (0, frame_id, frame_id, 1, 1)  # birth, f_l, n_r and n_c
         count[:, 0] = ids
         return cls(real, count, boxes[:, None, :2].copy())
 
-    @property
-    def filters(self) -> KalmanState:
-        return KalmanState.of(self.kf)
-
     def __len__(self) -> int:
         return len(self.count)
 
-    def take(self, index) -> "LiveRows":
-        """The rows picked by an index array or a boolean mask (a copy)."""
-        return LiveRows(self.real[index], self.count[index], self.centers[index])
+    def take(self, index: np.ndarray) -> "LiveRows":
+        """The rows picked by an index array (a copy)."""
+        return LiveRows(self.real.take(index, axis=0), self.count.take(index, axis=0),
+                        self.centers.take(index, axis=0))
 
-    @staticmethod
-    def concat(parts: list["LiveRows"]) -> "LiveRows":
-        """The rows of every part, in order."""
-        k = max(p.centers.shape[1] for p in parts)
-        return LiveRows(np.concatenate([p.real for p in parts]),
-                        np.concatenate([p.count for p in parts]),
-                        np.concatenate([_widen(p.centers, k) for p in parts]))
+    def join(self, other: "LiveRows") -> "LiveRows":
+        """These rows, then the rows of other."""
+        k = max(self.centers.shape[1], other.centers.shape[1])
+        return LiveRows(np.concatenate((self.real, other.real)),
+                        np.concatenate((self.count, other.count)),
+                        np.concatenate((_widen(self.centers, k), _widen(other.centers, k))))
 
     def extend(self, index: np.ndarray, xy: np.ndarray, cap: float) -> None:
         """`Track.update_extent(x, y, cap)` on the rows `index`, row j of
         xy being the new center of row index[j], in place. A row whose
         d_max has reached the cap is left as it is for good."""
-        open_ = self.d_max[index] < cap
-        index, xy = index[open_], xy[open_]
+        d_max, n_c = self.real[:, _D_MAX], self.count[:, _N_C]
+        old = d_max[index]
+        open_ = old < cap
+        index = index[open_]
         if not len(index):
             return
-        n_c = self.n_c[index]
-        if n_c.max() == self.centers.shape[1]:
+        xy, old, n = xy[open_], old[open_], n_c[index]
+        if n.max() == self.centers.shape[1]:
             self.centers = _widen(self.centers, 2 * self.centers.shape[1])
-        seen = self.centers[index]
-        d = np.hypot(seen[..., 0] - xy[:, :1], seen[..., 1] - xy[:, 1:]).max(axis=1)
-        d_max = np.maximum(self.d_max[index], d)
-        self.d_max[index] = d_max
-        self.centers[index, n_c] = xy
-        self.n_c[index] = n_c + 1
+        gap = self.centers.take(index, axis=0) - xy[:, None]
+        d_max[index] = np.maximum(old, np.hypot(gap[..., 0], gap[..., 1]).max(axis=1))
+        self.centers[index, n] = xy
+        n_c[index] = n + 1
 
 
 def _widen(centers: np.ndarray, k: int) -> np.ndarray:
@@ -197,14 +194,15 @@ def match_frame(
     double-assign detections.
     """
     frame = Frame.of(detections, frame_id, cfg.n_bins)
-    predicted, tboxes = kalman.predict_rows(tracks.filters, cfg)
-    dboxes, dhist, dids, tids = frame.boxes, frame.hist, frame.ids, tracks.ids
+    real, count = tracks.real, tracks.count
+    predicted, tboxes = kalman.predict_rows(KalmanState.of(real[:, :_KF]), cfg)
+    dboxes, dhist, dids, tids = frame.boxes, frame.hist, frame.ids, count[:, _ID]
 
     ti = dj = np.zeros(0, dtype=np.intp)
     pairs = []
     if len(tids) and len(dids):
-        treach = tracks.base * np.maximum(1, frame.frame_id - tracks.f_l)
-        scores = kernels.score_matrix(tboxes, treach, tracks.hist, dboxes, dhist,
+        treach = real[:, _BASE] * np.maximum(1, frame.frame_id - count[:, _F_L])
+        scores = kernels.score_matrix(tboxes, treach, real[:, _HIST], dboxes, dhist,
                                       cfg.feature_weights)
         if cfg.assignment_policy == "per_track":
             # argmax over the columns in detection-id order, so a tie goes
@@ -218,14 +216,10 @@ def match_frame(
             ti, dj = np.array(index_pairs, dtype=np.intp).reshape(-1, 2).T
         pairs = list(zip(tids[ti].tolist(), dids[dj].tolist(), scores[ti, dj].tolist()))
 
-    waiting = np.ones(len(tids), dtype=bool)
-    waiting[ti] = False
-    spawn = np.ones(len(dids), dtype=bool)
-    spawn[dj] = False
-    spawn = np.flatnonzero(spawn)
+    spawn = (np.bincount(dj, minlength=len(dids)) == 0).nonzero()[0]
     return MatchResult(
         pairs=pairs,
-        unmatched_tracks=tids[waiting].tolist(),
+        unmatched_tracks=tids[np.bincount(ti, minlength=len(tids)) == 0].tolist(),
         unmatched_detections=dids[spawn].tolist(),
         predicted=predicted,
         boxes=tboxes,
@@ -282,59 +276,65 @@ class TrackingEngine:
     def step(self, frame_id: int, detections: Frame | list[Detection]) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
-        The filters of the matched rows are corrected as one block, and
-        every other per-track fact is written with one column operation:
-        everything that can reject the frame runs before the first write,
-        so a rejected frame leaves the engine as it was. Newborn tracks
-        append their rows, the frame's block goes to the log, and the rows
-        of the tracks the sweep ends are dropped, which keeps row i on the
-        i-th live track.
+        The filters of the matched rows are corrected as one block, their
+        box, base and histogram written with one scatter, and every other
+        per-track fact with one column operation: everything that can
+        reject the frame runs before the first write, so a rejected frame
+        leaves the engine as it was. Newborn tracks append their rows, the
+        frame's block goes to the log, and the rows of the tracks the sweep
+        ends are dropped, which keeps row i on the i-th live track. A stage
+        with nothing to read is skipped: the correction when nothing
+        matched, the log and the sweep when no row is live, and all but the
+        frame's checks when there is neither a row nor a detection.
         """
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
-        cfg = self.cfg
-        rows = self._rows
-        real, count = rows.real, rows.count
+        cfg, rows = self.cfg, self._rows
+        if not len(rows) and not len(detections):
+            Frame.of(detections, frame_id, cfg.n_bins)  # nothing else to run but its checks
+            self.last_frame = frame_id
+            return FrameReport(frame_id)
         result = match_frame(rows, detections, cfg, frame_id)
         hit, det = result.rows, result.columns
-        # the correction checks its rows before it writes the filter column,
-        # the first write of the frame
-        _, cs = kalman.correct_rows(result.predicted, hit, result.dboxes[det],
-                                    result.boxes[hit], cfg.w, cfg.measurement_noise,
-                                    out=real[:, :_KF])
+        real, count = rows.real, rows.count
         if len(hit):
-            # the matched rows only: a waiting row holds its box and counts
-            real[hit, _BOX] = cs
-            real[hit, _BASE] = _half_diagonals(cs)
-            real[hit, _HIST] = result.dhist[det]
-            count[hit, _F_L] = frame_id
-            count[hit, _N_R] += 1
+            # the correction checks its rows before it writes the filter
+            # column, the first write of the frame
+            _, cs = kalman.correct_rows(result.predicted, hit, result.dboxes.take(det, axis=0),
+                                        result.boxes.take(hit, axis=0), cfg.w,
+                                        cfg.measurement_noise, out=real[:, :_KF])
+            # the matched rows only, one block: a waiting row holds its box and counts
+            real[hit, _MATCHED] = np.concatenate(
+                (cs, _half_diagonals(cs)[:, None], result.dhist.take(det, axis=0)), axis=1)
+            count[:, _F_L][hit] = frame_id  # a column, then its rows: cheaper than [hit, col]
+            count[:, _N_R][hit] += 1
             rows.extend(hit, cs[:, :2], cfg.t4)
+        else:  # every row waits: its filter is the prediction
+            real[:, :_KF] = result.predicted.block
 
         spawn = result.spawn
-        new_ids = np.arange(self._n_born + 1, self._n_born + 1 + len(spawn))
-        if len(spawn):
+        new_ids = list(range(self._n_born + 1, self._n_born + 1 + len(spawn)))
+        if new_ids:
             self._n_born += len(spawn)
-            rows = LiveRows.concat([rows, LiveRows.born(
-                new_ids, result.dboxes[spawn], result.dhist[spawn], frame_id, cfg)])
+            rows = rows.join(LiveRows.born(new_ids, result.dboxes[spawn], result.dhist[spawn],
+                                           frame_id, cfg))
             real, count = rows.real, rows.count
+        terminated, noise = [], []
         if len(count):
             self._log.append((frame_id, count[:, _ID].copy(), real[:, _BOX].copy(),
                               count[:, _F_L] == frame_id))
-
-        terminated, noise = lifecycle.sweep_rows(rows, frame_id, cfg)
-        ended = terminated | noise
-        if ended.any():
-            self._ended.append((frame_id, count[ended], real[ended, _D_MAX], real[ended, _HIST],
-                                [NOISE if n else TERMINATED for n in noise[ended].tolist()]))
-            terminated, noise = count[terminated, _ID].tolist(), count[noise, _ID].tolist()
-            rows = rows.take(~ended)
-        else:
-            terminated, noise = [], []
+            dead, noisy = lifecycle.sweep_rows(rows, frame_id, cfg)
+            ended = dead | noisy
+            if np.count_nonzero(ended):
+                self._ended.append((frame_id, count[ended], real[ended, _D_MAX],
+                                    real[ended, _HIST],
+                                    [NOISE if n else TERMINATED for n in noisy[ended].tolist()]))
+                terminated, noise = count[dead, _ID].tolist(), count[noisy, _ID].tolist()
+                rows = rows.take((~ended).nonzero()[0])
         self._rows = rows
         self.last_frame = frame_id
-        return FrameReport(frame_id, matches=result.pairs, new_tracks=new_ids.tolist(),
+        return FrameReport(frame_id, matches=result.pairs, new_tracks=new_ids,
                            waiting=result.unmatched_tracks, terminated=terminated, noise=noise)
 
     def _read(self) -> None:

@@ -223,15 +223,16 @@ def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) ->
 
 def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
     """{id: {frame: state}} from rows `id frame x y l h` plus, in a
-    trajectory file, an integer status flag; ncols is the row width.
-    Read as one block like load_detections, with the same fallback."""
+    trajectory file, an integer status flag; ncols is the row width; no
+    (id, frame) repeats. Read as one block like load_detections, with the same fallback."""
     block = _read_block(path, np.int64)  # the flag parses as a strict integer
     if block is not None and (len(block) == 0 or block["tail"].shape[1] == ncols - 6):
         try:
             out: dict[int, dict[int, ObjectState]] = {}
             for oid, fid, state in zip(*block["ids"].T.tolist(), ObjectState.rows(block["box"])):
                 out.setdefault(oid, {})[fid] = state
-            return out
+            if sum(map(len, out.values())) == len(block):  # else a row repeats an (id, frame)
+                return out
         except ValueError:
             pass
     return _table_by_line(path, ncols)
@@ -251,7 +252,9 @@ def _table_by_line(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectSt
                 int(cols[6])  # status flag
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from e
-        out.setdefault(oid, {})[fid] = s
+        if fid in out.setdefault(oid, {}):
+            raise ParseError(f"{where}: repeated row for id {oid} in frame {fid}")
+        out[oid][fid] = s
     return out
 
 

@@ -118,9 +118,11 @@ def correct(
 
 def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> KalmanState:
     """Filters for newborn tracks, one row per (x, y, l, h) box row,
-    each as `init_kalman` seeds it."""
-    return KalmanState(position=np.reshape(boxes, (len(boxes), 4)), velocity=0.0,
-                       p=cfg.measurement_noise, c=0.0, v=_velocity_noise(cfg)[0])
+    each as `init_kalman` seeds it: velocity and c at 0."""
+    block = np.zeros((len(boxes), KalmanState.WIDTH))
+    position, _, p, _, v = KalmanState.columns(block)
+    position[:], p[:], v[:] = boxes, cfg.measurement_noise, _velocity_noise(cfg)[0]
+    return KalmanState.of(block)
 
 
 def predict_rows(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, np.ndarray]:
@@ -130,16 +132,16 @@ def predict_rows(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, np.n
     The new rows are computed in place on a copy, each column's formula in
     `predict`'s order, and each before the columns it reads change.
     """
-    new = KalmanState.of(ks.block.copy())
-    position, p, c, v = new.position, new.p, new.c, new.v
-    position += new.velocity
+    block = ks.block.copy()
+    position, velocity, p, c, v = KalmanState.columns(block)
+    position += velocity
     p += 2.0 * c
     p += v
     p += cfg.process_noise_pos
     c += v
     v += _velocity_noise(cfg)[1]
-    _require_finite(new.block, "filter prediction produced non-finite values")
-    return new, _floored(position)
+    _require_finite(block, "filter prediction produced non-finite values")
+    return KalmanState.of(block), _floored(position)
 
 
 def correct_rows(
@@ -163,9 +165,8 @@ def correct_rows(
     # the matched rows and their blended boxes side by side, so that one
     # check covers both; each row is updated in place, as predict_rows does
     work = np.empty((len(matched), KalmanState.WIDTH + 4))
-    new = KalmanState.of(work[:, :KalmanState.WIDTH])
-    new.block[:] = ks.block[matched]
-    position, velocity, p, c, v = new.position, new.velocity, new.p, new.c, new.v
+    new = ks.block.take(matched, axis=0, out=work[:, :KalmanState.WIDTH])
+    position, velocity, p, c, v = KalmanState.columns(new)
     innovation = measured - position
     s = p + measurement_noise
     keep = measurement_noise / s  # 1 - position gain
@@ -181,6 +182,6 @@ def correct_rows(
 
     out = np.empty_like(ks.block) if out is None else out
     out[:] = ks.block
-    out[matched] = new.block
+    out[matched] = new
     return KalmanState.of(out), _floored(blended)
 

@@ -37,19 +37,19 @@ def score_matrix(tboxes, treach, thist, dboxes, dhist, weights) -> np.ndarray:
     w1, w2, w3, w4 = weights
     tx, ty, tl, th = tboxes.T
     dx, dy, dl, dh = dboxes.T
-    d = np.hypot(tx[:, None] - dx[None, :], ty[:, None] - dy[None, :])
+    d = np.hypot(tx[:, None] - dx, ty[:, None] - dy)
     ls1 = 1.0 - d / treach[:, None]
-    i, j = np.nonzero(ls1 > 0.0)
+    i, j = (ls1 > 0.0).nonzero()
     # area and aspect once per box, then gathered for the gated pairs
-    tarea, tratio = (tl * th)[i], (tl / th)[i]
-    darea, dratio = (dl * dh)[j], (dl / dh)[j]
+    tarea, tratio = (tl * th).take(i), (tl / th).take(i)
+    darea, dratio = (dl * dh).take(j), (dl / dh).take(j)
     ls2 = np.minimum(tarea, darea) / np.maximum(tarea, darea)
     ls3 = np.minimum(tratio, dratio) / np.maximum(tratio, dratio)
-    ti, dj = thist[i], dhist[j]
+    ti, dj = thist.take(i, axis=0), dhist.take(j, axis=0)
     hi = np.maximum(ti, dj)
     # a bin empty in both histograms agrees fully
     rate = np.divide(np.minimum(ti, dj), hi, out=np.ones_like(hi), where=hi > 0.0)
-    ls4 = rate.mean(axis=1)
+    ls4 = rate.sum(axis=1) / hi.shape[1]  # the mean, bit for bit
     out[i, j] = (w1 * ls1[i, j] + w2 * ls2 + w3 * ls3 + w4 * ls4) / (w1 + w2 + w3 + w4)
     return out
 
@@ -62,7 +62,7 @@ def greedy_pairs(mat: np.ndarray, row_ids, col_ids, threshold: float) -> list[tu
     position; an entry is accepted when neither its row nor its column is
     taken yet. Returns the pairs in acceptance order.
     """
-    i, j = np.nonzero(mat >= threshold)
+    i, j = (mat >= threshold).nonzero()
     order = np.lexsort((np.asarray(col_ids)[j], np.asarray(row_ids)[i], -mat[i, j]))
     taken_r: set[int] = set()
     taken_c: set[int] = set()

@@ -77,10 +77,11 @@ def sweep_rows(rows, f_c: int, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarr
     f_c - birth + 1 and it waited the span's frames that did not match it;
     it waits now when f_l < f_c, which an overdue track does.
     """
+    n_r = rows.n_r
     span = f_c + 1 - rows.birth
     judged = span >= cfg.t3
-    noisy = judged & ((rows.d_max < cfg.t4) | ((span - rows.n_r) / span >= cfg.t5))
-    overdue = rows.f_l + np.minimum(rows.n_r, cfg.t2) < f_c
+    noisy = judged & ((rows.d_max < cfg.t4) | ((span - n_r) / span >= cfg.t5))
+    overdue = rows.f_l + np.minimum(n_r, cfg.t2) < f_c
     # an overdue track too young to judge is short-lived noise
     noise = noisy | (overdue & ~judged)
     return overdue & ~noise, noise

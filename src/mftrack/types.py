@@ -209,20 +209,18 @@ class Frame:
         """`detections` as a frame of id `frame_id` (when None, the first
         detection's, or 0 for none), after rejecting a detection that
         carries another frame id, repeats a detection id or holds a
-        histogram of other than n_bins bins. A frame with detections is
-        checked the same way and returned as it is."""
+        histogram of other than n_bins bins. A frame is checked the same
+        way, an empty one for its frame id too, and returned as it is."""
         if isinstance(detections, Frame):
             frame = detections
-            if len(frame):
-                first = frame.ids[0]
-                if frame_id is not None and frame.frame_id != frame_id:
-                    raise InputError(f"detection {first} carries frame {frame.frame_id}, "
-                                     f"expected {frame_id}")
-                if frame.n_bins != n_bins:
-                    raise HistogramShapeError(f"detection {first} in frame {frame.frame_id} has "
-                                              f"{frame.n_bins} histogram bins, expected {n_bins}")
-                return frame
-            detections, frame_id = [], frame.frame_id if frame_id is None else frame_id
+            if frame_id is not None and frame.frame_id != frame_id:
+                raise InputError(f"detection {frame.ids[0]} carries frame {frame.frame_id}, "
+                                 f"expected {frame_id}" if len(frame) else
+                                 f"empty frame {frame.frame_id} stepped as frame {frame_id}")
+            if len(frame) and frame.n_bins != n_bins:
+                raise HistogramShapeError(f"detection {frame.ids[0]} in frame {frame.frame_id} "
+                                          f"has {frame.n_bins} histogram bins, expected {n_bins}")
+            return frame
         if frame_id is None:
             frame_id = detections[0].frame_id if detections else 0
         if frame_id < 0:
@@ -372,6 +370,11 @@ class KalmanState:
         ks = object.__new__(cls)
         ks.block = block
         return ks
+
+    @staticmethod
+    def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of the five fields of an (n, 11) block, without a property call each."""
+        return block[:, :4], block[:, 4:8], block[:, 8], block[:, 9], block[:, 10]
 
     position = column_view("block", slice(0, 4))
     velocity = column_view("block", slice(4, 8))

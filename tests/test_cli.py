@@ -160,6 +160,53 @@ def test_bad_ground_truth_exit_code(sim_files, capsys, gt_text):
     assert str(gt) in capsys.readouterr().err
 
 
+_REPEATED_GT = "0 0 10 10 5 5\n0 0 90 90 5 5\n"  # object 0 twice at frame 0
+
+
+# a non-ASCII comment sends the file to the line parser
+@pytest.mark.parametrize("comment", ["", "# café\n"], ids=["block", "lines"])
+def test_repeated_ground_truth_row_exit_code(sim_files, capsys, comment):
+    """A ground-truth file that repeats an (id, frame) row is rejected by
+    `track --ground-truth` and by `evaluate` with exit 2 naming its line,
+    and neither writes an output file."""
+    tmp_path, det_path, _ = sim_files
+    gt = tmp_path / "dup.gt.txt"
+    gt.write_text(comment + _REPEATED_GT, encoding="utf-8")
+    line = 2 + comment.count("\n")  # of the repeated row
+    where = f"{gt}:{line}: repeated row for id 0 in frame 0"
+    out, report = tmp_path / "o.txt", tmp_path / "r.json"
+    rc = main(["track", "--detections", det_path, "--out", str(out),
+               "--ground-truth", str(gt), "--report", str(report)])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+    trk = tmp_path / "one.trk.txt"
+    trk.write_text("1 0 10 10 5 5 1\n")
+    rc = main(["evaluate", "--trajectories", str(trk), "--ground-truth", str(gt),
+               "--out", str(report)])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("comment", ["", "# café\n"], ids=["block", "lines"])
+def test_repeated_trajectory_row_exit_code(tmp_path, capsys, comment):
+    """`evaluate` rejects a trajectory file that repeats an (id, frame)
+    row with exit 2 naming its line, and writes no report."""
+    gt, trk, report = tmp_path / "gt.txt", tmp_path / "trk.txt", tmp_path / "r.json"
+    gt.write_text("0 0 10 10 5 5\n")
+    trk.write_text(comment + "1 0 10 10 5 5 1\n1 0 90 90 5 5 1\n", encoding="utf-8")
+    rc = main(["evaluate", "--trajectories", str(trk), "--ground-truth", str(gt),
+               "--out", str(report)])
+    assert rc == 2
+    line = 2 + comment.count("\n")  # of the repeated row
+    assert f"{trk}:{line}: repeated row for id 1 in frame 0" in capsys.readouterr().err
+    assert not report.exists()
+    trk.write_text("1 0 10 10 5 5 1\n")
+    assert main(["evaluate", "--trajectories", str(trk), "--ground-truth", str(gt),
+                 "--out", str(report)]) == 0
+
+
 def test_bench_one_frame(capsys):
     assert main(["bench", "--frames", "1"]) == 0
     assert "over 1 frames" in capsys.readouterr().out

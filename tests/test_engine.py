@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_histogram, live_rows, make_detection, make_track, peaked_histogram
 from mftrack import bench, kalman, kernels, lifecycle, scenario
-from mftrack.engine import TrackingEngine, match_frame
+from mftrack.engine import FrameReport, TrackingEngine, match_frame
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
 from mftrack.types import ACTIVE, WAITING, Frame, ObjectState, Track, TrackerConfig, diagonal_half
@@ -614,3 +614,81 @@ def test_rejected_frame_leaves_engine_unchanged(frames, rejection, data):
     assert _engine_state(eng) == before
     assert eng.step(n, _frame(valid, n)) == ref.step(n, valid)
     assert _engine_state(eng) == _engine_state(ref)
+
+
+def _emptied_engine():
+    """An engine whose one track has ended, so it holds history and no live row."""
+    eng = TrackingEngine()
+    eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+    f = 1
+    while len(eng._rows):
+        eng.step(f, [])
+        f += 1
+    return eng
+
+
+@pytest.mark.parametrize("form", ["list", "frame"])
+@pytest.mark.parametrize("history", [False, True])
+def test_empty_frame_on_engine_without_rows_runs_no_stage(monkeypatch, form, history):
+    """With no live row, an empty frame, as a list or as a Frame, is
+    neither predicted, scored, assigned, corrected nor swept: it returns an
+    empty report and changes nothing but the last frame id."""
+    eng = _emptied_engine() if history else TrackingEngine()
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a frame stage ran on an empty frame without rows")
+
+    for module, name in [(kalman, "predict_rows"), (kalman, "correct_rows"),
+                         (kernels, "score_matrix"), (kernels, "greedy_pairs"),
+                         (lifecycle, "sweep_rows")]:
+        monkeypatch.setattr(module, name, stage)
+    before = _engine_state(eng)
+    f = 0 if eng.last_frame is None else eng.last_frame + 3
+    assert eng.step(f, [] if form == "list" else _frame([], f)) == FrameReport(f)
+    after = _engine_state(eng)
+    assert after[0] == f
+    assert after[1:] == before[1:]
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_empty_frame_under_another_frame_id_rejected(live):
+    """An empty Frame stepped or matched under another frame id is an
+    InputError naming both ids, as a Frame with detections is, with or
+    without live rows, and leaves the engine as it was; an empty list takes
+    the step's frame id."""
+    eng = TrackingEngine()
+    if live:
+        eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+    before = _engine_state(eng)
+    for call in (lambda: eng.step(7, _frame([], 5)),
+                 lambda: match_frame(eng._rows, _frame([], 5), eng.cfg, frame_id=7)):
+        with pytest.raises(InputError, match="^empty frame 5 stepped as frame 7$"):
+            call()
+        assert _engine_state(eng) == before
+    assert eng.step(7, []).frame_id == 7
+    assert eng.step(8, _frame([], 8)).frame_id == eng.last_frame == 8
+
+
+@pytest.mark.parametrize("cfg", [
+    TrackerConfig(),
+    TrackerConfig(t2=3, t3=4, t4=1.0, motion_model="static"),
+    TrackerConfig(t2=2, t3=3, assignment_policy="per_track"),
+], ids=["default", "short_static", "per_track_judged_early"])
+def test_live_set_empties_and_refills_as_scalar_replay(cfg):
+    """A stream whose live set empties, over a run of empty frames longer
+    than t2, and then refills: frames with rows and no detections, with
+    neither, and with detections and no rows all agree with the scalar
+    replay, rows included, on every frame."""
+    eng, replay = TrackingEngine(cfg), _ScalarReplay(cfg)
+    gap = [False] * (cfg.t2 + 25)
+    schedule = [True] * 8 + gap + [True] * 6 + gap + [True] * 3
+    kinds = set()
+    for f, on in enumerate(schedule):
+        dets = [make_detection(f, j, 40.0 + 2.0 * f + 100 * j, 50.0 + f)
+                for j in range(2)] if on else []
+        kinds.add((len(eng._rows) > 0, on))
+        report = eng.step(f, _frame(dets, f) if f % 2 else dets)
+        replay.follow(eng, dets, report)
+        replay.check_rows(eng)
+    # every pairing of (live rows, detections) occurred
+    assert kinds == {(True, True), (True, False), (False, False), (False, True)}

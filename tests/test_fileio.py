@@ -254,6 +254,23 @@ def test_table_reader_matches_line_parser(tmp_path, ncols, text):
     assert outcome(fileio._load_table) == outcome(fileio._table_by_line)
 
 
+@pytest.mark.parametrize("load,rows", [
+    (fileio.load_ground_truth, ["0 0 10 10 5 5", "1 0 50 50 5 5", "0 0 90 90 5 5"]),
+    (fileio.load_trajectories, ["4 2 10 10 5 5 1", "4 3 11 10 5 5 0", "4 2 90 90 5 5 1"]),
+])
+@pytest.mark.parametrize("reader", ["block", "lines"])
+def test_repeated_id_and_frame_rejected(tmp_path, load, rows, reader):
+    """A row that repeats an (id, frame) pair is a ParseError naming its
+    line, whether the file parses as one block or line by line (a
+    non-ASCII comment sends it to the line parser)."""
+    path = tmp_path / "t.txt"
+    path.write_text(("# café\n" if reader == "lines" else "# header\n") + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    oid, fid = rows[2].split()[:2]
+    with pytest.raises(ParseError, match=f"^{path}:4: repeated row for id {oid} in frame {fid}$"):
+        load(path)
+
+
 @pytest.mark.parametrize("spec", [
     # the benchmark workloads at seed 7: clutter_long and crowd
     pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
