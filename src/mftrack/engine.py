@@ -3,7 +3,7 @@
 A frame enters as a `Frame`, the detections' ids, boxes and histograms as
 arrays; a list of `Detection`s is turned into one by `Frame.of` first.
 The engine keeps the live tracks as one column store (`LiveRows`, a row
-per live track in id order) and the history as an append-only log of
+per live track in id order) and the history not yet read as a log of
 one block per frame. `match_frame` reads a frame: it validates it,
 predicts the filter rows, scores the pairs and resolves the assignment,
 changing nothing. `TrackingEngine.step` then writes it, one column
@@ -14,7 +14,9 @@ the store and the log only when they are read.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -179,7 +181,7 @@ def match_frame(
     tracks: LiveRows,
     detections: Frame | list[Detection],
     cfg: TrackerConfig,
-    frame_id: int | None = None,
+    frame_id: int,
 ) -> MatchResult:
     """Validate the frame (`Frame.of`), predict the filter rows, score the
     (track, detection) pairs and resolve the assignment, changing nothing.
@@ -235,26 +237,27 @@ class TrackingEngine:
     """Stateful frame-by-frame tracker over a detection stream.
 
     `_rows` holds the live tracks as columns, in id order. `_log` holds one
-    block per processed frame, (frame, ids, boxes, matched): the live rows'
-    ids and boxes at that frame (corrected, or held while waiting) and
-    whether the frame matched them, spawns included; a track ended by the
-    sweep still has its block at its end frame. `step` touches no `Track`.
+    block per frame processed since the tracks were last read, (frame,
+    ids, boxes, matched): the live rows' ids and boxes at that frame
+    (corrected, or held while waiting) and whether the frame matched them,
+    spawns included; a track ended by the sweep still has its block at its
+    end frame. `step` touches no `Track`.
 
     `tracks` holds every track ever created, in id order. Reading it, or
-    any method that lists tracks, first folds the log blocks not yet read
-    into the tracks' states and copies the counters from the store; the
-    rows the sweep dropped wait in `_ended` until then. Ids only grow.
+    any method that lists tracks, first folds the log blocks into the
+    tracks' states, which then hold the history alone, and copies the
+    counters from the store; the rows the sweep dropped wait in `_ended`
+    until then. Ids only grow.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = (cfg or TrackerConfig()).validate()
         self._rows = LiveRows.born(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
                                    np.zeros((0, self.cfg.n_bins)), 0, self.cfg)
-        self._log: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._log: deque[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque()
         # (frame, count, d_max, hist, statuses) of the rows each sweep ended
         self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[str]]] = []
         self._tracks: dict[int, Track] = {}
-        self._n_read = 0  # log blocks folded into _tracks
         self._n_born = 0
         self.last_frame: int | None = None
 
@@ -299,19 +302,17 @@ class TrackingEngine:
         hit, det = result.rows, result.columns
         real, count = rows.real, rows.count
         if len(hit):
-            # the correction checks its rows before it writes the filter
-            # column, the first write of the frame
-            _, cs = kalman.correct_rows(result.predicted, hit, result.dboxes.take(det, axis=0),
-                                        result.boxes.take(hit, axis=0), cfg.w,
-                                        cfg.measurement_noise, out=real[:, :_KF])
+            # the correction checks its rows before the first write of the frame
+            cs = kalman.correct_rows(result.predicted, hit, result.dboxes.take(det, axis=0),
+                                     result.boxes.take(hit, axis=0), cfg.w, cfg.measurement_noise)
             # the matched rows only, one block: a waiting row holds its box and counts
             real[hit, _MATCHED] = np.concatenate(
                 (cs, _half_diagonals(cs)[:, None], result.dhist.take(det, axis=0)), axis=1)
             count[:, _F_L][hit] = frame_id  # a column, then its rows: cheaper than [hit, col]
             count[:, _N_R][hit] += 1
             rows.extend(hit, cs[:, :2], cfg.t4)
-        else:  # every row waits: its filter is the prediction
-            real[:, :_KF] = result.predicted.block
+        # the matched rows corrected in place, a waiting row's its prediction
+        real[:, :_KF] = result.predicted.block
 
         spawn = result.spawn
         new_ids = list(range(self._n_born + 1, self._n_born + 1 + len(spawn)))
@@ -338,15 +339,15 @@ class TrackingEngine:
                            waiting=result.unmatched_tracks, terminated=terminated, noise=noise)
 
     def _read(self) -> None:
-        """Bring `_tracks` up to the last step: fold the unread log blocks
-        into the states, then copy the counters of the ended rows and of
-        the live rows."""
-        if self._n_read == len(self._log):
+        """Bring `_tracks` up to the last step: fold the log blocks into
+        the states, dropping each chunk of blocks once it is folded, then
+        copy the counters of the ended rows and of the live rows."""
+        log, tracks = self._log, self._tracks
+        if not log:
             return
-        tracks = self._tracks
         # a chunk of blocks at a time, which bounds the memory the read takes
-        for start in range(self._n_read, len(self._log), _READ_CHUNK):
-            blocks = self._log[start:start + _READ_CHUNK]
+        while log:
+            blocks = list(islice(log, _READ_CHUNK))
             # each frame's int as step was given it, not a copy per row
             frames = [f for f, ids, _, _ in blocks for _ in range(len(ids))]
             ids, boxes, matched = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
@@ -360,7 +361,8 @@ class TrackingEngine:
                     t.matched_frames.add(f)
                 else:
                     t.states[f] = t.last_cs
-        self._n_read = len(self._log)
+            for _ in blocks:
+                log.popleft()
         for ended in self._ended:
             self._fill(*ended)
         self._ended.clear()

@@ -29,13 +29,12 @@ from .metrics import EvalReport, GroundTruthObject
 from .types import (
     MAX_RAW_BINS,
     ColorHistogram,
-    Detection,
     Frame,
     ObjectState,
     Track,
     TrackerConfig,
-    check_boxes,
     check_counts,
+    check_rows,
 )
 
 
@@ -133,15 +132,14 @@ def load_detections(path: str | Path, n_bins: int) -> dict[int, Frame]:
     if block is not None:
         try:
             return _frames_from_block(block, n_bins)
-        except (ValueError, ConfigError):
+        except (ValueError, ConfigError, InputError):
             pass
     return _detections_by_line(path, n_bins)
 
 
 def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
-    """_detections_by_line's result for a parsed block; each of its per-row
-    checks runs once over the block (ValueError on any failure), and each
-    frame is a view of its rows."""
+    """_detections_by_line's result for a parsed block, whose rows are
+    checked once, by `check_rows`; each frame is a view of its rows."""
     if not len(block):
         return {}
     ids, boxes, counts = block["ids"], block["box"], block["tail"]
@@ -153,8 +151,6 @@ def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
         # frame, file order within a frame, with one stable argsort
         _, first, inverse = np.unique(frame_ids, return_index=True, return_inverse=True)
         return _frames_from_block(block[np.argsort(first[inverse], kind="stable")], n_bins)
-    if _repeats_a_pair(ids):
-        raise ValueError("duplicate (frame_id, detection_id)")
     if counts.shape[1] == 0:
         counts = np.zeros((len(block), n_bins))
     elif counts.shape[1] != n_bins:
@@ -163,30 +159,18 @@ def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
         # raw counts are checked before they are summed into bins
         check_counts(counts)
         counts = _rebin(counts, n_bins)
-    if (frame_ids < 0).any():
-        raise ValueError("frame_id must be non-negative")
-    check_boxes(boxes)
-    check_counts(counts)
+    check_rows(frame_ids, ids[:, 1], boxes, counts)
     bounds = [*heads.tolist(), len(block)]
     return {f: Frame.view(f, ids[a:b, 1], boxes[a:b], counts[a:b])
             for f, a, b in zip(frame_ids[heads].tolist(), bounds, bounds[1:])}
 
 
-def _repeats_a_pair(ids: np.ndarray) -> bool:
-    """True when a row of the (n, 2) ids array occurs twice."""
-    f, d = ids[:, 0], ids[:, 1]
-    # write_detections lists the pairs in rising order, which proves them
-    # distinct without np.unique's sort, whose scratch arrays stay in the
-    # process's heap and raise peak RSS
-    rising = (f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (d[1:] > d[:-1]))
-    return not rising.all() and len(np.unique(ids, axis=0)) < len(ids)
-
-
 def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
     """load_detections one line at a time: the error path, and the
-    reference the block path is tested against."""
-    out: dict[int, list[Detection]] = {}
-    seen: set[tuple[int, int]] = set()  # (frame_id, detection_id)
+    reference the block path is tested against. Each row is checked on
+    its own line by `check_rows`, a repeated (frame_id, detection_id)
+    pair by the line that repeats it."""
+    out: dict[int, dict[int, np.ndarray]] = {}  # frame_id -> detection_id -> box and counts
     for where, line in _lines(path):
         cols = line.split()
         if len(cols) < 6:
@@ -194,23 +178,26 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
         try:
             fid = int(cols[0])
             did = int(cols[1])
-            x, y, l, h = (float(c) for c in cols[2:6])
-            counts = np.array([float(c) for c in cols[6:]])
-            if counts.size not in (0, n_bins, MAX_RAW_BINS):
-                raise HistogramShapeError(
-                    f"{where}: histogram has {counts.size} bins, expected {n_bins} or {MAX_RAW_BINS}")
-            # a raw row's counts are checked before they are summed into bins
-            hist = ColorHistogram(counts if counts.size else np.zeros(n_bins))
-            if hist.n != n_bins:
-                hist = rebin(hist.bins, n_bins)
-            det = Detection(fid, did, ObjectState(x, y, l, h), hist)
+            box = np.array([[float(c) for c in cols[2:6]]])
+            counts = np.array([[float(c) for c in cols[6:]]])
+            if counts.shape[1] not in (0, n_bins, MAX_RAW_BINS):
+                raise HistogramShapeError(f"{where}: histogram has {counts.shape[1]} bins, "
+                                          f"expected {n_bins} or {MAX_RAW_BINS}")
+            if counts.shape[1] == 0:
+                counts = np.zeros((1, n_bins))
+            elif counts.shape[1] != n_bins:
+                # a raw row's counts are checked before they are summed into bins
+                check_counts(counts)
+                counts = _rebin(counts, n_bins)
+            check_rows(fid, np.array([did]), box, counts)
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from e
-        if (fid, did) in seen:
+        rows = out.setdefault(fid, {})
+        if did in rows:
             raise ParseError(f"{where}: duplicate detection_id {did} in frame {fid}")
-        seen.add((fid, did))
-        out.setdefault(fid, []).append(det)
-    return {fid: Frame.of(dets, fid, n_bins) for fid, dets in out.items()}
+        rows[did] = np.hstack((box, counts))
+    return {fid: Frame(fid, list(rows), *np.hsplit(np.concatenate(list(rows.values())), [4]))
+            for fid, rows in out.items()}
 
 
 def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) -> None:

@@ -151,16 +151,15 @@ def correct_rows(
     estimated: np.ndarray,
     w: float,
     measurement_noise: float = TrackerConfig.measurement_noise,
-    out: np.ndarray | None = None,
-) -> tuple[KalmanState, np.ndarray]:
-    """`correct` with a measurement on the rows `matched` of ks.
+) -> np.ndarray:
+    """`correct` with a measurement on the rows `matched` of ks, in place.
 
-    measured and estimated hold one box row per index in `matched`. Returns
-    the rows of ks with those rows updated (the others keep their predicted
-    values, as `correct` without a measurement does), written into `out`
-    (default a new block) only once the updated rows and the corrected box
-    rows of `matched` are all finite, and those box rows, l and h floored
-    at _MIN_EXTENT. ks itself is left as it is.
+    measured and estimated hold one box row per index in `matched`. Those
+    rows of ks are updated only once the updated rows and their corrected
+    box rows are all finite, so a call that raises leaves ks as it was;
+    the other rows keep their predicted values, as `correct` without a
+    measurement does. Returns the corrected box rows, l and h floored at
+    _MIN_EXTENT.
     """
     # the matched rows and their blended boxes side by side, so that one
     # check covers both; each row is updated in place, as predict_rows does
@@ -179,9 +178,5 @@ def correct_rows(
     np.multiply(w, measured, out=blended)
     blended += (1.0 - w) * estimated
     _require_finite(work, "filter update produced non-finite values")
-
-    out = np.empty_like(ks.block) if out is None else out
-    out[:] = ks.block
-    out[matched] = new
-    return KalmanState.of(out), _floored(blended)
-
+    ks.block[matched] = new
+    return _floored(blended)

@@ -21,19 +21,29 @@ def track_stream(
     """Run the engine over a full stream; returns (engine, tracking fps).
 
     Each frame is a `Frame`, as `fileio.load_detections` and
-    `scenario.generate` give them. Frame-id gaps in the input are
-    processed as empty frames.
+    `scenario.generate` give them; frames are stepped in id order. After
+    an input frame, the frame ids up to the next input frame are stepped
+    as empty frames while a track is live; once none is, the rest of the
+    gap is skipped, since an empty frame without a live track would change
+    nothing but the engine's last frame id. So the time taken follows the
+    frames that hold detections or live tracks, not the span of frame
+    ids. fps counts the frames stepped.
     """
     engine = TrackingEngine(cfg)
     if not detections_by_frame:
         return engine, 0.0
-    lo, hi = min(detections_by_frame), max(detections_by_frame)
+    frames = sorted(detections_by_frame)
+    live = stepped = 0
     t0 = time.perf_counter()
-    for fid in range(lo, hi + 1):
-        engine.step(fid, detections_by_frame.get(fid, []))
+    for fid, end in zip(frames, frames[1:] + [frames[-1] + 1]):
+        for f in range(fid, end):
+            if f > fid and not live:
+                break
+            report = engine.step(f, detections_by_frame[fid] if f == fid else [])
+            live += len(report.new_tracks) - len(report.terminated) - len(report.noise)
+            stepped += 1
     elapsed = time.perf_counter() - t0
-    fps = metrics.throughput(hi - lo + 1, elapsed)
-    return engine, fps
+    return engine, metrics.throughput(stepped, elapsed)
 
 
 def run_pipeline(

@@ -94,6 +94,34 @@ def check_counts(arr: np.ndarray) -> None:
         raise ValueError("histogram counts must be finite and non-negative")
 
 
+def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
+               hist: np.ndarray) -> None:
+    """The rules of a frame's rows, checked once over all of them as
+    arrays: every frame id >= 0, no (frame id, detection id) pair twice,
+    every box finite with l, h > 0 and every count finite and non-negative
+    (`check_boxes`, `check_counts`). frame_ids holds one frame id per row,
+    or one for all rows. A repeated pair is an InputError naming the first
+    repeat in row order; every other fault is a ValueError. Rows of no
+    frame are checked for the frame id only."""
+    if (frame_ids < 0).any() if isinstance(frame_ids, np.ndarray) else frame_ids < 0:
+        raise ValueError("frame_id must be non-negative")
+    if not len(ids):
+        return
+    f = np.broadcast_to(frame_ids, ids.shape)
+    # write_detections writes the pairs in rising order, which proves them
+    # distinct without a sort, whose scratch arrays stay in the process's
+    # heap and raise peak RSS
+    if not ((f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (ids[1:] > ids[:-1]))).all():
+        order = np.lexsort((ids, f))  # stable: a pair's rows stay in row order
+        # in that order, a pair equal to its predecessor comes later in the rows
+        later = order[1:][(f[order[1:]] == f[order[:-1]]) & (ids[order[1:]] == ids[order[:-1]])]
+        if len(later):
+            first = later.min()
+            raise InputError(f"duplicate detection_id {ids[first]} in frame {f[first]}")
+    check_boxes(boxes)
+    check_counts(hist)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class ColorHistogram:
     """Binned color histogram (pixel counts), already rebinned to n bins."""
@@ -162,9 +190,8 @@ class Frame:
     ids (m,) int64, boxes (m, 4) rows (x, y, l, h) and hist (m, n_bins)
     counts, all three read-only.
 
-    The constructor copies the rows and checks them once, as arrays: a
-    frame id >= 0, unique ids, finite boxes with l, h > 0, and finite,
-    non-negative counts. `of` builds a frame from `Detection`s, and
+    The constructor copies the rows and checks them once, as arrays, by
+    `check_rows`. `of` builds a frame from `Detection`s, and
     iterating a frame builds them back, so code written for lists of
     detections reads a frame too.
     """
@@ -180,13 +207,7 @@ class Frame:
         hist = np.array(self.hist, dtype=np.float64)
         if hist.ndim != 2 or len(hist) != len(ids):
             raise ValueError(f"histogram block of shape {hist.shape} for {len(ids)} detections")
-        if self.frame_id < 0:
-            raise ValueError("frame_id must be non-negative")
-        repeat = _first_repeat(ids)
-        if repeat is not None:
-            raise InputError(f"duplicate detection_id {repeat} in frame {self.frame_id}")
-        check_boxes(boxes)
-        check_counts(hist)
+        check_rows(self.frame_id, ids, boxes, hist)
         Frame._fill(self, self.frame_id, ids, boxes, hist)
 
     @classmethod
@@ -204,16 +225,15 @@ class Frame:
         return frame
 
     @classmethod
-    def of(cls, detections: "Frame | list[Detection]", frame_id: int | None,
-           n_bins: int) -> "Frame":
-        """`detections` as a frame of id `frame_id` (when None, the first
-        detection's, or 0 for none), after rejecting a detection that
-        carries another frame id, repeats a detection id or holds a
-        histogram of other than n_bins bins. A frame is checked the same
-        way, an empty one for its frame id too, and returned as it is."""
+    def of(cls, detections: "Frame | list[Detection]", frame_id: int, n_bins: int) -> "Frame":
+        """`detections` as a frame of id `frame_id`. A frame is returned as
+        it is once its frame id and, if it has rows, its bin count match.
+        A list is checked detection by detection for its frame id, then its
+        bin count, before its rows go through the constructor's
+        `check_rows`: of two faults, these are named before a repeated id."""
         if isinstance(detections, Frame):
             frame = detections
-            if frame_id is not None and frame.frame_id != frame_id:
+            if frame.frame_id != frame_id:
                 raise InputError(f"detection {frame.ids[0]} carries frame {frame.frame_id}, "
                                  f"expected {frame_id}" if len(frame) else
                                  f"empty frame {frame.frame_id} stepped as frame {frame_id}")
@@ -221,27 +241,17 @@ class Frame:
                 raise HistogramShapeError(f"detection {frame.ids[0]} in frame {frame.frame_id} "
                                           f"has {frame.n_bins} histogram bins, expected {n_bins}")
             return frame
-        if frame_id is None:
-            frame_id = detections[0].frame_id if detections else 0
-        if frame_id < 0:
-            raise ValueError("frame_id must be non-negative")
-        seen_ids = set()
         for d in detections:
             if d.frame_id != frame_id:
                 raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
                                  f"expected {frame_id}")
-            if d.detection_id in seen_ids:
-                raise InputError(f"duplicate detection_id {d.detection_id} in frame {frame_id}")
             if d.histogram.n != n_bins:
                 raise HistogramShapeError(f"detection {d.detection_id} in frame {frame_id} has "
                                           f"{d.histogram.n} histogram bins, expected {n_bins}")
-            seen_ids.add(d.detection_id)
         m = len(detections)
-        # the states and histograms were checked when they were made
-        return cls.view(frame_id, np.fromiter((d.detection_id for d in detections), np.int64, m),
-                        np.array([(d.state.x, d.state.y, d.state.l, d.state.h)
-                                  for d in detections]).reshape(m, 4),
-                        np.array([d.histogram.bins for d in detections]).reshape(m, n_bins))
+        return cls(frame_id, [d.detection_id for d in detections],
+                   [(d.state.x, d.state.y, d.state.l, d.state.h) for d in detections],
+                   np.array([d.histogram.bins for d in detections]).reshape(m, n_bins))
 
     @property
     def n_bins(self) -> int:
@@ -259,14 +269,6 @@ class Frame:
     def __getitem__(self, i: int) -> Detection:
         """Detection i; it builds them all, so iterate to read many."""
         return list(self)[i]
-
-
-def _first_repeat(ids: np.ndarray) -> int | None:
-    """The first id, in order, that repeats an earlier one, or None."""
-    order = np.argsort(ids, kind="stable")
-    # in the stable order, an id equal to its predecessor comes later in ids
-    later = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    return int(ids[later.min()]) if len(later) else None
 
 
 @dataclass(frozen=True)

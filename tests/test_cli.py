@@ -4,8 +4,10 @@ import pytest
 
 from mftrack import fileio
 from mftrack.cli import main
+from mftrack.engine import TrackingEngine
 from mftrack.pipeline import track_stream
-from mftrack.scenario import lanes_scenario, spec_to_json
+from mftrack.scenario import bench_scenario, generate, lanes_scenario, spec_to_json
+from mftrack.types import TrackerConfig
 
 
 @pytest.fixture
@@ -76,6 +78,52 @@ def test_track_matches_line_parsed_stream(sim_files, config):
     engine, _ = track_stream(fileio._detections_by_line(det_path, cfg.n_bins), cfg)
     fileio.write_trajectories(ref, engine.valid_tracks())
     assert out.read_bytes() == ref.read_bytes()
+
+
+def _counted_steps(monkeypatch, limit):
+    """Calls to TrackingEngine.step, failing the test past `limit`."""
+    calls = []
+    step = TrackingEngine.step
+
+    def counted(self, frame_id, detections):
+        calls.append(frame_id)
+        assert len(calls) <= limit, "stepped a gap without a live track"
+        return step(self, frame_id, detections)
+
+    monkeypatch.setattr(TrackingEngine, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", [TrackerConfig(), TrackerConfig(t2=3, motion_model="static")])
+def test_track_stream_skips_gaps_without_live_tracks(tmp_path, monkeypatch, config):
+    """A stream with frames removed, some while tracks are live and some
+    for longer than a track waits: track_stream writes the trajectories of
+    stepping every frame, and steps no frame of a gap once no track is
+    live."""
+    stream = generate(bench_scenario(frames=300, seed=5)).detections_by_frame
+    gaps = [range(40, 45), range(100, 200), range(250, 251)]
+    stream = {f: fr for f, fr in stream.items() if not any(f in gap for gap in gaps)}
+    every = TrackingEngine(config)
+    for f in range(min(stream), max(stream) + 1):
+        every.step(f, stream.get(f, []))
+    steps = _counted_steps(monkeypatch, 300)
+    engine, fps = track_stream(stream, config)
+    assert fps > 0 and max(steps) == 299
+    assert len(steps) < 300 - config.t2 and set(range(100 + config.t2 + 2, 200)).isdisjoint(steps)
+    want, got = tmp_path / "every.txt", tmp_path / "skipped.txt"
+    fileio.write_trajectories(want, every.valid_tracks())
+    fileio.write_trajectories(got, engine.valid_tracks())
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_track_far_apart_frames(tmp_path, monkeypatch):
+    """`mftrack track` on two frames 10**12 apart steps the first, the
+    frames its track waits and the last, not the span between them."""
+    det = tmp_path / "far.det.txt"
+    det.write_text(f"0 0 10 10 5 5\n{10**12} 0 10 10 5 5\n")
+    steps = _counted_steps(monkeypatch, 100)
+    assert main(["track", "--detections", str(det), "--out", str(tmp_path / "far.trk.txt")]) == 0
+    assert steps[0] == 0 and steps[-1] == 10**12
 
 
 def test_invalid_config_exit_code(sim_files, tmp_path):

@@ -97,7 +97,7 @@ class TestMatchFrame:
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
         with pytest.raises(InputError):
-            match_frame(live_rows([]), dets, cfg)
+            match_frame(live_rows([]), dets, cfg, frame_id=1)
 
     def test_per_track_policy_can_share_a_detection(self):
         cfg = TrackerConfig(assignment_policy="per_track")
@@ -221,6 +221,26 @@ class TestStep:
         assert (t.n_r, t.t_w) == (2, 1)
         assert t.states[2] == t.states[1]  # held corrected state
 
+    def test_read_empties_log_and_held_track_follows(self, cfg):
+        """A read folds the log, over several chunks of blocks, into the
+        tracks and keeps none of it; a track held from an earlier read is
+        brought up to date by the next."""
+        eng = TrackingEngine(cfg)
+        eng.step(0, [make_detection(0, 0, 50, 50)])
+        t = eng.tracks[1]
+        assert not eng._log
+        matched = [f for f in range(151) if f % 3]
+        for f in range(1, 151):  # waiting on every third frame
+            eng.step(f, [make_detection(f, 0, 50 + f, 50)] if f % 3 else [])
+        assert len(eng._log) == 150
+        assert eng.tracks[1] is t and not eng._log
+        assert list(t.states) == list(range(151)) and t.matched_frames == {0, *matched}
+        assert (t.status, t.n_r, t.t_w, t.f_l) == (WAITING, 101, 50, 149)
+        assert t.states[150] == t.states[149] == ObjectState(*eng._rows.box[0])
+        eng.step(151, [make_detection(151, 0, 201, 50)])
+        assert eng.tracks[1] is t and (t.status, t.n_r, t.f_l) == (ACTIVE, 102, 151)
+        assert list(t.states) == list(range(152)) and not eng._log
+
     def test_last_histogram_read_is_kept(self, cfg):
         """A track's last_histogram is made from its row when read; one held
         from an earlier read keeps its bins when the row changes."""
@@ -279,13 +299,14 @@ def _filter_fields(ks):
 
 def _engine_state(eng):
     """Everything step may mutate, in comparable form: the live rows, the
-    log, and every track as the engine reports it."""
+    log, and every track as the engine reports it. The tracks are read
+    first: a read folds the log into them and empties it."""
+    tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
+                    t.last_histogram, set(t.matched_frames), t.d_max)
+              for tid, t in eng.tracks.items()}
     rows = {name: a.tolist() for name, a in vars(eng._rows).items()}  # histograms by value
     log = [(f, ids.tolist(), boxes.tolist(), matched.tolist()) for f, ids, boxes, matched in eng._log]
-    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], rows, log, {
-        tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
-              t.last_histogram, set(t.matched_frames), t.d_max)
-        for tid, t in eng.tracks.items()})
+    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], rows, log, tracks)
 
 
 class _ScalarReplay:

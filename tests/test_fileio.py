@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,10 @@ _DETECTION_CORPUS = [
     ("raw_negative_count", _raw_rows(1) + "1 0 10 10 5 5 10 -3 " + " ".join(["1"] * 766) + "\n", 96),
     ("wrong_histogram_length", "0 0 10 10 5 5 1 2 3\n", 96),
     ("duplicate_frame_and_id", "0 1 10 10 5 5\n1 1 10 10 5 5\n0 1 20 20 5 5\n", 96),
+    ("duplicate_pair_interleaved",
+     "0 1 10 10 5 5\n1 1 10 10 5 5\n0 2 20 20 5 5\n1 2 20 20 5 5\n1 1 30 30 5 5\n", 96),
     ("negative_frame", "0 0 10 10 5 5\n-1 0 10 10 5 5\n", 96),
+    ("negative_frame_later", "0 0 10 10 5 5\n1 0 10 10 5 5\n2 0 10 10 5 5\n-3 0 10 10 5 5\n", 96),
     ("frames_out_of_order", "5 0 10 10 5 5\n2 0 10 10 5 5\n5 1 20 20 5 5\n3 0 1 1 1 1\n", 96),
     ("only_comments", "# nothing here\n\n   # nor here\n", 96),
     ("empty", "", 96),
@@ -166,6 +171,20 @@ def test_load_detections_matches_line_parser(tmp_path, text, n_bins):
     path.write_text(text)
     assert _outcome(fileio.load_detections, path, n_bins) == \
         _outcome(fileio._detections_by_line, path, n_bins)
+
+
+@pytest.mark.parametrize("case,line", [("duplicate_frame_and_id", 3),
+                                       ("duplicate_pair_interleaved", 5),
+                                       ("negative_frame", 2), ("negative_frame_later", 4)])
+def test_block_rejection_names_the_line(tmp_path, case, line):
+    """A repeated (frame, id) pair or a negative frame id, which the block
+    path finds once over all rows, is the line parser's ParseError naming
+    the row's line."""
+    text, n_bins = next((t, n) for i, t, n in _DETECTION_CORPUS if i == case)
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
+        fileio.load_detections(path, n_bins)
 
 
 def test_interleaved_frames_load_as_line_parser(tmp_path):

@@ -305,19 +305,22 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
         assert [ObjectState(*b) for b in boxes.tolist()] == [es for _, es in predicted]
 
         hit = np.array([i for i, z in enumerate(measured) if z is not None], dtype=np.intp)
+        predicted_block, out = rows.block.copy(), []
         with np.errstate(over="ignore", invalid="ignore"):
             want = _raised(lambda: [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
                                     for (ks, es), z, p in zip(predicted, measured, prev)])
-            got = _raised(lambda: kalman.correct_rows(
+            # one call: it writes the rows in place, so a second would correct them twice
+            got = _raised(lambda: out.append(kalman.correct_rows(
                 rows, hit, kernels.boxes([measured[i] for i in hit]), boxes[hit], cfg.w,
-                cfg.measurement_noise))
+                cfg.measurement_noise)))
         assert str(got) == str(want)
         if want is not None:
+            # a call that raises leaves the block as it was
+            assert rows.block.tobytes() == predicted_block.tobytes()
             return
         corrected = [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
                      for (ks, es), z, p in zip(predicted, measured, prev)]
-        rows, cs = kalman.correct_rows(rows, hit, kernels.boxes([measured[i] for i in hit]),
-                                       boxes[hit], cfg.w, cfg.measurement_noise)
+        cs, = out
         filters = [ks for ks, _ in corrected]
         _assert_rows_equal(rows, filters)
         assert [ObjectState(*b) for b in cs.tolist()] == [corrected[i][1] for i in hit]

@@ -74,12 +74,29 @@ class TestFrame:
                 Detection(9, 2, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3)))]
         assert list(frame) == want
         assert frame[1] == want[1]
-        assert list(Frame.of(want, None, 3)) == want
+        assert list(Frame.of(want, 9, 3)) == want
 
     def test_first_repeated_id_named_as_the_list_check_names_it(self):
         # in order, 5 is the first id seen before; 3 repeats only later
         with pytest.raises(InputError, match="^duplicate detection_id 5 in frame 0$"):
             Frame(0, [3, 5, 5, 3], np.ones((4, 4)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("fault,message", [
+        ("frame_id", "^detection 2 carries frame 8, expected 9$"),
+        ("bins", "^detection 2 in frame 9 has 4 histogram bins, expected 3$")])
+    def test_list_fault_named_before_repeated_id(self, fault, message):
+        """Of two faults in a list, a repeated id and a later detection's
+        frame id or bin count, `Frame.of` names the second: it checks every
+        detection's frame id and bin count before the constructor checks
+        the ids."""
+        dets = [Detection(9, 1, ObjectState(1, 2, 3, 4), ColorHistogram(np.ones(3))),
+                Detection(9, 1, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3))),
+                Detection(8 if fault == "frame_id" else 9, 2, ObjectState(5, 6, 7, 8),
+                          ColorHistogram(np.ones(4 if fault == "bins" else 3)))]
+        with pytest.raises(InputError, match=message):
+            Frame.of(dets, 9, 3)
+        with pytest.raises(InputError, match="^duplicate detection_id 1 in frame 9$"):
+            Frame.of(dets[:2], 9, 3)
 
     @pytest.mark.parametrize("hist", [np.full((1, 3), -1.0), np.full((1, 3), np.nan),
                                       np.ones((1, 0)), np.ones((2, 3)), np.ones(3)])
