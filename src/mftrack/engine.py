@@ -34,14 +34,13 @@ from .types import (
     ObjectState,
     Track,
     TrackerConfig,
-    column_view,
 )
 
 
 _KF = KalmanState.WIDTH  # LiveRows.real: filter, d_max, box, base, histogram
 _D_MAX, _BOX, _BASE, _HIST = _KF, slice(_KF + 1, _KF + 5), _KF + 5, slice(_KF + 6, None)
 _MATCHED = slice(_KF + 1, None)  # box, base and histogram: what a match writes
-_ID, _F_L, _N_R, _N_C = 0, 2, 3, 4  # LiveRows.count columns
+_ID, _BIRTH, _F_L, _N_R, _N_C = range(5)  # LiveRows.count columns
 _READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
 
 
@@ -49,8 +48,9 @@ _READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
 class LiveRows:
     """The live tracks as columns, row i for the i-th live track in id order.
 
-    The columns are views of four blocks, so a take or a join of rows is
-    four numpy calls. `real` holds, per row and in this column order:
+    The columns are slices of three blocks, read and written through this
+    module's index constants, so a take or a join of rows is three numpy
+    calls. `real` holds, per row and in this column order:
       kf      the filter (see `KalmanState`);
       d_max   `Track.d_max`;
       box     the last corrected box (x, y, l, h), held while the track waits;
@@ -73,17 +73,6 @@ class LiveRows:
     count: np.ndarray  # (n, 5) int
     centers: np.ndarray  # (n, k, 2), k >= 1
 
-    kf = column_view("real", slice(0, _KF))
-    box = column_view("real", _BOX)
-    base = column_view("real", _BASE)
-    d_max = column_view("real", _D_MAX)
-    hist = column_view("real", _HIST)
-    ids = column_view("count", _ID)
-    birth = column_view("count", 1)
-    f_l = column_view("count", _F_L)
-    n_r = column_view("count", _N_R)
-    n_c = column_view("count", _N_C)
-
     @classmethod
     def born(cls, ids: np.ndarray | list[int], boxes: np.ndarray, hists: np.ndarray,
              frame_id: int, cfg: TrackerConfig) -> "LiveRows":
@@ -94,7 +83,7 @@ class LiveRows:
                                _half_diagonals(boxes)[:, None], hists), axis=1)
         count = np.empty((n, 5), dtype=np.int64)
         count[:] = (0, frame_id, frame_id, 1, 1)  # birth, f_l, n_r and n_c
-        count[:, 0] = ids
+        count[:, _ID] = ids
         return cls(real, count, boxes[:, None, :2].copy())
 
     def __len__(self) -> int:
@@ -270,7 +259,7 @@ class TrackingEngine:
     def live_tracks(self) -> list[Track]:
         """Every active or waiting track, in id order."""
         tracks = self.tracks
-        return [tracks[tid] for tid in self._rows.ids.tolist()]
+        return [tracks[tid] for tid in self._rows.count[:, _ID].tolist()]
 
     def valid_tracks(self) -> list[Track]:
         """Every track not flagged as noise, in id order."""
@@ -325,7 +314,8 @@ class TrackingEngine:
         if len(count):
             self._log.append((frame_id, count[:, _ID].copy(), real[:, _BOX].copy(),
                               count[:, _F_L] == frame_id))
-            dead, noisy = lifecycle.sweep_rows(rows, frame_id, cfg)
+            dead, noisy = lifecycle.sweep_rows(count[:, _BIRTH], count[:, _F_L], count[:, _N_R],
+                                               real[:, _D_MAX], frame_id, cfg)
             ended = dead | noisy
             if np.count_nonzero(ended):
                 self._ended.append((frame_id, count[ended], real[ended, _D_MAX],
@@ -366,10 +356,10 @@ class TrackingEngine:
         for ended in self._ended:
             self._fill(*ended)
         self._ended.clear()
-        rows = self._rows
+        real, count = self._rows.real, self._rows.count
         # a copy of the hist rows, which the next match overwrites
-        self._fill(self.last_frame, rows.count, rows.d_max, rows.hist.copy(),
-                   [ACTIVE if hit else WAITING for hit in (rows.f_l == self.last_frame).tolist()])
+        self._fill(self.last_frame, count, real[:, _D_MAX], real[:, _HIST].copy(),
+                   [ACTIVE if hit else WAITING for hit in (count[:, _F_L] == self.last_frame).tolist()])
 
     def _fill(self, f_c: int, count: np.ndarray, d_max: np.ndarray, hist: np.ndarray,
               statuses: list[str]) -> None:

@@ -28,7 +28,6 @@ from .errors import ConfigError, HistogramShapeError, InputError, ParseError
 from .metrics import EvalReport, GroundTruthObject
 from .types import (
     MAX_RAW_BINS,
-    ColorHistogram,
     Frame,
     ObjectState,
     Track,
@@ -36,15 +35,6 @@ from .types import (
     check_counts,
     check_rows,
 )
-
-
-def rebin(raw: np.ndarray, n: int) -> ColorHistogram:
-    """Collapse a 768-bin raw histogram (3 channels x 256 levels) to n bins,
-    as `_rebin` does."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.size != MAX_RAW_BINS:
-        raise HistogramShapeError(f"raw histogram must have {MAX_RAW_BINS} bins, got {raw.size}")
-    return ColorHistogram(_rebin(raw.reshape(MAX_RAW_BINS), n))
 
 
 def _rebin(raw: np.ndarray, n: int) -> np.ndarray:
@@ -168,8 +158,8 @@ def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
 def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
     """load_detections one line at a time: the error path, and the
     reference the block path is tested against. Each row is checked on
-    its own line by `check_rows`, a repeated (frame_id, detection_id)
-    pair by the line that repeats it."""
+    its own line by the `Frame` constructor, a repeated (frame_id,
+    detection_id) pair by the line that repeats it."""
     out: dict[int, dict[int, np.ndarray]] = {}  # frame_id -> detection_id -> box and counts
     for where, line in _lines(path):
         cols = line.split()
@@ -180,17 +170,20 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
             did = int(cols[1])
             box = np.array([[float(c) for c in cols[2:6]]])
             counts = np.array([[float(c) for c in cols[6:]]])
-            if counts.shape[1] not in (0, n_bins, MAX_RAW_BINS):
-                raise HistogramShapeError(f"{where}: histogram has {counts.shape[1]} bins, "
-                                          f"expected {n_bins} or {MAX_RAW_BINS}")
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from e
+        if counts.shape[1] not in (0, n_bins, MAX_RAW_BINS):
+            raise HistogramShapeError(f"{where}: histogram has {counts.shape[1]} bins, "
+                                      f"expected {n_bins} or {MAX_RAW_BINS}")
+        try:
             if counts.shape[1] == 0:
                 counts = np.zeros((1, n_bins))
             elif counts.shape[1] != n_bins:
                 # a raw row's counts are checked before they are summed into bins
                 check_counts(counts)
                 counts = _rebin(counts, n_bins)
-            check_rows(fid, np.array([did]), box, counts)
-        except ValueError as e:
+            Frame(fid, [did], box, counts)  # the constructor's checks, on this row alone
+        except (ValueError, InputError) as e:
             raise ParseError(f"{where}: {e}") from e
         rows = out.setdefault(fid, {})
         if did in rows:
@@ -298,15 +291,6 @@ def load_config(path: str | Path) -> TrackerConfig:
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
     return TrackerConfig(**values).validate()
-
-
-def write_config(path: str | Path, cfg: TrackerConfig) -> None:
-    with open(path, "w") as fh:
-        for f in dataclasses.fields(TrackerConfig):
-            v = getattr(cfg, f.name)
-            if f.name == "feature_weights":
-                v = " ".join(_fmt(x) for x in v)
-            fh.write(f"{f.name} = {v}\n")
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:

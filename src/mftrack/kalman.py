@@ -72,11 +72,13 @@ def _floored(means: np.ndarray) -> np.ndarray:
 def predict(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, ObjectState]:
     """One estimation step: propagate mean and covariance, extract the
     estimated box state."""
-    new = KalmanState(position=ks.position + ks.velocity, velocity=ks.velocity,
-                      p=ks.p + 2.0 * ks.c + ks.v + cfg.process_noise_pos, c=ks.c + ks.v,
-                      v=ks.v + _velocity_noise(cfg)[1])
+    position, velocity, *pcv = KalmanState.columns(ks.block)
+    p, c, v = map(float, pcv)  # floats, which overflow to inf without a warning
+    new = KalmanState(position=position + velocity, velocity=velocity,
+                      p=p + 2.0 * c + v + cfg.process_noise_pos, c=c + v,
+                      v=v + _velocity_noise(cfg)[1])
     _require_finite(new.block, "filter prediction produced non-finite values")
-    return new, _state_from_mean(new.position)
+    return new, _state_from_mean(KalmanState.columns(new.block)[0])
 
 
 def correct(
@@ -100,12 +102,13 @@ def correct(
         return ks, prev_corrected
 
     z = measured.as_vector()
-    innovation = z - ks.position
-    p, c, v = ks.p, ks.c, ks.v
+    position, velocity, *pcv = KalmanState.columns(ks.block)
+    p, c, v = map(float, pcv)
+    innovation = z - position
     s = p + measurement_noise
     keep = measurement_noise / s  # 1 - position gain
-    new = KalmanState(position=ks.position + (p / s) * innovation,
-                      velocity=ks.velocity + (c / s) * innovation,
+    new = KalmanState(position=position + (p / s) * innovation,
+                      velocity=velocity + (c / s) * innovation,
                       p=p * keep, c=c * keep, v=v - c * c / s)
     _require_finite(new.block, "filter update produced non-finite values")
 

@@ -68,20 +68,21 @@ def sweep(live: list[Track], f_c: int, cfg: TrackerConfig) -> tuple[list[int], l
     return terminated, noise
 
 
-def sweep_rows(rows, f_c: int, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+def sweep_rows(birth: np.ndarray, f_l: np.ndarray, n_r: np.ndarray, d_max: np.ndarray,
+               f_c: int, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
     """`sweep` over the live tracks as columns: boolean masks (terminated,
     noise) over the rows.
 
-    rows carries one entry per live track in its birth, f_l, n_r and
-    d_max columns. Every live track holds a state at f_c, so its span is
-    f_c - birth + 1 and it waited the span's frames that did not match it;
-    it waits now when f_l < f_c, which an overdue track does.
+    birth, f_l, n_r and d_max hold one entry per live track, as the
+    `Track` fields of those names. Every live track holds a state at f_c,
+    so its span is f_c - birth + 1 and it waited the span's frames that
+    did not match it; it waits now when f_l < f_c, which an overdue track
+    does.
     """
-    n_r = rows.n_r
-    span = f_c + 1 - rows.birth
+    span = f_c + 1 - birth
     judged = span >= cfg.t3
-    noisy = judged & ((rows.d_max < cfg.t4) | ((span - n_r) / span >= cfg.t5))
-    overdue = rows.f_l + np.minimum(n_r, cfg.t2) < f_c
+    noisy = judged & ((d_max < cfg.t4) | ((span - n_r) / span >= cfg.t5))
+    overdue = f_l + np.minimum(n_r, cfg.t2) < f_c
     # an overdue track too young to judge is short-lived noise
     noise = noisy | (overdue & ~judged)
     return overdue & ~noise, noise

@@ -78,7 +78,7 @@ class ScenarioSpec:
     """Everything a scenario is made from; `validate` enforces the rules.
 
     seed is an integer >= 0 and duration an integer >= 1 (frames
-    0..duration-1). n_bins is in 1..768. drop_probability is in [0, 1];
+    0..duration-1). n_bins is an integer in 1..768. drop_probability is in [0, 1];
     the jitter sigmas, histogram_noise and clutter_rate are finite and
     >= 0. clutter_lifetime (the longest random blob life) is an integer
     >= 1, clutter_extent is finite and > 0, and arena is 2 finite
@@ -107,8 +107,9 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         if not isinstance(self.duration, numbers.Integral) or self.duration < 1:
             raise InputError(f"duration must be an integer >= 1, got {self.duration}")
-        if not (1 <= self.n_bins <= MAX_RAW_BINS):
-            raise InputError(f"n_bins must be in 1..{MAX_RAW_BINS}, got {self.n_bins}")
+        if (isinstance(self.n_bins, bool) or not _is_int(self.n_bins, 1)
+                or self.n_bins > MAX_RAW_BINS):
+            raise InputError(f"n_bins must be an integer in 1..{MAX_RAW_BINS}, got {self.n_bins}")
         if not (0.0 <= self.drop_probability <= 1.0):
             raise InputError("drop_probability must be in [0,1]")
         for name in ("position_jitter_sigma", "size_jitter_sigma", "histogram_noise",

@@ -15,6 +15,8 @@ TERMINATED = "terminated"
 NOISE = "noise"
 
 MAX_RAW_BINS = 768  # 256 intensity levels x 3 channels
+# the engine keeps frame ids as int64, and a track's span f_c + 1 - birth must fit
+MAX_FRAME_ID = 2**63 - 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,14 +99,19 @@ def check_counts(arr: np.ndarray) -> None:
 def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
                hist: np.ndarray) -> None:
     """The rules of a frame's rows, checked once over all of them as
-    arrays: every frame id >= 0, no (frame id, detection id) pair twice,
-    every box finite with l, h > 0 and every count finite and non-negative
-    (`check_boxes`, `check_counts`). frame_ids holds one frame id per row,
-    or one for all rows. A repeated pair is an InputError naming the first
-    repeat in row order; every other fault is a ValueError. Rows of no
-    frame are checked for the frame id only."""
-    if (frame_ids < 0).any() if isinstance(frame_ids, np.ndarray) else frame_ids < 0:
+    arrays: every frame id in 0..MAX_FRAME_ID, no (frame id, detection id)
+    pair twice, every box finite with l, h > 0 and every count finite and
+    non-negative (`check_boxes`, `check_counts`). frame_ids holds one
+    frame id per row, or one for all rows. A frame id past MAX_FRAME_ID or
+    a repeated pair is an InputError, the latter naming the first repeat
+    in row order; every other fault is a ValueError. Rows of no frame are
+    checked for the frame id only."""
+    low, high = ((frame_ids.min(initial=0), frame_ids.max(initial=0))
+                 if isinstance(frame_ids, np.ndarray) else (frame_ids, frame_ids))
+    if low < 0:
         raise ValueError("frame_id must be non-negative")
+    if high > MAX_FRAME_ID:
+        raise InputError(f"frame id {high} past {MAX_FRAME_ID}")
     if not len(ids):
         return
     f = np.broadcast_to(frame_ids, ids.shape)
@@ -191,9 +198,9 @@ class Frame:
     counts, all three read-only.
 
     The constructor copies the rows and checks them once, as arrays, by
-    `check_rows`. `of` builds a frame from `Detection`s, and
-    iterating a frame builds them back, so code written for lists of
-    detections reads a frame too.
+    `check_rows`; a detection id beyond int64 is an InputError. `of`
+    builds a frame from `Detection`s, and iterating a frame builds them
+    back, so code written for lists of detections reads a frame too.
     """
 
     frame_id: int
@@ -202,7 +209,10 @@ class Frame:
     hist: np.ndarray
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        try:
+            ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise InputError(f"detection id beyond int64 in frame {self.frame_id}") from None
         boxes = np.array(self.boxes, dtype=np.float64).reshape(len(ids), 4)
         hist = np.array(self.hist, dtype=np.float64)
         if hist.ndim != 2 or len(hist) != len(ids):
@@ -266,10 +276,6 @@ class Frame:
         return map(Detection, [self.frame_id] * len(self), self.ids.tolist(),
                    ObjectState.rows(self.boxes), ColorHistogram.rows(self.hist))
 
-    def __getitem__(self, i: int) -> Detection:
-        """Detection i; it builds them all, so iterate to read many."""
-        return list(self)[i]
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -316,8 +322,9 @@ class TrackerConfig:
             raise ConfigError(f"t4 must be finite and positive, got {self.t4}")
         if not (0.0 <= self.t5 <= 1.0):
             raise ConfigError(f"t5 must be in [0,1], got {self.t5}")
-        if not (1 <= self.n_bins <= MAX_RAW_BINS):
-            raise ConfigError(f"n_bins must be in 1..{MAX_RAW_BINS}, got {self.n_bins}")
+        if (isinstance(self.n_bins, bool) or not isinstance(self.n_bins, int)
+                or not 1 <= self.n_bins <= MAX_RAW_BINS):
+            raise ConfigError(f"n_bins must be an integer in 1..{MAX_RAW_BINS}, got {self.n_bins}")
         if self.assignment_policy not in ("greedy_global", "per_track"):
             raise ConfigError(f"unknown assignment_policy {self.assignment_policy!r}")
         if not (0.0 < self.eval_iou_threshold <= 1.0):
@@ -333,29 +340,16 @@ class TrackerConfig:
         return self
 
 
-def column_view(block: str, index) -> property:
-    """Property reading and writing `index` of the array attribute `block`
-    along its last axis: a view, or a float where that is a single value."""
-    def get(self):
-        value = getattr(self, block)[..., index]
-        return value if value.ndim else float(value)
-
-    def set(self, value):
-        getattr(self, block)[..., index] = value
-    return property(get, set)
-
-
 class KalmanState:
     """Internal filter state of one track, or of n tracks as rows.
 
     The state is one float block, (11,) for one track and (n, 11) for n.
     Along its last axis it holds the position (x, y, l, h), the velocity
     of the same axes, and p, c, v: every axis shares the covariance
-    [[p, c], [c, v]] of its (position, velocity) pair. The five fields are
-    views of the block (p, c and v of one track read as floats), so a
-    copy, a take, a join or a scatter of rows, or a finiteness check, is
-    one numpy call on `block`. The static model keeps velocity, c and v
-    at 0.
+    [[p, c], [c, v]] of its (position, velocity) pair. `columns` gives
+    the five fields as views of the block, so a copy, a take, a join or a
+    scatter of rows, or a finiteness check, is one numpy call on `block`.
+    The static model keeps velocity, c and v at 0.
     """
 
     __slots__ = ("block",)
@@ -364,7 +358,8 @@ class KalmanState:
     def __init__(self, position, velocity, p, c, v):
         position = np.asarray(position, dtype=np.float64)
         self.block = np.empty(position.shape[:-1] + (self.WIDTH,))
-        self.position, self.velocity, self.p, self.c, self.v = position, velocity, p, c, v
+        for column, value in zip(self.columns(self.block), (position, velocity, p, c, v)):
+            column[...] = value
 
     @classmethod
     def of(cls, block: np.ndarray) -> "KalmanState":
@@ -375,14 +370,9 @@ class KalmanState:
 
     @staticmethod
     def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of the five fields of an (n, 11) block, without a property call each."""
-        return block[:, :4], block[:, 4:8], block[:, 8], block[:, 9], block[:, 10]
-
-    position = column_view("block", slice(0, 4))
-    velocity = column_view("block", slice(4, 8))
-    p = column_view("block", 8)
-    c = column_view("block", 9)
-    v = column_view("block", 10)
+        """Views of the five fields (position, velocity, p, c, v) of an
+        (11,) or (n, 11) block."""
+        return block[..., :4], block[..., 4:8], block[..., 8], block[..., 9], block[..., 10]
 
 
 @dataclass(eq=False)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mftrack import kernels
-from mftrack.engine import LiveRows
+from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_C, _N_R, LiveRows
 from mftrack.types import ColorHistogram, Detection, ObjectState, Track, TrackerConfig
 
 
@@ -46,11 +46,11 @@ def live_rows(tracks, cfg=None):
                          kernels.boxes([t.last_cs for t in tracks]),
                          np.array([t.last_histogram.bins for t in tracks]).reshape(-1, n_bins),
                          0, cfg)
-    rows.birth = [t.birth_frame for t in tracks]
-    rows.f_l, rows.n_r = [t.f_l for t in tracks], [t.n_r for t in tracks]
-    rows.d_max = [t.d_max for t in tracks]
-    rows.n_c = [len(t._centers) for t in tracks]
-    rows.centers = np.zeros((len(tracks), max([1, *rows.n_c.tolist()]), 2))
+    rows.count[:, _BIRTH] = [t.birth_frame for t in tracks]
+    rows.count[:, _F_L], rows.count[:, _N_R] = [t.f_l for t in tracks], [t.n_r for t in tracks]
+    rows.real[:, _D_MAX] = [t.d_max for t in tracks]
+    rows.count[:, _N_C] = [len(t._centers) for t in tracks]
+    rows.centers = np.zeros((len(tracks), max([1, *rows.count[:, _N_C].tolist()]), 2))
     for i, t in enumerate(tracks):
         if t._centers:  # the slots after a row's centers repeat its first
             rows.centers[i] = t._centers[0]

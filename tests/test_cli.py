@@ -157,6 +157,17 @@ def test_malformed_detections_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("row", ["0 99999999999999999999 10 10 5 5\n",
+                                 "99999999999999999999 0 10 10 5 5\n",
+                                 "9223372036854775807 0 10 10 5 5\n"],
+                         ids=["detection_id", "frame_id", "largest_int64_frame_id"])
+def test_id_beyond_int64_exit_code(tmp_path, capsys, row):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(row)
+    assert main(["track", "--detections", str(bad), "--out", str(tmp_path / "o.txt")]) == 2
+    assert f"{bad}:1:" in capsys.readouterr().err
+
+
 def test_bad_histogram_count_exit_code(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_bins = 3\n")
@@ -284,6 +295,8 @@ def _blob(**fields):
     pytest.param(lambda raw: raw.update(size_jitter_sigma=-1), id="size_jitter"),
     pytest.param(lambda raw: raw.update(n_bins=0), id="zero_bins"),
     pytest.param(lambda raw: raw.update(n_bins=1000), id="too_many_bins"),
+    pytest.param(lambda raw: raw.update(n_bins=96.5), id="fractional_bins"),
+    pytest.param(lambda raw: raw.update(n_bins=True, objects=[]), id="boolean_bins"),
     pytest.param(lambda raw: raw.update(clutter_rate=float("inf")), id="infinite_clutter"),
     pytest.param(lambda raw: raw.update(clutter_rate=float("nan")), id="nan_clutter"),
     pytest.param(lambda raw: raw.update(histogram_noise=-1), id="histogram_noise"),

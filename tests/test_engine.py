@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import flat_histogram, live_rows, make_detection, make_track, peaked_histogram
 from mftrack import bench, kalman, kernels, lifecycle, scenario
-from mftrack.engine import FrameReport, TrackingEngine, match_frame
+from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, TrackingEngine,
+                            match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import ACTIVE, WAITING, Frame, ObjectState, Track, TrackerConfig, diagonal_half
+from mftrack.types import (ACTIVE, WAITING, Frame, KalmanState, ObjectState, Track, TrackerConfig,
+                           diagonal_half)
 
 
 class TestMatchFrame:
@@ -88,7 +92,7 @@ class TestMatchFrame:
         dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
         r = match_frame(eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
-        assert len(r.predicted.p) == len(r.boxes) == len(tracks)
+        assert len(KalmanState.columns(r.predicted.block)[2]) == len(r.boxes) == len(tracks)
         for i, t in enumerate(tracks):
             ref_ks, ref_es = kalman.predict(replay.filters[t.track_id], cfg)
             assert ObjectState(*r.boxes[i]) == ref_es
@@ -236,7 +240,7 @@ class TestStep:
         assert eng.tracks[1] is t and not eng._log
         assert list(t.states) == list(range(151)) and t.matched_frames == {0, *matched}
         assert (t.status, t.n_r, t.t_w, t.f_l) == (WAITING, 101, 50, 149)
-        assert t.states[150] == t.states[149] == ObjectState(*eng._rows.box[0])
+        assert t.states[150] == t.states[149] == ObjectState(*eng._rows.real[0, _BOX])
         eng.step(151, [make_detection(151, 0, 201, 50)])
         assert eng.tracks[1] is t and (t.status, t.n_r, t.f_l) == (ACTIVE, 102, 151)
         assert list(t.states) == list(range(152)) and not eng._log
@@ -366,11 +370,11 @@ class _ScalarReplay:
         """The engine's rows are the live tracks' scalar filters, boxes and
         search bases, in order."""
         rows, live = eng._rows, eng.live_tracks()
-        assert rows.ids.tolist() == [t.track_id for t in live] == list(self.shadows)
+        assert rows.count[:, _ID].tolist() == [t.track_id for t in live] == list(self.shadows)
         for i, t in enumerate(live):
-            assert rows.kf[i].tolist() == _filter_fields(self.filters[t.track_id])
-            assert ObjectState(*rows.box[i]) == t.last_cs
-            assert rows.base[i] == diagonal_half(t.last_cs)
+            assert rows.real[i, :_KF].tolist() == _filter_fields(self.filters[t.track_id])
+            assert ObjectState(*rows.real[i, _BOX]) == t.last_cs
+            assert rows.real[i, _BASE] == diagonal_half(t.last_cs)
 
 
 @st.composite
@@ -466,10 +470,10 @@ def test_extend_equals_update_extent(starts, cap, data):
         rows.extend(np.array(index, dtype=np.intp), np.array(xy).reshape(-1, 2), cap)
         for i, (x, y) in zip(index, xy):
             tracks[i].update_extent(x, y, cap=cap)
-        assert rows.d_max.tolist() == [t.d_max for t in tracks]
+        assert rows.real[:, _D_MAX].tolist() == [t.d_max for t in tracks]
         for i, t in enumerate(tracks):
             if t.d_max < cap:
-                assert rows.centers[i, :rows.n_c[i]].tolist() == [list(c) for c in t._centers]
+                assert rows.centers[i, :rows.count[i, _N_C]].tolist() == [list(c) for c in t._centers]
 
 
 def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
@@ -480,10 +484,10 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
     handed = []
     real_sweep = lifecycle.sweep_rows
 
-    def counting_sweep(rows, f_c, cfg):
-        handed.append(len(rows))
-        assert all(len(column) == len(rows) for column in vars(rows).values())
-        return real_sweep(rows, f_c, cfg)
+    def counting_sweep(birth, f_l, n_r, d_max, f_c, cfg):
+        handed.append(len(birth))
+        assert len(f_l) == len(n_r) == len(d_max) == len(birth)
+        return real_sweep(birth, f_l, n_r, d_max, f_c, cfg)
 
     monkeypatch.setattr(lifecycle, "sweep_rows", counting_sweep)
     eng = TrackingEngine()
@@ -493,6 +497,7 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
         report = eng.step(f, stream.get(f, []))
         replay.follow(eng, stream.get(f, []), report)
         replay.check_rows(eng)
+        assert all(len(column) == len(eng._rows) for column in vars(eng._rows).values())
         assert handed[-1] == before + len(report.new_tracks)
         live = eng.live_tracks()
         assert [t.track_id for t in live] == [t.track_id for t in eng.tracks.values()
@@ -688,6 +693,25 @@ def test_empty_frame_under_another_frame_id_rejected(live):
         assert _engine_state(eng) == before
     assert eng.step(7, []).frame_id == 7
     assert eng.step(8, _frame([], 8)).frame_id == eng.last_frame == 8
+
+
+@pytest.mark.parametrize("frame_id, detections", [
+    (10**20, []),
+    (2**63 - 1, []),  # the span f_c + 1 - birth would not fit in int64
+    (2**63, [make_detection(2**63, 0, 50.0, 50.0)]),
+    (1, [make_detection(1, 10**20, 50.0, 50.0)]),
+    (1, [make_detection(1, -2**63 - 1, 50.0, 50.0)]),
+], ids=["empty_frame", "largest_int64_frame", "detection_frame", "detection_id", "negative_id"])
+def test_id_beyond_int64_rejected_before_any_write(frame_id, detections):
+    """A frame id past MAX_FRAME_ID or a detection id beyond int64 is an
+    InputError, and the engine, a live track in it, pickles to the same
+    bytes before and after."""
+    eng = TrackingEngine()
+    eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+    before = pickle.dumps(eng)
+    with pytest.raises(InputError, match="past 9223372036854775806$|beyond int64 in frame 1$"):
+        eng.step(frame_id, detections)
+    assert pickle.dumps(eng) == before
 
 
 @pytest.mark.parametrize("cfg", [

@@ -25,7 +25,7 @@ def test_predict_identity_transition():
 def test_predict_constant_velocity():
     cfg = TrackerConfig()
     ks = kalman.init_kalman(ObjectState(10, 20, 5, 8), cfg)
-    ks.velocity = np.array([2.0, -1, 0, 0])
+    KalmanState.columns(ks.block)[1][:] = [2.0, -1, 0, 0]
     _, es = kalman.predict(ks, cfg)
     assert (es.x, es.y, es.l, es.h) == (12, 19, 5, 8)
 
@@ -34,18 +34,19 @@ def test_predict_idempotent_under_identity():
     ks = identity_state([1, 2, 3, 4])
     ks1, es1 = kalman.predict(ks, STILL)
     ks2, es2 = kalman.predict(ks1, STILL)
-    assert np.array_equal(ks1.position, ks2.position)
+    assert np.array_equal(KalmanState.columns(ks1.block)[0], KalmanState.columns(ks2.block)[0])
     assert es1 == es2
 
 
 def test_predict_overflow_detected():
     ks = identity_state([1e308, 0, 1, 1])
-    ks.velocity = np.array([1e308, 0, 0, 0])
+    KalmanState.columns(ks.block)[1][:] = [1e308, 0, 0, 0]
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
         kalman.predict(ks, STILL)
     # the covariance overflows with a finite mean
     ks = identity_state([1, 1, 1, 1])
-    ks.p = ks.c = 1e308
+    _, _, p, c, _ = KalmanState.columns(ks.block)
+    p[...] = c[...] = 1e308
     with pytest.raises(NumericOverflowError):
         kalman.predict(ks, STILL)
 
@@ -95,7 +96,7 @@ def test_predict_correct_fixed_point_with_zero_noise():
         ks, es = kalman.predict(ks, STILL)
         ks, cs = kalman.correct(ks, es, s, s, w=0.7)
         assert cs == s
-    assert np.allclose(ks.position, s.as_vector())
+    assert np.allclose(KalmanState.columns(ks.block)[0], s.as_vector())
 
 
 def test_covariance_stays_symmetric_nonnegative_diagonal():
@@ -110,9 +111,10 @@ def test_covariance_stays_symmetric_nonnegative_diagonal():
         meas = ObjectState(*(np.abs(rng.uniform(5, 80, size=4))))
         ks, prev = kalman.correct(ks, es, meas if i % 3 else None, prev, cfg.w,
                                   cfg.measurement_noise)
-        scale = max(1.0, abs(ks.p), abs(ks.c), abs(ks.v))
-        assert ks.p >= 0 and ks.v >= 0
-        assert ks.p * ks.v - ks.c ** 2 >= -1e-9 * scale ** 2
+        _, _, p, c, v = KalmanState.columns(ks.block)
+        scale = max(1.0, abs(p), abs(c), abs(v))
+        assert p >= 0 and v >= 0
+        assert p * v - c ** 2 >= -1e-9 * scale ** 2
 
 
 def test_internal_filter_follows_measurements():
@@ -165,11 +167,12 @@ class DenseFilter:
 def _expanded(ks: KalmanState, dim: int):
     """(mean, covariance) of ks in the dense filter's coordinates: the
     per-axis 2x2 covariance repeated over the four axes."""
+    position, velocity, p, c, v = KalmanState.columns(ks.block)
     if dim == 4:
-        assert np.all(ks.velocity == 0.0) and ks.c == 0.0 and ks.v == 0.0
-        return ks.position, ks.p * np.eye(4)
-    block = np.array([[ks.p, ks.c], [ks.c, ks.v]])
-    return np.concatenate([ks.position, ks.velocity]), np.kron(block, np.eye(4))
+        assert np.all(velocity == 0.0) and c == 0.0 and v == 0.0
+        return position, p * np.eye(4)
+    block = np.array([[p, c], [c, v]])
+    return np.concatenate([position, velocity]), np.kron(block, np.eye(4))
 
 
 def _assert_close(actual, desired):
@@ -217,12 +220,14 @@ def test_matches_dense_reference_filter(motion_model, process_noise_pos, process
 # -- row functions against the scalar oracle ----------------------------------
 
 def _assert_rows_equal(rows: KalmanState, filters: list[KalmanState]):
-    assert rows.position.shape == rows.velocity.shape == (len(filters), 4)
-    assert rows.p.shape == rows.c.shape == rows.v.shape == (len(filters),)
+    position, velocity, p, c, v = KalmanState.columns(rows.block)
+    assert position.shape == velocity.shape == (len(filters), 4)
+    assert p.shape == c.shape == v.shape == (len(filters),)
     for i, ks in enumerate(filters):
-        assert np.array_equal(rows.position[i], ks.position)
-        assert np.array_equal(rows.velocity[i], ks.velocity)
-        assert (rows.p[i], rows.c[i], rows.v[i]) == (ks.p, ks.c, ks.v)
+        k_position, k_velocity, *k_pcv = KalmanState.columns(ks.block)
+        assert np.array_equal(position[i], k_position)
+        assert np.array_equal(velocity[i], k_velocity)
+        assert (p[i], c[i], v[i]) == tuple(map(float, k_pcv))
 
 
 def _raised(fn):
@@ -282,16 +287,18 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
     for f, measured in enumerate(frames):
         if overflow is not None and overflow[1] == f:
             i, _, kind = overflow
+            f_position, f_velocity, f_p, f_c, _ = KalmanState.columns(filters[i].block)
             if kind == "mean":
-                filters[i].position[0] = filters[i].velocity[0] = 1e308
+                f_position[0] = f_velocity[0] = 1e308
             elif kind == "covariance":
-                filters[i].p = filters[i].c = 1e308
+                f_p[...] = f_c[...] = 1e308
             else:
-                filters[i].position[0] = 1.5e308
+                f_position[0] = 1.5e308
                 measured = list(measured)
                 measured[i] = ObjectState(-1.5e308, 0.0, 1.0, 1.0)
-            rows.position[i], rows.velocity[i] = filters[i].position, filters[i].velocity
-            rows.p[i], rows.c[i] = filters[i].p, filters[i].c
+            position, velocity, p, c, _ = KalmanState.columns(rows.block)
+            position[i], velocity[i] = f_position, f_velocity
+            p[i], c[i] = f_p, f_c
 
         with np.errstate(over="ignore", invalid="ignore"):
             want = _raised(lambda: [kalman.predict(ks, cfg) for ks in filters])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import live_rows, make_track, peaked_histogram
-from mftrack.engine import TrackingEngine
+from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_R, TrackingEngine
 from mftrack.lifecycle import is_noise, should_terminate, sweep, sweep_rows
 from mftrack.scenario import MotionScript, ScenarioSpec, generate
 from mftrack.pipeline import track_stream
@@ -156,7 +156,9 @@ def test_sweep_rows_equal_scalar_sweep(live, t2, t3, t4, t5):
     rules on Track objects."""
     f_c, tracks = live
     cfg = TrackerConfig(t2=t2, t3=t3, t4=t4, t5=t5)
-    terminated, noise = sweep_rows(live_rows(tracks), f_c, cfg)
+    rows = live_rows(tracks)
+    terminated, noise = sweep_rows(rows.count[:, _BIRTH], rows.count[:, _F_L],
+                                   rows.count[:, _N_R], rows.real[:, _D_MAX], f_c, cfg)
     ids = [t.track_id for t in tracks]
     assert ([i for i, end in zip(ids, terminated) if end],
             [i for i, end in zip(ids, noise) if end]) == sweep(tracks, f_c, cfg)

@@ -45,7 +45,7 @@ class TestGenerate:
         res = generate(single_object_spec())
         for f, dets in res.detections_by_frame.items():
             assert len(dets) == 1
-            assert dets[0].state == res.gt[0].states[f]
+            assert list(dets)[0].state == res.gt[0].states[f]
 
     def test_burst_drop_single_gap(self):
         res = generate(single_object_spec(burst_drops=((0, 40, 3),)))

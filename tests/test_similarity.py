@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mftrack.errors import ConfigError, HistogramShapeError
-from mftrack.fileio import rebin
+from mftrack.fileio import _rebin
 from mftrack.similarity import (
     area_similarity,
     color_similarity,
@@ -102,7 +102,7 @@ class TestColor:
         for _ in range(25):
             raw_a = rng.uniform(0, 50, size=768) * (rng.random(768) < 0.7)
             raw_b = rng.uniform(0, 50, size=768) * (rng.random(768) < 0.7)
-            ha, hb = rebin(raw_a, 96), rebin(raw_b, 96)
+            ha, hb = ColorHistogram(_rebin(raw_a, 96)), ColorHistogram(_rebin(raw_b, 96))
             total = 0.0
             for i, j in zip(ha.bins, hb.bins):
                 lo, hi = (i, j) if i <= j else (j, i)

@@ -73,7 +73,6 @@ class TestFrame:
         want = [Detection(9, 4, ObjectState(1, 2, 3, 4), ColorHistogram(np.ones(3))),
                 Detection(9, 2, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3)))]
         assert list(frame) == want
-        assert frame[1] == want[1]
         assert list(Frame.of(want, 9, 3)) == want
 
     def test_first_repeated_id_named_as_the_list_check_names_it(self):
@@ -136,6 +135,8 @@ class TestTrackerConfig:
         {"process_noise_pos": math.nan},
         {"process_noise_vel": math.inf},
         {"measurement_noise": math.inf},
+        {"n_bins": 96.5},
+        {"n_bins": True},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
