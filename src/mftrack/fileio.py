@@ -15,11 +15,29 @@ A detection row's histogram must have either the configured bin count or
 Detection, ground-truth and trajectory files are parsed in one np.loadtxt
 pass and checked as arrays; a file that pass rejects is read again line by
 line, so every error names its `path:line`.
+
+On Linux that pass runs on every CPU the process may use
+(os.sched_getaffinity): the file is cut into that many byte ranges, fewer
+where a range would be under _PART_BYTES (1 MiB), each cut just after a
+b"\\n". The first range is parsed in this process, each other one in a
+forked child whose rows come down a pipe into their slice of the one
+block; a range a child does not deliver has the file parsed as one range
+here. Elsewhere, and with one usable CPU, the file is one range.
+CPython 3.12 and later issue a DeprecationWarning from os.fork() when the
+process has other threads, and numpy's OpenBLAS thread pool is one. The
+child is safe all the same: it runs only the parse, a pipe write and
+os._exit, with no BLAS call, import or logging, so it takes no lock that
+a thread fork did not copy could be holding.
 """
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
+import signal
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +103,13 @@ def _lines(path: str | Path):
                 yield f"{path}:{lineno}", line
 
 
+# the smallest byte range of a file that _read_block gives a process of its own
+_PART_BYTES = 1 << 20
+
+
 def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
-    """Every data row of `path` parsed by one np.loadtxt pass, or None when
-    this fast path cannot read the file and the line parser must.
+    """Every data row of `path` parsed by np.loadtxt, or None when this fast
+    path cannot read the file and the line parser must.
 
     The rows become a structured array with fields "ids" (2 int64), "box"
     (4 float64) and "tail" (the other w - 6 columns as tail_type), where w
@@ -95,21 +117,129 @@ def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
     than 6 columns, a token numpy refuses (some `int`/`float` accept, such
     as 1_000) and any non-ASCII text: numpy's int64 parser takes some
     non-ASCII letters before a number as digits, where `int` refuses them.
+
+    The file is cut into one byte range per usable CPU, none under
+    _PART_BYTES, each cut just after a b"\\n"; see _read_parts.
     """
     try:
         with open(path, encoding="ascii") as fh:
             first = next((cols for cols in (line.split("#", 1)[0].split() for line in fh) if cols), [])
-            dtype = [("ids", np.int64, (2,)), ("box", np.float64, (4,)),
-                     ("tail", tail_type, (max(len(first) - 6, 0),))]
-            if not first:
-                # np.loadtxt warns on a file without data rows
-                return np.zeros(0, dtype=dtype)
-            if len(first) < 6:
-                return None
-            fh.seek(0)
-            return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
+            size = os.fstat(fh.fileno()).st_size
+        dtype = [("ids", np.int64, (2,)), ("box", np.float64, (4,)),
+                 ("tail", tail_type, (max(len(first) - 6, 0),))]
+        if not first:
+            # np.loadtxt warns on a file without data rows
+            return np.zeros(0, dtype=dtype)
+        if len(first) < 6:
+            return None
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        k = max(1, min(cpus, size // _PART_BYTES))
+        with open(path, "rb") as fh:
+            cuts = [0]
+            for i in range(1, k):
+                fh.seek(i * size // k - 1)
+                fh.readline()
+                cuts.append(fh.tell())
+        cuts.append(size)
+        ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        try:
+            block = _read_parts(path, ranges, dtype)
+        except OSError:  # no process or pipe to spare
+            block = None
+        # a child did not deliver its rows, or could not be started
+        return block if block is not None else _parse_range(path, 0, size, dtype)
     except ValueError:  # UnicodeDecodeError included
         return None
+
+
+class _Range(io.RawIOBase):
+    """The next n bytes of the unbuffered binary file raw, as a stream."""
+
+    def __init__(self, raw, n: int):
+        self.raw, self.left = raw, n
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.raw.readinto(memoryview(buf)[:self.left])
+        self.left -= n
+        return n
+
+
+def _parse_range(path: str | Path, start: int, end: int, dtype) -> np.ndarray:
+    """np.loadtxt of bytes start..end of `path`, read as the text that
+    open(path, encoding="ascii") reads; a ValueError where that fails."""
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        text = io.TextIOWrapper(io.BufferedReader(_Range(raw, end - start)), encoding="ascii")
+        with warnings.catch_warnings():
+            # a part may hold only comments where the file has a data row
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(text, dtype=dtype, comments="#", ndmin=1)
+
+
+def _read_parts(path: str | Path, ranges: list[tuple[int, int]], dtype) -> np.ndarray | None:
+    """The rows of the byte ranges of `path`, in file order, as one block;
+    None when a child did not deliver its part.
+
+    The first range is parsed here, each other one in a forked child that
+    writes down a pipe its row count, 8 bytes, and then its rows, which
+    are read straight into their slice of the block. Every child is
+    killed and reaped before this returns or raises.
+    """
+    children = []  # (pid, read end of its pipe), in file order
+    try:
+        for start, end in ranges[1:]:
+            children.append(_fork_part(path, start, end, dtype))
+        block = _parse_range(path, *ranges[0], dtype)
+        heads = [pipe.read(8) for _, pipe in children]
+        if any(len(head) < 8 for head in heads):
+            return None
+        counts = [int.from_bytes(head, sys.byteorder) for head in heads]
+        n = len(block)
+        # realloc: the rows parsed here stay where they are
+        block.resize(n + sum(counts), refcheck=False)
+        for (_, pipe), count in zip(children, counts):
+            rows = block[n:n + count]
+            if pipe.readinto(rows) < rows.nbytes:
+                return None
+            n += count
+        return block
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_part(path: str | Path, start: int, end: int, dtype):
+    """(pid, read end of its pipe) of a forked child that parses bytes
+    start..end of `path` and writes its row count and rows down the pipe.
+
+    The child runs only the parse, the pipe write and os._exit: no BLAS
+    call, import or logging, so no lock held by a thread that fork did not
+    copy, such as one of numpy's OpenBLAS pool, is ever waited on.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            rows = _parse_range(path, start, end, dtype)
+            with open(w, "wb") as out:
+                out.write(len(rows).to_bytes(8, sys.byteorder))
+                out.write(rows)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def load_detections(path: str | Path, n_bins: int) -> dict[int, Frame]:

@@ -314,10 +314,9 @@ class TrackerConfig:
             raise ConfigError("at least one feature weight must be positive")
         if not (0.0 <= self.t1 <= 1.0):
             raise ConfigError(f"t1 must be in [0,1], got {self.t1}")
-        if self.t2 < 1:
-            raise ConfigError(f"t2 must be a positive integer, got {self.t2}")
-        if self.t3 < 1:
-            raise ConfigError(f"t3 must be a positive integer, got {self.t3}")
+        for name, t in (("t2", self.t2), ("t3", self.t3)):
+            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {t}")
         if not (0.0 < self.t4 < math.inf):
             raise ConfigError(f"t4 must be finite and positive, got {self.t4}")
         if not (0.0 <= self.t5 <= 1.0):

@@ -1,5 +1,9 @@
 import dataclasses
+import errno
+import itertools
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -203,17 +207,19 @@ def test_interleaved_frames_load_as_line_parser(tmp_path):
     assert all(np.shares_memory(column, block) for fr in frames for column in (fr.ids, fr.hist))
 
 
-def test_loaded_frames_are_views_of_one_block(tmp_path):
+def test_loaded_frames_are_views_of_one_block(tmp_path, monkeypatch):
     res = generate(bench_scenario(frames=40, objects=3, clutter=2.0, seed=9))
     path = tmp_path / "d.txt"
     fileio.write_detections(path, res.detections_by_frame)
-    loaded = fileio.load_detections(path, 96)
-    assert len(loaded) > 1 and all(isinstance(fr, Frame) for fr in loaded.values())
-    block = next(iter(loaded.values())).hist.base
-    for fr in loaded.values():
-        for column in (fr.ids, fr.boxes, fr.hist):
-            assert np.shares_memory(column, block)
-            assert not column.flags.writeable
+    for parts in (1, 3):
+        _split_into(monkeypatch, parts)
+        loaded = fileio.load_detections(path, 96)
+        assert len(loaded) > 1 and all(isinstance(fr, Frame) for fr in loaded.values())
+        block = next(iter(loaded.values())).hist.base
+        for fr in loaded.values():
+            for column in (fr.ids, fr.boxes, fr.hist):
+                assert np.shares_memory(column, block)
+                assert not column.flags.writeable
 
 
 @pytest.mark.parametrize("text", ["", "# nothing here\n\n   # nor here\n"])
@@ -245,7 +251,9 @@ def test_loaded_histograms_are_read_only(tmp_path, text):
             det.histogram.bins[0] = 1.0
 
 
-@pytest.mark.parametrize("ncols,text", [
+# (ncols, file text): every case reads both ways to the same result or
+# fails both ways with the same error
+_TABLE_CORPUS = [
     (6, "# gt\n3 0 10 10 5 5\n1 0 1 1 1 1  # one\n3 1 -0.0 10 5 5\n3 0 2 2 2 2\n"),
     (6, "1_0 0 10 10 5 5\n"),
     (6, "0 0 10 10 5 0\n"),
@@ -256,18 +264,213 @@ def test_loaded_histograms_are_read_only(tmp_path, text):
     (7, "2 0 10 10 5 5 +1\n"),
     (7, "2 0 10 10 nan 5 1\n"),
     (7, "# only a comment\n"),
-])
+]
+
+
+def _table_outcome(read, path, ncols):
+    try:
+        return repr(read(path, ncols))
+    except Exception as e:  # compared between the two readers
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("ncols,text", _TABLE_CORPUS)
 def test_table_reader_matches_line_parser(tmp_path, ncols, text):
     path = tmp_path / "t.txt"
     path.write_text(text)
+    assert _table_outcome(fileio._load_table, path, ncols) == \
+        _table_outcome(fileio._table_by_line, path, ncols)
 
-    def outcome(read):
-        try:
-            return repr(read(path, ncols))
-        except Exception as e:  # compared between the two readers
-            return type(e), str(e)
 
-    assert outcome(fileio._load_table) == outcome(fileio._table_by_line)
+def _split_into(monkeypatch, k):
+    """Make _read_block cut every file into k parts (fewer where a line
+    spans a cut): every byte is a part's worth, and k CPUs are usable."""
+    monkeypatch.setattr(fileio, "_PART_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _cut_at(monkeypatch, cuts):
+    """Make _read_block cut every file at the byte offsets `cuts`."""
+    read_parts = fileio._read_parts
+
+    def at_cuts(path, ranges, dtype):
+        bounds = [0, *cuts, ranges[-1][1]]
+        return read_parts(path, list(zip(bounds, bounds[1:])), dtype)
+    monkeypatch.setattr(fileio, "_read_parts", at_cuts)
+
+
+def _line_ends(path):
+    """The byte offset just after each b"\\n" of `path`, but the end of the file."""
+    data = path.read_bytes()
+    return [i + 1 for i, b in enumerate(data[:-1]) if b == ord("\n")]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("text,n_bins", [pytest.param(t, n, id=i) for i, t, n in _DETECTION_CORPUS])
+def test_split_load_matches_line_parser(tmp_path, monkeypatch, k, text, n_bins):
+    """Cut into k parts at every choice of line ends, a file loads as the
+    line parser loads it, or fails with its error."""
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    want = _outcome(fileio._detections_by_line, path, n_bins)
+    for cuts in itertools.combinations(_line_ends(path), k - 1):
+        _cut_at(monkeypatch, cuts)
+        assert _outcome(fileio.load_detections, path, n_bins) == want, cuts
+    _no_child_left()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("ncols,text", _TABLE_CORPUS)
+def test_split_table_matches_line_parser(tmp_path, monkeypatch, k, ncols, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    want = _table_outcome(fileio._table_by_line, path, ncols)
+    for cuts in itertools.combinations(_line_ends(path), k - 1):
+        _cut_at(monkeypatch, cuts)
+        assert _table_outcome(fileio._load_table, path, ncols) == want, cuts
+    _no_child_left()
+
+
+def _rows(n):
+    """n detection rows, three to a frame."""
+    return "".join(f"{i // 3} {i % 3} 10 10 5 5\n" for i in range(n))
+
+
+# (id, file bytes, parts the cut rule makes of it at k = 2)
+_SPLIT_CASES = [
+    # the cut falls just after the last row; the comment fills the part after it
+    ("comment_only_tail", _rows(6).encode() + b"# " + b"-" * 60 + b"\n", 2),
+    ("crlf_lines", _rows(6).replace("\n", "\r\n").encode(), 2),
+    ("lone_cr_lines", _rows(6).replace("\n", "\r").encode(), 1),
+    ("lone_cr_lines_then_lf", _rows(12).replace("\n", "\r", 5).encode(), 2),
+    # past the first 8 KiB, which the scan for the first row decodes
+    ("non_ascii_in_last_part", _rows(1200).encode() + "# caf\u00e9\n".encode(), 2),
+    ("short_row_in_last_part", (_rows(12) + "9 0 10 10 5\n").encode(), 2),
+]
+
+
+@pytest.mark.parametrize("data,parts", [pytest.param(d, p, id=i) for i, d, p in _SPLIT_CASES])
+def test_split_at_line_ends(tmp_path, monkeypatch, data, parts):
+    """Cut where the rule cuts, each part ending just after a b"\\n", a
+    file loads as the line parser loads it, or fails with its error."""
+    path = tmp_path / "d.txt"
+    path.write_bytes(data)
+    seen = []
+    read_parts = fileio._read_parts
+    monkeypatch.setattr(fileio, "_read_parts",
+                        lambda path, ranges, dtype: seen.append(ranges) or read_parts(path, ranges, dtype))
+    _split_into(monkeypatch, 2)
+    assert _outcome(fileio.load_detections, path, 96) == _outcome(fileio._detections_by_line, path, 96)
+    assert len(seen[0]) == parts
+    assert all(data[end - 1:end] == b"\n" for _, end in seen[0][:-1])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
+    pytest.param(lanes_scenario(n_objects=32, duration=350, seed=7, speed=0.8, lane_gap=40.0,
+                                drop_probability=0.1, position_jitter_sigma=0.5,
+                                histogram_noise=0.05), id="crowd"),
+])
+def test_workload_block_same_in_one_part_and_two(tmp_path, monkeypatch, spec):
+    """The benchmark's seed-7 detection files, some 20 MB each, give the
+    same block bytes read as one part and as two."""
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, generate(spec).detections_by_frame)
+    blocks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        blocks.append(fileio._read_block(path, np.float64))
+    assert blocks[0].dtype == blocks[1].dtype
+    assert blocks[0].tobytes() == blocks[1].tobytes()
+    _no_child_left()
+
+
+def _split_file(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(_rows(60))
+    return path
+
+
+# the last part of a file of 1200 rows lies past the first 8 KiB
+@pytest.mark.parametrize("text,error", [
+    pytest.param(_rows(1200), None, id="block"),
+    pytest.param(_rows(1200) + "# caf\u00e9\n", None, id="line_parser"),
+    pytest.param(_rows(1200) + "999 0 10 10 5\n", ParseError, id="parse_error"),
+])
+def test_split_load_leaves_no_child(tmp_path, monkeypatch, text, error):
+    path = tmp_path / "d.txt"
+    path.write_text(text, encoding="utf-8")
+    _split_into(monkeypatch, 3)
+    if error is None:
+        assert len(fileio.load_detections(path, 96)) == 400
+    else:
+        with pytest.raises(error):
+            fileio.load_detections(path, 96)
+    _no_child_left()
+
+
+class _CountOnly:
+    """A part of 3 rows that has no bytes to write: its child sends the
+    row count and then fails."""
+
+    def __len__(self):
+        return 3
+
+
+@pytest.mark.parametrize("dies", ["before_count", "after_count"])
+def test_child_that_dies_gives_one_part_result(tmp_path, monkeypatch, dies):
+    path = _split_file(tmp_path)
+    one_part = fileio._read_block(path, np.float64)
+    parent, parse_range = os.getpid(), fileio._parse_range
+
+    def dies_in_child(*args):
+        if os.getpid() != parent:
+            if dies == "before_count":
+                os._exit(1)
+            return _CountOnly()
+        return parse_range(*args)
+    monkeypatch.setattr(fileio, "_parse_range", dies_in_child)
+    _split_into(monkeypatch, 3)
+    assert fileio._read_block(path, np.float64).tobytes() == one_part.tobytes()
+    _no_child_left()
+
+
+def test_fork_failure_gives_one_part_result(tmp_path, monkeypatch):
+    path = _split_file(tmp_path)
+    one_part = fileio._read_block(path, np.float64)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    _split_into(monkeypatch, 3)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    assert fileio._read_block(path, np.float64).tobytes() == one_part.tobytes()
+    assert fds is None or os.listdir("/proc/self/fd") == fds
+
+
+def test_parent_parse_error_kills_and_reaps_children(tmp_path, monkeypatch):
+    """An exception in this process's own part kills the children, which
+    would otherwise parse for a minute, and reaps them before it leaves."""
+    path = _split_file(tmp_path)
+    parent = os.getpid()
+
+    def slow_child_failing_parent(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("parse interrupted")
+    monkeypatch.setattr(fileio, "_parse_range", slow_child_failing_parent)
+    _split_into(monkeypatch, 3)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="parse interrupted"):
+        fileio._read_block(path, np.float64)
+    assert time.monotonic() - started < 30
+    _no_child_left()
 
 
 @pytest.mark.parametrize("load,rows", [

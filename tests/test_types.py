@@ -137,6 +137,10 @@ class TestTrackerConfig:
         {"measurement_noise": math.inf},
         {"n_bins": 96.5},
         {"n_bins": True},
+        {"t2": 2.5},
+        {"t3": 1.5},
+        {"t2": True},
+        {"t3": True},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
