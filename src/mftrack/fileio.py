@@ -12,9 +12,15 @@ Floats are written with repr so that write -> read round-trips exactly.
 A detection row's histogram must have either the configured bin count or
 768 raw bins (then rebinned); a missing histogram is stored as all zeros.
 
-Detection, ground-truth and trajectory files are parsed in one np.loadtxt
-pass and checked as arrays; a file that pass rejects is read again line by
-line, so every error names its `path:line`.
+Detection, ground-truth and trajectory files are parsed in one bulk pass
+and checked as arrays; a file that pass rejects is read again line by
+line, so every error names its `path:line`. The pass reads the file in
+line-aligned chunks of about 64 KiB (_CHUNK_BYTES), cuts '#' comments and
+hands each chunk to orjson as one JSON array of numbers, which orjson
+reads to the same doubles as float(), correctly rounded. It takes JSON
+numbers only, and not -0, which JSON reads as the integer 0: any other
+token that int() or float() accepts (+1, .5, inf) and any non-ASCII text
+outside a comment sends the file to the line parser.
 
 On Linux that pass runs on every CPU the process may use
 (os.sched_getaffinity): the file is cut into that many byte ranges, fewer
@@ -22,25 +28,27 @@ where a range would be under _PART_BYTES (1 MiB), each cut just after a
 b"\\n". The first range is parsed in this process, each other one in a
 forked child whose rows come down a pipe into their slice of the one
 block; a range a child does not deliver has the file parsed as one range
-here. Elsewhere, and with one usable CPU, the file is one range.
+here, and a range that does not parse sends the file to the line parser.
+Elsewhere, and with one usable CPU, the file is one range.
 CPython 3.12 and later issue a DeprecationWarning from os.fork() when the
 process has other threads, and numpy's OpenBLAS thread pool is one. The
 child is safe all the same: it runs only the parse, a pipe write and
-os._exit, with no BLAS call, import or logging, so it takes no lock that
-a thread fork did not copy could be holding.
+os._exit, with no BLAS call, import or logging (this module imports
+orjson before any fork), so it takes no lock that a thread fork did not
+copy could be holding.
 """
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
+import re
 import signal
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, HistogramShapeError, InputError, ParseError
 from .metrics import EvalReport, GroundTruthObject
@@ -105,30 +113,37 @@ def _lines(path: str | Path):
 
 # the smallest byte range of a file that _read_block gives a process of its own
 _PART_BYTES = 1 << 20
+# about the bytes of a range that _parse_range reads and parses at a time
+_CHUNK_BYTES = 1 << 16
+# every byte a data row may hold once its '#' comment is cut
+_ROW_BYTES = b"0123456789.eE+- \t\n"
+# -0 with no more of a number after it: the token -0, which JSON reads as
+# the integer 0 and float() as -0.0, where the byte before is a separator
+_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+# the row count a child sends for a range that does not parse
+_NO_PARSE = (2**64 - 1).to_bytes(8, sys.byteorder)
 
 
 def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
-    """Every data row of `path` parsed by np.loadtxt, or None when this fast
-    path cannot read the file and the line parser must.
+    """Every data row of `path` parsed by _parse_range, or None when this
+    fast path cannot read the file and the line parser must.
 
     The rows become a structured array with fields "ids" (2 int64), "box"
     (4 float64) and "tail" (the other w - 6 columns as tail_type), where w
     is the width of the first data row. None stands for mixed widths, fewer
-    than 6 columns, a token numpy refuses (some `int`/`float` accept, such
-    as 1_000) and any non-ASCII text: numpy's int64 parser takes some
-    non-ASCII letters before a number as digits, where `int` refuses them.
+    than 6 columns, text that is not UTF-8 and any token that is not a JSON
+    number (some `int`/`float` accept, such as +1 or inf).
 
     The file is cut into one byte range per usable CPU, none under
     _PART_BYTES, each cut just after a b"\\n"; see _read_parts.
     """
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="utf-8") as fh:
             first = next((cols for cols in (line.split("#", 1)[0].split() for line in fh) if cols), [])
             size = os.fstat(fh.fileno()).st_size
         dtype = [("ids", np.int64, (2,)), ("box", np.float64, (4,)),
                  ("tail", tail_type, (max(len(first) - 6, 0),))]
         if not first:
-            # np.loadtxt warns on a file without data rows
             return np.zeros(0, dtype=dtype)
         if len(first) < 6:
             return None
@@ -148,45 +163,118 @@ def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
             block = None
         # a child did not deliver its rows, or could not be started
         return block if block is not None else _parse_range(path, 0, size, dtype)
-    except ValueError:  # UnicodeDecodeError included
+    except ValueError:  # UnicodeDecodeError and orjson.JSONDecodeError included
         return None
 
 
-class _Range(io.RawIOBase):
-    """The next n bytes of the unbuffered binary file raw, as a stream."""
+def _line_ends(fh, n: int) -> int:
+    """The b"\\n" and b"\\r" bytes in the next n bytes of the binary file fh."""
+    buf = bytearray(_CHUNK_BYTES)
+    view = np.frombuffer(buf, np.uint8)
+    count = 0
+    while n > 0 and (k := fh.readinto(memoryview(buf)[:min(n, len(buf))])):
+        n -= k
+        count += np.count_nonzero(view[:k] == ord("\n"))
+        if buf.find(b"\r", 0, k) >= 0:
+            count += np.count_nonzero(view[:k] == ord("\r"))
+    return count
 
-    def __init__(self, raw, n: int):
-        self.raw, self.left = raw, n
 
-    def readable(self) -> bool:
-        return True
+def _chunks(fh, n: int):
+    """The next n bytes of the binary file fh in chunks of about
+    _CHUNK_BYTES, each but the last cut just after a line end (b"\\n" or
+    b"\\r"); a line longer than that is one chunk."""
+    rest = b""
+    while n > 0 and (data := fh.read(min(_CHUNK_BYTES, n))):
+        n -= len(data)
+        data = rest + data
+        cut = data.rfind(b"\n") + 1 if n > 0 else len(data)
+        cut = max(cut, data.rfind(b"\r", cut) + 1)
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest
 
-    def readinto(self, buf) -> int:
-        n = self.raw.readinto(memoryview(buf)[:self.left])
-        self.left -= n
-        return n
+
+def _chunk_values(chunk: bytes) -> list:
+    """The numbers orjson reads from the tokens of `chunk`, whole lines of
+    a file, in file order, with a None after each data row. A ValueError
+    where a line holds anything but JSON numbers, spaces, tabs and a '#'
+    comment, or where the chunk is not UTF-8 text."""
+    if b"\r" in chunk:  # the line ends text mode reads
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not chunk.isascii():
+        chunk.decode("utf-8")  # else the line parser names the line
+    if b"#" in chunk:
+        chunk = b"\n".join(line.split(b"#", 1)[0] for line in chunk.split(b"\n"))
+    # JSON also reads true, null, "2" and [1] as values, which no column holds
+    if chunk.translate(None, _ROW_BYTES):
+        raise ValueError("a byte no JSON number holds")
+    if b"-0" in chunk and any(m.start() == 0 or chunk[m.start() - 1] in b" \t\n"
+                              for m in _MINUS_ZERO.finditer(chunk)):
+        raise ValueError("-0, which JSON reads as the integer 0")
+    chunk = chunk.strip()
+    if not chunk:
+        return []
+    try:
+        return orjson.loads(b"[" + chunk.replace(b" ", b",").replace(b"\n", b",null,") + b",null]")
+    except orjson.JSONDecodeError:  # tabs, runs of spaces or blank lines; else a bad token
+        rows = (b",".join(tokens) for tokens in map(bytes.split, chunk.split(b"\n")) if tokens)
+        return orjson.loads(b"[" + b",null,".join(rows) + b",null]")
 
 
 def _parse_range(path: str | Path, start: int, end: int, dtype) -> np.ndarray:
-    """np.loadtxt of bytes start..end of `path`, read as the text that
-    open(path, encoding="ascii") reads; a ValueError where that fails."""
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        text = io.TextIOWrapper(io.BufferedReader(_Range(raw, end - start)), encoding="ascii")
-        with warnings.catch_warnings():
-            # a part may hold only comments where the file has a data row
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(text, dtype=dtype, comments="#", ndmin=1)
+    """The data rows of bytes start..end of `path` as a block of `dtype`,
+    read by _chunk_values one chunk at a time; a ValueError where a chunk
+    does not parse or a row does not fit `dtype`.
+
+    The id columns, and an int64 tail, take only JSON integers that fit
+    int64; the box and a float64 tail take every number as float() does.
+    """
+    tail = np.dtype(dtype)["tail"]
+    width = 6 + tail.shape[0]
+    int_columns = [0, 1, *range(6, width)] if tail.base.kind == "i" else [0, 1]
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        # a row ends at a line end or at the range's end: counting them in a
+        # first pass sizes the block, which is then never copied to grow
+        block = np.empty(_line_ends(fh, end - start) + 1, dtype)
+        fh.seek(start)
+        n = 0
+        for chunk in _chunks(fh, end - start):
+            values = _chunk_values(chunk)
+            if not values:
+                continue
+            if len(values) % (width + 1):
+                raise ValueError("rows of another width")
+            # a None reads as nan, which no JSON number does: the Nones end
+            # the rows exactly when every row has `width` numbers
+            floats = np.array(values, np.float64).reshape(-1, width + 1)
+            ends = np.isnan(floats)
+            if not ends[:, width].all() or ends[:, :width].any():
+                raise ValueError("rows of another width")
+            ints = np.array([values[i::width + 1] for i in int_columns])
+            if ints.dtype.kind != "i":  # a float, or an integer past int64
+                raise ValueError("an id that is not an int64")
+            part = block[n:n + len(floats)]
+            part["ids"], part["box"] = ints[:2].T, floats[:, 2:6]
+            part["tail"] = ints[2:].T if len(int_columns) > 2 else floats[:, 6:width]
+            n += len(floats)
+    block.resize(n, refcheck=False)
+    return block
 
 
 def _read_parts(path: str | Path, ranges: list[tuple[int, int]], dtype) -> np.ndarray | None:
     """The rows of the byte ranges of `path`, in file order, as one block;
-    None when a child did not deliver its part.
+    None when a child did not deliver its part, a ValueError when a range
+    does not parse.
 
     The first range is parsed here, each other one in a forked child that
     writes down a pipe its row count, 8 bytes, and then its rows, which
-    are read straight into their slice of the block. Every child is
-    killed and reaped before this returns or raises.
+    are read straight into their slice of the block; a child whose range
+    does not parse sends _NO_PARSE for its count. Every child is killed
+    and reaped before this returns or raises.
     """
     children = []  # (pid, read end of its pipe), in file order
     try:
@@ -194,6 +282,8 @@ def _read_parts(path: str | Path, ranges: list[tuple[int, int]], dtype) -> np.nd
             children.append(_fork_part(path, start, end, dtype))
         block = _parse_range(path, *ranges[0], dtype)
         heads = [pipe.read(8) for _, pipe in children]
+        if _NO_PARSE in heads:
+            raise ValueError("a range does not parse")
         if any(len(head) < 8 for head in heads):
             return None
         counts = [int.from_bytes(head, sys.byteorder) for head in heads]
@@ -215,7 +305,8 @@ def _read_parts(path: str | Path, ranges: list[tuple[int, int]], dtype) -> np.nd
 
 def _fork_part(path: str | Path, start: int, end: int, dtype):
     """(pid, read end of its pipe) of a forked child that parses bytes
-    start..end of `path` and writes its row count and rows down the pipe.
+    start..end of `path` and writes its row count and rows down the pipe,
+    or _NO_PARSE where the range does not parse.
 
     The child runs only the parse, the pipe write and os._exit: no BLAS
     call, import or logging, so no lock held by a thread that fork did not
@@ -231,10 +322,14 @@ def _fork_part(path: str | Path, start: int, end: int, dtype):
     if pid == 0:
         try:
             os.close(r)
-            rows = _parse_range(path, start, end, dtype)
             with open(w, "wb") as out:
-                out.write(len(rows).to_bytes(8, sys.byteorder))
-                out.write(rows)
+                try:
+                    rows = _parse_range(path, start, end, dtype)
+                except ValueError:
+                    out.write(_NO_PARSE)
+                else:
+                    out.write(len(rows).to_bytes(8, sys.byteorder))
+                    out.write(rows)
             os._exit(0)
         finally:
             os._exit(1)

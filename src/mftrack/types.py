@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -43,19 +44,14 @@ class ObjectState:
         """One state per (x, y, l, h) row of an (n, 4) array.
 
         The rows are checked at once, as the constructor checks one state,
-        and each state is then made without a check of its own.
+        and each state is then made without a check of its own: each field
+        is set by its slot's own setter, mapped over all the states.
         """
         boxes = np.asarray(boxes, dtype=np.float64)
         check_boxes(boxes)
-        states = []
-        new, put = object.__new__, object.__setattr__
-        for x, y, l, h in zip(*boxes.T.tolist()):
-            s = new(cls)
-            put(s, "x", x)
-            put(s, "y", y)
-            put(s, "l", l)
-            put(s, "h", h)
-            states.append(s)
+        states = list(map(object.__new__, repeat(cls, len(boxes))))
+        for name, column in zip(("x", "y", "l", "h"), boxes.T.tolist()):
+            list(map(getattr(cls, name).__set__, states, column))
         return states
 
     @property

@@ -1,12 +1,16 @@
 import dataclasses
+import decimal
 import errno
 import itertools
+import math
 import os
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_detection, make_track
 from mftrack import fileio
@@ -123,6 +127,20 @@ def _raw_rows(n_rows, seed=5):
 
 _HIST = " ".join(repr(0.5 * k) for k in range(96))
 
+# doubles at the edges of the format: the smallest normal, the smallest
+# subnormal and the token that rounds up to it, the largest, 2**53 + 1,
+# 1e23, a 17-digit sum, -0.0, a capital exponent, and two 25-digit tokens
+# either side of the point halfway from 1.0 to the next double
+_EXACT = ("2.2250738585072011e-308 4.9406564584124654e-324 2.4703282292062328e-324 "
+          "1.7976931348623157e308 9007199254740993 1e23 0.30000000000000004 -0.0 1E+05 "
+          "1.000000000000000111022302 1.000000000000000111022303").split()
+# detection rows with 3 bins, each value where a box or a count may hold it
+_EXACT_ROWS = "".join(f"{f} {d} " + " ".join(_EXACT[i] for i in row) + "\n" for f, d, row in [
+    (0, 0, (7, 5, 2, 3, 0, 1, 4)),
+    (0, 1, (6, 8, 9, 10, 7, 5, 6)),
+    (1, 0, (4, 0, 1, 8, 10, 3, 2)),
+])
+
 # (id, file text, n_bins): every case loads both ways to the same result
 # or fails both ways with the same error
 _DETECTION_CORPUS = [
@@ -153,6 +171,41 @@ _DETECTION_CORPUS = [
     ("only_comments", "# nothing here\n\n   # nor here\n", 96),
     ("empty", "", 96),
     ("too_few_columns", "0 0 10 10 5\n", 96),
+    # values JSON reads that no column holds: np.array would make 1.0, nan or 2.0 of some
+    ("json_true", "0 0 true 10 5 5\n", 96),
+    ("json_false", "0 0 10 10 5 5 1 false 3\n", 3),
+    ("json_null", "0 null 10 10 5 5\n", 96),
+    ("json_string", '0 0 10 "2" 5 5\n', 96),
+    ("json_array", "0 0 10 10 [5] 5\n", 96),
+    ("json_object", "0 0 10 10 5 {}\n", 96),
+    # -0, which JSON reads as the integer 0 and float() as -0.0
+    ("minus_zero_box", "0 0 -0 10 5 5\n", 96),
+    ("minus_zero_count", "0 0 10 10 5 5 -0 1 2\n", 3),
+    ("minus_zero_id", "-0 0 10 10 5 5\n", 96),
+    # integers past int64, which JSON reads as a float or a uint64
+    ("id_past_uint64", "0 99999999999999999999 10 10 5 5\n", 96),
+    ("id_past_int64", "0 9223372036854775808 10 10 5 5\n", 96),
+    ("id_below_int64", "0 -9223372036854775809 10 10 5 5\n", 96),
+    ("overflow_box", "0 0 1e400 10 5 5\n", 96),
+    # tokens float() or int() reads and JSON refuses
+    ("plus_box", "0 0 +1 10 5 5\n", 96),
+    ("leading_dot", "0 0 .5 10 5 5\n", 96),
+    ("trailing_dot", "0 0 1. 10 5 5\n", 96),
+    ("leading_zero", "0 01 10 10 5 5\n", 96),
+    ("underscored_box", "0 0 1_000 10 5 5\n", 96),
+    ("inf_count", "0 0 10 10 5 5 1 inf 3\n", 3),
+    # whitespace str.split() cuts at and the chunk reader does not take
+    ("non_ascii_space", "0 0\u00a010 10 5 5\n", 96),
+    ("vertical_tab", "0 0\x0b10 10 5 5\n", 96),
+    ("file_separator", "0 0\x1c10 10 5 5\n", 96),
+    # a short row and a long one whose numbers add up to two rows of the first width
+    ("short_and_long_rows", "0 0 10 10 5 5\n0 1 10 10 5\n0 2 10 10 5 5 5\n", 96),
+    # layouts the chunk reader takes
+    ("crlf_lines", "0 0 10 10 5 5\r\n0 1 20 20 5 5\r\n# end\r\n1 0 11 10 5 5\r\n", 96),
+    ("lone_cr_lines", "0 0 10 10 5 5\r0 1 20 20 5 5  # a box\r1 0 11 10 5 5\r", 96),
+    ("tabs_and_space_runs", "0\t0  10 \t10 5 5\n\t\n  0 1 20 20 5\t5  \n\n1 0 11 10 5 5", 96),
+    ("utf8_comments", "# caf\u00e9\n0 0 10 10 5 5  # \u00e9\u00e9\n1 0 11 10 5 5\n", 96),
+    ("exact_doubles", _EXACT_ROWS, 3),
 ]
 
 
@@ -181,7 +234,7 @@ def test_block_rejection_names_the_line(tmp_path, case, line):
     """A repeated (frame, id) pair or a negative frame id, which the block
     path finds once over all rows, is the line parser's ParseError naming
     the row's line."""
-    text, n_bins = next((t, n) for i, t, n in _DETECTION_CORPUS if i == case)
+    text, n_bins = _corpus(case)
     path = tmp_path / "d.txt"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
@@ -251,6 +304,16 @@ def test_loaded_histograms_are_read_only(tmp_path, text):
             det.histogram.bins[0] = 1.0
 
 
+# (ncols, file text) of tables the chunk reader takes: line ends, tabs,
+# blank lines, a UTF-8 comment, and the doubles of _EXACT, with l and h > 0
+_TABLE_BULK = [
+    (6, "0 0 10 10 5 5\r\n1 0 11 10 5 5\r\n"),
+    (7, "2 0 10 10 5 5 1\r2 1 10 10 5 5 0\r"),
+    (6, "# caf\u00e9\n0\t0 10  10 5 5\n\n1 0 11 10 5 5 \n"),
+    (6, "".join(f"0 {i} {_EXACT[i]} {_EXACT[(i + 5) % 11]} {_EXACT[(i + 1) % 7]} {_EXACT[8 + i % 3]}\n"
+                for i in range(11))),
+]
+
 # (ncols, file text): every case reads both ways to the same result or
 # fails both ways with the same error
 _TABLE_CORPUS = [
@@ -264,6 +327,15 @@ _TABLE_CORPUS = [
     (7, "2 0 10 10 5 5 +1\n"),
     (7, "2 0 10 10 nan 5 1\n"),
     (7, "# only a comment\n"),
+    (6, "0 0 true 10 5 5\n"),
+    (6, "0 0 -0 10 5 5\n"),
+    (7, "2 0 10 10 5 5 -0\n"),
+    (7, "2 0 10 10 5 5 1e0\n"),
+    (7, "2 0 10 10 5 5 9223372036854775808\n"),
+    (6, "99999999999999999999 0 10 10 5 5\n"),
+    (6, "0 0 1e400 10 5 5\n"),
+    (6, "0 0 .5 10 5 5\n"),
+    *_TABLE_BULK,
 ]
 
 
@@ -280,6 +352,127 @@ def test_table_reader_matches_line_parser(tmp_path, ncols, text):
     path.write_text(text)
     assert _table_outcome(fileio._load_table, path, ncols) == \
         _table_outcome(fileio._table_by_line, path, ncols)
+
+
+def _corpus(case):
+    return next((t, n) for i, t, n in _DETECTION_CORPUS if i == case)
+
+
+def _no_line_parser(*args):
+    raise AssertionError("the line parser ran")
+
+
+# corpus files the chunk reader takes, and the ones it hands to the line parser
+_BULK_CASES = ["negative_zero", "comments_and_blank_lines", "full_histograms", "raw_rebinned_to_96",
+               "crlf_lines", "lone_cr_lines", "tabs_and_space_runs", "utf8_comments", "exact_doubles"]
+_REFUSED_CASES = ["signed_id", "underscored_id", "float_id", "exponent_id", "non_ascii_before_id",
+                  "nan_box", "inf_box", "json_true", "json_false", "json_null", "json_string",
+                  "json_array", "json_object", "minus_zero_box", "minus_zero_count", "minus_zero_id",
+                  "id_past_uint64", "id_past_int64", "id_below_int64", "overflow_box", "plus_box",
+                  "leading_dot", "trailing_dot", "leading_zero", "underscored_box", "inf_count",
+                  "non_ascii_space", "vertical_tab", "file_separator", "short_and_long_rows"]
+
+
+@pytest.mark.parametrize("case", _BULK_CASES)
+def test_chunk_reader_loads_as_line_parser(tmp_path, monkeypatch, case):
+    """These files load on the block path alone, to the line parser's
+    frames bit for bit: -0.0 and every double of _EXACT included."""
+    text, n_bins = _corpus(case)
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    want = _outcome(fileio._detections_by_line, path, n_bins)
+    monkeypatch.setattr(fileio, "_detections_by_line", _no_line_parser)
+    for parts in (1, 2):
+        _split_into(monkeypatch, parts)
+        assert _outcome(fileio.load_detections, path, n_bins) == want
+
+
+@pytest.mark.parametrize("case", _REFUSED_CASES)
+def test_chunk_reader_takes_json_numbers_only(tmp_path, case):
+    """A token that is not a JSON number, -0, an id past int64, a number
+    past the largest double and whitespace other than spaces, tabs and
+    line ends each leave the file to the line parser, which
+    test_load_detections_matches_line_parser compares."""
+    path = tmp_path / "d.txt"
+    path.write_text(_corpus(case)[0])
+    assert fileio._read_block(path, np.float64) is None
+
+
+@pytest.mark.parametrize("ncols,text", _TABLE_BULK)
+def test_chunk_reader_reads_tables_as_line_parser(tmp_path, monkeypatch, ncols, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    want = _table_outcome(fileio._table_by_line, path, ncols)
+    monkeypatch.setattr(fileio, "_table_by_line", _no_line_parser)
+    assert _table_outcome(fileio._load_table, path, ncols) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_small_chunks_load_as_line_parser(tmp_path, monkeypatch, chunk):
+    """Chunks cut at every line end, or a few lines long, a CRLF pair cut
+    between its two bytes and lines longer than a chunk included, load
+    every corpus file as the line parser does."""
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "d.txt"
+    for case, text, n_bins in _DETECTION_CORPUS:
+        path.write_text(text)
+        assert _outcome(fileio.load_detections, path, n_bins) == \
+            _outcome(fileio._detections_by_line, path, n_bins), case
+    for ncols, text in _TABLE_CORPUS:
+        path.write_text(text)
+        assert _table_outcome(fileio._load_table, path, ncols) == \
+            _table_outcome(fileio._table_by_line, path, ncols), text
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_chunks_end_at_line_ends(tmp_path, monkeypatch, end):
+    """_chunks gives back every byte of its range, in chunks of about
+    _CHUNK_BYTES that each end at a line end, whichever line ends the file
+    uses, the last chunk of the range alone excepted."""
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", 16)
+    data = b"".join(b"%d 0 10 10 5 5" % i + end for i in range(20)) + b"99 0 1 1 1 1"
+    path = tmp_path / "d.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        fh.seek(3)
+        chunks = list(fileio._chunks(fh, len(data) - 5))
+    assert b"".join(chunks) == data[3:-2]
+    assert len(chunks) >= 10
+    assert all(c.endswith((b"\n", b"\r")) for c in chunks[:-1])
+
+
+def _double_tokens(x: float, digits: int) -> list[str]:
+    """x written with repr and with `digits` significant digits, and the
+    point halfway from x to the next double up written with `digits`
+    digits and, where it is an integer below 10**25, in full."""
+    tokens = [repr(x), f"{x:.{digits - 1}e}"]
+    up = math.nextafter(x, math.inf)
+    if math.isfinite(up):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1200  # the exact sum of two doubles
+            mid = (decimal.Decimal(x) + decimal.Decimal(up)) / 2
+        tokens.append(f"{mid:.{digits - 1}e}")
+        if 2**53 <= abs(mid) < 10**25:
+            tokens.append(str(int(mid)))
+    return tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+       digits=st.integers(17, 25))
+def test_block_reads_doubles_as_float_does(tmp_path_factory, values, digits):
+    """Every token of a finite double, with 17 to 25 digits and near a
+    halfway point, reads on the block path to the double float() reads,
+    which the line parser uses: the same 64 bits."""
+    tokens = [t for x in values for t in _double_tokens(x, digits)]
+    tokens += ["0"] * (-len(tokens) % 4)
+    rows = [tokens[i:i + 4] for i in range(0, len(tokens), 4)]
+    path = tmp_path_factory.getbasetemp() / "doubles.txt"
+    path.write_text("".join(f"0 {i} {' '.join(row)}\n" for i, row in enumerate(rows)))
+    block = fileio._read_block(path, np.int64)
+    assert block is not None
+    want = np.array([[float(t) for t in row] for row in rows])
+    assert block["box"].view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _split_into(monkeypatch, k):
@@ -336,6 +529,15 @@ def test_split_table_matches_line_parser(tmp_path, monkeypatch, k, ncols, text):
     _no_child_left()
 
 
+# the benchmark workloads at seed 7, whose detection files are some 20 MB each
+_WORKLOADS = [
+    pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
+    pytest.param(lanes_scenario(n_objects=32, duration=350, seed=7, speed=0.8, lane_gap=40.0,
+                                drop_probability=0.1, position_jitter_sigma=0.5,
+                                histogram_noise=0.05), id="crowd"),
+]
+
+
 def _rows(n):
     """n detection rows, three to a frame."""
     return "".join(f"{i // 3} {i % 3} 10 10 5 5\n" for i in range(n))
@@ -371,12 +573,7 @@ def test_split_at_line_ends(tmp_path, monkeypatch, data, parts):
     _no_child_left()
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
-    pytest.param(lanes_scenario(n_objects=32, duration=350, seed=7, speed=0.8, lane_gap=40.0,
-                                drop_probability=0.1, position_jitter_sigma=0.5,
-                                histogram_noise=0.05), id="crowd"),
-])
+@pytest.mark.parametrize("spec", _WORKLOADS)
 def test_workload_block_same_in_one_part_and_two(tmp_path, monkeypatch, spec):
     """The benchmark's seed-7 detection files, some 20 MB each, give the
     same block bytes read as one part and as two."""
@@ -391,6 +588,20 @@ def test_workload_block_same_in_one_part_and_two(tmp_path, monkeypatch, spec):
     _no_child_left()
 
 
+@pytest.mark.parametrize("spec", _WORKLOADS)
+def test_workload_detections_load_as_line_parser(tmp_path, monkeypatch, spec):
+    """The benchmark's seed-7 detection files load on the block path, in
+    one range and in two, to the line parser's frames bit for bit."""
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, generate(spec).detections_by_frame)
+    want = _outcome(fileio._detections_by_line, path, 96)
+    monkeypatch.setattr(fileio, "_detections_by_line", _no_line_parser)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _outcome(fileio.load_detections, path, 96) == want
+    _no_child_left()
+
+
 def _split_file(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text(_rows(60))
@@ -400,7 +611,7 @@ def _split_file(tmp_path):
 # the last part of a file of 1200 rows lies past the first 8 KiB
 @pytest.mark.parametrize("text,error", [
     pytest.param(_rows(1200), None, id="block"),
-    pytest.param(_rows(1200) + "# caf\u00e9\n", None, id="line_parser"),
+    pytest.param(_rows(1199) + "+399 2 10 10 5 5\n", None, id="line_parser"),
     pytest.param(_rows(1200) + "999 0 10 10 5\n", ParseError, id="parse_error"),
 ])
 def test_split_load_leaves_no_child(tmp_path, monkeypatch, text, error):
@@ -412,6 +623,60 @@ def test_split_load_leaves_no_child(tmp_path, monkeypatch, text, error):
     else:
         with pytest.raises(error):
             fileio.load_detections(path, 96)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_utf8_comment_keeps_the_block_path(tmp_path, monkeypatch, parts):
+    """A UTF-8 comment, here `# café` at the head and at the end of a file
+    of more than one range, is cut before the byte check: the file loads
+    on the block path, as the line parser loads it."""
+    res = generate(bench_scenario(frames=60, objects=3, clutter=2.0, seed=9))
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, res.detections_by_frame)
+    path.write_text("# caf\u00e9\n" + path.read_text() + "# caf\u00e9\n", encoding="utf-8")
+    want = _outcome(fileio._detections_by_line, path, 96)
+    monkeypatch.setattr(fileio, "_detections_by_line", _no_line_parser)
+    _split_into(monkeypatch, parts)
+    assert _outcome(fileio.load_detections, path, 96) == want
+    _no_child_left()
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_latin1_comment_is_parse_error_naming_its_line(tmp_path, monkeypatch, parts):
+    """A comment that is not UTF-8 still sends the file to the line
+    parser, which names its line, from this process's range or a child's."""
+    path = tmp_path / "d.txt"
+    path.write_bytes(_rows(1200).encode() + "# caf\xe9\n".encode("latin-1"))
+    _split_into(monkeypatch, parts)
+    assert fileio._read_block(path, np.float64) is None
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1201: bytes that are not UTF-8 text"):
+        fileio.load_detections(path, 96)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_range_that_does_not_parse_is_parsed_once(tmp_path, monkeypatch, k):
+    """A bad row in a child's range is parsed once, by that child, which
+    sends _NO_PARSE: the file goes straight to the line parser, with no
+    parse of the file as one range, and the error names the row's line."""
+    path = tmp_path / "d.txt"
+    path.write_text(_rows(1200) + "999 0 10 10 5\n")
+    calls, seen = tmp_path / "calls.txt", []
+    parse_range, read_parts = fileio._parse_range, fileio._read_parts
+
+    def counted(*args):  # each process appends a line, children included
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return parse_range(*args)
+    monkeypatch.setattr(fileio, "_parse_range", counted)
+    monkeypatch.setattr(fileio, "_read_parts",
+                        lambda path, ranges, dtype: seen.append(ranges) or read_parts(path, ranges, dtype))
+    _split_into(monkeypatch, k)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1201: expected at least 6 columns"):
+        fileio.load_detections(path, 96)
+    assert len(seen) == 1 and len(seen[0]) == k
+    assert len(calls.read_text().split()) == k
     _no_child_left()
 
 
@@ -480,23 +745,17 @@ def test_parent_parse_error_kills_and_reaps_children(tmp_path, monkeypatch):
 @pytest.mark.parametrize("reader", ["block", "lines"])
 def test_repeated_id_and_frame_rejected(tmp_path, load, rows, reader):
     """A row that repeats an (id, frame) pair is a ParseError naming its
-    line, whether the file parses as one block or line by line (a
-    non-ASCII comment sends it to the line parser)."""
+    line, whether the file parses as one block or line by line (an id
+    written +0 or +4 sends it to the line parser)."""
     path = tmp_path / "t.txt"
-    path.write_text(("# café\n" if reader == "lines" else "# header\n") + "\n".join(rows) + "\n",
+    path.write_text(("# café\n+" if reader == "lines" else "# header\n") + "\n".join(rows) + "\n",
                     encoding="utf-8")
     oid, fid = rows[2].split()[:2]
     with pytest.raises(ParseError, match=f"^{path}:4: repeated row for id {oid} in frame {fid}$"):
         load(path)
 
 
-@pytest.mark.parametrize("spec", [
-    # the benchmark workloads at seed 7: clutter_long and crowd
-    pytest.param(bench_scenario(frames=1000, objects=5, clutter=5.0, seed=7), id="clutter_long"),
-    pytest.param(lanes_scenario(n_objects=32, duration=350, seed=7, speed=0.8, lane_gap=40.0,
-                                drop_probability=0.1, position_jitter_sigma=0.5,
-                                histogram_noise=0.05), id="crowd"),
-])
+@pytest.mark.parametrize("spec", _WORKLOADS)
 def test_workload_tables_match_line_parser(tmp_path, spec):
     res = generate(spec)
     engine, _ = track_stream(res.detections_by_frame, TrackerConfig())
