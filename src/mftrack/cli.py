@@ -73,7 +73,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scenario) as fh:
+    with open(args.scenario, encoding="utf-8-sig") as fh:
         spec = scenario.spec_from_json(fh.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)

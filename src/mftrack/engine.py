@@ -79,7 +79,7 @@ class LiveRows:
         """Rows of tracks born at frame_id from detection box and histogram
         rows, as a first match seeds them."""
         n = len(ids)
-        real = np.concatenate((kalman.init_rows(boxes, cfg).block, np.zeros((n, 1)), boxes,
+        real = np.concatenate((kalman.init_rows(boxes, cfg), np.zeros((n, 1)), boxes,
                                _half_diagonals(boxes)[:, None], hists), axis=1)
         count = np.empty((n, 5), dtype=np.int64)
         count[:] = (0, frame_id, frame_id, 1, 1)  # birth, f_l, n_r and n_c
@@ -147,7 +147,7 @@ class MatchResult:
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
     unmatched_tracks: list[int]
     unmatched_detections: list[int]
-    predicted: KalmanState  # kalman.predict_rows of the rows given
+    predicted: np.ndarray  # (n, 11) filter rows: kalman.predict_rows of the rows given
     boxes: np.ndarray  # (n, 4) estimated boxes, l and h floored; the boxes scored
     rows: np.ndarray
     columns: np.ndarray
@@ -186,7 +186,7 @@ def match_frame(
     """
     frame = Frame.of(detections, frame_id, cfg.n_bins)
     real, count = tracks.real, tracks.count
-    predicted, tboxes = kalman.predict_rows(KalmanState.of(real[:, :_KF]), cfg)
+    predicted, tboxes = kalman.predict_rows(real[:, :_KF], cfg)
     dboxes, dhist, dids, tids = frame.boxes, frame.hist, frame.ids, count[:, _ID]
 
     ti = dj = np.zeros(0, dtype=np.intp)
@@ -301,7 +301,7 @@ class TrackingEngine:
             count[:, _N_R][hit] += 1
             rows.extend(hit, cs[:, :2], cfg.t4)
         # the matched rows corrected in place, a waiting row's its prediction
-        real[:, :_KF] = result.predicted.block
+        real[:, :_KF] = result.predicted
 
         spawn = result.spawn
         new_ids = list(range(self._n_born + 1, self._n_born + 1 + len(spawn)))

@@ -11,6 +11,7 @@ allowed, fixed column order:
 Floats are written with repr so that write -> read round-trips exactly.
 A detection row's histogram must have either the configured bin count or
 768 raw bins (then rebinned); a missing histogram is stored as all zeros.
+A UTF-8 byte-order mark at the start of a file is skipped.
 
 Detection, ground-truth and trajectory files are parsed in one bulk pass
 and checked as arrays; a file that pass rejects is read again line by
@@ -94,11 +95,11 @@ def write_detections(path: str | Path, frames: dict[int, Frame]) -> None:
 
 
 def _lines(path: str | Path):
-    """("path:lineno", text) of every line of `path` that has text left
-    once its '#' comment is cut. A line that is not UTF-8 text, comment
-    included, is a ParseError."""
+    """("path:lineno", text) of every line of `path`, a leading UTF-8
+    byte-order mark skipped, that has text left once its '#' comment is
+    cut. A line that is not UTF-8 text, comment included, is a ParseError."""
     # undecodable bytes read as lone surrogates, which only such a line holds
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -138,7 +139,7 @@ def _read_block(path: str | Path, tail_type) -> np.ndarray | None:
     _PART_BYTES, each cut just after a b"\\n"; see _read_parts.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             first = next((cols for cols in (line.split("#", 1)[0].split() for line in fh) if cols), [])
             size = os.fstat(fh.fileno()).st_size
         dtype = [("ids", np.int64, (2,)), ("box", np.float64, (4,)),
@@ -236,6 +237,8 @@ def _parse_range(path: str | Path, start: int, end: int, dtype) -> np.ndarray:
     width = 6 + tail.shape[0]
     int_columns = [0, 1, *range(6, width)] if tail.base.kind == "i" else [0, 1]
     with open(path, "rb") as fh:
+        if start == 0 and fh.read(3) == b"\xef\xbb\xbf":  # a UTF-8 byte-order mark
+            start = 3
         fh.seek(start)
         # a row ends at a line end or at the range's end: counting them in a
         # first pass sizes the block, which is then never copied to grow
@@ -503,7 +506,7 @@ def _parse_value(name: str, text: str):
 
 
 def load_config(path: str | Path) -> TrackerConfig:
-    """Flat key=value config; unknown keys are errors (fail fast)."""
+    """Flat key=value config; an unknown or repeated key is an error."""
     values = {}
     for where, line in _lines(path):
         if "=" not in line:
@@ -511,6 +514,8 @@ def load_config(path: str | Path) -> TrackerConfig:
         key, _, val = (p.strip() for p in line.partition("="))
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: repeated config key {key!r}")
         try:
             values[key] = _parse_value(key, val)
         except ValueError as e:

@@ -8,8 +8,8 @@ The static model is the same filter with zero initial velocity variance
 and zero velocity process noise: velocity and c stay 0, and the
 covariance is the one variance p.
 
-The engine runs the filter once per frame over rows: one `KalmanState`
-whose block is (n, 11), one row per live track (`init_rows`,
+The engine runs the filter once per frame over rows: one (n, 11) block
+of `KalmanState` rows, one row per live track (`init_rows`,
 `predict_rows`, `correct_rows`). The scalar `init_kalman`, `predict` and
 `correct` filter one track; they are the test oracle of the row
 functions, which apply the same elementwise formulas in the same order
@@ -119,23 +119,23 @@ def correct(
 
 # -- row functions: the same filter over one row per track -------------------
 
-def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> KalmanState:
+def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     """Filters for newborn tracks, one row per (x, y, l, h) box row,
     each as `init_kalman` seeds it: velocity and c at 0."""
     block = np.zeros((len(boxes), KalmanState.WIDTH))
     position, _, p, _, v = KalmanState.columns(block)
     position[:], p[:], v[:] = boxes, cfg.measurement_noise, _velocity_noise(cfg)[0]
-    return KalmanState.of(block)
+    return block
 
 
-def predict_rows(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, np.ndarray]:
+def predict_rows(block: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
     """`predict` on every row: the propagated rows and the estimated box
     rows, l and h floored at _MIN_EXTENT.
 
     The new rows are computed in place on a copy, each column's formula in
     `predict`'s order, and each before the columns it reads change.
     """
-    block = ks.block.copy()
+    block = block.copy()
     position, velocity, p, c, v = KalmanState.columns(block)
     position += velocity
     p += 2.0 * c
@@ -144,30 +144,30 @@ def predict_rows(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, np.n
     c += v
     v += _velocity_noise(cfg)[1]
     _require_finite(block, "filter prediction produced non-finite values")
-    return KalmanState.of(block), _floored(position)
+    return block, _floored(position)
 
 
 def correct_rows(
-    ks: KalmanState,
+    block: np.ndarray,
     matched: np.ndarray,
     measured: np.ndarray,
     estimated: np.ndarray,
     w: float,
     measurement_noise: float = TrackerConfig.measurement_noise,
 ) -> np.ndarray:
-    """`correct` with a measurement on the rows `matched` of ks, in place.
+    """`correct` with a measurement on the rows `matched` of block, in place.
 
     measured and estimated hold one box row per index in `matched`. Those
-    rows of ks are updated only once the updated rows and their corrected
-    box rows are all finite, so a call that raises leaves ks as it was;
-    the other rows keep their predicted values, as `correct` without a
-    measurement does. Returns the corrected box rows, l and h floored at
-    _MIN_EXTENT.
+    rows of block are updated only once the updated rows and their
+    corrected box rows are all finite, so a call that raises leaves block
+    as it was; the other rows keep their predicted values, as `correct`
+    without a measurement does. Returns the corrected box rows, l and h
+    floored at _MIN_EXTENT.
     """
     # the matched rows and their blended boxes side by side, so that one
     # check covers both; each row is updated in place, as predict_rows does
     work = np.empty((len(matched), KalmanState.WIDTH + 4))
-    new = ks.block.take(matched, axis=0, out=work[:, :KalmanState.WIDTH])
+    new = block.take(matched, axis=0, out=work[:, :KalmanState.WIDTH])
     position, velocity, p, c, v = KalmanState.columns(new)
     innovation = measured - position
     s = p + measurement_noise
@@ -181,5 +181,5 @@ def correct_rows(
     np.multiply(w, measured, out=blended)
     blended += (1.0 - w) * estimated
     _require_finite(work, "filter update produced non-finite values")
-    ks.block[matched] = new
+    block[matched] = new
     return _floored(blended)

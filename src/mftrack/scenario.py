@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .metrics import GroundTruthObject
-from .types import MAX_RAW_BINS, Frame, ObjectState, TrackerConfig
+from .types import MAX_RAW_BINS, Frame, ObjectState, TrackerConfig, is_integer, is_real
 
 CLUTTER = -1  # provenance label for clutter detections
 
@@ -31,7 +30,7 @@ class MotionScript:
     and the waypoint frames strictly increase. hist_peak, an integer bin
     in 0..n_bins-1, places the object's base color histogram bump;
     hist_width, finite and > 0 with (n_bins / hist_width)**2 finite, is
-    its spread.
+    its spread. No value is converted: true, 5.9 or "7" is no hist_peak.
     """
 
     waypoints: tuple[tuple[float, ...], ...]
@@ -78,12 +77,13 @@ class ScenarioSpec:
     """Everything a scenario is made from; `validate` enforces the rules.
 
     seed is an integer >= 0 and duration an integer >= 1 (frames
-    0..duration-1). n_bins is an integer in 1..768. drop_probability is in [0, 1];
-    the jitter sigmas, histogram_noise and clutter_rate are finite and
-    >= 0. clutter_lifetime (the longest random blob life) is an integer
-    >= 1, clutter_extent is finite and > 0, and arena is 2 finite
-    positive sizes. A burst_drops entry is 3 integers (object index of an
-    existing object, start frame, length >= 0).
+    0..duration-1). n_bins is an integer in 1..768. drop_probability is
+    in [0, 1]; the jitter sigmas, histogram_noise and clutter_rate are
+    finite and >= 0. clutter_lifetime (the longest random blob life) is
+    an integer >= 1, clutter_extent is finite and > 0, and arena is 2
+    finite positive sizes. A burst_drops entry is 3 integers (object
+    index of an existing object, start frame, length >= 0). Integers and
+    reals are checked by `types.is_integer`/`is_real`; a bool is neither.
     """
 
     seed: int = 0
@@ -105,25 +105,24 @@ class ScenarioSpec:
     arena: tuple[float, float] = (640.0, 480.0)
 
     def validate(self) -> "ScenarioSpec":
-        if not isinstance(self.duration, numbers.Integral) or self.duration < 1:
+        if not is_integer(self.duration, 1):
             raise InputError(f"duration must be an integer >= 1, got {self.duration}")
-        if (isinstance(self.n_bins, bool) or not _is_int(self.n_bins, 1)
-                or self.n_bins > MAX_RAW_BINS):
+        if not is_integer(self.n_bins, 1, MAX_RAW_BINS):
             raise InputError(f"n_bins must be an integer in 1..{MAX_RAW_BINS}, got {self.n_bins}")
-        if not (0.0 <= self.drop_probability <= 1.0):
-            raise InputError("drop_probability must be in [0,1]")
+        if not is_real(self.drop_probability, 0.0, 1.0):
+            raise InputError(f"drop_probability must be in [0,1], got {self.drop_probability}")
         for name in ("position_jitter_sigma", "size_jitter_sigma", "histogram_noise",
                      "clutter_rate"):
-            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
+            if not is_real(getattr(self, name), 0.0):
                 raise InputError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
-        if not _is_int(self.seed, 0):
+        if not is_integer(self.seed, 0):
             raise InputError(f"seed must be an integer >= 0, got {self.seed}")
-        if not _is_int(self.clutter_lifetime, 1):
+        if not is_integer(self.clutter_lifetime, 1):
             raise InputError(f"clutter_lifetime must be an integer >= 1, got {self.clutter_lifetime}")
-        if not (_is_finite(self.clutter_extent) and self.clutter_extent > 0):
+        if not (is_real(self.clutter_extent) and self.clutter_extent > 0):
             raise InputError(f"clutter_extent must be finite and positive, got {self.clutter_extent}")
-        if len(self.arena) != 2 or not all(_is_finite(side) and side > 0 for side in self.arena):
+        if len(self.arena) != 2 or not all(is_real(side) and side > 0 for side in self.arena):
             raise InputError(f"arena must be 2 finite positive sizes, got {list(self.arena)}")
         for k, script in enumerate(self.objects):
             if not script.waypoints:
@@ -135,7 +134,7 @@ class ScenarioSpec:
             frames = [wp[0] for wp in script.waypoints]
             if any(a >= b for a, b in zip(frames, frames[1:])):
                 raise InputError(f"object {k}: waypoint frames {frames} do not strictly increase")
-            if not (_is_int(script.hist_peak, 0) and script.hist_peak < self.n_bins):
+            if not is_integer(script.hist_peak, 0, self.n_bins - 1):
                 raise InputError(f"object {k}: hist_peak must be an integer in 0..{self.n_bins - 1}, "
                                  f"got {script.hist_peak}")
             # a detection's box is the waypoints' interpolation plus jitter,
@@ -146,37 +145,24 @@ class ScenarioSpec:
                                  f"noise included, is not finite")
             # _unit_histogram squares (bin - peak) / hist_width, |bin - peak| < n_bins
             width = script.hist_width
-            if not (_is_finite(width) and width > 0
-                    and _is_finite(self.n_bins / width * (self.n_bins / width))):
+            if not (is_real(width) and width > 0
+                    and is_real(self.n_bins / width * (self.n_bins / width))):
                 raise InputError(f"object {k}: hist_width must be finite and positive, with "
                                  f"(n_bins / hist_width) ** 2 finite, got {script.hist_width}")
         for k, blob in enumerate(self.clutter_blobs):
-            if not (_is_int(blob.start_frame) and _is_int(blob.lifetime, 0)
-                    and _is_finite(blob.x) and _is_finite(blob.y)
-                    and _is_finite(blob.size * blob.size) and blob.size > 0
-                    and _is_int(blob.hist_peak, 0) and blob.hist_peak < self.n_bins):
+            if not (is_integer(blob.start_frame) and is_integer(blob.lifetime, 0)
+                    and is_real(blob.x) and is_real(blob.y) and is_real(blob.size)
+                    and blob.size > 0 and is_real(blob.size * blob.size)
+                    and is_integer(blob.hist_peak, 0, self.n_bins - 1)):
                 raise InputError(f"clutter blob {k}: {blob} needs integer start_frame and "
                                  "lifetime >= 0, finite x and y, size > 0 with size * size "
                                  f"finite and an integer hist_peak in 0..{self.n_bins - 1}")
         for entry in self.burst_drops:
-            if not (len(entry) == 3 and all(_is_int(v) for v in entry)
-                    and 0 <= entry[0] < len(self.objects) and entry[2] >= 0):
+            if not (len(entry) == 3 and is_integer(entry[0], 0, len(self.objects) - 1)
+                    and is_integer(entry[1]) and is_integer(entry[2], 0)):
                 raise InputError(f"burst_drops entry {list(entry)} is not 3 integers "
                                  "(object index, start frame, length >= 0) naming an existing object")
         return self
-
-
-def _is_int(v, lo: float = -math.inf) -> bool:
-    return isinstance(v, numbers.Integral) and v >= lo
-
-
-def _is_finite(v) -> bool:
-    """True for a real number that is finite as a float; an integer too
-    large for a float (such as a JSON 10**400) is not."""
-    try:
-        return isinstance(v, numbers.Real) and math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 # bound on a standard normal draw, in sigmas, used to bound the jitter;
@@ -202,7 +188,7 @@ def _jittered_box_fits(script: MotionScript, spec: ScenarioSpec) -> bool:
 
 def _is_box_row(row) -> bool:
     """True when row is (frame, x, y, l, h): 5 finite numbers, l and h positive."""
-    return len(row) == 5 and all(_is_finite(v) for v in row) and row[3] > 0 and row[4] > 0
+    return len(row) == 5 and all(map(is_real, row)) and row[3] > 0 and row[4] > 0
 
 
 @dataclass
@@ -392,11 +378,9 @@ def spec_from_json(text: str) -> ScenarioSpec:
     if not isinstance(raw, dict):
         raise InputError("scenario JSON must be an object")
     try:
-        objects = tuple(
-            MotionScript(waypoints=tuple(tuple(wp) for wp in o["waypoints"]),
-                         hist_peak=int(o.get("hist_peak", 0)),
-                         hist_width=float(o.get("hist_width", 4.0)))
-            for o in raw.pop("objects", []))
+        # each object as it is written: validate alone judges its values
+        objects = tuple(MotionScript(**{**o, "waypoints": tuple(map(tuple, o["waypoints"]))})
+                        for o in raw.pop("objects", []))
         blobs = tuple(ClutterBlob(**b) for b in raw.pop("clutter_blobs", []))
         burst = tuple(tuple(b) for b in raw.pop("burst_drops", []))
         arena = tuple(raw.pop("arena", (640.0, 480.0)))

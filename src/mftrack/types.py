@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -18,6 +19,21 @@ NOISE = "noise"
 MAX_RAW_BINS = 768  # 256 intensity levels x 3 channels
 # the engine keeps frame ids as int64, and a track's span f_c + 1 - birth must fit
 MAX_FRAME_ID = 2**63 - 2
+
+
+def is_integer(v, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """True for an integer (numpy's too) in lo..hi; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def is_real(v, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """True for a real number in lo..hi that is finite as a float; a bool
+    is not one, nor is an integer too large for a float (a JSON 10**400)."""
+    try:
+        return (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                and lo <= v <= hi)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,51 +316,51 @@ class TrackerConfig:
     measurement_noise: float = 1.0
 
     def validate(self) -> "TrackerConfig":
-        if not (0.0 <= self.w <= 1.0):
+        if not is_real(self.w, 0.0, 1.0):
             raise ConfigError(f"w must be in [0,1], got {self.w}")
-        if len(self.feature_weights) != 4 or not all(0.0 <= wi < math.inf
+        if len(self.feature_weights) != 4 or not all(is_real(wi, 0.0)
                                                      for wi in self.feature_weights):
             raise ConfigError(f"feature_weights must be 4 finite non-negative reals: "
                               f"{self.feature_weights}")
         if not any(wi > 0 for wi in self.feature_weights):
             raise ConfigError("at least one feature weight must be positive")
-        if not (0.0 <= self.t1 <= 1.0):
+        if not is_real(self.t1, 0.0, 1.0):
             raise ConfigError(f"t1 must be in [0,1], got {self.t1}")
         for name, t in (("t2", self.t2), ("t3", self.t3)):
-            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+            if not is_integer(t, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {t}")
-        if not (0.0 < self.t4 < math.inf):
+        if not (is_real(self.t4) and self.t4 > 0):
             raise ConfigError(f"t4 must be finite and positive, got {self.t4}")
-        if not (0.0 <= self.t5 <= 1.0):
+        if not is_real(self.t5, 0.0, 1.0):
             raise ConfigError(f"t5 must be in [0,1], got {self.t5}")
-        if (isinstance(self.n_bins, bool) or not isinstance(self.n_bins, int)
-                or not 1 <= self.n_bins <= MAX_RAW_BINS):
+        if not is_integer(self.n_bins, 1, MAX_RAW_BINS):
             raise ConfigError(f"n_bins must be an integer in 1..{MAX_RAW_BINS}, got {self.n_bins}")
         if self.assignment_policy not in ("greedy_global", "per_track"):
             raise ConfigError(f"unknown assignment_policy {self.assignment_policy!r}")
-        if not (0.0 < self.eval_iou_threshold <= 1.0):
+        if not (is_real(self.eval_iou_threshold, hi=1.0) and self.eval_iou_threshold > 0):
             raise ConfigError(f"eval_iou_threshold must be in (0,1], got {self.eval_iou_threshold}")
         if self.eval_assignment not in ("greedy", "hungarian"):
             raise ConfigError(f"unknown eval_assignment {self.eval_assignment!r}")
         if self.motion_model not in ("constant_velocity", "static"):
             raise ConfigError(f"unknown motion_model {self.motion_model!r}")
-        if not (0.0 < self.measurement_noise < math.inf and 0.0 <= self.process_noise_pos < math.inf
-                and 0.0 <= self.process_noise_vel < math.inf):
+        if not (is_real(self.measurement_noise) and self.measurement_noise > 0
+                and is_real(self.process_noise_pos, 0.0) and is_real(self.process_noise_vel, 0.0)):
             raise ConfigError("noise variances must be finite and positive (measurement) / "
                               "non-negative (process)")
         return self
 
 
 class KalmanState:
-    """Internal filter state of one track, or of n tracks as rows.
+    """Internal filter state of one track: one float block of shape (11,).
 
-    The state is one float block, (11,) for one track and (n, 11) for n.
-    Along its last axis it holds the position (x, y, l, h), the velocity
-    of the same axes, and p, c, v: every axis shares the covariance
-    [[p, c], [c, v]] of its (position, velocity) pair. `columns` gives
-    the five fields as views of the block, so a copy, a take, a join or a
-    scatter of rows, or a finiteness check, is one numpy call on `block`.
-    The static model keeps velocity, c and v at 0.
+    n tracks' filters are the rows of an (n, 11) block, which the row
+    functions of `kalman` take and return. Along its last axis a block
+    holds the position (x, y, l, h), the velocity of the same axes, and
+    p, c, v: every axis shares the covariance [[p, c], [c, v]] of its
+    (position, velocity) pair. `columns` gives the five fields as views
+    of a block, so a copy, a take, a join or a scatter of rows, or a
+    finiteness check, is one numpy call. The static model keeps
+    velocity, c and v at 0.
     """
 
     __slots__ = ("block",)
@@ -355,13 +371,6 @@ class KalmanState:
         self.block = np.empty(position.shape[:-1] + (self.WIDTH,))
         for column, value in zip(self.columns(self.block), (position, velocity, p, c, v)):
             column[...] = value
-
-    @classmethod
-    def of(cls, block: np.ndarray) -> "KalmanState":
-        """The state whose block is `block` (not a copy)."""
-        ks = object.__new__(cls)
-        ks.block = block
-        return ks
 
     @staticmethod
     def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -278,6 +278,19 @@ def test_bench_subcommand_runs(capsys):
 
 
 
+def test_scenario_with_byte_order_mark(tmp_path):
+    """A scenario JSON file may start with a UTF-8 byte-order mark, as
+    every other input file may: it simulates as the file without it."""
+    text = spec_to_json(lanes_scenario(n_objects=2, duration=30, seed=3, clutter_rate=1.0))
+    (tmp_path / "plain.json").write_bytes(text.encode())
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for name in ("plain", "bom"):
+        assert main(["simulate", "--scenario", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    for suffix in (".det.txt", ".gt.txt"):
+        assert (tmp_path / f"bom{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
+
 def _first_object(**fields):
     def edit(raw):
         raw["objects"][0].update(fields)
@@ -332,6 +345,20 @@ def _blob(**fields):
     pytest.param(lambda raw: raw.update(objects=raw["objects"][:1], burst_drops=[[5, 0, 3]]),
                  id="burst_drop_missing_object"),
     pytest.param(lambda raw: raw.update(burst_drops=[[0, 1.5, 3]]), id="fractional_burst_drop"),
+    # JSON true is no number, and no field is converted on the way in
+    pytest.param(lambda raw: raw.update(duration=True), id="boolean_duration"),
+    pytest.param(lambda raw: raw.update(seed=True), id="boolean_seed"),
+    pytest.param(lambda raw: raw.update(drop_probability=True), id="boolean_drop_probability"),
+    pytest.param(lambda raw: raw.update(clutter_lifetime=True), id="boolean_clutter_lifetime"),
+    pytest.param(lambda raw: raw.update(arena=[True, 480.0]), id="boolean_arena"),
+    pytest.param(_first_object(waypoints=[[0, True, 10, 4, 8], [9, 20, 10, 4, 8]]),
+                 id="boolean_waypoint_value"),
+    pytest.param(_first_object(hist_peak=True), id="boolean_hist_peak"),
+    pytest.param(_blob(lifetime=True), id="boolean_blob_lifetime"),
+    pytest.param(lambda raw: raw.update(burst_drops=[[0, True, 3]]), id="boolean_burst_drop"),
+    pytest.param(_first_object(hist_peak=5.9), id="fractional_hist_peak"),
+    pytest.param(_first_object(hist_peak="7"), id="string_hist_peak"),
+    pytest.param(_first_object(hist_pek=7), id="unknown_object_key"),
     pytest.param(["--objects", "-1"], id="bench_negative_objects"),
     pytest.param(["--clutter", "inf"], id="bench_infinite_clutter"),
     pytest.param(["--clutter", "nan"], id="bench_nan_clutter"),

@@ -92,11 +92,11 @@ class TestMatchFrame:
         dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
         r = match_frame(eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
-        assert len(KalmanState.columns(r.predicted.block)[2]) == len(r.boxes) == len(tracks)
+        assert len(KalmanState.columns(r.predicted)[2]) == len(r.boxes) == len(tracks)
         for i, t in enumerate(tracks):
             ref_ks, ref_es = kalman.predict(replay.filters[t.track_id], cfg)
             assert ObjectState(*r.boxes[i]) == ref_es
-            assert r.predicted.block[i].tolist() == _filter_fields(ref_ks)
+            assert r.predicted[i].tolist() == _filter_fields(ref_ks)
 
     def test_mixed_frame_ids_rejected(self, cfg):
         dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]

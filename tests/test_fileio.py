@@ -642,6 +642,47 @@ def test_utf8_comment_keeps_the_block_path(tmp_path, monkeypatch, parts):
     _no_child_left()
 
 
+@pytest.mark.parametrize("head", [b"", b"# header\n"])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_byte_order_mark_keeps_the_block_path(tmp_path, monkeypatch, parts, head):
+    """A detection, ground-truth or trajectory file that starts with a
+    UTF-8 byte-order mark, then a row or a comment, loads on the block
+    path, in one range or two, equal to the same file without the mark."""
+    res = generate(bench_scenario(frames=60, objects=3, clutter=2.0, seed=9))
+    engine, _ = track_stream(res.detections_by_frame, TrackerConfig())
+    det, gt, trk = tmp_path / "d.txt", tmp_path / "gt.txt", tmp_path / "trk.txt"
+    fileio.write_detections(det, res.detections_by_frame)
+    fileio.write_ground_truth(gt, res.gt)
+    fileio.write_trajectories(trk, engine.valid_tracks())
+    loads = [(det, lambda path: _outcome(fileio.load_detections, path, 96)),
+             (gt, lambda path: repr(fileio.load_ground_truth(path))),
+             (trk, lambda path: repr(fileio.load_trajectories(path)))]
+    for path, _ in loads:
+        path.write_bytes(head + path.read_bytes())
+    want = [load(path) for path, load in loads]
+    for path, _ in loads:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    monkeypatch.setattr(fileio, "_detections_by_line", _no_line_parser)
+    monkeypatch.setattr(fileio, "_table_by_line", _no_line_parser)
+    _split_into(monkeypatch, parts)
+    assert [load(path) for path, load in loads] == want
+    _no_child_left()
+
+
+@pytest.mark.parametrize("load,rows", [
+    (lambda path: fileio.load_detections(path, 96), ["0 0 10 10 5 5", "1 0 11 10 5 5"]),
+    (fileio.load_ground_truth, ["0 0 10 10 5 5", "0 1 11 10 5 5"]),
+    (fileio.load_trajectories, ["4 2 10 10 5 5 1", "4 3 11 10 5 5 0"]),
+])
+def test_byte_order_mark_after_line_one_is_parse_error(tmp_path, load, rows):
+    """Only the first bytes of a file may be a byte-order mark: one at
+    the start of line 2 is a ParseError naming that line."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(f"{rows[0]}\n\ufeff{rows[1]}\n".encode())
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "):
+        load(path)
+
+
 @pytest.mark.parametrize("parts", [1, 3])
 def test_latin1_comment_is_parse_error_naming_its_line(tmp_path, monkeypatch, parts):
     """A comment that is not UTF-8 still sends the file to the line
@@ -826,6 +867,17 @@ class TestConfigIO:
         path = tmp_path / "cfg.txt"
         path.write_text("t1 = 1.01\n")
         with pytest.raises(ConfigError):
+            fileio.load_config(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbft2 = 5\nw = 0.6\n")
+        assert fileio.load_config(path) == TrackerConfig(t2=5, w=0.6)
+
+    def test_repeated_key_names_its_second_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("t2 = 5\nw = 0.6\nt2 = 30\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: repeated config key 't2'$"):
             fileio.load_config(path)
 
     def test_comments_and_blank_lines(self, tmp_path):

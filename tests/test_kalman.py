@@ -219,8 +219,8 @@ def test_matches_dense_reference_filter(motion_model, process_noise_pos, process
 
 # -- row functions against the scalar oracle ----------------------------------
 
-def _assert_rows_equal(rows: KalmanState, filters: list[KalmanState]):
-    position, velocity, p, c, v = KalmanState.columns(rows.block)
+def _assert_rows_equal(rows: np.ndarray, filters: list[KalmanState]):
+    position, velocity, p, c, v = KalmanState.columns(rows)
     assert position.shape == velocity.shape == (len(filters), 4)
     assert p.shape == c.shape == v.shape == (len(filters),)
     for i, ks in enumerate(filters):
@@ -296,7 +296,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
                 f_position[0] = 1.5e308
                 measured = list(measured)
                 measured[i] = ObjectState(-1.5e308, 0.0, 1.0, 1.0)
-            position, velocity, p, c, _ = KalmanState.columns(rows.block)
+            position, velocity, p, c, _ = KalmanState.columns(rows)
             position[i], velocity[i] = f_position, f_velocity
             p[i], c[i] = f_p, f_c
 
@@ -312,7 +312,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
         assert [ObjectState(*b) for b in boxes.tolist()] == [es for _, es in predicted]
 
         hit = np.array([i for i, z in enumerate(measured) if z is not None], dtype=np.intp)
-        predicted_block, out = rows.block.copy(), []
+        predicted_block, out = rows.copy(), []
         with np.errstate(over="ignore", invalid="ignore"):
             want = _raised(lambda: [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
                                     for (ks, es), z, p in zip(predicted, measured, prev)])
@@ -323,7 +323,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
         assert str(got) == str(want)
         if want is not None:
             # a call that raises leaves the block as it was
-            assert rows.block.tobytes() == predicted_block.tobytes()
+            assert rows.tobytes() == predicted_block.tobytes()
             return
         corrected = [kalman.correct(ks, es, z, p, cfg.w, cfg.measurement_noise)
                      for (ks, es), z, p in zip(predicted, measured, prev)]

@@ -175,6 +175,9 @@ class TestSpecJson:
     def test_round_trip(self):
         spec = bench_scenario(frames=50, objects=2, clutter=1.0, seed=3)
         assert spec_from_json(spec_to_json(spec)) == spec
+        spec = ScenarioSpec(objects=spec.objects, burst_drops=((1, 5, 3),),
+                            clutter_blobs=(ClutterBlob(-2, 5, 50.0, 60.0, hist_peak=9),))
+        assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_bad_json_rejected(self):
         with pytest.raises(InputError):

@@ -141,7 +141,15 @@ class TestTrackerConfig:
         {"t3": 1.5},
         {"t2": True},
         {"t3": True},
+        {"w": True},
+        {"t1": True},
+        {"t4": True},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ConfigError):
             TrackerConfig(**kw).validate()
+
+    @pytest.mark.parametrize("name", ["t2", "t3", "n_bins"])
+    def test_numpy_integers_accepted(self, name):
+        cfg = TrackerConfig(**{name: np.int64(5)}).validate()
+        assert getattr(cfg, name) == 5
