@@ -6,7 +6,7 @@ filtering, evaluation metrics, and a deterministic scenario simulator.
 """
 
 from .engine import MatchResult, TrackingEngine, match_frame
-from .metrics import EvalReport, GroundTruthObject, evaluate
+from .metrics import EvalReport, evaluate
 from .types import (
     ColorHistogram,
     Detection,
@@ -25,7 +25,6 @@ __all__ = [
     "Detection",
     "EvalReport",
     "Frame",
-    "GroundTruthObject",
     "KalmanState",
     "MatchResult",
     "ObjectState",

@@ -64,7 +64,8 @@ def _cmd_evaluate(args) -> int:
     report = metrics.evaluate(gt, tracks, iou_threshold=cfg.eval_iou_threshold,
                               method=cfg.eval_assignment)
     if args.out:
-        fileio.write_report(args.out, report)
+        with fileio.replacing(args.out) as (temp,):
+            fileio.write_report(temp, report)
     else:
         for k, v in (("M1", report.m1), ("M2", report.m2), ("M3", report.m3),
                      ("M_bar", report.m_bar)):
@@ -78,8 +79,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     result = scenario.generate(spec)
-    fileio.write_detections(f"{args.out}.det.txt", result.detections_by_frame)
-    fileio.write_ground_truth(f"{args.out}.gt.txt", result.gt)
+    with fileio.replacing(f"{args.out}.det.txt", f"{args.out}.gt.txt") as (det, gt):
+        fileio.write_detections(det, result.detections_by_frame)
+        fileio.write_ground_truth(gt, result.gt)
     return 0
 
 

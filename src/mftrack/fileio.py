@@ -40,6 +40,7 @@ copy could be holding.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -52,7 +53,7 @@ import numpy as np
 import orjson
 
 from .errors import ConfigError, HistogramShapeError, InputError, ParseError
-from .metrics import EvalReport, GroundTruthObject
+from .metrics import EvalReport, Trajectories
 from .types import (
     MAX_RAW_BINS,
     Frame,
@@ -62,6 +63,33 @@ from .types import (
     check_counts,
     check_rows,
 )
+
+
+@contextlib.contextmanager
+def replacing(*paths: str | Path):
+    """A temporary path beside each output path, for the block to write.
+    Once the block has run through, each temporary replaces its output
+    (os.replace); if it raises, they are removed and no output changes.
+    An existing output that is not a regular file (a directory, or a
+    device such as /dev/stdout, which a rename would replace) is refused
+    before the block runs, and an OSError on a temporary names its output."""
+    for p in paths:
+        if os.path.exists(p) and not os.path.isfile(p):
+            raise OSError(f"{p} exists and is not a regular file")
+    temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.{os.getpid()}.tmp")
+             for p in paths]
+    try:
+        yield temps
+        for temp, p in zip(temps, paths):
+            os.replace(temp, p)
+    except OSError as e:  # named by the output it was for
+        if e.filename in temps:
+            e.filename = str(paths[temps.index(e.filename)])
+        raise
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _rebin(raw: np.ndarray, n: int) -> np.ndarray:
@@ -364,7 +392,9 @@ def _frames_from_block(block: np.ndarray, n_bins: int) -> dict[int, Frame]:
     frame_ids = ids[:, 0]
     # the first row of each run of one frame id
     heads = np.flatnonzero(np.r_[True, frame_ids[1:] != frame_ids[:-1]])
-    if len(np.unique(frame_ids[heads])) < len(heads):
+    # a sort, not np.unique, whose first call imports numpy.ma (about 10 ms)
+    firsts = np.sort(frame_ids[heads])
+    if (firsts[1:] == firsts[:-1]).any():
         # a frame's rows are split: order the rows by the first row of their
         # frame, file order within a frame, with one stable argsort
         _, first, inverse = np.unique(frame_ids, return_index=True, return_inverse=True)
@@ -421,22 +451,22 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
             for fid, rows in out.items()}
 
 
-def write_ground_truth(path: str | Path, gt_objects: list[GroundTruthObject]) -> None:
+def write_ground_truth(path: str | Path, gt: Trajectories) -> None:
     with open(path, "w") as fh:
-        for g in sorted(gt_objects, key=lambda g: g.gt_id):
-            for f in sorted(g.states):
-                s = g.states[f]
-                fh.write(f"{g.gt_id} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)}\n")
+        for gid, states in sorted(gt.items()):
+            for f in sorted(states):
+                s = states[f]
+                fh.write(f"{gid} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)}\n")
 
 
-def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
+def _load_table(path: str | Path, ncols: int) -> Trajectories:
     """{id: {frame: state}} from rows `id frame x y l h` plus, in a
     trajectory file, an integer status flag; ncols is the row width; no
     (id, frame) repeats. Read as one block like load_detections, with the same fallback."""
     block = _read_block(path, np.int64)  # the flag parses as a strict integer
     if block is not None and (len(block) == 0 or block["tail"].shape[1] == ncols - 6):
         try:
-            out: dict[int, dict[int, ObjectState]] = {}
+            out: Trajectories = {}
             for oid, fid, state in zip(*block["ids"].T.tolist(), ObjectState.rows(block["box"])):
                 out.setdefault(oid, {})[fid] = state
             if sum(map(len, out.values())) == len(block):  # else a row repeats an (id, frame)
@@ -446,9 +476,9 @@ def _load_table(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState
     return _table_by_line(path, ncols)
 
 
-def _table_by_line(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectState]]:
+def _table_by_line(path: str | Path, ncols: int) -> Trajectories:
     """_load_table one line at a time: the error path and the reference."""
-    out: dict[int, dict[int, ObjectState]] = {}
+    out: Trajectories = {}
     for where, line in _lines(path):
         cols = line.split()
         if len(cols) != ncols:
@@ -466,11 +496,12 @@ def _table_by_line(path: str | Path, ncols: int) -> dict[int, dict[int, ObjectSt
     return out
 
 
-def load_ground_truth(path: str | Path) -> list[GroundTruthObject]:
+def load_ground_truth(path: str | Path) -> Trajectories:
+    """{gt_id: {frame: state}}, gt ids in order."""
     table = _load_table(path, 6)
     if not table:  # no metric is defined without ground truth
         raise InputError(f"{path}: no ground-truth rows")
-    return [GroundTruthObject(gid, st) for gid, st in sorted(table.items())]
+    return dict(sorted(table.items()))
 
 
 def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
@@ -482,7 +513,7 @@ def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
                 fh.write(f"{t.track_id} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)} {flag}\n")
 
 
-def load_trajectories(path: str | Path) -> dict[int, dict[int, ObjectState]]:
+def load_trajectories(path: str | Path) -> Trajectories:
     return _load_table(path, 7)
 
 

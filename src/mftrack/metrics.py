@@ -22,17 +22,8 @@ from . import kernels
 from .errors import MeasurementError, MetricError
 from .types import ObjectState
 
+# {id: {frame: state}}: the tracks, and the ground truth keyed by gt id
 Trajectories = dict[int, dict[int, ObjectState]]
-
-
-@dataclass(frozen=True)
-class GroundTruthObject:
-    gt_id: int
-    states: dict[int, ObjectState]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError(f"ground-truth object {self.gt_id} has no states")
 
 
 @dataclass
@@ -80,8 +71,17 @@ def _iou_matrix(gs: list[ObjectState], ts: list[ObjectState]) -> np.ndarray:
     return out
 
 
+def _present(table: Trajectories) -> dict[int, list[int]]:
+    """{frame: the ids with a state there, in table order}."""
+    at: dict[int, list[int]] = {}
+    for oid, states in table.items():
+        for f in states:
+            at.setdefault(f, []).append(oid)
+    return at
+
+
 def associate(
-    gt_objects: list[GroundTruthObject],
+    gt: Trajectories,
     tracks: Trajectories,
     iou_threshold: float = 0.5,
     method: str = "greedy",
@@ -89,47 +89,39 @@ def associate(
     """Per-frame one-to-one (gt_id, track_id) correspondences by IoU.
 
     greedy takes pairs by descending IoU, ties broken by lower gt id then
-    lower track id; hungarian maximises the summed IoU.
+    lower track id; hungarian maximises the summed IoU, gt ids in table
+    order and track ids in id order.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
     if method not in ("greedy", "hungarian"):
         raise ValueError(f"unknown association method {method!r}")
-    # what is present in each frame: gt objects in list order, track ids in
-    # id order
-    gts_at: dict[int, list[GroundTruthObject]] = {}
-    for g in gt_objects:
-        for f in g.states:
-            gts_at.setdefault(f, []).append(g)
-    tids_at: dict[int, list[int]] = {}
-    for tid in sorted(tracks):
-        for f in tracks[tid]:
-            tids_at.setdefault(f, []).append(tid)
+    gts_at, tids_at = _present(gt), _present(dict(sorted(tracks.items())))
     correspondence: dict[int, list[tuple[int, int]]] = {}
     for f in sorted(gts_at):
-        gts, tids = gts_at[f], tids_at.get(f)
+        gids, tids = gts_at[f], tids_at.get(f)
         if not tids:
             correspondence[f] = []
             continue
-        mat = _iou_matrix([g.states[f] for g in gts], [tracks[tid][f] for tid in tids])
+        mat = _iou_matrix([gt[gid][f] for gid in gids], [tracks[tid][f] for tid in tids])
         if method == "hungarian":
             from scipy.optimize import linear_sum_assignment
 
             rows, cols = linear_sum_assignment(-mat)
             index_pairs = [(i, j) for i, j in zip(rows, cols) if mat[i, j] >= iou_threshold]
         else:
-            index_pairs = kernels.greedy_pairs(mat, [g.gt_id for g in gts], tids, iou_threshold)
-        correspondence[f] = sorted((gts[i].gt_id, tids[j]) for i, j in index_pairs)
+            index_pairs = kernels.greedy_pairs(mat, gids, tids, iou_threshold)
+        correspondence[f] = sorted((gids[i], tids[j]) for i, j in index_pairs)
     return correspondence
 
 
-def _tally(correspondence: dict[int, list[tuple[int, int]]], gt_objects: list[GroundTruthObject],
+def _tally(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories,
            ) -> tuple[dict[int, int], dict[int, set[int]], dict[int, set[int]]]:
-    """Count a correspondence once: per gt id (in gt_objects order) the
-    frames it is matched in and the track ids covering it; per track id
-    the gt ids it covers."""
-    frames = {g.gt_id: 0 for g in gt_objects}
-    gt_tracks: dict[int, set[int]] = {g.gt_id: set() for g in gt_objects}
+    """Count a correspondence once: per gt id (in gt order) the frames it
+    is matched in and the track ids covering it; per track id the gt ids
+    it covers."""
+    frames = dict.fromkeys(gt, 0)
+    gt_tracks: dict[int, set[int]] = {gid: set() for gid in gt}
     track_gts: dict[int, set[int]] = {}
     for pairs in correspondence.values():
         for gid, tid in pairs:
@@ -139,10 +131,13 @@ def _tally(correspondence: dict[int, list[tuple[int, int]]], gt_objects: list[Gr
     return frames, gt_tracks, track_gts
 
 
-def _m1(frames: dict[int, int], gt_objects: list[GroundTruthObject]) -> float:
-    if not gt_objects:
+def _m1(frames: dict[int, int], gt: Trajectories) -> float:
+    if not gt:
         raise MetricError("m1 undefined without ground-truth objects")
-    return float(np.mean([frames[g.gt_id] / len(g.states) for g in gt_objects]))
+    empty = [gid for gid, states in gt.items() if not states]
+    if empty:
+        raise MetricError(f"m1 undefined for ground-truth objects without states: {empty}")
+    return float(np.mean([frames[gid] / len(states) for gid, states in gt.items()]))
 
 
 def _mean_reciprocal(id_sets) -> float:
@@ -151,44 +146,42 @@ def _mean_reciprocal(id_sets) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def m1(correspondence: dict[int, list[tuple[int, int]]],
-       gt_objects: list[GroundTruthObject]) -> float:
+def m1(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
     """Mean over ground-truth objects of their matched-frame fraction."""
-    return _m1(_tally(correspondence, gt_objects)[0], gt_objects)
+    return _m1(_tally(correspondence, gt)[0], gt)
 
 
-def m2(correspondence: dict[int, list[tuple[int, int]]],
-       gt_objects: list[GroundTruthObject]) -> float:
+def m2(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
     """Mean reciprocal track-id count per ground-truth object with a match.
 
     Objects never matched are excluded (their reciprocal is undefined);
     returns 0.0 if nothing matched at all.
     """
-    gt_tracks = _tally(correspondence, gt_objects)[1]
-    return _mean_reciprocal(gt_tracks[g.gt_id] for g in gt_objects)
+    gt_tracks = _tally(correspondence, gt)[1]
+    return _mean_reciprocal(gt_tracks[gid] for gid in gt)
 
 
 def m3(correspondence: dict[int, list[tuple[int, int]]]) -> float:
     """Mean reciprocal ground-truth-id count per track with a match."""
-    return _mean_reciprocal(_tally(correspondence, [])[2].values())
+    return _mean_reciprocal(_tally(correspondence, {})[2].values())
 
 
 def evaluate(
-    gt_objects: list[GroundTruthObject],
+    gt: Trajectories,
     tracks: Trajectories,
     iou_threshold: float = 0.5,
     method: str = "greedy",
     fps: float | None = None,
 ) -> EvalReport:
     frames, gt_tracks, track_gts = _tally(
-        associate(gt_objects, tracks, iou_threshold, method), gt_objects)
-    v1 = _m1(frames, gt_objects)
-    v2 = _mean_reciprocal(gt_tracks[g.gt_id] for g in gt_objects)
+        associate(gt, tracks, iou_threshold, method), gt)
+    v1 = _m1(frames, gt)
+    v2 = _mean_reciprocal(gt_tracks[gid] for gid in gt)
     v3 = _mean_reciprocal(track_gts.values())
     return EvalReport(
         m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
-        per_gt_coverage={g.gt_id: frames[g.gt_id] / len(g.states) for g in gt_objects},
-        per_gt_track_ids={g.gt_id: len(gt_tracks[g.gt_id]) for g in gt_objects},
+        per_gt_coverage={gid: frames[gid] / len(states) for gid, states in gt.items()},
+        per_gt_track_ids={gid: len(gt_tracks[gid]) for gid in gt},
         per_track_gt_ids={tid: len(s) for tid, s in track_gts.items()},
         fps=fps,
     )

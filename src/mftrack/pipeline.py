@@ -60,11 +60,14 @@ def run_pipeline(
     gt = fileio.load_ground_truth(gt_path) if gt_path is not None else None
     stream = fileio.load_detections(detections_path, cfg.n_bins)
     engine, fps = track_stream(stream, cfg)
-    fileio.write_trajectories(out_path, engine.valid_tracks())
-    if gt is not None:
-        report = metrics.evaluate(gt, engine.trajectories(),
-                                  iou_threshold=cfg.eval_iou_threshold,
-                                  method=cfg.eval_assignment, fps=fps)
-        if report_path is not None:
-            fileio.write_report(report_path, report)
+    outputs = [out_path] if report_path is None else [out_path, report_path]
+    # the outputs appear together, and only once every one is written
+    with fileio.replacing(*outputs) as temps:
+        fileio.write_trajectories(temps[0], engine.valid_tracks())
+        if gt is not None:
+            report = metrics.evaluate(gt, engine.trajectories(),
+                                      iou_threshold=cfg.eval_iou_threshold,
+                                      method=cfg.eval_assignment, fps=fps)
+            if report_path is not None:
+                fileio.write_report(temps[1], report)
     return 0

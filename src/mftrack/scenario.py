@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metrics import GroundTruthObject
+from .metrics import Trajectories
 from .types import MAX_RAW_BINS, Frame, ObjectState, TrackerConfig, is_integer, is_real
 
 CLUTTER = -1  # provenance label for clutter detections
@@ -25,7 +25,8 @@ class MotionScript:
     """Piecewise-linear motion: waypoints are (frame, x, y, l, h).
 
     The object exists from the first to the last waypoint frame; states
-    in between are linearly interpolated. Each waypoint is 5 finite
+    in between are linearly interpolated. That span must reach into the
+    stream's frames 0..duration-1. Each waypoint is 5 finite
     numbers with l, h > 0, the largest l times the largest h is finite,
     and the waypoint frames strictly increase. hist_peak, an integer bin
     in 0..n_bins-1, places the object's base color histogram bump;
@@ -134,6 +135,11 @@ class ScenarioSpec:
             frames = [wp[0] for wp in script.waypoints]
             if any(a >= b for a, b in zip(frames, frames[1:])):
                 raise InputError(f"object {k}: waypoint frames {frames} do not strictly increase")
+            # generate gives an object its frames f0..f1 that lie in the stream
+            f0, f1 = script.frame_range()
+            if f1 < 0 or f0 >= self.duration:
+                raise InputError(f"object {k}: waypoint frames {frames} never reach into "
+                                 f"the stream's frames 0..{self.duration - 1}")
             if not is_integer(script.hist_peak, 0, self.n_bins - 1):
                 raise InputError(f"object {k}: hist_peak must be an integer in 0..{self.n_bins - 1}, "
                                  f"got {script.hist_peak}")
@@ -193,7 +199,7 @@ def _is_box_row(row) -> bool:
 
 @dataclass
 class ScenarioResult:
-    gt: list[GroundTruthObject]
+    gt: Trajectories  # {object index: {frame: state}}, frames inside the stream
     detections_by_frame: dict[int, Frame]  # every frame 0..duration-1, empty ones too
     # (frame_id, detection_id) -> gt_id, or CLUTTER
     provenance: dict[tuple[int, int], int]
@@ -215,11 +221,10 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
-    gt: list[GroundTruthObject] = []
+    gt: Trajectories = {}
     for gid, script in enumerate(spec.objects):
         f0, f1 = script.frame_range()
-        states = {f: script.state_at(f) for f in range(max(f0, 0), min(f1 + 1, spec.duration))}
-        gt.append(GroundTruthObject(gt_id=gid, states=states))
+        gt[gid] = {f: script.state_at(f) for f in range(max(f0, 0), min(f1 + 1, spec.duration))}
 
     gaps = {(obj_idx, f) for obj_idx, start, length in spec.burst_drops
             for f in range(start, start + length)}
@@ -256,12 +261,12 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     provenance: dict[tuple[int, int], int] = {}
     for f in range(spec.duration):
         boxes, hists = [], []
-        for gid, g in enumerate(gt):
-            if f not in g.states or (gid, f) in gaps:
+        for gid, states in gt.items():
+            if f not in states or (gid, f) in gaps:
                 continue
             if spec.drop_probability > 0 and rng.random() < spec.drop_probability:
                 continue
-            s = g.states[f]
+            s = states[f]
             x = s.x + jitter(spec.position_jitter_sigma)
             y = s.y + jitter(spec.position_jitter_sigma)
             l = max(s.l + jitter(spec.size_jitter_sigma), 1.0)
@@ -303,7 +308,7 @@ def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple
         raise InputError(
             f"brute-force oracle limited to 5 objects / 200 frames, got {n_objects} / {n_frames}")
 
-    by_object: dict[int, list[int]] = {g.gt_id: [] for g in result.gt}
+    by_object: dict[int, list[int]] = {gid: [] for gid in result.gt}
     for (f, did), gid in sorted(result.provenance.items()):
         if gid != CLUTTER:
             by_object[gid].append(f)

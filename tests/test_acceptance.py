@@ -174,7 +174,7 @@ def test_criterion_5_noise_filtering():
 
 
 def test_criterion_6_m2_fragmentation_sensitivity():
-    gt = [metrics.GroundTruthObject(0, {f: ObjectState(50.0 + f, 50, 10, 10) for f in range(100)})]
+    gt = {0: {f: ObjectState(50.0 + f, 50, 10, 10) for f in range(100)}}
     tracks = {1 + f // 20: {f: ObjectState(50.0 + f, 50, 10, 10)} for f in range(100)}
     # rebuild: 5 fragments of 20 frames each
     tracks = {tid: {} for tid in range(1, 6)}

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import pytest
@@ -266,6 +267,61 @@ def test_repeated_trajectory_row_exit_code(tmp_path, capsys, comment):
                  "--out", str(report)]) == 0
 
 
+@pytest.mark.parametrize("report", ["missing_dir/r.json", "a_dir"])
+def test_failed_report_writes_no_trajectories(sim_files, capsys, report):
+    """`track` whose --report cannot be written (its directory is missing,
+    or it names a directory) exits 2, writes no --out file, leaves an
+    existing one as it was, and leaves no temporary file behind."""
+    tmp_path, det_path, gt_path = sim_files
+    (tmp_path / "a_dir").mkdir()
+    out = tmp_path / "o.trk.txt"
+    argv = ["track", "--detections", det_path, "--out", str(out), "--ground-truth", gt_path,
+            "--report", str(tmp_path / report)]
+    before = set(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert str(tmp_path / report) in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+    out.write_text("kept\n")
+    assert main(argv) == 2
+    assert out.read_text() == "kept\n"
+    assert set(tmp_path.iterdir()) == before | {out}
+
+
+def _disk_full(path, _):
+    with open(path, "w") as fh:
+        fh.write("0 0 1")
+    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+
+@pytest.mark.parametrize("unwritable", ["directory", "disk_full"])
+def test_simulate_writes_both_files_or_neither(tmp_path, monkeypatch, capsys, unwritable):
+    """`simulate` whose ground-truth file cannot be written (a directory
+    has its name, or the disk fills up while it is written) exits 2 and
+    leaves neither a detection file nor a temporary file."""
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(spec_to_json(lanes_scenario(n_objects=2, duration=30, seed=3)))
+    if unwritable == "directory":
+        (tmp_path / "sim.gt.txt").mkdir()
+    else:
+        monkeypatch.setattr(fileio, "write_ground_truth", _disk_full)
+    before = set(tmp_path.iterdir())
+    assert main(["simulate", "--scenario", str(spec_path), "--out", str(tmp_path / "sim")]) == 2
+    assert "sim.gt.txt" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_evaluate_failed_report_leaves_no_file(sim_files, capsys):
+    """`evaluate --out` into a missing directory exits 2 and writes nothing."""
+    tmp_path, det_path, gt_path = sim_files
+    out = tmp_path / "o.trk.txt"
+    assert main(["track", "--detections", det_path, "--out", str(out)]) == 0
+    before = set(tmp_path.iterdir())
+    assert main(["evaluate", "--trajectories", str(out), "--ground-truth", gt_path,
+                 "--out", str(tmp_path / "missing_dir" / "r.json")]) == 2
+    assert "missing_dir" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_bench_one_frame(capsys):
     assert main(["bench", "--frames", "1"]) == 0
     assert "over 1 frames" in capsys.readouterr().out
@@ -359,6 +415,11 @@ def _blob(**fields):
     pytest.param(_first_object(hist_peak=5.9), id="fractional_hist_peak"),
     pytest.param(_first_object(hist_peak="7"), id="string_hist_peak"),
     pytest.param(_first_object(hist_pek=7), id="unknown_object_key"),
+    # an object that has no frame in 0..duration-1 (duration 30)
+    pytest.param(_first_object(waypoints=[[40, 10, 10, 4, 8], [50, 20, 10, 4, 8]]),
+                 id="object_after_stream"),
+    pytest.param(_first_object(waypoints=[[-10, 10, 10, 4, 8], [-5, 20, 10, 4, 8]]),
+                 id="object_before_stream"),
     pytest.param(["--objects", "-1"], id="bench_negative_objects"),
     pytest.param(["--clutter", "inf"], id="bench_infinite_clutter"),
     pytest.param(["--clutter", "nan"], id="bench_nan_clutter"),
@@ -377,3 +438,4 @@ def test_invalid_scenario_exit_code(tmp_path, capsys, case):
         argv = ["simulate", "--scenario", str(spec_path), "--out", str(tmp_path / "s")]
     assert main(argv) == 2
     assert "mftrack: error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))

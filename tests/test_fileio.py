@@ -5,6 +5,8 @@ import itertools
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import make_detection, make_track
 from mftrack import fileio
 from mftrack.errors import ConfigError, HistogramShapeError, ParseError
-from mftrack.metrics import GroundTruthObject
 from mftrack.pipeline import track_stream
 from mftrack.scenario import bench_scenario, generate, lanes_scenario
 from mftrack.types import ColorHistogram, Frame, ObjectState, TrackerConfig
@@ -258,6 +259,23 @@ def test_interleaved_frames_load_as_line_parser(tmp_path):
     # the line parser builds each frame on its own; the block path shares one block
     block = frames[0].hist.base
     assert all(np.shares_memory(column, block) for fr in frames for column in (fr.ids, fr.hist))
+
+
+def test_ordered_load_does_not_import_numpy_ma(tmp_path):
+    """Loading a file whose frames are each one run of rows, in a fresh
+    interpreter, leaves numpy.ma unimported: np.unique imports it on its
+    first call, about 10 ms of every `mftrack track`."""
+    path = tmp_path / "d.txt"
+    fileio.write_detections(path, generate(lanes_scenario(n_objects=2, duration=9)).detections_by_frame)
+    code = ("import sys, numpy; print('numpy.ma' in sys.modules); "
+            "from mftrack import fileio; fileio.load_detections(sys.argv[1], 96); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(fileio.__file__))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    if out[0] == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert out == ["False", "False"]
 
 
 def test_loaded_frames_are_views_of_one_block(tmp_path, monkeypatch):
@@ -811,11 +829,16 @@ def test_workload_tables_match_line_parser(tmp_path, spec):
 
 class TestGroundTruthIO:
     def test_round_trip(self, tmp_path):
-        gt = [GroundTruthObject(0, {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)}),
-              GroundTruthObject(3, {7: ObjectState(9, 9, 1, 1)})]
+        gt = {0: {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)},
+              3: {7: ObjectState(9, 9, 1, 1)}}
         path = tmp_path / "gt.txt"
         fileio.write_ground_truth(path, gt)
         assert fileio.load_ground_truth(path) == gt
+
+    def test_loads_in_gt_id_order(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("3 7 9 9 1 1\n0 1 5 5 2 2\n3 8 9 9 1 1\n")
+        assert list(fileio.load_ground_truth(path)) == [0, 3]
 
 
 class TestTrajectoriesIO:

@@ -3,7 +3,6 @@ import pytest
 
 from mftrack.errors import MeasurementError, MetricError
 from mftrack.metrics import (
-    GroundTruthObject,
     _iou_matrix,
     associate,
     evaluate,
@@ -16,8 +15,9 @@ from mftrack.metrics import (
 from mftrack.types import ObjectState
 
 
-def gt_obj(gid, frames, x=50.0, y=50.0, step=0.0):
-    return GroundTruthObject(gid, {f: ObjectState(x + step * f, y, 10, 10) for f in frames})
+def moving(frames, x=50.0, y=50.0, step=0.0):
+    """A ground-truth object's states: a 10x10 box stepping along x."""
+    return {f: ObjectState(x + step * f, y, 10, 10) for f in frames}
 
 
 class TestIoU:
@@ -44,23 +44,23 @@ class TestIoU:
 
 class TestAssociate:
     def test_matches_identical_boxes(self):
-        gt = [gt_obj(0, range(3))]
+        gt = {0: moving(range(3))}
         tracks = {1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}}
         corr = associate(gt, tracks)
         assert corr == {0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]}
 
     def test_below_threshold_unmatched(self):
-        gt = [gt_obj(0, [0])]
+        gt = {0: moving([0])}
         tracks = {1: {0: ObjectState(55, 55, 10, 10)}}  # IoU = 1/7 < 0.5
         assert associate(gt, tracks) == {0: []}
 
     def test_greedy_and_hungarian_agree_on_clear_case(self):
-        gt = [gt_obj(0, [0], x=50), gt_obj(1, [0], x=200)]
+        gt = {0: moving([0], x=50), 1: moving([0], x=200)}
         tracks = {1: {0: ObjectState(51, 50, 10, 10)}, 2: {0: ObjectState(201, 50, 10, 10)}}
         assert associate(gt, tracks, method="greedy") == associate(gt, tracks, method="hungarian")
 
     def test_one_to_one(self):
-        gt = [gt_obj(0, [0], x=50), gt_obj(1, [0], x=52)]
+        gt = {0: moving([0], x=50), 1: moving([0], x=52)}
         tracks = {1: {0: ObjectState(51, 50, 10, 10)}}
         corr = associate(gt, tracks)
         assert len(corr[0]) == 1
@@ -73,30 +73,30 @@ class TestAssociate:
         equals a loop calling `iou` per pair."""
         rng = np.random.default_rng(8)
         for _ in range(40):
-            gt = [gt_obj(int(g), range(int(rng.integers(0, 10)), int(rng.integers(10, 30))),
-                         x=50 + 8 * k, step=float(rng.uniform(-2, 2)))
-                  for k, g in enumerate(rng.permutation(6)[:rng.integers(1, 5)])]
+            gt = {int(g): moving(range(int(rng.integers(0, 10)), int(rng.integers(10, 30))),
+                                 x=50 + 8 * k, step=float(rng.uniform(-2, 2)))
+                  for k, g in enumerate(rng.permutation(6)[:rng.integers(1, 5)])}
             tracks = {}
-            for g in gt:
+            for states in gt.values():
                 tid = int(rng.integers(1, 40))
-                for f, s in g.states.items():
+                for f, s in states.items():
                     if rng.random() < 0.15:
                         tid = int(rng.integers(1, 40))
                     jitter = rng.normal(0, 1.5, 2) if rng.random() < 0.8 else (0, 0)
                     tracks.setdefault(tid, {}).setdefault(
                         f, ObjectState(s.x + jitter[0], s.y + jitter[1], s.l, s.h))
             tracks[40] = dict(tracks[max(tracks)])
-            gt.insert(0, GroundTruthObject(9, dict(gt[-1].states)))
+            gt = {9: dict(list(gt.values())[-1]), **gt}
             for thr in (0.3, 0.5):
                 assert associate(gt, tracks, thr, method) == _pairwise_iou_loop(gt, tracks, thr, method)
 
 
-def _pairwise_iou_loop(gt_objects, tracks, iou_threshold, method):
+def _pairwise_iou_loop(gt, tracks, iou_threshold, method):
     from scipy.optimize import linear_sum_assignment
 
     correspondence = {}
-    for f in sorted({f for g in gt_objects for f in g.states}):
-        gts = [(g.gt_id, g.states[f]) for g in gt_objects if f in g.states]
+    for f in sorted({f for states in gt.values() for f in states}):
+        gts = [(gid, states[f]) for gid, states in gt.items() if f in states]
         trs = [(tid, tracks[tid][f]) for tid in sorted(tracks) if f in tracks[tid]]
         if not trs:
             correspondence[f] = []
@@ -123,47 +123,51 @@ def _pairwise_iou_loop(gt_objects, tracks, iou_threshold, method):
 
 class TestM1:
     def test_full_coverage(self):
-        gt = [gt_obj(0, range(10))]
+        gt = {0: moving(range(10))}
         corr = {f: [(0, 1)] for f in range(10)}
         assert m1(corr, gt) == 1.0
 
     def test_partial(self):
-        gt = [gt_obj(0, range(100))]
+        gt = {0: moving(range(100))}
         corr = {f: ([(0, 1)] if f < 36 else []) for f in range(100)}
         assert m1(corr, gt) == pytest.approx(0.36)
 
     def test_no_matches(self):
-        gt = [gt_obj(0, range(5))]
+        gt = {0: moving(range(5))}
         assert m1({f: [] for f in range(5)}, gt) == 0.0
 
     def test_empty_gt_rejected(self):
         with pytest.raises(MetricError):
-            m1({}, [])
+            m1({}, {})
+
+    def test_object_without_states_rejected(self):
+        with pytest.raises(MetricError, match=r"without states: \[0\]"):
+            m1({}, {0: {}})
 
 
 class TestM2:
     def test_single_id(self):
-        gt = [gt_obj(0, range(4))]
+        gt = {0: moving(range(4))}
         corr = {f: [(0, 7)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_five_fragments(self):
-        gt = [gt_obj(0, range(100))]
+        gt = {0: moving(range(100))}
         corr = {f: [(0, 1 + f // 20)] for f in range(100)}
         assert m2(corr, gt) == pytest.approx(0.2)
 
     def test_mixed(self):
-        gt = [gt_obj(0, range(4)), gt_obj(1, range(4))]
+        gt = {0: moving(range(4)), 1: moving(range(4))}
         corr = {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 3)], 2: [], 3: []}
         assert m2(corr, gt) == pytest.approx(0.75)  # (1 + 1/2) / 2
 
     def test_unmatched_objects_excluded(self):
-        gt = [gt_obj(0, range(4)), gt_obj(1, range(4))]
+        gt = {0: moving(range(4)), 1: moving(range(4))}
         corr = {f: [(0, 1)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_fragmentation_strictly_decreases_m2(self):
-        gt = [gt_obj(0, range(120))]
+        gt = {0: moving(range(120))}
         vals = []
         for k in (1, 2, 3, 4, 6):
             corr = {f: [(0, 1 + f * k // 120)] for f in range(120)}
@@ -187,7 +191,7 @@ class TestM3:
 
 class TestEvaluate:
     def test_mbar_identity(self):
-        gt = [gt_obj(0, range(50), step=1.0)]
+        gt = {0: moving(range(50), step=1.0)}
         tracks = {1: {f: ObjectState(50 + f, 50, 10, 10) for f in range(50)}}
         rep = evaluate(gt, tracks)
         assert rep.m_bar == pytest.approx((rep.m1 + rep.m2 + rep.m3) / 3, abs=1e-12)
@@ -196,7 +200,7 @@ class TestEvaluate:
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(31)
-        gt = [gt_obj(i, range(20), x=50 + 40 * i) for i in range(3)]
+        gt = {i: moving(range(20), x=50 + 40 * i) for i in range(3)}
         tracks = {
             j: {f: ObjectState(float(rng.uniform(30, 180)), 50, 10, 10) for f in range(20)}
             for j in range(1, 5)
@@ -204,6 +208,11 @@ class TestEvaluate:
         rep = evaluate(gt, tracks)
         for v in (rep.m1, rep.m2, rep.m3, rep.m_bar):
             assert 0.0 <= v <= 1.0
+
+    def test_object_without_states_rejected(self):
+        tracks = {1: {0: ObjectState(50, 50, 10, 10)}}
+        with pytest.raises(MetricError, match=r"without states: \[0\]"):
+            evaluate({0: {}, 1: moving([0])}, tracks)
 
 
 class TestThroughput:

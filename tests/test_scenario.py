@@ -45,7 +45,7 @@ class TestGenerate:
         res = generate(single_object_spec())
         for f, dets in res.detections_by_frame.items():
             assert len(dets) == 1
-            assert list(dets)[0].state == res.gt[0].states[f]
+            assert list(dets)[0].state == res.gt[0][f]
 
     def test_burst_drop_single_gap(self):
         res = generate(single_object_spec(burst_drops=((0, 40, 3),)))
@@ -57,9 +57,9 @@ class TestGenerate:
         obj = MotionScript(waypoints=((0, 0, 0.001, 10, 10), (10, 20, 0.001, 10, 10),
                                       (20, 20, 50, 10, 30)))
         res = generate(ScenarioSpec(seed=0, duration=21, objects=(obj,)))
-        s5 = res.gt[0].states[5]
+        s5 = res.gt[0][5]
         assert (s5.x, s5.y) == (10, 0.001)
-        s15 = res.gt[0].states[15]
+        s15 = res.gt[0][15]
         assert s15.y == pytest.approx(25.0005)
         assert s15.h == pytest.approx(20.0)
 
