@@ -140,8 +140,8 @@ class MatchResult:
 
     Row i of `predicted` and `boxes` belongs to row i of the `LiveRows`
     given to `match_frame`; pair k joins its row `rows[k]` and the
-    detection `columns[k]`, a row of the frame, whose box and histogram
-    rows are `dboxes` and `dhist`. `spawn` indexes the unmatched detections.
+    detection `columns[k]`, a row of `frame`, the checked `Frame` that was
+    read. `spawn` indexes the unmatched detections.
     """
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
@@ -152,8 +152,7 @@ class MatchResult:
     rows: np.ndarray
     columns: np.ndarray
     spawn: np.ndarray
-    dboxes: np.ndarray  # (m, 4)
-    dhist: np.ndarray  # (m, n_bins)
+    frame: Frame
 
 
 @dataclass
@@ -187,13 +186,13 @@ def match_frame(
     frame = Frame.of(detections, frame_id, cfg.n_bins)
     real, count = tracks.real, tracks.count
     predicted, tboxes = kalman.predict_rows(real[:, :_KF], cfg)
-    dboxes, dhist, dids, tids = frame.boxes, frame.hist, frame.ids, count[:, _ID]
+    dids, tids = frame.ids, count[:, _ID]
 
     ti = dj = np.zeros(0, dtype=np.intp)
     pairs = []
     if len(tids) and len(dids):
         treach = real[:, _BASE] * np.maximum(1, frame.frame_id - count[:, _F_L])
-        scores = kernels.score_matrix(tboxes, treach, real[:, _HIST], dboxes, dhist,
+        scores = kernels.score_matrix(tboxes, treach, real[:, _HIST], frame.boxes, frame.hist,
                                       cfg.feature_weights)
         if cfg.assignment_policy == "per_track":
             # argmax over the columns in detection-id order, so a tie goes
@@ -217,8 +216,7 @@ def match_frame(
         rows=ti,
         columns=dj,
         spawn=spawn,
-        dboxes=dboxes,
-        dhist=dhist,
+        frame=frame,
     )
 
 
@@ -244,8 +242,8 @@ class TrackingEngine:
         self._rows = LiveRows.born(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
                                    np.zeros((0, self.cfg.n_bins)), 0, self.cfg)
         self._log: deque[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque()
-        # (frame, count, d_max, hist, statuses) of the rows each sweep ended
-        self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[str]]] = []
+        # (frame, count, d_max, hist, noisy) of the rows each sweep ended
+        self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._tracks: dict[int, Track] = {}
         self._n_born = 0
         self.last_frame: int | None = None
@@ -288,15 +286,15 @@ class TrackingEngine:
             self.last_frame = frame_id
             return FrameReport(frame_id)
         result = match_frame(rows, detections, cfg, frame_id)
-        hit, det = result.rows, result.columns
+        hit, det, frame = result.rows, result.columns, result.frame
         real, count = rows.real, rows.count
         if len(hit):
             # the correction checks its rows before the first write of the frame
-            cs = kalman.correct_rows(result.predicted, hit, result.dboxes.take(det, axis=0),
+            cs = kalman.correct_rows(result.predicted, hit, frame.boxes.take(det, axis=0),
                                      result.boxes.take(hit, axis=0), cfg.w, cfg.measurement_noise)
             # the matched rows only, one block: a waiting row holds its box and counts
             real[hit, _MATCHED] = np.concatenate(
-                (cs, _half_diagonals(cs)[:, None], result.dhist.take(det, axis=0)), axis=1)
+                (cs, _half_diagonals(cs)[:, None], frame.hist.take(det, axis=0)), axis=1)
             count[:, _F_L][hit] = frame_id  # a column, then its rows: cheaper than [hit, col]
             count[:, _N_R][hit] += 1
             rows.extend(hit, cs[:, :2], cfg.t4)
@@ -307,7 +305,7 @@ class TrackingEngine:
         new_ids = list(range(self._n_born + 1, self._n_born + 1 + len(spawn)))
         if new_ids:
             self._n_born += len(spawn)
-            rows = rows.join(LiveRows.born(new_ids, result.dboxes[spawn], result.dhist[spawn],
+            rows = rows.join(LiveRows.born(new_ids, frame.boxes[spawn], frame.hist[spawn],
                                            frame_id, cfg))
             real, count = rows.real, rows.count
         terminated, noise = [], []
@@ -319,8 +317,7 @@ class TrackingEngine:
             ended = dead | noisy
             if np.count_nonzero(ended):
                 self._ended.append((frame_id, count[ended], real[ended, _D_MAX],
-                                    real[ended, _HIST],
-                                    [NOISE if n else TERMINATED for n in noisy[ended].tolist()]))
+                                    real[ended, _HIST], noisy[ended]))
                 terminated, noise = count[dead, _ID].tolist(), count[noisy, _ID].tolist()
                 rows = rows.take((~ended).nonzero()[0])
         self._rows = rows
@@ -353,8 +350,8 @@ class TrackingEngine:
                     t.states[f] = t.last_cs
             for _ in blocks:
                 log.popleft()
-        for ended in self._ended:
-            self._fill(*ended)
+        for f_c, count, d_max, hist, noisy in self._ended:
+            self._fill(f_c, count, d_max, hist, [NOISE if n else TERMINATED for n in noisy.tolist()])
         self._ended.clear()
         real, count = self._rows.real, self._rows.count
         # a copy of the hist rows, which the next match overwrites

@@ -71,11 +71,17 @@ def replacing(*paths: str | Path):
     Once the block has run through, each temporary replaces its output
     (os.replace); if it raises, they are removed and no output changes.
     An existing output that is not a regular file (a directory, or a
-    device such as /dev/stdout, which a rename would replace) is refused
-    before the block runs, and an OSError on a temporary names its output."""
-    for p in paths:
+    device such as /dev/stdout, which a rename would replace), and two
+    outputs that name one file (the real path of the directory and the
+    name), are refused before the block runs; an OSError on a temporary
+    names its output."""
+    keys = [(os.path.realpath(os.path.dirname(p) or os.curdir), os.path.basename(p))
+            for p in paths]
+    for i, p in enumerate(paths):
         if os.path.exists(p) and not os.path.isfile(p):
             raise OSError(f"{p} exists and is not a regular file")
+        if keys[i] in keys[:i]:
+            raise InputError(f"{p}: one file named as two outputs")
     temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.{os.getpid()}.tmp")
              for p in paths]
     try:
@@ -527,7 +533,7 @@ def _parse_value(name: str, text: str):
     if name == "feature_weights":
         parts = text.replace(",", " ").split()
         if len(parts) != 4:
-            raise ConfigError(f"feature_weights needs 4 values, got {len(parts)}")
+            raise ValueError(f"feature_weights needs 4 values, got {len(parts)}")
         return tuple(float(p) for p in parts)
     if f.type in ("int", int):
         return int(text)

@@ -1,4 +1,5 @@
-"""End-to-end run: ingest detections, track, write trajectories, evaluate.
+"""End-to-end run: ingest detections, track, write trajectories and, for a
+report, evaluate them against ground truth.
 
 The throughput figure covers the tracking loop only (predict, match,
 correct, lifecycle); ingestion and report writing are excluded.
@@ -64,10 +65,8 @@ def run_pipeline(
     # the outputs appear together, and only once every one is written
     with fileio.replacing(*outputs) as temps:
         fileio.write_trajectories(temps[0], engine.valid_tracks())
-        if gt is not None:
-            report = metrics.evaluate(gt, engine.trajectories(),
-                                      iou_threshold=cfg.eval_iou_threshold,
-                                      method=cfg.eval_assignment, fps=fps)
-            if report_path is not None:
-                fileio.write_report(temps[1], report)
+        if report_path is not None:
+            fileio.write_report(temps[1], metrics.evaluate(
+                gt, engine.trajectories(), iou_threshold=cfg.eval_iou_threshold,
+                method=cfg.eval_assignment, fps=fps))
     return 0

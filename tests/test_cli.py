@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mftrack import fileio
+from mftrack import fileio, metrics
 from mftrack.cli import main
 from mftrack.engine import TrackingEngine
 from mftrack.pipeline import track_stream
@@ -143,6 +143,22 @@ def test_nonfinite_config_exit_code(sim_files, tmp_path):
     rc = main(["track", "--detections", det_path, "--config", str(bad),
                "--out", str(tmp_path / "o.txt")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("text,where", [("t2 = many\n", ":1: invalid literal for int()"),
+                                        ("feature_weights = 1 1 1\n",
+                                         ":1: feature_weights needs 4 values, got 3")])
+def test_unparsable_config_value_exit_code(sim_files, capsys, text, where):
+    """A config value that does not parse as its field's type is a config
+    error, exit 3, naming the file and line."""
+    tmp_path, det_path, _ = sim_files
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    rc = main(["track", "--detections", det_path, "--config", str(bad),
+               "--out", str(tmp_path / "o.txt")])
+    assert rc == 3
+    assert f"{bad}{where}" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -285,6 +301,90 @@ def test_failed_report_writes_no_trajectories(sim_files, capsys, report):
     assert main(argv) == 2
     assert out.read_text() == "kept\n"
     assert set(tmp_path.iterdir()) == before | {out}
+
+
+@pytest.mark.parametrize("out,report", [("same.txt", "same.txt"), ("./same.txt", "same.txt"),
+                                        ("link/same.txt", "same.txt")])
+def test_one_file_named_as_both_outputs(sim_files, monkeypatch, capsys, out, report):
+    """`track` whose --out and --report name one file, however spelled (a
+    directory through a symbolic link included), exits 2 naming it, writes
+    neither output, leaves a file already there as it was, and leaves no
+    temporary file behind."""
+    tmp_path, det_path, gt_path = sim_files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    argv = ["track", "--detections", det_path, "--out", out, "--ground-truth", gt_path,
+            "--report", report]
+    before = set(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert "same.txt: one file named as two outputs" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+    same = tmp_path / "same.txt"
+    same.write_text("kept\n")
+    assert main(argv) == 2
+    assert same.read_text() == "kept\n"
+    assert set(tmp_path.iterdir()) == before | {same}
+
+
+def test_ground_truth_without_report_is_not_evaluated(sim_files, monkeypatch):
+    """`track --ground-truth` without --report checks the ground-truth
+    file (a bad one exits 2 with no output) and writes the trajectories,
+    but evaluates nothing; with --report it evaluates once."""
+    tmp_path, det_path, gt_path = sim_files
+    evaluate = metrics.evaluate
+
+    def refused(*args, **kwargs):
+        raise AssertionError("evaluated without a report")
+
+    monkeypatch.setattr(metrics, "evaluate", refused)
+    out, ref = tmp_path / "o.trk.txt", tmp_path / "ref.trk.txt"
+    assert main(["track", "--detections", det_path, "--out", str(out),
+                 "--ground-truth", gt_path]) == 0
+    assert main(["track", "--detections", det_path, "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    bad, lost = tmp_path / "bad.gt.txt", tmp_path / "lost.trk.txt"
+    bad.write_text("0 0 10 10 5\n")
+    assert main(["track", "--detections", det_path, "--out", str(lost),
+                 "--ground-truth", str(bad)]) == 2
+    assert not lost.exists()
+    calls = []
+    monkeypatch.setattr(metrics, "evaluate",
+                        lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs))
+    report = tmp_path / "r.json"
+    assert main(["track", "--detections", det_path, "--out", str(out),
+                 "--ground-truth", gt_path, "--report", str(report)]) == 0
+    assert len(calls) == 1 and json.loads(report.read_text())["m_bar"] == 1.0
+
+
+def test_comment_only_detections(sim_files):
+    """`track` on a detection file with no rows writes an empty trajectory
+    file and reports fps 0.0 and M1 0.0."""
+    tmp_path, _, gt_path = sim_files
+    det = tmp_path / "none.det.txt"
+    det.write_text("# no detections\n")
+    out, report = tmp_path / "o.trk.txt", tmp_path / "r.json"
+    assert main(["track", "--detections", str(det), "--out", str(out),
+                 "--ground-truth", gt_path, "--report", str(report)]) == 0
+    assert out.read_bytes() == b""
+    rep = json.loads(report.read_text())
+    assert rep["fps"] == 0.0 and rep["m1"] == 0.0
+
+
+def test_track_stream_without_frames():
+    engine, fps = track_stream({}, TrackerConfig().validate())
+    assert fps == 0.0 and engine.tracks == {}
+
+
+def test_evaluate_prints_metrics_without_out(sim_files, capsys):
+    """`evaluate` without --out prints M1, M2, M3 and M_bar to 4 decimals."""
+    tmp_path, det_path, gt_path = sim_files
+    out = tmp_path / "o.trk.txt"
+    assert main(["track", "--detections", det_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = set(tmp_path.iterdir())
+    assert main(["evaluate", "--trajectories", str(out), "--ground-truth", gt_path]) == 0
+    assert capsys.readouterr().out == "M1 = 1.0000\nM2 = 1.0000\nM3 = 1.0000\nM_bar = 1.0000\n"
+    assert set(tmp_path.iterdir()) == before
 
 
 def _disk_full(path, _):

@@ -65,6 +65,19 @@ class TestAssociate:
         corr = associate(gt, tracks)
         assert len(corr[0]) == 1
 
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    def test_frame_without_tracks_has_no_pairs(self, method):
+        gt = {0: moving(range(3))}
+        tracks = {1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}}
+        assert associate(gt, tracks, method=method) == {0: [(0, 1)], 1: [], 2: [(0, 1)]}
+        assert evaluate(gt, tracks, method=method).m1 == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("kw", [{"iou_threshold": 0.0}, {"iou_threshold": 1.5},
+                                    {"method": "optimal"}])
+    def test_rejects_bad_arguments(self, kw):
+        with pytest.raises(ValueError):
+            associate({0: moving([0])}, {1: moving([0])}, **kw)
+
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_matches_pairwise_iou_loop(self, method):

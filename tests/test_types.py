@@ -61,6 +61,12 @@ class TestColorHistogram:
         assert h == ColorHistogram(np.arange(4, dtype=float))
         assert h != ColorHistogram(np.zeros(4))
 
+    def test_unequal_to_other_types_and_hash_follows_equality(self):
+        h = ColorHistogram(np.arange(4, dtype=float))
+        assert h != [0.0, 1.0, 2.0, 3.0] and h != "h"
+        assert h.__eq__(np.arange(4, dtype=float)) is NotImplemented
+        assert hash(h) == hash(ColorHistogram(np.arange(4, dtype=float)))
+
 
 class TestFrame:
     def test_rows_copied_read_only_and_read_back_as_detections(self):
@@ -126,6 +132,7 @@ class TestTrackerConfig:
         {"feature_weights": (0.0, 0.0, 0.0, 0.0)},
         {"feature_weights": (1.0, -1.0, 1.0, 1.0)},
         {"assignment_policy": "optimal"},
+        {"eval_assignment": "x"},
         {"eval_iou_threshold": 0.0},
         {"motion_model": "brownian"},
         {"feature_weights": (math.nan, 1.0, 1.0, 1.0)},
