@@ -9,7 +9,6 @@ from .engine import MatchResult, TrackingEngine, match_frame
 from .metrics import EvalReport, evaluate
 from .types import (
     ColorHistogram,
-    Detection,
     Frame,
     KalmanState,
     ObjectState,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColorHistogram",
-    "Detection",
     "EvalReport",
     "Frame",
     "KalmanState",

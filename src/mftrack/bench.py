@@ -7,13 +7,13 @@ from .types import TrackerConfig
 
 
 def run_bench(frames: int = 5000, objects: int = 5, clutter: float = 5.0,
-              seed: int = 7, cfg: TrackerConfig | None = None) -> float:
+              seed: int = 7) -> float:
     """Generate the standard benchmark scenario and time the tracking loop
-    over it. Returns frames per second."""
+    over it with the default config. Returns frames per second."""
     spec = scenario.bench_scenario(frames=frames, objects=objects,
                                    clutter=clutter, seed=seed)
     result = scenario.generate(spec)
-    _, fps = track_stream(result.detections_by_frame, cfg or TrackerConfig())
+    _, fps = track_stream(result.detections_by_frame, TrackerConfig())
     return fps
 
 

@@ -1,7 +1,7 @@
 """Per-frame tracking engine.
 
 A frame enters as a `Frame`, the detections' ids, boxes and histograms as
-arrays; a list of `Detection`s is turned into one by `Frame.of` first.
+arrays, or as an empty list when it holds none.
 The engine keeps the live tracks as one column store (`LiveRows`, a row
 per live track in id order) and the history not yet read as a log of
 one block per frame. `match_frame` reads a frame: it validates it,
@@ -21,14 +21,13 @@ from itertools import islice
 import numpy as np
 
 from . import kalman, kernels, lifecycle
-from .errors import SequencingError
+from .errors import NumericOverflowError, SequencingError
 from .types import (
     ACTIVE,
     NOISE,
     TERMINATED,
     WAITING,
     ColorHistogram,
-    Detection,
     Frame,
     KalmanState,
     ObjectState,
@@ -167,7 +166,7 @@ class FrameReport:
 
 def match_frame(
     tracks: LiveRows,
-    detections: Frame | list[Detection],
+    detections: Frame | list,
     cfg: TrackerConfig,
     frame_id: int,
 ) -> MatchResult:
@@ -263,7 +262,7 @@ class TrackingEngine:
         """Every track not flagged as noise, in id order."""
         return [t for t in self.tracks.values() if t.status != NOISE]
 
-    def step(self, frame_id: int, detections: Frame | list[Detection]) -> FrameReport:
+    def step(self, frame_id: int, detections: Frame | list) -> FrameReport:
         """Process one frame; frame ids must be strictly increasing.
 
         The filters of the matched rows are corrected as one block, their
@@ -285,13 +284,17 @@ class TrackingEngine:
             Frame.of(detections, frame_id, cfg.n_bins)  # nothing else to run but its checks
             self.last_frame = frame_id
             return FrameReport(frame_id)
-        result = match_frame(rows, detections, cfg, frame_id)
-        hit, det, frame = result.rows, result.columns, result.frame
+        try:  # the prediction and the correction check their rows before the first write
+            result = match_frame(rows, detections, cfg, frame_id)
+            hit, det, frame = result.rows, result.columns, result.frame
+            if len(hit):
+                cs = kalman.correct_rows(result.predicted, hit, frame.boxes.take(det, axis=0),
+                                         result.boxes.take(hit, axis=0), cfg.w,
+                                         cfg.measurement_noise)
+        except NumericOverflowError as e:
+            raise NumericOverflowError(f"{e} in frame {frame_id}") from None
         real, count = rows.real, rows.count
         if len(hit):
-            # the correction checks its rows before the first write of the frame
-            cs = kalman.correct_rows(result.predicted, hit, frame.boxes.take(det, axis=0),
-                                     result.boxes.take(hit, axis=0), cfg.w, cfg.measurement_noise)
             # the matched rows only, one block: a waiting row holds its box and counts
             real[hit, _MATCHED] = np.concatenate(
                 (cs, _half_diagonals(cs)[:, None], frame.hist.take(det, axis=0)), axis=1)

@@ -43,5 +43,6 @@ class MeasurementError(TrackerError):
     """Throughput measurement over a zero or negative elapsed time."""
 
 
-class NumericOverflowError(TrackerError):
-    """A filter update produced a non-finite value."""
+class NumericOverflowError(InputError):
+    """A filter update produced a non-finite value: the input drove the
+    filter past the range of a float."""

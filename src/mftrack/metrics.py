@@ -151,19 +151,26 @@ def m1(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> fl
     return _m1(_tally(correspondence, gt)[0], gt)
 
 
+def _m2(gt_tracks: dict[int, set[int]], gt: Trajectories) -> float:
+    return _mean_reciprocal(gt_tracks[gid] for gid in gt)
+
+
+def _m3(track_gts: dict[int, set[int]]) -> float:
+    return _mean_reciprocal(track_gts.values())
+
+
 def m2(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
     """Mean reciprocal track-id count per ground-truth object with a match.
 
     Objects never matched are excluded (their reciprocal is undefined);
     returns 0.0 if nothing matched at all.
     """
-    gt_tracks = _tally(correspondence, gt)[1]
-    return _mean_reciprocal(gt_tracks[gid] for gid in gt)
+    return _m2(_tally(correspondence, gt)[1], gt)
 
 
 def m3(correspondence: dict[int, list[tuple[int, int]]]) -> float:
     """Mean reciprocal ground-truth-id count per track with a match."""
-    return _mean_reciprocal(_tally(correspondence, {})[2].values())
+    return _m3(_tally(correspondence, {})[2])
 
 
 def evaluate(
@@ -175,9 +182,7 @@ def evaluate(
 ) -> EvalReport:
     frames, gt_tracks, track_gts = _tally(
         associate(gt, tracks, iou_threshold, method), gt)
-    v1 = _m1(frames, gt)
-    v2 = _mean_reciprocal(gt_tracks[gid] for gid in gt)
-    v3 = _mean_reciprocal(track_gts.values())
+    v1, v2, v3 = _m1(frames, gt), _m2(gt_tracks, gt), _m3(track_gts)
     return EvalReport(
         m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
         per_gt_coverage={gid: frames[gid] / len(states) for gid, states in gt.items()},

@@ -1,4 +1,4 @@
-"""Core value types: object states, histograms, detections, tracks, config."""
+"""Core value types: object states, histograms, frames of detections, tracks, config."""
 from __future__ import annotations
 
 import math
@@ -40,7 +40,8 @@ def is_real(v, lo: float = -math.inf, hi: float = math.inf) -> bool:
 class ObjectState:
     """Bounding box at one frame: center (x, y), width l, height h, in pixels.
 
-    Sub-pixel values are allowed; l and h must be strictly positive.
+    Sub-pixel values are allowed; l and h must be strictly positive, and
+    their product l * h finite.
     """
 
     x: float
@@ -54,6 +55,8 @@ class ObjectState:
                 raise ValueError(f"non-finite state component: {self!r}")
         if self.l <= 0 or self.h <= 0:
             raise ValueError(f"box dimensions must be positive: l={self.l}, h={self.h}")
+        if not math.isfinite(self.l * self.h):
+            raise ValueError(f"box area l * h must be finite: l={self.l}, h={self.h}")
 
     @classmethod
     def rows(cls, boxes: np.ndarray) -> list["ObjectState"]:
@@ -92,11 +95,19 @@ def diagonal_half(state: ObjectState) -> float:
 
 
 def check_boxes(boxes: np.ndarray) -> None:
-    """ValueError unless every (x, y, l, h) row is finite with l, h > 0."""
+    """ValueError unless every (x, y, l, h) row is finite with l, h > 0
+    and a finite area l * h."""
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite state component in box rows")
     if not (boxes[:, 2:] > 0).all():
         raise ValueError("box dimensions must be positive")
+    # no area overflows unless the largest l times the largest h does, so
+    # the rows are multiplied only then; a float product overflows to inf
+    # without a warning, and the reductions make no scratch array
+    if len(boxes) and not math.isfinite(float(boxes[:, 2].max()) * float(boxes[:, 3].max())):
+        with np.errstate(over="ignore"):  # an overflow is the fault reported
+            if not np.isfinite(boxes[:, 2] * boxes[:, 3]).all():
+                raise ValueError("box area l * h must be finite")
 
 
 def check_counts(arr: np.ndarray) -> None:
@@ -112,12 +123,12 @@ def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
                hist: np.ndarray) -> None:
     """The rules of a frame's rows, checked once over all of them as
     arrays: every frame id in 0..MAX_FRAME_ID, no (frame id, detection id)
-    pair twice, every box finite with l, h > 0 and every count finite and
-    non-negative (`check_boxes`, `check_counts`). frame_ids holds one
-    frame id per row, or one for all rows. A frame id past MAX_FRAME_ID or
-    a repeated pair is an InputError, the latter naming the first repeat
-    in row order; every other fault is a ValueError. Rows of no frame are
-    checked for the frame id only."""
+    pair twice, every box finite with l, h > 0 and a finite area, and
+    every count finite and non-negative (`check_boxes`, `check_counts`).
+    frame_ids holds one frame id per row, or one for all rows. A frame id
+    past MAX_FRAME_ID or a repeated pair is an InputError, the latter
+    naming the first repeat in row order; every other fault is a
+    ValueError. Rows of no frame are checked for the frame id only."""
     low, high = ((frame_ids.min(initial=0), frame_ids.max(initial=0))
                  if isinstance(frame_ids, np.ndarray) else (frame_ids, frame_ids))
     if low < 0:
@@ -189,20 +200,6 @@ class ColorHistogram:
         return hash((self.bins.size, float(self.bins.sum())))
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detected bounding box in one frame."""
-
-    frame_id: int
-    detection_id: int
-    state: ObjectState
-    histogram: ColorHistogram
-
-    def __post_init__(self):
-        if self.frame_id < 0:
-            raise ValueError("frame_id must be non-negative")
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
     """The detections of one frame as columns, row i for the i-th detection:
@@ -210,9 +207,7 @@ class Frame:
     counts, all three read-only.
 
     The constructor copies the rows and checks them once, as arrays, by
-    `check_rows`; a detection id beyond int64 is an InputError. `of`
-    builds a frame from `Detection`s, and iterating a frame builds them
-    back, so code written for lists of detections reads a frame too.
+    `check_rows`; a detection id beyond int64 is an InputError.
     """
 
     frame_id: int
@@ -247,33 +242,24 @@ class Frame:
         return frame
 
     @classmethod
-    def of(cls, detections: "Frame | list[Detection]", frame_id: int, n_bins: int) -> "Frame":
-        """`detections` as a frame of id `frame_id`. A frame is returned as
-        it is once its frame id and, if it has rows, its bin count match.
-        A list is checked detection by detection for its frame id, then its
-        bin count, before its rows go through the constructor's
-        `check_rows`: of two faults, these are named before a repeated id."""
-        if isinstance(detections, Frame):
-            frame = detections
-            if frame.frame_id != frame_id:
-                raise InputError(f"detection {frame.ids[0]} carries frame {frame.frame_id}, "
-                                 f"expected {frame_id}" if len(frame) else
-                                 f"empty frame {frame.frame_id} stepped as frame {frame_id}")
-            if len(frame) and frame.n_bins != n_bins:
-                raise HistogramShapeError(f"detection {frame.ids[0]} in frame {frame.frame_id} "
-                                          f"has {frame.n_bins} histogram bins, expected {n_bins}")
-            return frame
-        for d in detections:
-            if d.frame_id != frame_id:
-                raise InputError(f"detection {d.detection_id} carries frame {d.frame_id}, "
-                                 f"expected {frame_id}")
-            if d.histogram.n != n_bins:
-                raise HistogramShapeError(f"detection {d.detection_id} in frame {frame_id} has "
-                                          f"{d.histogram.n} histogram bins, expected {n_bins}")
-        m = len(detections)
-        return cls(frame_id, [d.detection_id for d in detections],
-                   [(d.state.x, d.state.y, d.state.l, d.state.h) for d in detections],
-                   np.array([d.histogram.bins for d in detections]).reshape(m, n_bins))
+    def of(cls, detections: "Frame | list", frame_id: int, n_bins: int) -> "Frame":
+        """`detections` as a frame of id `frame_id`: a frame is returned as
+        it is once its frame id and, if it has rows, its bin count match;
+        an empty list is the frame without detections."""
+        if not isinstance(detections, Frame):
+            if len(detections):
+                raise TypeError(f"frame {frame_id}: detections must be a Frame or an empty "
+                                f"list, got a {type(detections).__name__} of {len(detections)}")
+            return cls(frame_id, [], (), np.zeros((0, n_bins)))
+        frame = detections
+        if frame.frame_id != frame_id:
+            raise InputError(f"detection {frame.ids[0]} carries frame {frame.frame_id}, "
+                             f"expected {frame_id}" if len(frame) else
+                             f"empty frame {frame.frame_id} stepped as frame {frame_id}")
+        if len(frame) and frame.n_bins != n_bins:
+            raise HistogramShapeError(f"detection {frame.ids[0]} in frame {frame.frame_id} "
+                                      f"has {frame.n_bins} histogram bins, expected {n_bins}")
+        return frame
 
     @property
     def n_bins(self) -> int:
@@ -281,12 +267,6 @@ class Frame:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self):
-        """The frame's `Detection`s, built on demand; their histograms are
-        views of the hist rows."""
-        return map(Detection, [self.frame_id] * len(self), self.ids.tolist(),
-                   ObjectState.rows(self.boxes), ColorHistogram.rows(self.hist))
 
 
 @dataclass(frozen=True)

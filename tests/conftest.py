@@ -3,7 +3,7 @@ import pytest
 
 from mftrack import kernels
 from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_C, _N_R, LiveRows
-from mftrack.types import ColorHistogram, Detection, ObjectState, Track, TrackerConfig
+from mftrack.types import ColorHistogram, Frame, Track, TrackerConfig
 
 
 def flat_histogram(n=96, value=10.0):
@@ -16,9 +16,16 @@ def peaked_histogram(n=96, peak=10, total=1000.0):
     return ColorHistogram(bump / bump.sum() * total)
 
 
-def make_detection(frame_id, det_id, x, y, l=10.0, h=10.0, hist=None, n=96):
-    return Detection(frame_id, det_id, ObjectState(x, y, l, h),
-                     hist if hist is not None else flat_histogram(n))
+def make_frame(frame_id, centers, ids=None, l=10.0, h=10.0, hist=None, n=96):
+    """A Frame with one detection per (x, y) of centers, ids 0, 1, ...
+    unless given, each box l by h (one number for all, or one per
+    detection) and each histogram row the bins of hist, a flat histogram
+    of n bins unless given."""
+    m = len(centers)
+    boxes = np.column_stack((np.reshape(centers, (m, 2)), np.broadcast_to(l, m),
+                             np.broadcast_to(h, m)))
+    bins = (hist if hist is not None else flat_histogram(n)).bins
+    return Frame(frame_id, range(m) if ids is None else ids, boxes, np.tile(bins, (m, 1)))
 
 
 def make_track(track_id, state, birth=0, hist=None, n=96, **kw):

@@ -1,6 +1,7 @@
 import errno
 import json
 
+import numpy as np
 import pytest
 
 from mftrack import fileio, metrics
@@ -194,6 +195,48 @@ def test_bad_histogram_count_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "o.txt")])
     assert rc == 2
     assert f"{bad}:1:" in capsys.readouterr().err
+
+
+def test_filter_overflow_exit_code(tmp_path, capsys):
+    """Detections that drive the filter past the range of a float are an
+    input error naming the frame, exit 2, and no trajectory file is
+    written."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("t1 = 0\n")
+    det = tmp_path / "d.txt"
+    det.write_text("0 0 1.5e308 50 10 10\n1 0 -1.5e308 50 10 10\n")
+    out = tmp_path / "o.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["track", "--detections", str(det), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "mftrack: error: filter update produced non-finite values in frame 1\n"
+    assert not out.exists()
+
+
+_HUGE_BOX = "10 10 1e300 1e300"  # l * h is past the largest float
+
+
+@pytest.mark.parametrize("kind", ["detections", "ground_truth", "trajectories"])
+def test_box_area_beyond_float_exit_code(sim_files, capsys, kind):
+    """A box whose area l * h overflows a float is a parse error naming its
+    line, exit 2, in a detection, ground-truth or trajectory file, and no
+    output is written."""
+    tmp_path, det_path, gt_path = sim_files
+    bad = tmp_path / f"huge.{kind}.txt"
+    bad.write_text({"detections": f"0 0 10 10 5 5\n1 0 {_HUGE_BOX}\n",
+                    "ground_truth": f"0 0 10 10 5 5\n0 1 {_HUGE_BOX}\n",
+                    "trajectories": f"1 0 10 10 5 5 1\n1 1 {_HUGE_BOX} 1\n"}[kind])
+    out = tmp_path / "o.txt"
+    if kind == "trajectories":
+        argv = ["evaluate", "--trajectories", str(bad), "--ground-truth", gt_path, "--out", str(out)]
+    elif kind == "ground_truth":
+        argv = ["track", "--detections", det_path, "--ground-truth", str(bad), "--out", str(out)]
+    else:
+        argv = ["track", "--detections", str(bad), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{bad}:2: box area l * h must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_undecodable_detections_exit_code(sim_files, capsys):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_histogram, live_rows, make_detection, make_track, peaked_histogram
+from conftest import live_rows, make_frame, make_track, peaked_histogram
 from mftrack import bench, kalman, kernels, lifecycle, scenario
 from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, TrackingEngine,
                             match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import (ACTIVE, WAITING, Frame, KalmanState, ObjectState, Track, TrackerConfig,
-                           diagonal_half)
+from mftrack.types import (ACTIVE, WAITING, ColorHistogram, Frame, KalmanState, ObjectState, Track,
+                           TrackerConfig, diagonal_half)
 
 
 class TestMatchFrame:
@@ -25,8 +25,7 @@ class TestMatchFrame:
 
     def test_exact_match_scores_one(self, cfg):
         t = make_track(1, ObjectState(50, 50, 10, 10))
-        d = make_detection(1, 0, 50, 50)
-        r = match_frame(live_rows([t]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t]), make_frame(1, [(50, 50)]), cfg, frame_id=1)
         assert r.pairs == [(1, 0, pytest.approx(1.0))]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
@@ -34,8 +33,7 @@ class TestMatchFrame:
         # the nearer track wins the single detection; the other stays unmatched
         t1 = make_track(1, ObjectState(50.0, 50.0, 10, 10))
         t2 = make_track(2, ObjectState(52.0, 50.0, 10, 10))
-        d = make_detection(1, 0, 50.5, 50.0)
-        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t1, t2]), make_frame(1, [(50.5, 50.0)]), cfg, frame_id=1)
         assert len(r.pairs) == 1
         assert r.pairs[0][0] == 1
         assert r.unmatched_tracks == [2]
@@ -43,16 +41,16 @@ class TestMatchFrame:
     def test_tie_broken_by_lower_track_id(self, cfg):
         t1 = make_track(3, ObjectState(48, 50, 10, 10))
         t2 = make_track(7, ObjectState(52, 50, 10, 10))
-        d = make_detection(1, 0, 50, 50)  # equidistant
-        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
+        d = make_frame(1, [(50, 50)])  # equidistant
+        r = match_frame(live_rows([t1, t2]), d, cfg, frame_id=1)
         assert r.pairs[0][0] == 3
         assert r.unmatched_tracks == [7]
 
     def test_below_threshold_not_matched(self, cfg):
         # d_max = 5 (6x8 box), distance 4.5 -> LS1 = 0.1, GS = 0.775 < 0.8
         t = make_track(1, ObjectState(0, 0, 6, 8))
-        d = make_detection(1, 0, 4.5, 0, l=6, h=8)
-        r = match_frame(live_rows([t]), [d], cfg, frame_id=1)
+        d = make_frame(1, [(4.5, 0)], l=6, h=8)
+        r = match_frame(live_rows([t]), d, cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
         assert r.unmatched_detections == [0]
@@ -63,9 +61,9 @@ class TestMatchFrame:
         # gated after one frame, inside the reach 5 * m after more
         cfg = TrackerConfig(t1=0.0)
         t = make_track(1, ObjectState(0, 0, 6, 8))
-        d = make_detection(frame_id, 0, 8.0, 0, l=6, h=8)
-        r = match_frame(live_rows([t]), [d], cfg, frame_id=frame_id)
-        ls1 = distance_similarity(ObjectState(*r.boxes[0]), d.state, 5.0, frame_id)
+        d = make_frame(frame_id, [(8.0, 0)], l=6, h=8)
+        r = match_frame(live_rows([t]), d, cfg, frame_id=frame_id)
+        ls1 = distance_similarity(ObjectState(*r.boxes[0]), ObjectState(*d.boxes[0]), 5.0, frame_id)
         assert (ls1 > 0.0) == (frame_id > 1)
         assert r.pairs == [(1, 0, pytest.approx(global_similarity([ls1, 1.0, 1.0, 1.0],
                                                                    cfg.feature_weights)))]
@@ -73,23 +71,24 @@ class TestMatchFrame:
     @pytest.mark.parametrize("n_tracks", [0, 2])
     @pytest.mark.parametrize("wrong", ["one", "all"])
     def test_wrong_histogram_length_rejected(self, cfg, n_tracks, wrong):
+        """A frame of one detection, or of all three, whose histograms have
+        half the bins, with and without tracks to score."""
         tracks = [make_track(i + 1, ObjectState(50.0 * i, 50, 10, 10)) for i in range(n_tracks)]
-        half = cfg.n_bins // 2
-        dets = [make_detection(1, j, 50.0 * j, 50, n=half if wrong == "all" or j == 1 else cfg.n_bins)
-                for j in range(3)]
-        with pytest.raises(HistogramShapeError):
+        dets = make_frame(1, [(50.0 * j, 50) for j in range(1 if wrong == "one" else 3)],
+                          n=cfg.n_bins // 2)
+        with pytest.raises(HistogramShapeError, match="histogram bins, expected 96$"):
             match_frame(live_rows(tracks), dets, cfg, frame_id=1)
 
     def test_reads_tracks_without_changing_them(self, cfg):
         eng = TrackingEngine(cfg)
         replay = _ScalarReplay(cfg)
         for f in range(6):
-            dets = [make_detection(f, j, 40.0 + 3 * f + 100 * j, 50.0 + f) for j in range(3)
-                    if (f + j) % 3]
+            seen = [j for j in range(3) if (f + j) % 3]
+            dets = make_frame(f, [(40.0 + 3 * f + 100 * j, 50.0 + f) for j in seen], seen)
             replay.follow(eng, dets, eng.step(f, dets))
         before = _engine_state(eng)
         tracks = eng.live_tracks()
-        dets = [make_detection(6, j, 58.0 + 100 * j, 56.0) for j in range(3)]
+        dets = make_frame(6, [(58.0 + 100 * j, 56.0) for j in range(3)])
         r = match_frame(eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
         assert len(KalmanState.columns(r.predicted)[2]) == len(r.boxes) == len(tracks)
@@ -99,16 +98,16 @@ class TestMatchFrame:
             assert r.predicted[i].tolist() == _filter_fields(ref_ks)
 
     def test_mixed_frame_ids_rejected(self, cfg):
-        dets = [make_detection(1, 0, 0, 0), make_detection(2, 1, 5, 5)]
-        with pytest.raises(InputError):
+        # a frame's detections all carry its frame id, 2 here, not the one matched
+        dets = make_frame(2, [(0, 0), (5, 5)])
+        with pytest.raises(InputError, match="^detection 0 carries frame 2, expected 1$"):
             match_frame(live_rows([]), dets, cfg, frame_id=1)
 
     def test_per_track_policy_can_share_a_detection(self):
         cfg = TrackerConfig(assignment_policy="per_track")
         t1 = make_track(1, ObjectState(49, 50, 10, 10))
         t2 = make_track(2, ObjectState(51, 50, 10, 10))
-        d = make_detection(1, 0, 50, 50)
-        r = match_frame(live_rows([t1, t2]), [d], cfg, frame_id=1)
+        r = match_frame(live_rows([t1, t2]), make_frame(1, [(50, 50)]), cfg, frame_id=1)
         assert [p[0] for p in r.pairs] == [1, 2]
         assert all(p[1] == 0 for p in r.pairs)
 
@@ -116,7 +115,7 @@ class TestMatchFrame:
         # both detections equidistant from the track, listed in descending id
         cfg = TrackerConfig(assignment_policy="per_track")
         t = make_track(1, ObjectState(50, 50, 10, 10))
-        dets = [make_detection(1, 9, 52, 50), make_detection(1, 4, 48, 50)]
+        dets = make_frame(1, [(52, 50), (48, 50)], ids=[9, 4])
         r = match_frame(live_rows([t]), dets, cfg, frame_id=1)
         assert [p[:2] for p in r.pairs] == [(1, 4)]
         assert r.unmatched_detections == [9]
@@ -136,8 +135,8 @@ class TestMatchFrame:
             nt, nd = rng.integers(1, 7, 2)
             tracks = [make_track(int(tid), ObjectState(*(50.0 + 4.0 * rng.integers(0, 5, 2)), 10, 10))
                       for tid in rng.permutation(20)[:nt] + 1]
-            dets = [make_detection(1, int(did), *(50.0 + 4.0 * rng.integers(0, 5, 2)))
-                    for did in rng.permutation(20)[:nd]]
+            dids = rng.permutation(20)[:nd]
+            dets = make_frame(1, [50.0 + 4.0 * rng.integers(0, 5, 2) for _ in dids], dids)
             pairs = match_frame(live_rows(tracks), dets, cfg, frame_id=1).pairs
             assert pairs == _pairwise_loop(tracks, dets, scored[-1], cfg)
             n_zero += sum(p[2] == 0.0 for p in pairs)
@@ -148,8 +147,8 @@ class TestMatchFrame:
         for _ in range(30):
             tracks = [make_track(i + 1, ObjectState(*rng.uniform(10, 200, 2), 12, 24))
                       for i in range(rng.integers(1, 8))]
-            dets = [make_detection(1, j, *rng.uniform(10, 200, 2), l=12, h=24)
-                    for j in range(rng.integers(0, 8))]
+            dets = make_frame(1, [rng.uniform(10, 200, 2) for _ in range(rng.integers(0, 8))],
+                              l=12, h=24)
             r = match_frame(live_rows(tracks), dets, cfg, frame_id=1)
             tids = [p[0] for p in r.pairs]
             dids = [p[1] for p in r.pairs]
@@ -158,20 +157,19 @@ class TestMatchFrame:
             assert all(p[2] >= cfg.t1 for p in r.pairs)
 
 
-def _pairwise_loop(tracks, detections, scores, cfg):
+def _pairwise_loop(tracks, frame, scores, cfg):
     """Assignment by a loop over every (track, detection) pair."""
-    pairs = []
+    pairs, dids = [], frame.ids.tolist()
     if cfg.assignment_policy == "per_track":
         for i, t in enumerate(tracks):
-            j = min(range(len(detections)),
-                    key=lambda j: (-scores[i, j], detections[j].detection_id))
+            j = min(range(len(dids)), key=lambda j: (-scores[i, j], dids[j]))
             if scores[i, j] >= cfg.t1:
-                pairs.append((t.track_id, detections[j].detection_id, float(scores[i, j])))
+                pairs.append((t.track_id, dids[j], float(scores[i, j])))
         return pairs
     candidates = sorted(
-        (-float(scores[i, j]), tracks[i].track_id, detections[j].detection_id, i, j)
+        (-float(scores[i, j]), tracks[i].track_id, dids[j], i, j)
         for i in range(len(tracks))
-        for j in range(len(detections))
+        for j in range(len(dids))
         if scores[i, j] >= cfg.t1)
     taken_t, taken_d = set(), set()
     for neg, tid, did, i, j in candidates:
@@ -185,7 +183,7 @@ def _pairwise_loop(tracks, detections, scores, cfg):
 class TestStep:
     def test_detections_spawn_tracks(self, cfg):
         eng = TrackingEngine(cfg)
-        report = eng.step(0, [make_detection(0, j, 50 + 100 * j, 50) for j in range(3)])
+        report = eng.step(0, make_frame(0, [(50 + 100 * j, 50) for j in range(3)]))
         assert report.new_tracks == [1, 2, 3]
         assert all(t.n_r == 1 and t.t_w == 0 for t in eng.tracks.values())
 
@@ -193,10 +191,10 @@ class TestStep:
         eng = TrackingEngine(cfg)
         hist = peaked_histogram()
         for f in range(1, 6):  # matched frames 1..5
-            eng.step(f, [make_detection(f, 0, 10.0 + 2 * f, 50, hist=hist)])
+            eng.step(f, make_frame(f, [(10.0 + 2 * f, 50)], hist=hist))
         for f in range(6, 9):  # absent 6..8
             eng.step(f, [])
-        eng.step(9, [make_detection(9, 0, 10.0 + 2 * 9, 50, hist=hist)])
+        eng.step(9, make_frame(9, [(10.0 + 2 * 9, 50)], hist=hist))
         assert len(eng.tracks) == 1
         t = eng.tracks[1]
         assert t.status == "active"
@@ -206,17 +204,17 @@ class TestStep:
 
     def test_low_score_detection_spawns_new_track(self, cfg):
         eng = TrackingEngine(cfg)
-        eng.step(0, [make_detection(0, 0, 0, 0, l=6, h=8)])
-        report = eng.step(1, [make_detection(1, 0, 4.5, 0, l=6, h=8)])
+        eng.step(0, make_frame(0, [(0, 0)], l=6, h=8))
+        report = eng.step(1, make_frame(1, [(4.5, 0)], l=6, h=8))
         assert report.new_tracks == [2]
         assert eng.tracks[1].status == "waiting"
         assert report.waiting == [1]
 
     def test_waiting_bookkeeping(self, cfg):
         eng = TrackingEngine(cfg)
-        eng.step(0, [make_detection(0, 0, 50, 50)])
+        eng.step(0, make_frame(0, [(50, 50)]))
         t = eng.tracks[1]
-        eng.step(1, [make_detection(1, 0, 51, 50)])
+        eng.step(1, make_frame(1, [(51, 50)]))
         # a track is brought up to the last step when the engine's tracks are read
         assert eng.tracks[1] is t
         assert (t.n_r, t.t_w) == (2, 0)
@@ -230,18 +228,18 @@ class TestStep:
         tracks and keeps none of it; a track held from an earlier read is
         brought up to date by the next."""
         eng = TrackingEngine(cfg)
-        eng.step(0, [make_detection(0, 0, 50, 50)])
+        eng.step(0, make_frame(0, [(50, 50)]))
         t = eng.tracks[1]
         assert not eng._log
         matched = [f for f in range(151) if f % 3]
         for f in range(1, 151):  # waiting on every third frame
-            eng.step(f, [make_detection(f, 0, 50 + f, 50)] if f % 3 else [])
+            eng.step(f, make_frame(f, [(50 + f, 50)]) if f % 3 else [])
         assert len(eng._log) == 150
         assert eng.tracks[1] is t and not eng._log
         assert list(t.states) == list(range(151)) and t.matched_frames == {0, *matched}
         assert (t.status, t.n_r, t.t_w, t.f_l) == (WAITING, 101, 50, 149)
         assert t.states[150] == t.states[149] == ObjectState(*eng._rows.real[0, _BOX])
-        eng.step(151, [make_detection(151, 0, 201, 50)])
+        eng.step(151, make_frame(151, [(201, 50)]))
         assert eng.tracks[1] is t and (t.status, t.n_r, t.f_l) == (ACTIVE, 102, 151)
         assert list(t.states) == list(range(152)) and not eng._log
 
@@ -250,9 +248,9 @@ class TestStep:
         from an earlier read keeps its bins when the row changes."""
         eng = TrackingEngine(cfg)
         first, second = peaked_histogram(total=1000.0), peaked_histogram(total=1100.0)
-        eng.step(0, [make_detection(0, 0, 50, 50, hist=first)])
+        eng.step(0, make_frame(0, [(50, 50)], hist=first))
         held = eng.tracks[1].last_histogram
-        eng.step(1, [make_detection(1, 0, 51, 50, hist=second)])
+        eng.step(1, make_frame(1, [(51, 50)], hist=second))
         assert eng.tracks[1].n_r == 2
         assert held == first and eng.tracks[1].last_histogram == second
 
@@ -260,12 +258,8 @@ class TestStep:
         rng = np.random.default_rng(23)
         eng = TrackingEngine(cfg)
         for f in range(60):
-            dets = []
-            if rng.random() < 0.8:
-                dets.append(make_detection(f, 0, 30.0 + f, 50))
-            if rng.random() < 0.5:
-                dets.append(make_detection(f, 1, 30.0 + f, 300))
-            eng.step(f, dets)
+            seen = [j for j, p in enumerate((0.8, 0.5)) if rng.random() < p]
+            eng.step(f, make_frame(f, [(30.0 + f, (50, 300)[j]) for j in seen], seen))
             for t in eng.tracks.values():
                 if t.status in (ACTIVE, WAITING):
                     assert t.t_w + t.n_r == f - t.birth_frame + 1
@@ -280,17 +274,17 @@ class TestStep:
 
     def test_duplicate_detection_id_rejected(self, cfg):
         eng = TrackingEngine(cfg)
-        with pytest.raises(InputError):
-            eng.step(0, [make_detection(0, 1, 10, 10), make_detection(0, 1, 90, 90)])
+        with pytest.raises(InputError, match="^duplicate detection_id 1 in frame 0$"):
+            eng.step(0, make_frame(0, [(10, 10), (90, 90)], ids=[1, 1]))
+        assert _engine_state(eng) == _engine_state(TrackingEngine(cfg))
 
     def test_deterministic(self, cfg):
         def run():
             rng = np.random.default_rng(99)
             eng = TrackingEngine(cfg)
             for f in range(80):
-                dets = [make_detection(f, j, float(rng.uniform(10, 400)), float(rng.uniform(10, 400)))
-                        for j in range(int(rng.integers(0, 5)))]
-                eng.step(f, dets)
+                eng.step(f, make_frame(f, [(float(rng.uniform(10, 400)), float(rng.uniform(10, 400)))
+                                           for _ in range(int(rng.integers(0, 5)))]))
             return eng.trajectories()
 
         a, b = run(), run()
@@ -326,33 +320,39 @@ class _ScalarReplay:
         self.shadows = {}  # track id -> Track, live ones only
 
     def follow(self, eng, detections, report):
-        """Advance the replay over the frame `report` describes, checking
-        each recorded state, the sweep's verdicts and every track the
-        engine reports against the scalar ones."""
+        """Advance the replay over the frame `report` describes, a `Frame`
+        or an empty list, checking each recorded state, the sweep's verdicts
+        and every track the engine reports against the scalar ones. A
+        detection is read from its row of the frame: its box as a state,
+        its histogram row as a histogram of the same bins."""
         cfg, f = self.cfg, report.frame_id
-        by_id = {d.detection_id: d for d in detections}
-        matched = {tid: by_id[did] for tid, did, _ in report.matches}
+        frame = Frame.of(detections, f, cfg.n_bins)
+        states = ObjectState.rows(frame.boxes)
+        row = {did: i for i, did in enumerate(frame.ids.tolist())}
+        matched = {tid: row[did] for tid, did, _ in report.matches}
         for tid in [tid for tid, _, _ in report.matches] + report.waiting:
-            shadow, det = self.shadows[tid], matched.get(tid)
+            shadow, i = self.shadows[tid], matched.get(tid)
             ks, es = kalman.predict(self.filters[tid], cfg)
-            self.filters[tid], cs = kalman.correct(ks, es, det and det.state, shadow.last_cs,
-                                                   cfg.w, cfg.measurement_noise)
+            self.filters[tid], cs = kalman.correct(ks, es, None if i is None else states[i],
+                                                   shadow.last_cs, cfg.w, cfg.measurement_noise)
             shadow.states[f] = cs
-            if det is None:
+            if i is None:
                 shadow.t_w += 1
                 shadow.status = WAITING
             else:
-                shadow.last_histogram, shadow.f_l, shadow.status = det.histogram, f, ACTIVE
+                shadow.last_histogram = ColorHistogram(frame.hist[i])
+                shadow.f_l, shadow.status = f, ACTIVE
                 shadow.n_r += 1
                 shadow.matched_frames.add(f)
                 shadow.update_extent(cs.x, cs.y, cap=cfg.t4)
-        spawned = [d for d in detections if d.detection_id not in {did for _, did, _ in report.matches}]
+        spawned = [i for i in range(len(frame)) if i not in matched.values()]
         assert len(spawned) == len(report.new_tracks)
-        for tid, det in zip(report.new_tracks, spawned):
-            self.filters[tid] = kalman.init_kalman(det.state, cfg)
-            self.shadows[tid] = shadow = Track(tid, f, {f: det.state}, det.histogram, f,
+        for tid, i in zip(report.new_tracks, spawned):
+            s = states[i]
+            self.filters[tid] = kalman.init_kalman(s, cfg)
+            self.shadows[tid] = shadow = Track(tid, f, {f: s}, ColorHistogram(frame.hist[i]), f,
                                                matched_frames={f})
-            shadow.update_extent(det.state.x, det.state.y, cap=cfg.t4)
+            shadow.update_extent(s.x, s.y, cap=cfg.t4)
         shadows = list(self.shadows.values())
         assert lifecycle.sweep(shadows, f, cfg) == (report.terminated, report.noise)
         for shadow in shadows:
@@ -380,76 +380,82 @@ class _ScalarReplay:
 @st.composite
 def _streams(draw):
     """Frames 0..n of up to four objects in straight-line motion, each seen or
-    missed per frame; frame n is the one the rejected call replaces."""
+    missed per frame, as (detection id, center) rows; frame n is the one the
+    rejected call replaces."""
     coord, speed = st.floats(50.0, 400.0), st.floats(-4.0, 4.0)
     objects = draw(st.lists(st.tuples(coord, coord, speed, speed), min_size=1, max_size=4))
     frames = []
     for f in range(draw(st.integers(1, 12)) + 1):
         seen = draw(st.lists(st.booleans(), min_size=len(objects), max_size=len(objects)))
-        frames.append([make_detection(f, j, x + vx * f, y + vy * f)
+        frames.append([(j, (x + vx * f, y + vy * f))
                        for j, ((x, y, vx, vy), on) in enumerate(zip(objects, seen)) if on])
     return frames
 
 
+def _frame(rows, frame_id, n_bins=96):
+    """The Frame of (detection id, center) rows, at frame_id."""
+    return make_frame(frame_id, [c for _, c in rows], [j for j, _ in rows], n=n_bins)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frames=_streams(),
-       rejection=st.sampled_from(["wrong_frame_id", "duplicate_id", "stale_frame",
-                                  "ragged_histogram", "wrong_bins"]),
+       rejection=st.sampled_from(["wrong_frame_id", "empty_frame_id", "non_empty_list",
+                                  "stale_frame", "wrong_bins"]),
        data=st.data())
 def test_rejected_step_leaves_engine_unchanged(frames, rejection, data):
+    """A stream stepped as Frames, and as empty lists where a frame holds
+    nothing: a rejected step changes nothing, and the engine goes on as one
+    that never saw it."""
     *warm, valid = frames
     n = len(warm)
     eng, ref = TrackingEngine(), TrackingEngine()
-    for f, dets in enumerate(warm):
-        eng.step(f, dets)
-        ref.step(f, dets)
+    for f, rows in enumerate(warm):
+        eng.step(f, _frame(rows, f) if rows else [])
+        ref.step(f, _frame(rows, f) if rows else [])
     before = _engine_state(eng)
 
+    bad = valid + [(100, (60.0, 60.0))]
     if rejection == "wrong_frame_id":
-        with pytest.raises(InputError):
-            eng.step(n, valid + [make_detection(n + 99, 100, 60, 60)])
-    elif rejection == "duplicate_id":
-        with pytest.raises(InputError):
-            eng.step(n, valid + [make_detection(n, 100, 60, 60), make_detection(n, 100, 90, 90)])
-    elif rejection == "ragged_histogram":
-        with pytest.raises(HistogramShapeError):
-            eng.step(n, valid + [make_detection(n, 100, 60, 60, n=eng.cfg.n_bins // 2)])
+        with pytest.raises(InputError, match=f"^detection {bad[0][0]} carries frame {n + 99}, "):
+            eng.step(n, _frame(bad, n + 99))
+    elif rejection == "empty_frame_id":
+        with pytest.raises(InputError, match=f"^empty frame {n + 99} stepped as frame {n}$"):
+            eng.step(n, _frame([], n + 99))
+    elif rejection == "non_empty_list":
+        with pytest.raises(TypeError, match=f"^frame {n}: detections must be a Frame "):
+            eng.step(n, bad)
     elif rejection == "wrong_bins":
         with pytest.raises(HistogramShapeError):
-            eng.step(n, _with_bins(valid + [make_detection(n, 100, 60, 60)], eng.cfg.n_bins // 2))
+            eng.step(n, _frame(bad, n, eng.cfg.n_bins // 2))
     else:
         stale = data.draw(st.integers(0, n - 1))
         with pytest.raises(SequencingError):
-            eng.step(stale, frames[stale])
+            eng.step(stale, _frame(frames[stale], stale))
 
     assert _engine_state(eng) == before
+    valid = _frame(valid, n)
     assert eng.step(n, valid) == ref.step(n, valid)
     assert _engine_state(eng) == _engine_state(ref)
-
-
-def _with_bins(detections, n):
-    return [make_detection(d.frame_id, d.detection_id, d.state.x, d.state.y, n=n)
-            for d in detections]
 
 
 def test_wrong_bins_on_first_frame_rejected():
     """With no live track to score against, a frame of wrong-length
     histograms is still rejected, and spawns nothing."""
     eng = TrackingEngine()
-    dets = [make_detection(0, j, 50.0 + 100 * j, 50) for j in range(3)]
+    centers = [(50.0 + 100 * j, 50) for j in range(3)]
     with pytest.raises(HistogramShapeError):
-        eng.step(0, _with_bins(dets, eng.cfg.n_bins // 2))
+        eng.step(0, make_frame(0, centers, n=eng.cfg.n_bins // 2))
     assert _engine_state(eng) == _engine_state(TrackingEngine())
-    assert eng.step(0, dets).new_tracks == [1, 2, 3]
+    assert eng.step(0, make_frame(0, centers)).new_tracks == [1, 2, 3]
 
 
 def test_update_overflow_leaves_engine_unchanged():
     """A correction that overflows rejects the frame before anything is stored."""
     eng = TrackingEngine(TrackerConfig(t1=0.0))
-    eng.step(0, [make_detection(0, 0, 1.5e308, 50)])
+    eng.step(0, make_frame(0, [(1.5e308, 50)]))
     before = _engine_state(eng)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflowError):
-        eng.step(1, [make_detection(1, 0, -1.5e308, 50)])
+        eng.step(1, make_frame(1, [(-1.5e308, 50)]))
     assert _engine_state(eng) == before
 
 
@@ -509,29 +515,9 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
     assert 10 * max(handed) < len(eng.tracks)
 
 
-def _frame(detections, frame_id, n_bins=96):
-    """detections as a Frame built by its constructor, at frame_id."""
-    return Frame(frame_id, [d.detection_id for d in detections],
-                 [d.state.as_vector() for d in detections],
-                 np.array([d.histogram.bins for d in detections]).reshape(len(detections), n_bins))
-
-
-@pytest.mark.parametrize("policy", ["greedy_global", "per_track"])
-def test_frame_and_list_give_same_reports_and_tracks(policy):
-    """Stepping a stream as constructed Frames gives the frame reports and
-    the engine state that stepping it as lists of detections gives."""
-    cfg = TrackerConfig(assignment_policy=policy)
-    stream = scenario.generate(scenario.bench_scenario(frames=120, seed=3)).detections_by_frame
-    as_list, as_frame = TrackingEngine(cfg), TrackingEngine(cfg)
-    for f in range(min(stream), max(stream) + 1):
-        dets = list(stream.get(f, []))
-        assert as_frame.step(f, _frame(dets, f)) == as_list.step(f, dets)
-    assert _engine_state(as_frame) == _engine_state(as_list)
-
-
 def test_bench_steps_generated_frames_as_they_are(monkeypatch):
-    """run_bench steps the generator's `Frame`s: `Frame.of` hands each one
-    back as it is, so no frame goes through the list adapter."""
+    """run_bench steps the generator's `Frame`s, each handed back by
+    `Frame.of` as it is."""
     handed_back = []
     real_of = Frame.of.__func__
 
@@ -545,59 +531,53 @@ def test_bench_steps_generated_frames_as_they_are(monkeypatch):
     assert len(handed_back) == 50 and all(handed_back)
 
 
-def _outcome(call):
-    try:
-        call()
-    except Exception as e:  # compared between the two forms of a frame
-        return type(e), str(e)
-    return None
+# (exception class, message) of each rejection of a frame stepped at frame 1
+_REJECTIONS = {
+    "duplicate_id": (InputError, "duplicate detection_id 1 in frame 1"),
+    "wrong_bins": (HistogramShapeError, "detection 0 in frame 1 has 48 histogram bins, expected 96"),
+    "wrong_frame_id": (InputError, "detection 0 carries frame 7, expected 1"),
+    "negative_frame_id": (ValueError, "frame_id must be non-negative"),
+    "overflow": (NumericOverflowError, "filter update produced non-finite values in frame 1"),
+}
 
 
-@pytest.mark.parametrize("rejection", ["duplicate_id", "wrong_bins", "wrong_frame_id",
-                                       "negative_frame_id", "overflow"])
+@pytest.mark.parametrize("rejection", list(_REJECTIONS))
 def test_rejected_frame_raises_as_list_does(rejection):
-    """A Frame is rejected with the exception class and message of its list
-    form, and either rejection leaves the engine as it was."""
+    """Each rejection of a frame raises its exception class with its
+    message, and leaves the engine as it was. A repeated detection id and
+    a negative frame id are refused as the `Frame` is built, the others by
+    `step`."""
     cfg = TrackerConfig(t1=0.0)  # every pair is accepted, so the overflow case corrects
-    f, n_bins = 1, cfg.n_bins
-    dets = [make_detection(f, j, 40.0 + 100 * j, 50.0) for j in range(3)]
+    f, n_bins, ids = 1, cfg.n_bins, [0, 1, 2]
+    centers = [(40.0 + 100 * j, 50.0) for j in ids]
     if rejection == "duplicate_id":
-        dets.append(make_detection(f, 1, 300.0, 50.0))
+        ids, centers = ids + [1], centers + [(300.0, 50.0)]
     elif rejection == "wrong_bins":
         n_bins = cfg.n_bins // 2
-        dets = _with_bins(dets, n_bins)
     elif rejection == "wrong_frame_id":
         f = 7
-        dets = [make_detection(f, d.detection_id, d.state.x, d.state.y) for d in dets]
+    elif rejection == "negative_frame_id":
+        f = -1
     elif rejection == "overflow":
-        dets = [make_detection(f, 0, -1.5e308, 50.0)]
-    forms = {
-        # a Detection cannot carry a negative frame id: its list form fails
-        # where it is made
-        "list": (lambda: [make_detection(-1, 0, 40.0, 50.0)]) if rejection == "negative_frame_id"
-        else (lambda: dets),
-        "frame": lambda: _frame(dets, -1 if rejection == "negative_frame_id" else f, n_bins),
-    }
-    outcomes, states = [], []
-    for make in forms.values():
-        eng = TrackingEngine(cfg)
-        eng.step(0, [make_detection(0, 0, 1.5e308, 50.0)])
-        before = _engine_state(eng)
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes.append(_outcome(lambda: eng.step(1, make())))
-        assert _engine_state(eng) == before
-        states.append(before)
-    assert outcomes[0] is not None
-    assert outcomes[1] == outcomes[0]
-    assert states[1] == states[0]
+        ids, centers = [0], [(-1.5e308, 50.0)]
+    error, message = _REJECTIONS[rejection]
+    eng = TrackingEngine(cfg)
+    eng.step(0, make_frame(0, [(1.5e308, 50.0)]))
+    before = _engine_state(eng)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as raised:
+        eng.step(1, make_frame(f, centers, ids, n=n_bins))
+    assert type(raised.value) is error and str(raised.value) == message
+    assert _engine_state(eng) == before
 
 
 @pytest.mark.parametrize("box", [(float("nan"), 50.0, 10.0, 10.0), (40.0, float("inf"), 10.0, 10.0),
-                                 (40.0, 50.0, 0.0, 10.0), (40.0, 50.0, 10.0, -1.0)])
+                                 (40.0, 50.0, 0.0, 10.0), (40.0, 50.0, 10.0, -1.0),
+                                 (10.0, 10.0, 1e300, 1e300)])
 def test_frame_rejects_bad_box_as_states_do(box):
-    """A non-finite or non-positive box row is the ValueError, with the
-    message, of the bulk state check `ObjectState.rows`; a single
-    `ObjectState` of it is a ValueError too."""
+    """A non-finite or non-positive box row, or one whose area l * h
+    overflows, is the ValueError, with the message, of the bulk state
+    check `ObjectState.rows`; a single `ObjectState` of it is a ValueError
+    too."""
     boxes = np.array([[10.0, 10.0, 5.0, 5.0], box])
     with pytest.raises(ValueError) as state_error:
         ObjectState.rows(boxes)
@@ -613,39 +593,40 @@ def test_frame_rejects_bad_box_as_states_do(box):
        rejection=st.sampled_from(["wrong_frame_id", "wrong_bins", "stale_frame"]),
        data=st.data())
 def test_rejected_frame_leaves_engine_unchanged(frames, rejection, data):
-    """A stream fed as Frames: a rejected Frame changes nothing, and the
-    engine goes on as one that never saw it."""
+    """A stream fed as Frames, empty ones too: a rejected Frame changes
+    nothing, and the engine goes on as one that never saw it."""
     *warm, valid = frames
     n = len(warm)
     eng, ref = TrackingEngine(), TrackingEngine()
-    for f, dets in enumerate(warm):
-        eng.step(f, _frame(dets, f))
-        ref.step(f, dets)
+    for f, rows in enumerate(warm):
+        eng.step(f, _frame(rows, f))
+        ref.step(f, _frame(rows, f))
     before = _engine_state(eng)
 
-    bad = valid + [make_detection(n, 100, 60, 60)]
+    bad = valid + [(100, (60.0, 60.0))]
     if rejection == "wrong_frame_id":
-        with pytest.raises(InputError, match=f"^detection {bad[0].detection_id} carries frame "
+        with pytest.raises(InputError, match=f"^detection {bad[0][0]} carries frame "
                                              f"{n + 99}, expected {n}$"):
             eng.step(n, _frame(bad, n + 99))
     elif rejection == "wrong_bins":
         half = eng.cfg.n_bins // 2
         with pytest.raises(HistogramShapeError):
-            eng.step(n, _frame(_with_bins(bad, half), n, half))
+            eng.step(n, _frame(bad, n, half))
     else:
         stale = data.draw(st.integers(0, n - 1))
         with pytest.raises(SequencingError):
             eng.step(stale, _frame(frames[stale], stale))
 
     assert _engine_state(eng) == before
-    assert eng.step(n, _frame(valid, n)) == ref.step(n, valid)
+    valid = _frame(valid, n)
+    assert eng.step(n, valid) == ref.step(n, valid)
     assert _engine_state(eng) == _engine_state(ref)
 
 
 def _emptied_engine():
     """An engine whose one track has ended, so it holds history and no live row."""
     eng = TrackingEngine()
-    eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+    eng.step(0, make_frame(0, [(50.0, 50.0)]))
     f = 1
     while len(eng._rows):
         eng.step(f, [])
@@ -684,7 +665,7 @@ def test_empty_frame_under_another_frame_id_rejected(live):
     the step's frame id."""
     eng = TrackingEngine()
     if live:
-        eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+        eng.step(0, make_frame(0, [(50.0, 50.0)]))
     before = _engine_state(eng)
     for call in (lambda: eng.step(7, _frame([], 5)),
                  lambda: match_frame(eng._rows, _frame([], 5), eng.cfg, frame_id=7)):
@@ -695,22 +676,23 @@ def test_empty_frame_under_another_frame_id_rejected(live):
     assert eng.step(8, _frame([], 8)).frame_id == eng.last_frame == 8
 
 
-@pytest.mark.parametrize("frame_id, detections", [
-    (10**20, []),
-    (2**63 - 1, []),  # the span f_c + 1 - birth would not fit in int64
-    (2**63, [make_detection(2**63, 0, 50.0, 50.0)]),
-    (1, [make_detection(1, 10**20, 50.0, 50.0)]),
-    (1, [make_detection(1, -2**63 - 1, 50.0, 50.0)]),
+@pytest.mark.parametrize("frame_id, ids", [
+    (10**20, None),
+    (2**63 - 1, None),  # the span f_c + 1 - birth would not fit in int64
+    (2**63, [0]),
+    (1, [10**20]),
+    (1, [-2**63 - 1]),
 ], ids=["empty_frame", "largest_int64_frame", "detection_frame", "detection_id", "negative_id"])
-def test_id_beyond_int64_rejected_before_any_write(frame_id, detections):
-    """A frame id past MAX_FRAME_ID or a detection id beyond int64 is an
-    InputError, and the engine, a live track in it, pickles to the same
-    bytes before and after."""
+def test_id_beyond_int64_rejected_before_any_write(frame_id, ids):
+    """A frame id past MAX_FRAME_ID, an empty list stepped under it or a
+    `Frame` of it, or a detection id beyond int64 is an InputError, and the
+    engine, a live track in it, pickles to the same bytes before and
+    after."""
     eng = TrackingEngine()
-    eng.step(0, [make_detection(0, 0, 50.0, 50.0)])
+    eng.step(0, make_frame(0, [(50.0, 50.0)]))
     before = pickle.dumps(eng)
     with pytest.raises(InputError, match="past 9223372036854775806$|beyond int64 in frame 1$"):
-        eng.step(frame_id, detections)
+        eng.step(frame_id, [] if ids is None else make_frame(frame_id, [(50.0, 50.0)], ids))
     assert pickle.dumps(eng) == before
 
 
@@ -729,10 +711,11 @@ def test_live_set_empties_and_refills_as_scalar_replay(cfg):
     schedule = [True] * 8 + gap + [True] * 6 + gap + [True] * 3
     kinds = set()
     for f, on in enumerate(schedule):
-        dets = [make_detection(f, j, 40.0 + 2.0 * f + 100 * j, 50.0 + f)
-                for j in range(2)] if on else []
+        centers = [(40.0 + 2.0 * f + 100 * j, 50.0 + f) for j in range(2)] if on else []
         kinds.add((len(eng._rows) > 0, on))
-        report = eng.step(f, _frame(dets, f) if f % 2 else dets)
+        # a frame without detections is an empty Frame or an empty list, in turn
+        dets = make_frame(f, centers) if on or f % 2 else []
+        report = eng.step(f, dets)
         replay.follow(eng, dets, report)
         replay.check_rows(eng)
     # every pairing of (live rows, detections) occurred

@@ -10,7 +10,7 @@ from mftrack.lifecycle import is_noise, should_terminate, sweep, sweep_rows
 from mftrack.scenario import MotionScript, ScenarioSpec, generate
 from mftrack.pipeline import track_stream
 from mftrack.types import ACTIVE, WAITING, ObjectState, TrackerConfig
-from conftest import make_detection
+from conftest import make_frame
 
 
 def track_with(n_r=5, f_l=100, birth=0, t_w=0, frames=None, centers=None):
@@ -83,7 +83,7 @@ class TestSweep:
     def test_no_terminations_when_all_matched(self, cfg):
         eng = TrackingEngine(cfg)
         for f in range(30):
-            r = eng.step(f, [make_detection(f, 0, 30.0 + 2 * f, 50)])
+            r = eng.step(f, make_frame(f, [(30.0 + 2 * f, 50)]))
             assert r.terminated == [] and r.noise == []
 
     def test_waiting_streak_never_exceeds_t2(self, cfg):
@@ -118,7 +118,7 @@ class TestSweep:
         noise_ids = []
         for f in range(45):
             x = 100.0 + (0.5 if f % 2 else -0.5)
-            r = eng.step(f, [make_detection(f, 0, x, 100.0, l=8, h=8)])
+            r = eng.step(f, make_frame(f, [(x, 100.0)], l=8, h=8))
             noise_ids.extend(r.noise)
         # the removed track's detections respawn a successor, itself flagged
         # once old enough to judge

@@ -227,6 +227,18 @@ class TestEvaluate:
         with pytest.raises(MetricError, match=r"without states: \[0\]"):
             evaluate({0: {}, 1: moving([0])}, tracks)
 
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    def test_scores_are_the_metric_functions(self, method):
+        """evaluate reports m1, m2 and m3 of its association, bit for bit."""
+        rng = np.random.default_rng(5)
+        gt = {i: moving(range(30), x=50 + 15 * i) for i in range(4)}
+        tracks = {j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
+                      for f in range(int(rng.integers(0, 5)), 30)} for j in range(1, 7)}
+        corr = associate(gt, tracks, method=method)
+        rep = evaluate(gt, tracks, method=method)
+        assert (rep.m1, rep.m2, rep.m3) == (m1(corr, gt), m2(corr, gt), m3(corr))
+        assert 0.0 < rep.m2 < 1.0 and 0.0 < rep.m3 < 1.0
+
 
 class TestThroughput:
     def test_division(self):

@@ -4,11 +4,10 @@ Each case tracks a small generated stream, then 25 empty frames so that
 every track ends, and hashes three things: the trajectory file, the
 pickled list of frame reports and the public fields of every track. A
 refactor that changes any byte of that output fails here; one that means
-to change it records the table again and says why. Every case runs three
-times against the same table: on the generated `Frame`s, on the same
-frames as lists of `Detection`s, and on the `Frame`s that writing the
-stream to a detection file and loading it back gives. The detection file
-itself is pinned too.
+to change it records the table again and says why. Every case runs twice
+against the same table: on the generated `Frame`s, and on the `Frame`s
+that writing the stream to a detection file and loading it back gives.
+The detection file itself is pinned too.
 
     PYTHONPATH=src python tests/test_parity.py   # print the table anew
 """
@@ -126,11 +125,9 @@ def _track_fields(t) -> tuple:
 def digests(workload: str, seed: int, config: str, tmp_path,
             form: str = "frames") -> tuple[str, str, str]:
     """The three digests of one case, the stream stepped as generated
-    ("frames"), as lists of detections ("lists") or through a file ("file")."""
+    ("frames") or through a file ("file")."""
     stream = scenario.generate(_spec(workload, seed)).detections_by_frame
-    if form == "lists":
-        stream = {f: list(frame) for f, frame in stream.items()}
-    elif form == "file":
+    if form == "file":
         det = tmp_path / f"{workload}-{seed}.det.txt"
         fileio.write_detections(det, stream)
         stream = fileio.load_detections(det, CONFIGS[config].n_bins)
@@ -159,16 +156,6 @@ def test_file_path_matches_golden(workload, seed, config, tmp_path):
     """write_detections, load_detections and step on the loaded frames give
     the output of the generated lists, byte for byte."""
     assert digests(workload, seed, config, tmp_path, form="file") == \
-        GOLDEN[(workload, seed, config)]
-
-
-@pytest.mark.parametrize("workload", ["crowd", "clutter_long"])
-@pytest.mark.parametrize("seed", [7, 23])
-@pytest.mark.parametrize("config", list(CONFIGS))
-def test_detection_lists_match_golden(workload, seed, config, tmp_path):
-    """The generated frames stepped as lists of `Detection`s, the public
-    list form of `step`, give the same output."""
-    assert digests(workload, seed, config, tmp_path, form="lists") == \
         GOLDEN[(workload, seed, config)]
 
 

@@ -17,7 +17,7 @@ from mftrack.scenario import (
     spec_from_json,
     spec_to_json,
 )
-from mftrack.types import Frame, TrackerConfig
+from mftrack.types import Frame, ObjectState, TrackerConfig
 
 
 def single_object_spec(duration=100, speed=2.0, **kw):
@@ -38,14 +38,14 @@ class TestGenerate:
         for f in range(60):
             da, db = a.detections_by_frame[f], b.detections_by_frame[f]
             assert len(da) == len(db)
-            for x, y in zip(da, db):
-                assert x == y
+            for x, y in ((da.ids, db.ids), (da.boxes, db.boxes), (da.hist, db.hist)):
+                assert x.tobytes() == y.tobytes()
 
     def test_zero_perturbation_equals_gt(self):
         res = generate(single_object_spec())
         for f, dets in res.detections_by_frame.items():
             assert len(dets) == 1
-            assert list(dets)[0].state == res.gt[0][f]
+            assert ObjectState(*dets.boxes[0]) == res.gt[0][f]
 
     def test_burst_drop_single_gap(self):
         res = generate(single_object_spec(burst_drops=((0, 40, 3),)))
@@ -68,7 +68,8 @@ class TestGenerate:
         spec = ScenarioSpec(seed=21, duration=50, objects=(), clutter_blobs=(blob,),
                             clutter_extent=3.0)
         res = generate(spec)
-        pts = [(d.state.x, d.state.y) for dets in res.detections_by_frame.values() for d in dets]
+        pts = [(x, y) for frame in res.detections_by_frame.values()
+               for x, y in frame.boxes[:, :2].tolist()]
         assert len(pts) == 50
         for ax, ay in pts:
             for bx, by in pts:
@@ -87,22 +88,22 @@ class TestGenerate:
         spec = lanes_scenario(n_objects=0, duration=50, seed=3, clutter_blobs=blobs,
                               clutter_rate=0.0)
         res = generate(spec)
-        for f, dets in res.detections_by_frame.items():
+        for f, frame in res.detections_by_frame.items():
             want = [b.size for b in blobs if b.start_frame <= f < b.start_frame + b.lifetime]
-            assert [d.state.l for d in dets] == want
+            assert frame.boxes[:, 2].tolist() == want
         # one histogram per blob, whatever the frame
         first = {}
-        for dets in res.detections_by_frame.values():
-            for d in dets:
-                assert first.setdefault(d.state.l, d.histogram) == d.histogram
+        for frame in res.detections_by_frame.values():
+            for size, hist in zip(frame.boxes[:, 2].tolist(), frame.hist):
+                assert first.setdefault(size, hist.tobytes()) == hist.tobytes()
         assert sorted(first) == [7.0, 8.0, 10.0, 11.0, 12.0, 13.0]
 
     def test_clutter_rate_roughly_met(self):
         spec = lanes_scenario(n_objects=1, duration=400, seed=6, clutter_rate=4.0)
         res = generate(spec)
         clutter_counts = [
-            sum(1 for d in dets if res.provenance[(f, d.detection_id)] == CLUTTER)
-            for f, dets in res.detections_by_frame.items()
+            sum(1 for did in frame.ids.tolist() if res.provenance[(f, did)] == CLUTTER)
+            for f, frame in res.detections_by_frame.items()
         ]
         mean = np.mean(clutter_counts[50:])  # after warm-in
         assert 2.0 < mean < 6.0

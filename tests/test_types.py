@@ -6,7 +6,6 @@ import pytest
 from mftrack.errors import ConfigError, InputError
 from mftrack.types import (
     ColorHistogram,
-    Detection,
     Frame,
     ObjectState,
     TrackerConfig,
@@ -76,32 +75,22 @@ class TestFrame:
         assert len(frame) == 2 and frame.n_bins == 3
         for column in (frame.ids, frame.boxes, frame.hist):
             assert not column.flags.writeable
-        want = [Detection(9, 4, ObjectState(1, 2, 3, 4), ColorHistogram(np.ones(3))),
-                Detection(9, 2, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3)))]
-        assert list(frame) == want
-        assert list(Frame.of(want, 9, 3)) == want
+        assert (frame.ids.tolist(), frame.boxes.tolist(), frame.hist.tolist()) == (
+            ids, boxes, np.ones((2, 3)).tolist())
+        assert Frame.of(frame, 9, 3) is frame
 
     def test_first_repeated_id_named_as_the_list_check_names_it(self):
         # in order, 5 is the first id seen before; 3 repeats only later
         with pytest.raises(InputError, match="^duplicate detection_id 5 in frame 0$"):
             Frame(0, [3, 5, 5, 3], np.ones((4, 4)), np.ones((4, 2)))
 
-    @pytest.mark.parametrize("fault,message", [
-        ("frame_id", "^detection 2 carries frame 8, expected 9$"),
-        ("bins", "^detection 2 in frame 9 has 4 histogram bins, expected 3$")])
-    def test_list_fault_named_before_repeated_id(self, fault, message):
-        """Of two faults in a list, a repeated id and a later detection's
-        frame id or bin count, `Frame.of` names the second: it checks every
-        detection's frame id and bin count before the constructor checks
-        the ids."""
-        dets = [Detection(9, 1, ObjectState(1, 2, 3, 4), ColorHistogram(np.ones(3))),
-                Detection(9, 1, ObjectState(5, 6, 7, 8), ColorHistogram(np.ones(3))),
-                Detection(8 if fault == "frame_id" else 9, 2, ObjectState(5, 6, 7, 8),
-                          ColorHistogram(np.ones(4 if fault == "bins" else 3)))]
-        with pytest.raises(InputError, match=message):
-            Frame.of(dets, 9, 3)
-        with pytest.raises(InputError, match="^duplicate detection_id 1 in frame 9$"):
-            Frame.of(dets[:2], 9, 3)
+    @pytest.mark.parametrize("detections", [[(1, 1.0, 2.0, 3.0, 4.0)],
+                                            [Frame(9, [1], np.ones((1, 4)), np.ones((1, 3)))]])
+    def test_non_empty_list_rejected(self, detections):
+        """A frame is a `Frame`; of lists, only the empty one is taken."""
+        with pytest.raises(TypeError, match="^frame 9: detections must be a Frame or an empty "
+                                            "list, got a list of 1$"):
+            Frame.of(detections, 9, 3)
 
     @pytest.mark.parametrize("hist", [np.full((1, 3), -1.0), np.full((1, 3), np.nan),
                                       np.ones((1, 0)), np.ones((2, 3)), np.ones(3)])
@@ -111,7 +100,8 @@ class TestFrame:
 
     def test_empty_frame(self):
         frame = Frame.of([], 4, 96)
-        assert (frame.frame_id, len(frame), frame.hist.shape, list(frame)) == (4, 0, (0, 96), [])
+        assert (frame.frame_id, len(frame), frame.ids.shape, frame.boxes.shape, frame.hist.shape) \
+            == (4, 0, (0,), (0, 4), (0, 96))
 
 
 class TestTrackerConfig:
