@@ -8,7 +8,6 @@ filtering, evaluation metrics, and a deterministic scenario simulator.
 from .engine import MatchResult, TrackingEngine, match_frame
 from .metrics import EvalReport, evaluate
 from .types import (
-    ColorHistogram,
     Frame,
     KalmanState,
     ObjectState,
@@ -20,7 +19,6 @@ from .types import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColorHistogram",
     "EvalReport",
     "Frame",
     "KalmanState",

@@ -27,7 +27,6 @@ from .types import (
     NOISE,
     TERMINATED,
     WAITING,
-    ColorHistogram,
     Frame,
     KalmanState,
     ObjectState,
@@ -64,8 +63,8 @@ class LiveRows:
     the engine's cap t4, `centers[i, :n_c[i]]` holds the (x, y) of its
     matched boxes, as `Track.update_extent` keeps them; the slots after
     them repeat its first center, which leaves every maximum distance as
-    it is. No column holds an object: a track's `last_histogram` is made
-    from its hist row when the track is read.
+    it is. No column holds an object: a track's `last_histogram` is a
+    read-only view of its hist row, handed over when the track is read.
     """
 
     real: np.ndarray  # (n, KalmanState.WIDTH + 6 + n_bins)
@@ -365,10 +364,11 @@ class TrackingEngine:
               statuses: list[str]) -> None:
         """Copy into their tracks the counters that some rows had at frame
         f_c, given as their `LiveRows` count, d_max and hist columns; each
-        `last_histogram` is a view of its hist row. The centers behind
-        d_max stay in the store."""
+        `last_histogram` is a view of its row of hist, a copy no one else
+        writes, marked read-only. The centers behind d_max stay in the store."""
+        hist.flags.writeable = False
         for (tid, birth, f_l, n_r, _), d, h, status in zip(
-                count.tolist(), d_max.tolist(), ColorHistogram.rows(hist), statuses):
+                count.tolist(), d_max.tolist(), hist, statuses):
             t = self._tracks[tid]
             t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t._d_max = (
                 f_l, n_r, f_c - birth + 1 - n_r, status, h, d)

@@ -169,14 +169,15 @@ def correct_rows(
     work = np.empty((len(matched), KalmanState.WIDTH + 4))
     new = block.take(matched, axis=0, out=work[:, :KalmanState.WIDTH])
     position, velocity, p, c, v = KalmanState.columns(new)
-    innovation = measured - position
-    s = p + measurement_noise
-    keep = measurement_noise / s  # 1 - position gain
-    position += (p / s)[:, None] * innovation
-    velocity += (c / s)[:, None] * innovation
-    v -= c * c / s
-    p *= keep
-    c *= keep
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports an overflow
+        innovation = measured - position
+        s = p + measurement_noise
+        keep = measurement_noise / s  # 1 - position gain
+        position += (p / s)[:, None] * innovation
+        velocity += (c / s)[:, None] * innovation
+        v -= c * c / s
+        p *= keep
+        c *= keep
     blended = work[:, KalmanState.WIDTH:]
     np.multiply(w, measured, out=blended)
     blended += (1.0 - w) * estimated

@@ -37,8 +37,9 @@ def score_matrix(tboxes, treach, thist, dboxes, dhist, weights) -> np.ndarray:
     w1, w2, w3, w4 = weights
     tx, ty, tl, th = tboxes.T
     dx, dy, dl, dh = dboxes.T
-    d = np.hypot(tx[:, None] - dx, ty[:, None] - dy)
-    ls1 = 1.0 - d / treach[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite distance is out of reach
+        d = np.hypot(tx[:, None] - dx, ty[:, None] - dy)
+        ls1 = 1.0 - d / treach[:, None]
     i, j = (ls1 > 0.0).nonzero()
     # area and aspect once per box, then gathered for the gated pairs
     tarea, tratio = (tl * th).take(i), (tl / th).take(i)

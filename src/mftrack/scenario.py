@@ -26,10 +26,10 @@ class MotionScript:
 
     The object exists from the first to the last waypoint frame; states
     in between are linearly interpolated. That span must reach into the
-    stream's frames 0..duration-1. Each waypoint is 5 finite
-    numbers with l, h > 0, the largest l times the largest h is finite,
-    and the waypoint frames strictly increase. hist_peak, an integer bin
-    in 0..n_bins-1, places the object's base color histogram bump;
+    stream's frames 0..duration-1. Each waypoint is 5 finite numbers with
+    l, h > 0 and l / h and h / l finite, the largest l times the largest h
+    is finite, and the waypoint frames strictly increase. hist_peak, an
+    integer bin in 0..n_bins-1, places the object's base color histogram bump;
     hist_width, finite and > 0 with (n_bins / hist_width)**2 finite, is
     its spread. No value is converted: true, 5.9 or "7" is no hist_peak.
     """
@@ -131,7 +131,8 @@ class ScenarioSpec:
             for wp in script.waypoints:
                 if not _is_box_row(wp):
                     raise InputError(f"object {k}: waypoint {list(wp)} is not 5 finite numbers "
-                                     "(frame, x, y, l, h) with positive l and h")
+                                     "(frame, x, y, l, h) with positive l and h and finite "
+                                     "l / h and h / l")
             frames = [wp[0] for wp in script.waypoints]
             if any(a >= b for a, b in zip(frames, frames[1:])):
                 raise InputError(f"object {k}: waypoint frames {frames} do not strictly increase")
@@ -193,8 +194,11 @@ def _jittered_box_fits(script: MotionScript, spec: ScenarioSpec) -> bool:
 
 
 def _is_box_row(row) -> bool:
-    """True when row is (frame, x, y, l, h): 5 finite numbers, l and h positive."""
-    return len(row) == 5 and all(map(is_real, row)) and row[3] > 0 and row[4] > 0
+    """True when row is (frame, x, y, l, h): 5 finite numbers, l and h
+    positive, l / h and h / l finite. An interpolated box's l / h lies
+    between its two waypoints', since l and h are both linear in the frame."""
+    return (len(row) == 5 and all(map(is_real, row)) and row[3] > 0 and row[4] > 0
+            and is_real(row[3] / row[4]) and is_real(row[4] / row[3]))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError, HistogramShapeError
-from .types import ColorHistogram, ObjectState
+from .types import ObjectState, check_counts
 
 
 def distance_similarity(a: ObjectState, b: ObjectState, d_max: float, m: int) -> float:
@@ -46,16 +46,20 @@ def shape_similarity(a: ObjectState, b: ObjectState) -> float:
     return min(ra, rb) / max(ra, rb)
 
 
-def color_similarity(ha: ColorHistogram, hb: ColorHistogram) -> float:
-    """Mean over bins of min/max count ratio.
+def color_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean over bins of min/max count ratio of two 1-D rows of counts,
+    each checked by `check_counts`; HistogramShapeError unless both are
+    1-D of one length.
 
     A bin empty in both histograms counts as a perfect match (ratio 1),
     so identical histograms always score exactly 1.
     """
-    if ha.n != hb.n:
-        raise HistogramShapeError(f"histogram lengths differ: {ha.n} vs {hb.n}")
-    lo = np.minimum(ha.bins, hb.bins)
-    hi = np.maximum(ha.bins, hb.bins)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise HistogramShapeError(f"histogram shapes differ or are not 1-D: {a.shape} vs {b.shape}")
+    check_counts(a)
+    check_counts(b)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
     rates = np.where(hi > 0.0, lo / np.where(hi > 0.0, hi, 1.0), 1.0)
     return float(rates.mean())
 

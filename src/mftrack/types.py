@@ -1,4 +1,4 @@
-"""Core value types: object states, histograms, frames of detections, tracks, config."""
+"""Core value types: object states, frames of detections, tracks, config."""
 from __future__ import annotations
 
 import math
@@ -41,7 +41,7 @@ class ObjectState:
     """Bounding box at one frame: center (x, y), width l, height h, in pixels.
 
     Sub-pixel values are allowed; l and h must be strictly positive, and
-    their product l * h finite.
+    their product l * h and quotients l / h and h / l finite.
     """
 
     x: float
@@ -57,6 +57,8 @@ class ObjectState:
             raise ValueError(f"box dimensions must be positive: l={self.l}, h={self.h}")
         if not math.isfinite(self.l * self.h):
             raise ValueError(f"box area l * h must be finite: l={self.l}, h={self.h}")
+        if not (math.isfinite(self.l / self.h) and math.isfinite(self.h / self.l)):
+            raise ValueError(f"box aspect l / h and h / l must be finite: l={self.l}, h={self.h}")
 
     @classmethod
     def rows(cls, boxes: np.ndarray) -> list["ObjectState"]:
@@ -95,19 +97,28 @@ def diagonal_half(state: ObjectState) -> float:
 
 
 def check_boxes(boxes: np.ndarray) -> None:
-    """ValueError unless every (x, y, l, h) row is finite with l, h > 0
-    and a finite area l * h."""
+    """ValueError unless every (x, y, l, h) row is finite with l, h > 0,
+    a finite area l * h and a finite aspect l / h and h / l."""
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite state component in box rows")
     if not (boxes[:, 2:] > 0).all():
         raise ValueError("box dimensions must be positive")
-    # no area overflows unless the largest l times the largest h does, so
-    # the rows are multiplied only then; a float product overflows to inf
+    if not len(boxes):
+        return
+    # an area or an aspect overflows only if the largest l times the largest
+    # h, or the largest l over the smallest h or h over l, does, so the rows
+    # are computed only then; a float product or quotient overflows to inf
     # without a warning, and the reductions make no scratch array
-    if len(boxes) and not math.isfinite(float(boxes[:, 2].max()) * float(boxes[:, 3].max())):
+    l, h = boxes[:, 2], boxes[:, 3]
+    l_max, h_max = float(l.max()), float(h.max())
+    area = math.isfinite(l_max * h_max)
+    aspect = math.isfinite(l_max / float(h.min())) and math.isfinite(h_max / float(l.min()))
+    if not (area and aspect):
         with np.errstate(over="ignore"):  # an overflow is the fault reported
-            if not np.isfinite(boxes[:, 2] * boxes[:, 3]).all():
+            if not (area or np.isfinite(l * h).all()):
                 raise ValueError("box area l * h must be finite")
+            if not (aspect or (np.isfinite(l / h).all() and np.isfinite(h / l).all())):
+                raise ValueError("box aspect l / h and h / l must be finite")
 
 
 def check_counts(arr: np.ndarray) -> None:
@@ -123,8 +134,8 @@ def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
                hist: np.ndarray) -> None:
     """The rules of a frame's rows, checked once over all of them as
     arrays: every frame id in 0..MAX_FRAME_ID, no (frame id, detection id)
-    pair twice, every box finite with l, h > 0 and a finite area, and
-    every count finite and non-negative (`check_boxes`, `check_counts`).
+    pair twice, every box finite with l, h > 0 and finite area and aspect,
+    and every count finite and non-negative (`check_boxes`, `check_counts`).
     frame_ids holds one frame id per row, or one for all rows. A frame id
     past MAX_FRAME_ID or a repeated pair is an InputError, the latter
     naming the first repeat in row order; every other fault is a
@@ -150,54 +161,6 @@ def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
             raise InputError(f"duplicate detection_id {ids[first]} in frame {f[first]}")
     check_boxes(boxes)
     check_counts(hist)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class ColorHistogram:
-    """Binned color histogram (pixel counts), already rebinned to n bins."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("histogram must be 1-dimensional")
-        check_counts(arr)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
-
-    @classmethod
-    def rows(cls, block: np.ndarray) -> list["ColorHistogram"]:
-        """One histogram per row of a 2-D block of counts.
-
-        The block is checked once, as the constructor checks one row, and
-        marked read-only; each histogram's bins are a view of its row, not
-        a copy, so the block must not be written through another view.
-        """
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2:
-            raise ValueError("histogram block must be 2-dimensional")
-        check_counts(block)
-        block.flags.writeable = False
-        hists = []
-        for row in block:
-            h = object.__new__(cls)
-            object.__setattr__(h, "bins", row)
-            hists.append(h)
-        return hists
-
-    @property
-    def n(self) -> int:
-        return int(self.bins.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColorHistogram):
-            return NotImplemented
-        return self.bins.shape == other.bins.shape and bool(np.all(self.bins == other.bins))
-
-    def __hash__(self):
-        return hash((self.bins.size, float(self.bins.sum())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +345,7 @@ class Track:
     track_id: int
     birth_frame: int
     states: dict[int, ObjectState]
-    last_histogram: ColorHistogram
+    last_histogram: np.ndarray  # (n_bins,) counts, read-only
     f_l: int  # frame of the last successful match
     n_r: int = 1  # number of matched frames
     t_w: int = 0  # cumulative waiting frames

@@ -3,28 +3,28 @@ import pytest
 
 from mftrack import kernels
 from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_C, _N_R, LiveRows
-from mftrack.types import ColorHistogram, Frame, Track, TrackerConfig
+from mftrack.types import Frame, Track, TrackerConfig
 
 
 def flat_histogram(n=96, value=10.0):
-    return ColorHistogram(np.full(n, value))
+    return np.full(n, value)
 
 
 def peaked_histogram(n=96, peak=10, total=1000.0):
     k = np.arange(n, dtype=float)
     bump = np.exp(-0.5 * ((k - peak) / 4.0) ** 2)
-    return ColorHistogram(bump / bump.sum() * total)
+    return bump / bump.sum() * total
 
 
 def make_frame(frame_id, centers, ids=None, l=10.0, h=10.0, hist=None, n=96):
     """A Frame with one detection per (x, y) of centers, ids 0, 1, ...
     unless given, each box l by h (one number for all, or one per
-    detection) and each histogram row the bins of hist, a flat histogram
-    of n bins unless given."""
+    detection) and each histogram row hist, a flat histogram of n bins
+    unless given."""
     m = len(centers)
     boxes = np.column_stack((np.reshape(centers, (m, 2)), np.broadcast_to(l, m),
                              np.broadcast_to(h, m)))
-    bins = (hist if hist is not None else flat_histogram(n)).bins
+    bins = hist if hist is not None else flat_histogram(n)
     return Frame(frame_id, range(m) if ids is None else ids, boxes, np.tile(bins, (m, 1)))
 
 
@@ -48,10 +48,10 @@ def live_rows(tracks, cfg=None):
     """The tracks as an engine's live rows, row i for tracks[i], its filter
     seeded at the track's last state."""
     cfg = cfg or TrackerConfig()
-    n_bins = tracks[0].last_histogram.n if tracks else cfg.n_bins
+    n_bins = len(tracks[0].last_histogram) if tracks else cfg.n_bins
     rows = LiveRows.born(np.array([t.track_id for t in tracks], dtype=np.int64),
                          kernels.boxes([t.last_cs for t in tracks]),
-                         np.array([t.last_histogram.bins for t in tracks]).reshape(-1, n_bins),
+                         np.array([t.last_histogram for t in tracks]).reshape(-1, n_bins),
                          0, cfg)
     rows.count[:, _BIRTH] = [t.birth_frame for t in tracks]
     rows.count[:, _F_L], rows.count[:, _N_R] = [t.f_l for t in tracks], [t.n_r for t in tracks]

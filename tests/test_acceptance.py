@@ -28,7 +28,7 @@ from mftrack.similarity import (
     global_similarity,
     shape_similarity,
 )
-from mftrack.types import ColorHistogram, KalmanState, ObjectState, TrackerConfig
+from mftrack.types import KalmanState, ObjectState, TrackerConfig
 
 from conftest import make_track
 
@@ -58,10 +58,9 @@ def test_criterion_1_formula_unit_suite():
     ok &= abs(shape_similarity(ObjectState(0, 0, 5, 10), ObjectState(0, 0, 10, 10)) - 0.5) < TOL
     ok &= abs(shape_similarity(ObjectState(0, 0, 4, 2), ObjectState(0, 0, 2, 4)) - 0.25) < TOL
     # color
-    ha, hb = ColorHistogram(np.array([10.0, 30.0])), ColorHistogram(np.array([20.0, 30.0]))
+    ha, hb = np.array([10.0, 30.0]), np.array([20.0, 30.0])
     ok &= color_similarity(ha, ha) == 1.0
-    ok &= color_similarity(ColorHistogram(np.array([10.0, 0.0])),
-                           ColorHistogram(np.array([0.0, 10.0]))) == 0.0
+    ok &= color_similarity(np.array([10.0, 0.0]), np.array([0.0, 10.0])) == 0.0
     ok &= abs(color_similarity(ha, hb) - 0.75) < TOL
     # global
     ok &= global_similarity([0, 1, 1, 1], [1, 1, 1, 1]) == 0.0
@@ -107,7 +106,7 @@ def test_criterion_2_similarity_bounds():
     weights = (1.0, 1.0, 1.0, 1.0)
     for i in range(n):
         a, b = boxes_a[i], boxes_b[i]
-        ha, hb = ColorHistogram(hists_a[i]), ColorHistogram(hists_b[i])
+        ha, hb = hists_a[i], hists_b[i]
         ls = (distance_similarity(a, b, float(d_maxes[i]), int(ms[i])),
               area_similarity(a, b), shape_similarity(a, b), color_similarity(ha, hb))
         gs = global_similarity(ls, weights)

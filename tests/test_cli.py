@@ -1,7 +1,6 @@
 import errno
 import json
 
-import numpy as np
 import pytest
 
 from mftrack import fileio, metrics
@@ -206,27 +205,34 @@ def test_filter_overflow_exit_code(tmp_path, capsys):
     det = tmp_path / "d.txt"
     det.write_text("0 0 1.5e308 50 10 10\n1 0 -1.5e308 50 10 10\n")
     out = tmp_path / "o.txt"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["track", "--detections", str(det), "--config", str(cfg), "--out", str(out)])
+    rc = main(["track", "--detections", str(det), "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == \
         "mftrack: error: filter update produced non-finite values in frame 1\n"
     assert not out.exists()
 
 
+def test_far_apart_pair_tracks_without_warning(tmp_path, capsys):
+    """Two detections whose distance is past the largest float are out of
+    each other's reach: two tracks, exit 0, and nothing on stderr."""
+    det = tmp_path / "d.txt"
+    det.write_text("0 0 1e308 10 5 5\n1 0 -1e308 10 5 5\n")
+    out = tmp_path / "o.txt"
+    assert main(["track", "--detections", str(det), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted({line.split()[0] for line in out.read_text().splitlines()}) == ["1", "2"]
+
+
 _HUGE_BOX = "10 10 1e300 1e300"  # l * h is past the largest float
+_THIN_BOX = "10 10 1e300 1e-10"  # l * h is finite, l / h past the largest float
 
 
-@pytest.mark.parametrize("kind", ["detections", "ground_truth", "trajectories"])
-def test_box_area_beyond_float_exit_code(sim_files, capsys, kind):
-    """A box whose area l * h overflows a float is a parse error naming its
-    line, exit 2, in a detection, ground-truth or trajectory file, and no
-    output is written."""
+def _run_on_bad_box_file(sim_files, kind, text):
+    """Exit code of the command that reads text as its kind of file, and
+    the file's path and the output path."""
     tmp_path, det_path, gt_path = sim_files
-    bad = tmp_path / f"huge.{kind}.txt"
-    bad.write_text({"detections": f"0 0 10 10 5 5\n1 0 {_HUGE_BOX}\n",
-                    "ground_truth": f"0 0 10 10 5 5\n0 1 {_HUGE_BOX}\n",
-                    "trajectories": f"1 0 10 10 5 5 1\n1 1 {_HUGE_BOX} 1\n"}[kind])
+    bad = tmp_path / f"bad.{kind}.txt"
+    bad.write_text(text)
     out = tmp_path / "o.txt"
     if kind == "trajectories":
         argv = ["evaluate", "--trajectories", str(bad), "--ground-truth", gt_path, "--out", str(out)]
@@ -234,8 +240,35 @@ def test_box_area_beyond_float_exit_code(sim_files, capsys, kind):
         argv = ["track", "--detections", det_path, "--ground-truth", str(bad), "--out", str(out)]
     else:
         argv = ["track", "--detections", str(bad), "--out", str(out)]
-    assert main(argv) == 2
+    return main(argv), bad, out
+
+
+@pytest.mark.parametrize("kind", ["detections", "ground_truth", "trajectories"])
+def test_box_area_beyond_float_exit_code(sim_files, capsys, kind):
+    """A box whose area l * h overflows a float is a parse error naming its
+    line, exit 2, in a detection, ground-truth or trajectory file, and no
+    output is written."""
+    rc, bad, out = _run_on_bad_box_file(sim_files, kind, {
+        "detections": f"0 0 10 10 5 5\n1 0 {_HUGE_BOX}\n",
+        "ground_truth": f"0 0 10 10 5 5\n0 1 {_HUGE_BOX}\n",
+        "trajectories": f"1 0 10 10 5 5 1\n1 1 {_HUGE_BOX} 1\n"}[kind])
+    assert rc == 2
     assert f"{bad}:2: box area l * h must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["detections", "ground_truth", "trajectories"])
+def test_box_aspect_beyond_float_exit_code(sim_files, capsys, kind):
+    """A box whose area is finite but whose aspect l / h overflows a float
+    is a parse error naming its line, exit 2, and no output is written: the
+    shape score of such a box against itself would be nan, and each frame
+    of it would spawn a track."""
+    rc, bad, out = _run_on_bad_box_file(sim_files, kind, {
+        "detections": "".join(f"{f} 0 {_THIN_BOX}\n" for f in range(3)),
+        "ground_truth": f"0 0 {_THIN_BOX}\n",
+        "trajectories": f"1 0 {_THIN_BOX} 1\n"}[kind])
+    assert rc == 2
+    assert f"{bad}:1: box aspect l / h and h / l must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -524,6 +557,8 @@ def _blob(**fields):
     pytest.param(_first_object(hist_width=1e-300), id="tiny_hist_width"),
     pytest.param(_first_object(waypoints=[[0, 10, 10, 1e200, 8], [9, 20, 10, 4, 1e200]]),
                  id="box_area_overflow"),
+    pytest.param(_first_object(waypoints=[[0, 10, 10, 1e300, 1e-10], [9, 20, 10, 4, 8]]),
+                 id="box_aspect_overflow"),
     pytest.param(lambda raw: raw.update(size_jitter_sigma=1e200), id="size_jitter_overflows_area"),
     pytest.param(lambda raw: raw.update(position_jitter_sigma=1e308), id="position_jitter_overflows"),
     pytest.param(lambda raw: raw.update(histogram_noise=1e308), id="histogram_noise_overflows"),

@@ -11,8 +11,8 @@ from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, Tr
                             match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import (ACTIVE, WAITING, ColorHistogram, Frame, KalmanState, ObjectState, Track,
-                           TrackerConfig, diagonal_half)
+from mftrack.types import (ACTIVE, NOISE, TERMINATED, WAITING, Frame, KalmanState, ObjectState,
+                           Track, TrackerConfig, diagonal_half)
 
 
 class TestMatchFrame:
@@ -244,15 +244,41 @@ class TestStep:
         assert list(t.states) == list(range(152)) and not eng._log
 
     def test_last_histogram_read_is_kept(self, cfg):
-        """A track's last_histogram is made from its row when read; one held
-        from an earlier read keeps its bins when the row changes."""
+        """A track's last_histogram is a view of a copy of its row when
+        read; one held from an earlier read keeps its counts when the row
+        is overwritten."""
         eng = TrackingEngine(cfg)
         first, second = peaked_histogram(total=1000.0), peaked_histogram(total=1100.0)
         eng.step(0, make_frame(0, [(50, 50)], hist=first))
         held = eng.tracks[1].last_histogram
         eng.step(1, make_frame(1, [(51, 50)], hist=second))
         assert eng.tracks[1].n_r == 2
-        assert held == first and eng.tracks[1].last_histogram == second
+        assert np.array_equal(held, first) and np.array_equal(eng.tracks[1].last_histogram, second)
+
+    def test_last_histogram_is_read_only_row_of_last_match(self):
+        """After every read, each track's last_histogram is a read-only
+        1-D float64 row, byte for byte the histogram of the detection that
+        last matched it, whether the track is active, waiting, terminated
+        or noise."""
+        cfg = TrackerConfig(t2=3, t3=4)
+        # lane j at y = 50 + 80 j moves 2 px a frame while seen: lane 0 ends
+        # overdue after frame 9 (terminated), lane 1 barely lives (noise),
+        # lane 2 stays seen (active), lane 3 is missed at the end (waiting)
+        seen = (range(10), range(2), range(17), range(15))
+        rng = np.random.default_rng(5)
+        eng, last = TrackingEngine(cfg), {}
+        for f in range(17):
+            lanes = [j for j in range(4) if f in seen[j]]
+            hist = rng.uniform(9.5, 10.5, (len(lanes), cfg.n_bins))  # each row its own
+            eng.step(f, Frame(f, lanes, [(10.0 + 2 * f, 50.0 + 80 * j, 10.0, 10.0) for j in lanes],
+                              hist))
+            last.update({j + 1: row.tobytes() for j, row in zip(lanes, hist)})
+            for t in eng.tracks.values():
+                h = t.last_histogram
+                assert (h.ndim, h.dtype, h.flags.writeable) == (1, np.float64, False)
+                assert h.tobytes() == last[t.track_id]
+        assert {tid: t.status for tid, t in eng.tracks.items()} == {
+            1: TERMINATED, 2: NOISE, 3: ACTIVE, 4: WAITING}
 
     def test_span_invariant_every_step(self, cfg):
         rng = np.random.default_rng(23)
@@ -300,7 +326,7 @@ def _engine_state(eng):
     log, and every track as the engine reports it. The tracks are read
     first: a read folds the log into them and empties it."""
     tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
-                    t.last_histogram, set(t.matched_frames), t.d_max)
+                    t.last_histogram.tolist(), set(t.matched_frames), t.d_max)
               for tid, t in eng.tracks.items()}
     rows = {name: a.tolist() for name, a in vars(eng._rows).items()}  # histograms by value
     log = [(f, ids.tolist(), boxes.tolist(), matched.tolist()) for f, ids, boxes, matched in eng._log]
@@ -340,7 +366,7 @@ class _ScalarReplay:
                 shadow.t_w += 1
                 shadow.status = WAITING
             else:
-                shadow.last_histogram = ColorHistogram(frame.hist[i])
+                shadow.last_histogram = frame.hist[i]
                 shadow.f_l, shadow.status = f, ACTIVE
                 shadow.n_r += 1
                 shadow.matched_frames.add(f)
@@ -350,7 +376,7 @@ class _ScalarReplay:
         for tid, i in zip(report.new_tracks, spawned):
             s = states[i]
             self.filters[tid] = kalman.init_kalman(s, cfg)
-            self.shadows[tid] = shadow = Track(tid, f, {f: s}, ColorHistogram(frame.hist[i]), f,
+            self.shadows[tid] = shadow = Track(tid, f, {f: s}, frame.hist[i], f,
                                                matched_frames={f})
             shadow.update_extent(s.x, s.y, cap=cfg.t4)
         shadows = list(self.shadows.values())
@@ -361,8 +387,8 @@ class _ScalarReplay:
                     t.matched_frames) == (
                 shadow.status, shadow.birth_frame, shadow.f_l, shadow.n_r, shadow.t_w,
                 shadow.d_max, shadow.states, shadow.matched_frames)
-            # made from the track's hist row when read: the same bins, bit for bit
-            assert t.last_histogram.bins.tobytes() == shadow.last_histogram.bins.tobytes()
+            # a view of the track's hist row when read: the same counts, bit for bit
+            assert t.last_histogram.tobytes() == shadow.last_histogram.tobytes()
             if shadow.status not in (ACTIVE, WAITING):
                 del self.shadows[shadow.track_id]
 
@@ -454,7 +480,7 @@ def test_update_overflow_leaves_engine_unchanged():
     eng = TrackingEngine(TrackerConfig(t1=0.0))
     eng.step(0, make_frame(0, [(1.5e308, 50)]))
     before = _engine_state(eng)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflowError):
+    with pytest.raises(NumericOverflowError):
         eng.step(1, make_frame(1, [(-1.5e308, 50)]))
     assert _engine_state(eng) == before
 
@@ -564,7 +590,7 @@ def test_rejected_frame_raises_as_list_does(rejection):
     eng = TrackingEngine(cfg)
     eng.step(0, make_frame(0, [(1.5e308, 50.0)]))
     before = _engine_state(eng)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as raised:
+    with pytest.raises(error) as raised:
         eng.step(1, make_frame(f, centers, ids, n=n_bins))
     assert type(raised.value) is error and str(raised.value) == message
     assert _engine_state(eng) == before
@@ -572,10 +598,10 @@ def test_rejected_frame_raises_as_list_does(rejection):
 
 @pytest.mark.parametrize("box", [(float("nan"), 50.0, 10.0, 10.0), (40.0, float("inf"), 10.0, 10.0),
                                  (40.0, 50.0, 0.0, 10.0), (40.0, 50.0, 10.0, -1.0),
-                                 (10.0, 10.0, 1e300, 1e300)])
+                                 (10.0, 10.0, 1e300, 1e300), (10.0, 10.0, 1e300, 1e-10)])
 def test_frame_rejects_bad_box_as_states_do(box):
-    """A non-finite or non-positive box row, or one whose area l * h
-    overflows, is the ValueError, with the message, of the bulk state
+    """A non-finite or non-positive box row, or one whose area l * h or
+    aspect l / h overflows, is the ValueError, with the message, of the bulk state
     check `ObjectState.rows`; a single `ObjectState` of it is a ValueError
     too."""
     boxes = np.array([[10.0, 10.0, 5.0, 5.0], box])

@@ -19,7 +19,7 @@ from mftrack import fileio
 from mftrack.errors import ConfigError, HistogramShapeError, ParseError
 from mftrack.pipeline import track_stream
 from mftrack.scenario import bench_scenario, generate, lanes_scenario
-from mftrack.types import ColorHistogram, Frame, ObjectState, TrackerConfig
+from mftrack.types import Frame, ObjectState, TrackerConfig
 
 
 class TestRebin:
@@ -135,11 +135,12 @@ _HIST = " ".join(repr(0.5 * k) for k in range(96))
 _EXACT = ("2.2250738585072011e-308 4.9406564584124654e-324 2.4703282292062328e-324 "
           "1.7976931348623157e308 9007199254740993 1e23 0.30000000000000004 -0.0 1E+05 "
           "1.000000000000000111022302 1.000000000000000111022303").split()
-# detection rows with 3 bins, each value where a box or a count may hold it
+# detection rows with 3 bins, each value where a box or a count may hold it,
+# every box's l * h, l / h and h / l finite
 _EXACT_ROWS = "".join(f"{f} {d} " + " ".join(_EXACT[i] for i in row) + "\n" for f, d, row in [
-    (0, 0, (7, 5, 2, 3, 0, 1, 4)),
+    (0, 0, (7, 5, 2, 1, 0, 3, 4)),
     (0, 1, (6, 8, 9, 10, 7, 5, 6)),
-    (1, 0, (4, 0, 1, 8, 10, 3, 2)),
+    (1, 0, (4, 0, 3, 9, 10, 1, 2)),
 ])
 
 # (id, file text, n_bins): every case loads both ways to the same result
@@ -329,13 +330,15 @@ def test_loaded_histograms_are_read_only(tmp_path, text):
 
 # (ncols, file text) of tables the chunk reader takes: line ends, tabs,
 # blank lines, a UTF-8 comment, and the doubles of _EXACT, with l and h > 0
-# and l * h finite: the largest double's h is _EXACT[9], which reads as 1.0
+# and l * h, l / h and h / l finite: an l of _EXACT[:3], below 1e-300, is
+# its own h, and the largest double's h is _EXACT[9], which reads as 1.0
+_H_OF_L = {0: 0, 1: 1, 2: 2, 3: 9}
 _TABLE_BULK = [
     (6, "0 0 10 10 5 5\r\n1 0 11 10 5 5\r\n"),
     (7, "2 0 10 10 5 5 1\r2 1 10 10 5 5 0\r"),
     (6, "# caf\u00e9\n0\t0 10  10 5 5\n\n1 0 11 10 5 5 \n"),
     (6, "".join(f"0 {i} {_EXACT[i]} {_EXACT[(i + 5) % 11]} {_EXACT[(i + 1) % 7]} "
-                f"{_EXACT[9 if (i + 1) % 7 == 3 else 8 + i % 3]}\n" for i in range(11))),
+                f"{_EXACT[_H_OF_L.get((i + 1) % 7, 8 + i % 3)]}\n" for i in range(11))),
 ]
 
 # (ncols, file text): every case reads both ways to the same result or

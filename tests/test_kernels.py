@@ -9,7 +9,7 @@ from mftrack.similarity import (
     global_similarity,
     shape_similarity,
 )
-from mftrack.types import ColorHistogram, ObjectState
+from mftrack.types import ObjectState
 
 
 def random_batch(rng, nt, nd, nbins):
@@ -30,7 +30,7 @@ def scalar_reference(tstates, dstates, thist, dhist, m, weights):
                 distance_similarity(tb, db, 20.0, int(m[i])),
                 area_similarity(tb, db),
                 shape_similarity(tb, db),
-                color_similarity(ColorHistogram(thist[i]), ColorHistogram(dhist[j])),
+                color_similarity(thist[i], dhist[j]),
             ]
             out[i, j] = global_similarity(ls, weights)
     return out

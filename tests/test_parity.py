@@ -119,7 +119,7 @@ def _track_fields(t) -> tuple:
     return (t.track_id, t.birth_frame, t.status, t.end_frame, t.f_l, t.n_r, t.t_w, t.span,
             t.d_max, sorted(t.matched_frames),
             [(f, s.x, s.y, s.l, s.h) for f, s in t.states.items()],
-            t.last_histogram.bins.tolist())
+            t.last_histogram.tolist())
 
 
 def digests(workload: str, seed: int, config: str, tmp_path,

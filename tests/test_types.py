@@ -5,7 +5,6 @@ import pytest
 
 from mftrack.errors import ConfigError, InputError
 from mftrack.types import (
-    ColorHistogram,
     Frame,
     ObjectState,
     TrackerConfig,
@@ -26,6 +25,13 @@ class TestObjectState:
         with pytest.raises(ValueError):
             ObjectState(0, float("inf"), 5, 5)
 
+    def test_rejects_area_or_aspect_beyond_float(self):
+        with pytest.raises(ValueError, match="area"):
+            ObjectState(10, 10, 1e300, 1e300)
+        for l, h in ((1e300, 1e-10), (1e-10, 1e300)):
+            with pytest.raises(ValueError, match="aspect"):
+                ObjectState(10, 10, l, h)
+
     def test_subpixel_centers_allowed(self):
         s = ObjectState(1.25, -3.5, 0.5, 0.25)
         assert s.center == (1.25, -3.5)
@@ -40,31 +46,6 @@ class TestDiagonalHalf:
     def test_unit_diagonal(self):
         s = ObjectState(0, 0, math.sqrt(2), math.sqrt(2))
         assert diagonal_half(s) == pytest.approx(1.0)
-
-
-class TestColorHistogram:
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            ColorHistogram(np.array([1.0, -2.0]))
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            ColorHistogram(np.zeros(0))
-        with pytest.raises(ValueError):
-            ColorHistogram(np.zeros(769))
-
-    def test_immutable_and_equality(self):
-        h = ColorHistogram(np.arange(4, dtype=float))
-        with pytest.raises(ValueError):
-            h.bins[0] = 99
-        assert h == ColorHistogram(np.arange(4, dtype=float))
-        assert h != ColorHistogram(np.zeros(4))
-
-    def test_unequal_to_other_types_and_hash_follows_equality(self):
-        h = ColorHistogram(np.arange(4, dtype=float))
-        assert h != [0.0, 1.0, 2.0, 3.0] and h != "h"
-        assert h.__eq__(np.arange(4, dtype=float)) is NotImplemented
-        assert hash(h) == hash(ColorHistogram(np.arange(4, dtype=float)))
 
 
 class TestFrame:
