@@ -9,7 +9,6 @@ from .engine import MatchResult, TrackingEngine, match_frame
 from .metrics import EvalReport, evaluate
 from .types import (
     Frame,
-    KalmanState,
     ObjectState,
     Track,
     TrackerConfig,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalReport",
     "Frame",
-    "KalmanState",
     "MatchResult",
     "ObjectState",
     "Track",

@@ -28,14 +28,13 @@ from .types import (
     TERMINATED,
     WAITING,
     Frame,
-    KalmanState,
     ObjectState,
     Track,
     TrackerConfig,
 )
 
 
-_KF = KalmanState.WIDTH  # LiveRows.real: filter, d_max, box, base, histogram
+_KF = kalman.WIDTH  # LiveRows.real: filter, d_max, box, base, histogram
 _D_MAX, _BOX, _BASE, _HIST = _KF, slice(_KF + 1, _KF + 5), _KF + 5, slice(_KF + 6, None)
 _MATCHED = slice(_KF + 1, None)  # box, base and histogram: what a match writes
 _ID, _BIRTH, _F_L, _N_R, _N_C = range(5)  # LiveRows.count columns
@@ -49,7 +48,7 @@ class LiveRows:
     The columns are slices of three blocks, read and written through this
     module's index constants, so a take or a join of rows is three numpy
     calls. `real` holds, per row and in this column order:
-      kf      the filter (see `KalmanState`);
+      kf      the filter row (see `kalman`);
       d_max   `Track.d_max`;
       box     the last corrected box (x, y, l, h), held while the track waits;
       base    its `diagonal_half`, the search radius per frame since the
@@ -67,7 +66,7 @@ class LiveRows:
     read-only view of its hist row, handed over when the track is read.
     """
 
-    real: np.ndarray  # (n, KalmanState.WIDTH + 6 + n_bins)
+    real: np.ndarray  # (n, kalman.WIDTH + 6 + n_bins)
     count: np.ndarray  # (n, 5) int
     centers: np.ndarray  # (n, k, 2), k >= 1
 
@@ -144,7 +143,6 @@ class MatchResult:
 
     pairs: list[tuple[int, int, float]]  # (track_id, detection_id, score)
     unmatched_tracks: list[int]
-    unmatched_detections: list[int]
     predicted: np.ndarray  # (n, 11) filter rows: kalman.predict_rows of the rows given
     boxes: np.ndarray  # (n, 4) estimated boxes, l and h floored; the boxes scored
     rows: np.ndarray
@@ -189,7 +187,8 @@ def match_frame(
     ti = dj = np.zeros(0, dtype=np.intp)
     pairs = []
     if len(tids) and len(dids):
-        treach = real[:, _BASE] * np.maximum(1, frame.frame_id - count[:, _F_L])
+        with np.errstate(over="ignore"):  # an infinite reach takes in every finite distance
+            treach = real[:, _BASE] * np.maximum(1, frame.frame_id - count[:, _F_L])
         scores = kernels.score_matrix(tboxes, treach, real[:, _HIST], frame.boxes, frame.hist,
                                       cfg.feature_weights)
         if cfg.assignment_policy == "per_track":
@@ -208,7 +207,6 @@ def match_frame(
     return MatchResult(
         pairs=pairs,
         unmatched_tracks=tids[np.bincount(ti, minlength=len(tids)) == 0].tolist(),
-        unmatched_detections=dids[spawn].tolist(),
         predicted=predicted,
         boxes=tboxes,
         rows=ti,

@@ -8,12 +8,20 @@ The static model is the same filter with zero initial velocity variance
 and zero velocity process noise: velocity and c stay 0, and the
 covariance is the one variance p.
 
-The engine runs the filter once per frame over rows: one (n, 11) block
-of `KalmanState` rows, one row per live track (`init_rows`,
-`predict_rows`, `correct_rows`). The scalar `init_kalman`, `predict` and
-`correct` filter one track; they are the test oracle of the row
-functions, which apply the same elementwise formulas in the same order
-and so give the same floats, bit for bit.
+A track's filter is one float64 row of WIDTH = 11: the position
+(x, y, l, h), the velocity of the same axes, and p, c, v, every axis
+sharing the covariance [[p, c], [c, v]] of its (position, velocity)
+pair. `columns` gives the five fields as views of one (11,) row or of an
+(n, 11) block, so a copy, a take, a join or a scatter of rows, or a
+finiteness check, is one numpy call. The static model keeps velocity, c
+and v at 0.
+
+The engine runs the filter once per frame over one (n, 11) block, one
+row per live track (`init_rows`, `predict_rows`, `correct_rows`). The
+scalar `init_kalman`, `predict` and `correct` filter one (11,) row; they
+are the test oracle of the row functions, which apply the same
+elementwise formulas in the same order and so give the same floats, bit
+for bit.
 
 The emitted corrected state is NOT the classic gain-fused posterior: it is
 the fixed-weight blend  CS = w * MS + (1 - w) * ES  of the measured and
@@ -26,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericOverflowError
-from .types import KalmanState, ObjectState, TrackerConfig
+from .types import ObjectState, TrackerConfig
 
 # floor for predicted box dimensions; a long waiting streak under the
 # constant-velocity model can otherwise drive l or h non-positive
@@ -34,6 +42,14 @@ _MIN_EXTENT = 1e-6
 
 # initial variance for the unobserved velocity components
 _INIT_VEL_VAR = 100.0
+
+WIDTH = 11  # floats in a filter row: position, velocity, p, c, v
+
+
+def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the five fields (position, velocity, p, c, v) of an (11,)
+    row or an (n, 11) block."""
+    return block[..., :4], block[..., 4:8], block[..., 8], block[..., 9], block[..., 10]
 
 
 def _velocity_noise(cfg: TrackerConfig) -> tuple[float, float]:
@@ -49,10 +65,10 @@ def _require_finite(values: np.ndarray, message: str) -> None:
         raise NumericOverflowError(message)
 
 
-def init_kalman(state: ObjectState, cfg: TrackerConfig) -> KalmanState:
-    """Filter for a newborn track, seeded at the spawning detection."""
-    return KalmanState(position=state.as_vector(), velocity=np.zeros(4),
-                       p=cfg.measurement_noise, c=0.0, v=_velocity_noise(cfg)[0])
+def init_kalman(state: ObjectState, cfg: TrackerConfig) -> np.ndarray:
+    """Filter row for a newborn track, seeded at the spawning detection."""
+    return np.concatenate((state.as_vector(), np.zeros(4),
+                           (cfg.measurement_noise, 0.0, _velocity_noise(cfg)[0])))
 
 
 def _state_from_mean(mean: np.ndarray) -> ObjectState:
@@ -69,27 +85,27 @@ def _floored(means: np.ndarray) -> np.ndarray:
     return np.maximum(means, _FLOOR)
 
 
-def predict(ks: KalmanState, cfg: TrackerConfig) -> tuple[KalmanState, ObjectState]:
-    """One estimation step: propagate mean and covariance, extract the
-    estimated box state."""
-    position, velocity, *pcv = KalmanState.columns(ks.block)
+def predict(ks: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, ObjectState]:
+    """One estimation step on a filter row: propagate mean and covariance,
+    extract the estimated box state."""
+    position, velocity, *pcv = columns(ks)
     p, c, v = map(float, pcv)  # floats, which overflow to inf without a warning
-    new = KalmanState(position=position + velocity, velocity=velocity,
-                      p=p + 2.0 * c + v + cfg.process_noise_pos, c=c + v,
-                      v=v + _velocity_noise(cfg)[1])
-    _require_finite(new.block, "filter prediction produced non-finite values")
-    return new, _state_from_mean(KalmanState.columns(new.block)[0])
+    new = np.concatenate((position + velocity, velocity,
+                          (p + 2.0 * c + v + cfg.process_noise_pos, c + v,
+                           v + _velocity_noise(cfg)[1])))
+    _require_finite(new, "filter prediction produced non-finite values")
+    return new, _state_from_mean(new[:4])
 
 
 def correct(
-    ks: KalmanState,
+    ks: np.ndarray,
     estimated: ObjectState,
     measured: ObjectState | None,
     prev_corrected: ObjectState,
     w: float,
     measurement_noise: float = TrackerConfig.measurement_noise,
-) -> tuple[KalmanState, ObjectState]:
-    """Correction step for one frame.
+) -> tuple[np.ndarray, ObjectState]:
+    """Correction step for one frame on a filter row.
 
     With a measurement: the corrected state is the componentwise blend
     w * measured + (1 - w) * estimated, and the internal filter is updated
@@ -102,15 +118,14 @@ def correct(
         return ks, prev_corrected
 
     z = measured.as_vector()
-    position, velocity, *pcv = KalmanState.columns(ks.block)
+    position, velocity, *pcv = columns(ks)
     p, c, v = map(float, pcv)
     innovation = z - position
     s = p + measurement_noise
     keep = measurement_noise / s  # 1 - position gain
-    new = KalmanState(position=position + (p / s) * innovation,
-                      velocity=velocity + (c / s) * innovation,
-                      p=p * keep, c=c * keep, v=v - c * c / s)
-    _require_finite(new.block, "filter update produced non-finite values")
+    new = np.concatenate((position + (p / s) * innovation, velocity + (c / s) * innovation,
+                          (p * keep, c * keep, v - c * c / s)))
+    _require_finite(new, "filter update produced non-finite values")
 
     blended = w * z + (1.0 - w) * estimated.as_vector()
     _require_finite(blended, "filter update produced non-finite values")
@@ -122,8 +137,8 @@ def correct(
 def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     """Filters for newborn tracks, one row per (x, y, l, h) box row,
     each as `init_kalman` seeds it: velocity and c at 0."""
-    block = np.zeros((len(boxes), KalmanState.WIDTH))
-    position, _, p, _, v = KalmanState.columns(block)
+    block = np.zeros((len(boxes), WIDTH))
+    position, _, p, _, v = columns(block)
     position[:], p[:], v[:] = boxes, cfg.measurement_noise, _velocity_noise(cfg)[0]
     return block
 
@@ -136,7 +151,7 @@ def predict_rows(block: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, np.
     `predict`'s order, and each before the columns it reads change.
     """
     block = block.copy()
-    position, velocity, p, c, v = KalmanState.columns(block)
+    position, velocity, p, c, v = columns(block)
     position += velocity
     p += 2.0 * c
     p += v
@@ -166,9 +181,9 @@ def correct_rows(
     """
     # the matched rows and their blended boxes side by side, so that one
     # check covers both; each row is updated in place, as predict_rows does
-    work = np.empty((len(matched), KalmanState.WIDTH + 4))
-    new = block.take(matched, axis=0, out=work[:, :KalmanState.WIDTH])
-    position, velocity, p, c, v = KalmanState.columns(new)
+    work = np.empty((len(matched), WIDTH + 4))
+    new = block.take(matched, axis=0, out=work[:, :WIDTH])
+    position, velocity, p, c, v = columns(new)
     with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports an overflow
         innovation = measured - position
         s = p + measurement_noise
@@ -178,7 +193,7 @@ def correct_rows(
         v -= c * c / s
         p *= keep
         c *= keep
-    blended = work[:, KalmanState.WIDTH:]
+    blended = work[:, WIDTH:]
     np.multiply(w, measured, out=blended)
     blended += (1.0 - w) * estimated
     _require_finite(work, "filter update produced non-finite values")

@@ -228,7 +228,12 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     gt: Trajectories = {}
     for gid, script in enumerate(spec.objects):
         f0, f1 = script.frame_range()
-        gt[gid] = {f: script.state_at(f) for f in range(max(f0, 0), min(f1 + 1, spec.duration))}
+        gt[gid] = states = {}
+        for f in range(max(f0, 0), min(f1 + 1, spec.duration)):
+            try:  # valid waypoints can still interpolate to an invalid box
+                states[f] = script.state_at(f)
+            except ValueError as e:
+                raise InputError(f"object {gid} at frame {f}: {e}") from None
 
     gaps = {(obj_idx, f) for obj_idx, start, length in spec.burst_drops
             for f in range(start, start + length)}

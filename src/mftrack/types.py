@@ -293,35 +293,6 @@ class TrackerConfig:
         return self
 
 
-class KalmanState:
-    """Internal filter state of one track: one float block of shape (11,).
-
-    n tracks' filters are the rows of an (n, 11) block, which the row
-    functions of `kalman` take and return. Along its last axis a block
-    holds the position (x, y, l, h), the velocity of the same axes, and
-    p, c, v: every axis shares the covariance [[p, c], [c, v]] of its
-    (position, velocity) pair. `columns` gives the five fields as views
-    of a block, so a copy, a take, a join or a scatter of rows, or a
-    finiteness check, is one numpy call. The static model keeps
-    velocity, c and v at 0.
-    """
-
-    __slots__ = ("block",)
-    WIDTH = 11
-
-    def __init__(self, position, velocity, p, c, v):
-        position = np.asarray(position, dtype=np.float64)
-        self.block = np.empty(position.shape[:-1] + (self.WIDTH,))
-        for column, value in zip(self.columns(self.block), (position, velocity, p, c, v)):
-            column[...] = value
-
-    @staticmethod
-    def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of the five fields (position, velocity, p, c, v) of an
-        (11,) or (n, 11) block."""
-        return block[..., :4], block[..., 4:8], block[..., 8], block[..., 9], block[..., 10]
-
-
 @dataclass(eq=False)
 class Track:
     """A tracked object, as the owning engine reports it.

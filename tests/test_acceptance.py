@@ -28,7 +28,7 @@ from mftrack.similarity import (
     global_similarity,
     shape_similarity,
 )
-from mftrack.types import KalmanState, ObjectState, TrackerConfig
+from mftrack.types import ObjectState, TrackerConfig
 
 from conftest import make_track
 
@@ -67,7 +67,7 @@ def test_criterion_1_formula_unit_suite():
     ok &= global_similarity([1, 1, 1, 1], [1, 1, 1, 1]) == 1.0
     ok &= abs(global_similarity([0.5, 1, 1, 1], [1, 1, 1, 1]) - 0.875) < TOL
     # correction blend
-    ks = KalmanState(np.array([20.0, 0, 10, 10]), np.zeros(4), p=1.0, c=0.0, v=0.0)
+    ks = np.array([20.0, 0, 10, 10, 0, 0, 0, 0, 1.0, 0.0, 0.0])  # filter row: p = 1, c = v = 0
     _, cs = kalman.correct(ks, ObjectState(20, 0, 10, 10), ObjectState(10, 0, 10, 10),
                            ObjectState(20, 0, 10, 10), w=0.7)
     ok &= abs(cs.x - 13.0) < TOL

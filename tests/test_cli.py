@@ -598,6 +598,9 @@ def _blob(**fields):
                  id="object_after_stream"),
     pytest.param(_first_object(waypoints=[[-10, 10, 10, 4, 8], [-5, 20, 10, 4, 8]]),
                  id="object_before_stream"),
+    # waypoints that validate but interpolate to a box of height 0 at frame 5
+    pytest.param(_first_object(waypoints=[[0, 40, 60, 10, 1], [5, 100, 60, 10, 1e-300]]),
+                 id="interpolated_height_zero"),
     pytest.param(["--objects", "-1"], id="bench_negative_objects"),
     pytest.param(["--clutter", "inf"], id="bench_infinite_clutter"),
     pytest.param(["--clutter", "nan"], id="bench_nan_clutter"),

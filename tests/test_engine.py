@@ -11,8 +11,8 @@ from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, Tr
                             match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
-from mftrack.types import (ACTIVE, NOISE, TERMINATED, WAITING, Frame, KalmanState, ObjectState,
-                           Track, TrackerConfig, diagonal_half)
+from mftrack.types import (ACTIVE, NOISE, TERMINATED, WAITING, Frame, ObjectState, Track,
+                           TrackerConfig, diagonal_half)
 
 
 class TestMatchFrame:
@@ -21,13 +21,13 @@ class TestMatchFrame:
         r = match_frame(live_rows(tracks), [], cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
-        assert r.unmatched_detections == []
+        assert r.frame.ids[r.spawn].tolist() == []
 
     def test_exact_match_scores_one(self, cfg):
         t = make_track(1, ObjectState(50, 50, 10, 10))
         r = match_frame(live_rows([t]), make_frame(1, [(50, 50)]), cfg, frame_id=1)
         assert r.pairs == [(1, 0, pytest.approx(1.0))]
-        assert r.unmatched_tracks == [] and r.unmatched_detections == []
+        assert r.unmatched_tracks == [] and r.frame.ids[r.spawn].tolist() == []
 
     def test_greedy_prefers_higher_score(self, cfg):
         # the nearer track wins the single detection; the other stays unmatched
@@ -53,7 +53,7 @@ class TestMatchFrame:
         r = match_frame(live_rows([t]), d, cfg, frame_id=1)
         assert r.pairs == []
         assert r.unmatched_tracks == [1]
-        assert r.unmatched_detections == [0]
+        assert r.frame.ids[r.spawn].tolist() == [0]
 
     @pytest.mark.parametrize("frame_id", [1, 2, 3, 5])
     def test_reach_grows_with_frames_since_last_match(self, frame_id):
@@ -91,11 +91,11 @@ class TestMatchFrame:
         dets = make_frame(6, [(58.0 + 100 * j, 56.0) for j in range(3)])
         r = match_frame(eng._rows, dets, cfg, frame_id=6)
         assert _engine_state(eng) == before
-        assert len(KalmanState.columns(r.predicted)[2]) == len(r.boxes) == len(tracks)
+        assert len(kalman.columns(r.predicted)[2]) == len(r.boxes) == len(tracks)
         for i, t in enumerate(tracks):
             ref_ks, ref_es = kalman.predict(replay.filters[t.track_id], cfg)
             assert ObjectState(*r.boxes[i]) == ref_es
-            assert r.predicted[i].tolist() == _filter_fields(ref_ks)
+            assert r.predicted[i].tolist() == ref_ks.tolist()
 
     def test_mixed_frame_ids_rejected(self, cfg):
         # a frame's detections all carry its frame id, 2 here, not the one matched
@@ -118,7 +118,7 @@ class TestMatchFrame:
         dets = make_frame(1, [(52, 50), (48, 50)], ids=[9, 4])
         r = match_frame(live_rows([t]), dets, cfg, frame_id=1)
         assert [p[:2] for p in r.pairs] == [(1, 4)]
-        assert r.unmatched_detections == [9]
+        assert r.frame.ids[r.spawn].tolist() == [9]
 
     @pytest.mark.parametrize("policy", ["greedy_global", "per_track"])
     @pytest.mark.parametrize("t1", [0.0, 0.8, 1.0])
@@ -317,10 +317,6 @@ class TestStep:
         assert a == b
 
 
-def _filter_fields(ks):
-    return ks.block.tolist()
-
-
 def _engine_state(eng):
     """Everything step may mutate, in comparable form: the live rows, the
     log, and every track as the engine reports it. The tracks are read
@@ -342,7 +338,7 @@ class _ScalarReplay:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.filters = {}  # track id -> KalmanState
+        self.filters = {}  # track id -> filter row
         self.shadows = {}  # track id -> Track, live ones only
 
     def follow(self, eng, detections, report):
@@ -398,7 +394,7 @@ class _ScalarReplay:
         rows, live = eng._rows, eng.live_tracks()
         assert rows.count[:, _ID].tolist() == [t.track_id for t in live] == list(self.shadows)
         for i, t in enumerate(live):
-            assert rows.real[i, :_KF].tolist() == _filter_fields(self.filters[t.track_id])
+            assert rows.real[i, :_KF].tolist() == self.filters[t.track_id].tolist()
             assert ObjectState(*rows.real[i, _BOX]) == t.last_cs
             assert rows.real[i, _BASE] == diagonal_half(t.last_cs)
 
@@ -483,6 +479,18 @@ def test_update_overflow_leaves_engine_unchanged():
     with pytest.raises(NumericOverflowError):
         eng.step(1, make_frame(1, [(-1.5e308, 50)]))
     assert _engine_state(eng) == before
+
+
+def test_reach_past_largest_float_takes_in_every_distance():
+    """A reach base * frames past the largest float is infinite, which takes
+    in every finite distance: the pair matches, with no overflow warning,
+    with the score it gets one frame apart."""
+    matches = []
+    for gap in (1, 10**10):
+        eng = TrackingEngine()
+        eng.step(0, make_frame(0, [(10, 10)], l=1e300, h=1))
+        matches.append(eng.step(gap, make_frame(gap, [(10, 10)], l=1e300, h=1)).matches)
+    assert matches[1] == matches[0] == [(1, 0, 1.0)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from mftrack import kalman, kernels
 from mftrack.errors import NumericOverflowError
-from mftrack.types import KalmanState, ObjectState, TrackerConfig
+from mftrack.types import ObjectState, TrackerConfig
 
 # zero process noise and no velocity: predict holds the mean where it is
 STILL = TrackerConfig(motion_model="static", process_noise_pos=0.0)
 
 
 def identity_state(mean4):
-    return KalmanState(position=np.asarray(mean4, dtype=float), velocity=np.zeros(4),
-                       p=1.0, c=0.0, v=0.0)
+    """Filter row at mean4 with no velocity, p = 1 and c = v = 0."""
+    return np.array([*mean4, 0, 0, 0, 0, 1.0, 0.0, 0.0], dtype=float)
 
 
 def test_predict_identity_transition():
@@ -25,7 +25,7 @@ def test_predict_identity_transition():
 def test_predict_constant_velocity():
     cfg = TrackerConfig()
     ks = kalman.init_kalman(ObjectState(10, 20, 5, 8), cfg)
-    KalmanState.columns(ks.block)[1][:] = [2.0, -1, 0, 0]
+    kalman.columns(ks)[1][:] = [2.0, -1, 0, 0]
     _, es = kalman.predict(ks, cfg)
     assert (es.x, es.y, es.l, es.h) == (12, 19, 5, 8)
 
@@ -34,18 +34,18 @@ def test_predict_idempotent_under_identity():
     ks = identity_state([1, 2, 3, 4])
     ks1, es1 = kalman.predict(ks, STILL)
     ks2, es2 = kalman.predict(ks1, STILL)
-    assert np.array_equal(KalmanState.columns(ks1.block)[0], KalmanState.columns(ks2.block)[0])
+    assert np.array_equal(kalman.columns(ks1)[0], kalman.columns(ks2)[0])
     assert es1 == es2
 
 
 def test_predict_overflow_detected():
     ks = identity_state([1e308, 0, 1, 1])
-    KalmanState.columns(ks.block)[1][:] = [1e308, 0, 0, 0]
+    kalman.columns(ks)[1][:] = [1e308, 0, 0, 0]
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
         kalman.predict(ks, STILL)
     # the covariance overflows with a finite mean
     ks = identity_state([1, 1, 1, 1])
-    _, _, p, c, _ = KalmanState.columns(ks.block)
+    _, _, p, c, _ = kalman.columns(ks)
     p[...] = c[...] = 1e308
     with pytest.raises(NumericOverflowError):
         kalman.predict(ks, STILL)
@@ -96,7 +96,7 @@ def test_predict_correct_fixed_point_with_zero_noise():
         ks, es = kalman.predict(ks, STILL)
         ks, cs = kalman.correct(ks, es, s, s, w=0.7)
         assert cs == s
-    assert np.allclose(KalmanState.columns(ks.block)[0], s.as_vector())
+    assert np.allclose(kalman.columns(ks)[0], s.as_vector())
 
 
 def test_covariance_stays_symmetric_nonnegative_diagonal():
@@ -111,7 +111,7 @@ def test_covariance_stays_symmetric_nonnegative_diagonal():
         meas = ObjectState(*(np.abs(rng.uniform(5, 80, size=4))))
         ks, prev = kalman.correct(ks, es, meas if i % 3 else None, prev, cfg.w,
                                   cfg.measurement_noise)
-        _, _, p, c, v = KalmanState.columns(ks.block)
+        _, _, p, c, v = kalman.columns(ks)
         scale = max(1.0, abs(p), abs(c), abs(v))
         assert p >= 0 and v >= 0
         assert p * v - c ** 2 >= -1e-9 * scale ** 2
@@ -164,10 +164,10 @@ class DenseFilter:
         self.cov = (np.eye(self.mean.size) - gain @ self.h) @ self.cov
 
 
-def _expanded(ks: KalmanState, dim: int):
-    """(mean, covariance) of ks in the dense filter's coordinates: the
-    per-axis 2x2 covariance repeated over the four axes."""
-    position, velocity, p, c, v = KalmanState.columns(ks.block)
+def _expanded(ks: np.ndarray, dim: int):
+    """(mean, covariance) of the filter row ks in the dense filter's
+    coordinates: the per-axis 2x2 covariance repeated over the four axes."""
+    position, velocity, p, c, v = kalman.columns(ks)
     if dim == 4:
         assert np.all(velocity == 0.0) and c == 0.0 and v == 0.0
         return position, p * np.eye(4)
@@ -219,15 +219,9 @@ def test_matches_dense_reference_filter(motion_model, process_noise_pos, process
 
 # -- row functions against the scalar oracle ----------------------------------
 
-def _assert_rows_equal(rows: np.ndarray, filters: list[KalmanState]):
-    position, velocity, p, c, v = KalmanState.columns(rows)
-    assert position.shape == velocity.shape == (len(filters), 4)
-    assert p.shape == c.shape == v.shape == (len(filters),)
-    for i, ks in enumerate(filters):
-        k_position, k_velocity, *k_pcv = KalmanState.columns(ks.block)
-        assert np.array_equal(position[i], k_position)
-        assert np.array_equal(velocity[i], k_velocity)
-        assert (p[i], c[i], v[i]) == tuple(map(float, k_pcv))
+def _assert_rows_equal(rows: np.ndarray, filters: list[np.ndarray]):
+    """rows is the (n, 11) block of the n scalar filter rows, float for float."""
+    assert np.array_equal(rows, np.array(filters).reshape(-1, kalman.WIDTH))
 
 
 def _raised(fn):
@@ -287,7 +281,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
     for f, measured in enumerate(frames):
         if overflow is not None and overflow[1] == f:
             i, _, kind = overflow
-            f_position, f_velocity, f_p, f_c, _ = KalmanState.columns(filters[i].block)
+            f_position, f_velocity, f_p, f_c, _ = kalman.columns(filters[i])
             if kind == "mean":
                 f_position[0] = f_velocity[0] = 1e308
             elif kind == "covariance":
@@ -296,9 +290,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
                 f_position[0] = 1.5e308
                 measured = list(measured)
                 measured[i] = ObjectState(-1.5e308, 0.0, 1.0, 1.0)
-            position, velocity, p, c, _ = KalmanState.columns(rows)
-            position[i], velocity[i] = f_position, f_velocity
-            p[i], c[i] = f_p, f_c
+            rows[i] = filters[i]
 
         with np.errstate(over="ignore", invalid="ignore"):
             want = _raised(lambda: [kalman.predict(ks, cfg) for ks in filters])

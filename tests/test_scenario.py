@@ -133,6 +133,14 @@ class TestGenerate:
         assert len(res.detections_by_frame[7]) == sum(s == CLUTTER for (f, _), s in
                                                       res.provenance.items() if f == 7)
 
+    def test_invalid_interpolated_box_is_input_error(self):
+        """Valid waypoints whose interpolation gives a box of height 0 (here
+        1 + (1e-300 - 1) at frame 5): an input error naming object and frame."""
+        spec = spec_from_json('{"duration": 10, "objects": [{"waypoints": '
+                              '[[0, 40, 60, 10, 1], [5, 100, 60, 10, 1e-300]]}]}')
+        with pytest.raises(InputError, match="^object 0 at frame 5: box dimensions must be positive"):
+            generate(spec)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(InputError):
             ScenarioSpec(duration=0).validate()
