@@ -7,7 +7,10 @@ refactor that changes any byte of that output fails here; one that means
 to change it records the table again and says why. Every case runs twice
 against the same table: on the generated `Frame`s, and on the `Frame`s
 that writing the stream to a detection file and loading it back gives.
-The detection file itself is pinned too.
+The detection file itself is pinned too, and so are the ground-truth file
+and the evaluation report JSON of each stream, under both association
+methods at the default IoU threshold and at 0.9, where jitter leaves some
+frames unmatched.
 
     PYTHONPATH=src python tests/test_parity.py   # print the table anew
 """
@@ -18,7 +21,7 @@ import pickle
 
 import pytest
 
-from mftrack import fileio, scenario
+from mftrack import fileio, metrics, scenario
 from mftrack.engine import TrackingEngine
 from mftrack.types import Frame, TrackerConfig
 
@@ -102,6 +105,48 @@ DETECTION_FILES = {
 }
 
 
+# (workload, seed) -> the ground-truth file write_ground_truth writes for the stream
+GROUND_TRUTH_FILES = {
+    ('crowd', 7): '67ec4fee58e73139f0ef1b3fb3e191288531754a0c48e86198400bcfad1f85ac',
+    ('crowd', 23): '67ec4fee58e73139f0ef1b3fb3e191288531754a0c48e86198400bcfad1f85ac',
+    ('clutter_long', 7): '1a038f7a9794f5961434c86b91f993f0d0311ceca5058440c8d7decf1f0b6f69',
+    ('clutter_long', 23): '1a038f7a9794f5961434c86b91f993f0d0311ceca5058440c8d7decf1f0b6f69',
+}
+
+
+# (association method, IoU threshold) of each report digest in REPORTS
+EVALUATIONS = (("greedy", 0.5), ("hungarian", 0.5), ("greedy", 0.9), ("hungarian", 0.9))
+
+# (workload, seed) -> the report JSON write_report writes for the default
+# config's trajectories, one digest per entry of EVALUATIONS
+REPORTS = {
+    ('crowd', 7): (
+        '847f5ab309ee2778f95a9d4bef4ef0a167ab42164d7a89be2512646d1b629887',
+        '847f5ab309ee2778f95a9d4bef4ef0a167ab42164d7a89be2512646d1b629887',
+        '60f96dd05c9d4e5a00d41c636cb1c4ac3b99e717f8564516b965e36e92c2b57c',
+        '60f96dd05c9d4e5a00d41c636cb1c4ac3b99e717f8564516b965e36e92c2b57c',
+    ),
+    ('crowd', 23): (
+        '847f5ab309ee2778f95a9d4bef4ef0a167ab42164d7a89be2512646d1b629887',
+        '847f5ab309ee2778f95a9d4bef4ef0a167ab42164d7a89be2512646d1b629887',
+        '5af5734c760f12bb0b941210e31ebdf16e9e49ee5764ded8ac6370b377fa3e77',
+        '5af5734c760f12bb0b941210e31ebdf16e9e49ee5764ded8ac6370b377fa3e77',
+    ),
+    ('clutter_long', 7): (
+        '775b0fd98e4fd636701a7db7eed2ef255748599676934d7088005ee513778a7a',
+        '775b0fd98e4fd636701a7db7eed2ef255748599676934d7088005ee513778a7a',
+        'de8e77cf6eacedf63777a89216d20cb842f66cb0af4f92d4d3b2059516bb2935',
+        'de8e77cf6eacedf63777a89216d20cb842f66cb0af4f92d4d3b2059516bb2935',
+    ),
+    ('clutter_long', 23): (
+        '775b0fd98e4fd636701a7db7eed2ef255748599676934d7088005ee513778a7a',
+        '775b0fd98e4fd636701a7db7eed2ef255748599676934d7088005ee513778a7a',
+        '054582cc3fe4e86013c000113bc6e30c8adc914e4399c76a292fa95d21a3aa2b',
+        '054582cc3fe4e86013c000113bc6e30c8adc914e4399c76a292fa95d21a3aa2b',
+    ),
+}
+
+
 def _spec(workload: str, seed: int) -> scenario.ScenarioSpec:
     """Small versions of the two benchmark workloads."""
     if workload == "crowd":
@@ -122,6 +167,15 @@ def _track_fields(t) -> tuple:
             t.last_histogram.tolist())
 
 
+def _run(stream, cfg: TrackerConfig) -> tuple[TrackingEngine, list]:
+    """The engine and its frame reports after every frame of the stream,
+    then 25 empty frames, so that every track ends."""
+    engine = TrackingEngine(cfg)
+    last = max(stream)
+    reports = [engine.step(f, stream.get(f, [])) for f in range(min(stream), last + 26)]
+    return engine, reports
+
+
 def digests(workload: str, seed: int, config: str, tmp_path,
             form: str = "frames") -> tuple[str, str, str]:
     """The three digests of one case, the stream stepped as generated
@@ -132,9 +186,7 @@ def digests(workload: str, seed: int, config: str, tmp_path,
         fileio.write_detections(det, stream)
         stream = fileio.load_detections(det, CONFIGS[config].n_bins)
         assert all(isinstance(frame, Frame) for frame in stream.values())
-    engine = TrackingEngine(CONFIGS[config])
-    last = max(stream)
-    reports = [engine.step(f, stream.get(f, [])) for f in range(min(stream), last + 26)]
+    engine, reports = _run(stream, CONFIGS[config])
     path = tmp_path / f"{workload}-{seed}-{config}.txt"
     fileio.write_trajectories(path, engine.valid_tracks())
     tracks = [_track_fields(t) for t in engine.tracks.values()]
@@ -167,6 +219,37 @@ def test_detection_file_matches_golden(workload, seed, tmp_path):
     assert _sha(path.read_bytes()) == DETECTION_FILES[(workload, seed)]
 
 
+def evaluation_digests(workload: str, seed: int, tmp_path) -> tuple[str, tuple[str, ...]]:
+    """The digest of the stream's ground-truth file, and of its report
+    for each entry of EVALUATIONS. Each report is made twice, from the engine's
+    trajectories and the generated ground truth, and from the two files
+    written and loaded back; both must give the same bytes."""
+    res = scenario.generate(_spec(workload, seed))
+    engine, _ = _run(res.detections_by_frame, CONFIGS["default"])
+    gt_path, traj_path = tmp_path / "gt.txt", tmp_path / "trk.txt"
+    fileio.write_ground_truth(gt_path, res.gt)
+    fileio.write_trajectories(traj_path, engine.valid_tracks())
+    inputs = [(res.gt, engine.trajectories()),
+              (fileio.load_ground_truth(gt_path), fileio.load_trajectories(traj_path))]
+    reports = []
+    for method, threshold in EVALUATIONS:
+        texts = set()
+        for gt, tracks in inputs:
+            path = tmp_path / "report.json"
+            fileio.write_report(path, metrics.evaluate(gt, tracks, threshold, method))
+            texts.add(path.read_bytes())
+        assert len(texts) == 1, (method, threshold)
+        reports.append(_sha(texts.pop()))
+    return _sha(gt_path.read_bytes()), tuple(reports)
+
+
+@pytest.mark.parametrize("workload", ["crowd", "clutter_long"])
+@pytest.mark.parametrize("seed", [7, 23])
+def test_ground_truth_file_and_report_match_golden(workload, seed, tmp_path):
+    assert evaluation_digests(workload, seed, tmp_path) == \
+        (GROUND_TRUTH_FILES[(workload, seed)], REPORTS[(workload, seed)])
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -175,5 +258,16 @@ if __name__ == "__main__":
         for key in [(w, s, c) for w in ("crowd", "clutter_long") for s in (7, 23) for c in CONFIGS]:
             print(f"    {key!r}: (")
             for h in digests(*key, Path(tmp)):
+                print(f"        {h!r},")
+            print("    ),")
+        cases = [(w, s) for w in ("crowd", "clutter_long") for s in (7, 23)]
+        evaluated = {key: evaluation_digests(*key, Path(tmp)) for key in cases}
+        print()
+        for key, (gt, _) in evaluated.items():
+            print(f"    {key!r}: {gt!r},")
+        print()
+        for key, (_, reports) in evaluated.items():
+            print(f"    {key!r}: (")
+            for h in reports:
                 print(f"        {h!r},")
             print("    ),")
