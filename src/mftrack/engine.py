@@ -31,6 +31,7 @@ from .types import (
     ObjectState,
     Track,
     TrackerConfig,
+    Trajectories,
 )
 
 
@@ -230,7 +231,9 @@ class TrackingEngine:
     any method that lists tracks, first folds the log blocks into the
     tracks' states, which then hold the history alone, and copies the
     counters from the store; the rows the sweep dropped wait in `_ended`
-    until then. Ids only grow.
+    until then. The fold keeps the blocks' rows too, as the columns
+    (frames, ids, boxes, matched) in `_kept`, in step order, which
+    `trajectories` sorts into a table. Ids only grow, dense from 1.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -241,6 +244,8 @@ class TrackingEngine:
         # (frame, count, d_max, hist, noisy) of the rows each sweep ended
         self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._tracks: dict[int, Track] = {}
+        self._kept = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
+                       np.zeros(0, dtype=bool))]
         self._n_born = 0
         self.last_frame: int | None = None
 
@@ -327,8 +332,9 @@ class TrackingEngine:
 
     def _read(self) -> None:
         """Bring `_tracks` up to the last step: fold the log blocks into
-        the states, dropping each chunk of blocks once it is folded, then
-        copy the counters of the ended rows and of the live rows."""
+        the states, keeping their columns and dropping each chunk of blocks
+        once it is folded, then copy the counters of the ended rows and of
+        the live rows."""
         log, tracks = self._log, self._tracks
         if not log:
             return
@@ -338,6 +344,8 @@ class TrackingEngine:
             # each frame's int as step was given it, not a copy per row
             frames = [f for f, ids, _, _ in blocks for _ in range(len(ids))]
             ids, boxes, matched = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+            self._kept.append((np.repeat([b[0] for b in blocks], [len(b[1]) for b in blocks]),
+                               ids, boxes, matched))
             corrected = iter(ObjectState.rows(boxes[matched]))
             for f, tid, hit in zip(frames, ids.tolist(), matched.tolist()):
                 t = tracks.get(tid)
@@ -371,6 +379,15 @@ class TrackingEngine:
             t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t._d_max = (
                 f_l, n_r, f_c - birth + 1 - n_r, status, h, d)
 
-    def trajectories(self) -> dict[int, dict[int, ObjectState]]:
-        """Per-frame states of every valid track (noise excluded)."""
-        return {t.track_id: dict(t.states) for t in self.valid_tracks()}
+    def trajectories(self) -> Trajectories:
+        """The states of every valid track (noise excluded) as one table."""
+        self._read()
+        if len(self._kept) > 1:
+            self._kept = [tuple(map(np.concatenate, zip(*self._kept)))]
+        frames, ids, boxes, matched = self._kept[0]
+        noise = np.zeros(self._n_born + 1, dtype=bool)
+        noise[[t.track_id for t in self._tracks.values() if t.status == NOISE]] = True
+        # step order is frame order within each id: one stable sort by id
+        order = np.argsort(ids, kind="stable")
+        rows = order[~noise[ids[order]]]
+        return Trajectories(ids[rows], frames[rows], boxes[rows], matched[rows])

@@ -8,6 +8,11 @@ allowed, fixed column order:
   trajectories track_id frame_id x y l h status_flag   (1 matched, 0 held)
   config       key = value
 
+Ground truth and trajectories load as one `types.Trajectories` table,
+columns of ids, frames, boxes and matched, sorted by (id, frame); a
+ground-truth row is matched, a trajectory row where its flag is 1. An
+(id, frame) pair may appear once, and a status flag is 0 or 1.
+
 Floats are written with repr so that write -> read round-trips exactly.
 A detection row's histogram must have either the configured bin count or
 768 raw bins (then rebinned); a missing histogram is stored as all zeros.
@@ -53,13 +58,14 @@ import numpy as np
 import orjson
 
 from .errors import ConfigError, HistogramShapeError, InputError, ParseError
-from .metrics import EvalReport, Trajectories
+from .metrics import EvalReport
 from .types import (
     MAX_RAW_BINS,
     Frame,
-    ObjectState,
     Track,
     TrackerConfig,
+    Trajectories,
+    check_boxes,
     check_counts,
     check_rows,
 )
@@ -458,56 +464,75 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
 
 
 def write_ground_truth(path: str | Path, gt: Trajectories) -> None:
+    """One row per row of the table, in its (id, frame) order."""
     with open(path, "w") as fh:
-        for gid, states in sorted(gt.items()):
-            for f in sorted(states):
-                s = states[f]
-                fh.write(f"{gid} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)}\n")
+        # tolist gives Python floats, whose repr is _fmt's text
+        fh.writelines(f"{gid} {f} {x!r} {y!r} {l!r} {h!r}\n" for gid, f, (x, y, l, h) in
+                      zip(gt.ids.tolist(), gt.frames.tolist(), gt.boxes.tolist()))
 
 
 def _load_table(path: str | Path, ncols: int) -> Trajectories:
-    """{id: {frame: state}} from rows `id frame x y l h` plus, in a
-    trajectory file, an integer status flag; ncols is the row width; no
-    (id, frame) repeats. Read as one block like load_detections, with the same fallback."""
+    """The table of rows `id frame x y l h` plus, in a trajectory file
+    (ncols 7), a status flag. Read as one block like load_detections, with
+    the same fallback."""
     block = _read_block(path, np.int64)  # the flag parses as a strict integer
     if block is not None and (len(block) == 0 or block["tail"].shape[1] == ncols - 6):
         try:
-            out: Trajectories = {}
-            for oid, fid, state in zip(*block["ids"].T.tolist(), ObjectState.rows(block["box"])):
-                out.setdefault(oid, {})[fid] = state
-            if sum(map(len, out.values())) == len(block):  # else a row repeats an (id, frame)
-                return out
+            return _table(block["ids"][:, 0], block["ids"][:, 1], block["box"], block["tail"])
         except ValueError:
             pass
     return _table_by_line(path, ncols)
 
 
+def _table(ids, frames, boxes, flags) -> Trajectories:
+    """The table of rows given in file order, flags (n, 1), or (n, 0) in
+    ground truth; a ValueError where an (id, frame) pair repeats, a box
+    breaks `check_boxes` or a flag is not 0 or 1."""
+    # rows written in (id, frame) order need no sort: rising pairs are distinct
+    if not ((ids[1:] > ids[:-1]) | ((ids[1:] == ids[:-1]) & (frames[1:] > frames[:-1]))).all():
+        order = np.lexsort((frames, ids))
+        ids, frames, boxes, flags = ids[order], frames[order], boxes[order], flags[order]
+        if ((ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1])).any():
+            raise ValueError("a repeated (id, frame) pair")
+    check_boxes(boxes)
+    if not ((flags == 0) | (flags == 1)).all():
+        raise ValueError("a status flag other than 0 or 1")
+    return Trajectories(np.ascontiguousarray(ids), np.ascontiguousarray(frames),
+                        np.ascontiguousarray(boxes), (flags == 1).all(axis=1))
+
+
 def _table_by_line(path: str | Path, ncols: int) -> Trajectories:
     """_load_table one line at a time: the error path and the reference."""
-    out: Trajectories = {}
+    rows: dict[tuple[int, int], list] = {}  # (id, frame) -> x, y, l, h and any flag
     for where, line in _lines(path):
         cols = line.split()
         if len(cols) != ncols:
             raise ParseError(f"{where}: expected {ncols} columns, got {len(cols)}")
         try:
             oid, fid = int(cols[0]), int(cols[1])
-            s = ObjectState(*(float(c) for c in cols[2:6]))
-            if ncols == 7:
-                int(cols[6])  # status flag
+            box = [float(c) for c in cols[2:6]]
+            check_boxes(np.array([box]))
+            flags = [int(c) for c in cols[6:]]
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from e
-        if fid in out.setdefault(oid, {}):
+        if not -2**63 <= min(oid, fid) <= max(oid, fid) < 2**63:
+            raise ParseError(f"{where}: id or frame beyond int64")
+        if flags not in ([], [0], [1]):
+            raise ParseError(f"{where}: status flag {flags[0]} is not 0 or 1")
+        if (oid, fid) in rows:
             raise ParseError(f"{where}: repeated row for id {oid} in frame {fid}")
-        out[oid][fid] = s
-    return out
+        rows[oid, fid] = box + flags
+    ids, frames = np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
+    values = np.array(list(rows.values()), dtype=np.float64).reshape(-1, ncols - 2)
+    return _table(ids, frames, values[:, :4], values[:, 4:])
 
 
 def load_ground_truth(path: str | Path) -> Trajectories:
-    """{gt_id: {frame: state}}, gt ids in order."""
+    """The ground-truth table, every row matched."""
     table = _load_table(path, 6)
-    if not table:  # no metric is defined without ground truth
+    if not len(table.ids):  # no metric is defined without ground truth
         raise InputError(f"{path}: no ground-truth rows")
-    return dict(sorted(table.items()))
+    return table
 
 
 def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
@@ -520,6 +545,7 @@ def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
 
 
 def load_trajectories(path: str | Path) -> Trajectories:
+    """The trajectory table, a row matched where its status flag is 1."""
     return _load_table(path, 7)
 
 

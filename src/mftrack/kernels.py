@@ -1,9 +1,9 @@
 """Pairwise similarity scoring kernel and greedy one-to-one assignment.
 
 The hot loop of the engine is scoring every (track, detection) pair in a
-frame. States enter scoring as box rows (x, y, l, h), one row per state,
-built by `boxes`; `score_matrix` takes the track and detection boxes and
-derives area l*h and aspect l/h from their columns. It computes the
+frame. States enter scoring as box rows (x, y, l, h), one row per state;
+`score_matrix` takes the track and detection boxes and derives area l*h
+and aspect l/h from their columns. It computes the
 distance score of every pair, and the area, shape and colour scores only
 for the pairs inside the distance gate: a pair whose distance score is 0
 scores 0 whatever its other features say, and most pairs of a frame are
@@ -13,11 +13,6 @@ oracle.
 from __future__ import annotations
 
 import numpy as np
-
-
-def boxes(states) -> np.ndarray:
-    """(n, 4) array of the box rows (x, y, l, h) of `states`."""
-    return np.array([(s.x, s.y, s.l, s.h) for s in states]).reshape(-1, 4)
 
 
 def score_matrix(tboxes, treach, thist, dboxes, dhist, weights) -> np.ndarray:

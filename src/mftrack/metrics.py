@@ -9,8 +9,9 @@ Three scores in [0, 1], higher is better:
   m3  id confusion      - reciprocal of the number of distinct ground-truth
                           ids a track ever covers
 
-m_bar is their plain average. Ground truth and tracks are associated per
-frame by bounding-box IoU, greedy by default (Hungarian optional).
+m_bar is their plain average. Ground truth and tracks are each a
+`types.Trajectories` table, and are associated per frame by bounding-box
+IoU, greedy by default (Hungarian optional).
 """
 from __future__ import annotations
 
@@ -20,10 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import MeasurementError, MetricError
-from .types import ObjectState
-
-# {id: {frame: state}}: the tracks, and the ground truth keyed by gt id
-Trajectories = dict[int, dict[int, ObjectState]]
+from .types import ObjectState, Trajectories
 
 
 @dataclass
@@ -55,13 +53,14 @@ def iou(a: ObjectState, b: ObjectState) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _iou_matrix(gs: list[ObjectState], ts: list[ObjectState]) -> np.ndarray:
-    """`iou` of every pair (gs[i], ts[j]), with the same float operations."""
-    b = kernels.boxes(gs + ts)
+def _iou_matrix(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`iou` of every pair (g[i], t[j]) of box rows (x, y, l, h), with the
+    same float operations."""
+    b = np.concatenate((g, t))
     x1, y1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
     x2, y2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
     area = b[:, 2] * b[:, 3]
-    n = len(gs)
+    n = len(g)
     iw = np.minimum(x2[:n, None], x2[None, n:]) - np.maximum(x1[:n, None], x1[None, n:])
     ih = np.minimum(y2[:n, None], y2[None, n:]) - np.maximum(y1[:n, None], y1[None, n:])
     out = np.zeros(iw.shape)
@@ -71,13 +70,11 @@ def _iou_matrix(gs: list[ObjectState], ts: list[ObjectState]) -> np.ndarray:
     return out
 
 
-def _present(table: Trajectories) -> dict[int, list[int]]:
-    """{frame: the ids with a state there, in table order}."""
-    at: dict[int, list[int]] = {}
-    for oid, states in table.items():
-        for f in states:
-            at.setdefault(f, []).append(oid)
-    return at
+def _runs(values: np.ndarray) -> list[int]:
+    """Where each run of equal values starts, then the length of values."""
+    if not len(values):
+        return [0]
+    return [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
 
 
 def associate(
@@ -86,27 +83,36 @@ def associate(
     iou_threshold: float = 0.5,
     method: str = "greedy",
 ) -> dict[int, list[tuple[int, int]]]:
-    """Per-frame one-to-one (gt_id, track_id) correspondences by IoU.
+    """Per-frame one-to-one (gt_id, track_id) correspondences by IoU, for
+    every frame of the ground truth.
 
     greedy takes pairs by descending IoU, ties broken by lower gt id then
-    lower track id; hungarian maximises the summed IoU, gt ids in table
-    order and track ids in id order.
+    lower track id; hungarian maximises the summed IoU, gt ids and track
+    ids in id order.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
     if method not in ("greedy", "hungarian"):
         raise ValueError(f"unknown association method {method!r}")
-    gts_at, tids_at = _present(gt), _present(dict(sorted(tracks.items())))
+    if method == "hungarian":
+        from scipy.optimize import linear_sum_assignment
+    # each side in frame order, its (id, frame) order kept within a frame
+    g, t = (np.argsort(side.frames, kind="stable") for side in (gt, tracks))
+    g_frames, g_ids, g_boxes = gt.frames[g], gt.ids[g], gt.boxes[g]
+    t_frames, t_ids, t_boxes = tracks.frames[t], tracks.ids[t], tracks.boxes[t]
+    # each run of one gt frame, and the same frame's run of track rows
+    g_bounds = _runs(g_frames)
+    frames = g_frames[g_bounds[:-1]]
+    t_lo = np.searchsorted(t_frames, frames, "left").tolist()
+    t_hi = np.searchsorted(t_frames, frames, "right").tolist()
     correspondence: dict[int, list[tuple[int, int]]] = {}
-    for f in sorted(gts_at):
-        gids, tids = gts_at[f], tids_at.get(f)
-        if not tids:
+    for f, a, b, c, d in zip(frames.tolist(), g_bounds, g_bounds[1:], t_lo, t_hi):
+        if c == d:
             correspondence[f] = []
             continue
-        mat = _iou_matrix([gt[gid][f] for gid in gids], [tracks[tid][f] for tid in tids])
+        gids, tids = g_ids[a:b].tolist(), t_ids[c:d].tolist()
+        mat = _iou_matrix(g_boxes[a:b], t_boxes[c:d])
         if method == "hungarian":
-            from scipy.optimize import linear_sum_assignment
-
             rows, cols = linear_sum_assignment(-mat)
             index_pairs = [(i, j) for i, j in zip(rows, cols) if mat[i, j] >= iou_threshold]
         else:
@@ -115,13 +121,19 @@ def associate(
     return correspondence
 
 
-def _tally(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories,
+def _objects(gt: Trajectories) -> dict[int, int]:
+    """{gt id: its row count}, in id order."""
+    bounds = _runs(gt.ids)
+    return dict(zip(gt.ids[bounds[:-1]].tolist(), np.diff(bounds).tolist()))
+
+
+def _tally(correspondence: dict[int, list[tuple[int, int]]], gids,
            ) -> tuple[dict[int, int], dict[int, set[int]], dict[int, set[int]]]:
-    """Count a correspondence once: per gt id (in gt order) the frames it
-    is matched in and the track ids covering it; per track id the gt ids
-    it covers."""
-    frames = dict.fromkeys(gt, 0)
-    gt_tracks: dict[int, set[int]] = {gid: set() for gid in gt}
+    """Count a correspondence once: per gt id (in the order of gids) the
+    frames it is matched in and the track ids covering it; per track id
+    the gt ids it covers."""
+    frames = dict.fromkeys(gids, 0)
+    gt_tracks: dict[int, set[int]] = {gid: set() for gid in gids}
     track_gts: dict[int, set[int]] = {}
     for pairs in correspondence.values():
         for gid, tid in pairs:
@@ -131,13 +143,10 @@ def _tally(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories,
     return frames, gt_tracks, track_gts
 
 
-def _m1(frames: dict[int, int], gt: Trajectories) -> float:
-    if not gt:
+def _m1(frames: dict[int, int], objects: dict[int, int]) -> float:
+    if not objects:
         raise MetricError("m1 undefined without ground-truth objects")
-    empty = [gid for gid, states in gt.items() if not states]
-    if empty:
-        raise MetricError(f"m1 undefined for ground-truth objects without states: {empty}")
-    return float(np.mean([frames[gid] / len(states) for gid, states in gt.items()]))
+    return float(np.mean([frames[gid] / n for gid, n in objects.items()]))
 
 
 def _mean_reciprocal(id_sets) -> float:
@@ -148,11 +157,12 @@ def _mean_reciprocal(id_sets) -> float:
 
 def m1(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
     """Mean over ground-truth objects of their matched-frame fraction."""
-    return _m1(_tally(correspondence, gt)[0], gt)
+    objects = _objects(gt)
+    return _m1(_tally(correspondence, objects)[0], objects)
 
 
-def _m2(gt_tracks: dict[int, set[int]], gt: Trajectories) -> float:
-    return _mean_reciprocal(gt_tracks[gid] for gid in gt)
+def _m2(gt_tracks: dict[int, set[int]], gids) -> float:
+    return _mean_reciprocal(gt_tracks[gid] for gid in gids)
 
 
 def _m3(track_gts: dict[int, set[int]]) -> float:
@@ -165,12 +175,13 @@ def m2(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> fl
     Objects never matched are excluded (their reciprocal is undefined);
     returns 0.0 if nothing matched at all.
     """
-    return _m2(_tally(correspondence, gt)[1], gt)
+    objects = _objects(gt)
+    return _m2(_tally(correspondence, objects)[1], objects)
 
 
 def m3(correspondence: dict[int, list[tuple[int, int]]]) -> float:
     """Mean reciprocal ground-truth-id count per track with a match."""
-    return _m3(_tally(correspondence, {})[2])
+    return _m3(_tally(correspondence, ())[2])
 
 
 def evaluate(
@@ -180,13 +191,14 @@ def evaluate(
     method: str = "greedy",
     fps: float | None = None,
 ) -> EvalReport:
+    objects = _objects(gt)
     frames, gt_tracks, track_gts = _tally(
-        associate(gt, tracks, iou_threshold, method), gt)
-    v1, v2, v3 = _m1(frames, gt), _m2(gt_tracks, gt), _m3(track_gts)
+        associate(gt, tracks, iou_threshold, method), objects)
+    v1, v2, v3 = _m1(frames, objects), _m2(gt_tracks, objects), _m3(track_gts)
     return EvalReport(
         m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
-        per_gt_coverage={gid: frames[gid] / len(states) for gid, states in gt.items()},
-        per_gt_track_ids={gid: len(gt_tracks[gid]) for gid in gt},
+        per_gt_coverage={gid: frames[gid] / n for gid, n in objects.items()},
+        per_gt_track_ids={gid: len(gt_tracks[gid]) for gid in objects},
         per_track_gt_ids={tid: len(s) for tid, s in track_gts.items()},
         fps=fps,
     )

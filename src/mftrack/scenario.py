@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metrics import Trajectories
-from .types import MAX_RAW_BINS, Frame, ObjectState, TrackerConfig, is_integer, is_real
+from .types import (MAX_RAW_BINS, Frame, ObjectState, TrackerConfig, Trajectories, check_boxes,
+                    is_integer, is_real)
 
 CLUTTER = -1  # provenance label for clutter detections
 
@@ -131,8 +131,11 @@ class ScenarioSpec:
             for wp in script.waypoints:
                 if not _is_box_row(wp):
                     raise InputError(f"object {k}: waypoint {list(wp)} is not 5 finite numbers "
-                                     "(frame, x, y, l, h) with positive l and h and finite "
-                                     "l / h and h / l")
+                                     "(frame, x, y, l, h)")
+                try:  # an interpolated l / h lies between two waypoints', l and h being linear
+                    check_boxes(np.array([wp[1:]], dtype=np.float64))
+                except ValueError as e:
+                    raise InputError(f"object {k}: waypoint {list(wp)}: {e}") from None
             frames = [wp[0] for wp in script.waypoints]
             if any(a >= b for a, b in zip(frames, frames[1:])):
                 raise InputError(f"object {k}: waypoint frames {frames} do not strictly increase")
@@ -194,16 +197,14 @@ def _jittered_box_fits(script: MotionScript, spec: ScenarioSpec) -> bool:
 
 
 def _is_box_row(row) -> bool:
-    """True when row is (frame, x, y, l, h): 5 finite numbers, l and h
-    positive, l / h and h / l finite. An interpolated box's l / h lies
-    between its two waypoints', since l and h are both linear in the frame."""
-    return (len(row) == 5 and all(map(is_real, row)) and row[3] > 0 and row[4] > 0
-            and is_real(row[3] / row[4]) and is_real(row[4] / row[3]))
+    """True when row is (frame, x, y, l, h) as JSON gives it: 5 finite
+    numbers, none a bool. Its box is `check_boxes`' to judge."""
+    return len(row) == 5 and all(map(is_real, row))
 
 
 @dataclass
 class ScenarioResult:
-    gt: Trajectories  # {object index: {frame: state}}, frames inside the stream
+    gt: Trajectories  # ids are object indices, frames inside the stream
     detections_by_frame: dict[int, Frame]  # every frame 0..duration-1, empty ones too
     # (frame_id, detection_id) -> gt_id, or CLUTTER
     provenance: dict[tuple[int, int], int]
@@ -225,10 +226,10 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
-    gt: Trajectories = {}
+    by_object = {}
     for gid, script in enumerate(spec.objects):
         f0, f1 = script.frame_range()
-        gt[gid] = states = {}
+        by_object[gid] = states = {}
         for f in range(max(f0, 0), min(f1 + 1, spec.duration)):
             try:  # valid waypoints can still interpolate to an invalid box
                 states[f] = script.state_at(f)
@@ -270,7 +271,7 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     provenance: dict[tuple[int, int], int] = {}
     for f in range(spec.duration):
         boxes, hists = [], []
-        for gid, states in gt.items():
+        for gid, states in by_object.items():
             if f not in states or (gid, f) in gaps:
                 continue
             if spec.drop_probability > 0 and rng.random() < spec.drop_probability:
@@ -299,7 +300,8 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             hists.append(blob_hists[k])
         frames[f] = Frame(f, np.arange(len(boxes)), boxes, hists or np.zeros((0, spec.n_bins)))
 
-    return ScenarioResult(gt=gt, detections_by_frame=frames, provenance=provenance)
+    return ScenarioResult(gt=Trajectories.of(by_object), detections_by_frame=frames,
+                          provenance=provenance)
 
 
 def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple[int, list[int]]]:
@@ -311,13 +313,13 @@ def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple
     (gap > min(matched-so-far, T2)). Returns (gt_id, matched_frames)
     fragments. Guarded to desk-scale instances.
     """
-    n_objects = len(result.gt)
+    by_object: dict[int, list[int]] = {gid: [] for gid in result.gt.ids.tolist()}
+    n_objects = len(by_object)
     n_frames = len(result.detections_by_frame)
     if n_objects > 5 or n_frames > 200:
         raise InputError(
             f"brute-force oracle limited to 5 objects / 200 frames, got {n_objects} / {n_frames}")
 
-    by_object: dict[int, list[int]] = {gid: [] for gid in result.gt}
     for (f, did), gid in sorted(result.provenance.items()):
         if gid != CLUTTER:
             by_object[gid].append(f)

@@ -1,4 +1,5 @@
-"""Core value types: object states, frames of detections, tracks, config."""
+"""Core value types: object states, frames of detections, trajectory
+tables, tracks, config."""
 from __future__ import annotations
 
 import math
@@ -40,8 +41,9 @@ def is_real(v, lo: float = -math.inf, hi: float = math.inf) -> bool:
 class ObjectState:
     """Bounding box at one frame: center (x, y), width l, height h, in pixels.
 
-    Sub-pixel values are allowed; l and h must be strictly positive, and
-    their product l * h and quotients l / h and h / l finite.
+    Sub-pixel values are allowed. The box is checked as a row of one by
+    `check_boxes`: finite, l and h strictly positive, and their product
+    l * h and quotients l / h and h / l finite.
     """
 
     x: float
@@ -50,15 +52,7 @@ class ObjectState:
     h: float
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.l, self.h):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite state component: {self!r}")
-        if self.l <= 0 or self.h <= 0:
-            raise ValueError(f"box dimensions must be positive: l={self.l}, h={self.h}")
-        if not math.isfinite(self.l * self.h):
-            raise ValueError(f"box area l * h must be finite: l={self.l}, h={self.h}")
-        if not (math.isfinite(self.l / self.h) and math.isfinite(self.h / self.l)):
-            raise ValueError(f"box aspect l / h and h / l must be finite: l={self.l}, h={self.h}")
+        check_boxes(np.array(((self.x, self.y, self.l, self.h),), dtype=np.float64))
 
     @classmethod
     def rows(cls, boxes: np.ndarray) -> list["ObjectState"]:
@@ -101,19 +95,20 @@ def check_boxes(boxes: np.ndarray) -> None:
     a finite area l * h and a finite aspect l / h and h / l."""
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite state component in box rows")
-    if not (boxes[:, 2:] > 0).all():
-        raise ValueError("box dimensions must be positive")
     if not len(boxes):
         return
+    (l_min, h_min), (l_max, h_max) = (boxes[:, 2:].min(axis=0).tolist(),
+                                      boxes[:, 2:].max(axis=0).tolist())
+    if not (l_min > 0 and h_min > 0):
+        raise ValueError("box dimensions must be positive")
     # an area or an aspect overflows only if the largest l times the largest
     # h, or the largest l over the smallest h or h over l, does, so the rows
     # are computed only then; a float product or quotient overflows to inf
     # without a warning, and the reductions make no scratch array
-    l, h = boxes[:, 2], boxes[:, 3]
-    l_max, h_max = float(l.max()), float(h.max())
     area = math.isfinite(l_max * h_max)
-    aspect = math.isfinite(l_max / float(h.min())) and math.isfinite(h_max / float(l.min()))
+    aspect = math.isfinite(l_max / h_min) and math.isfinite(h_max / l_min)
     if not (area and aspect):
+        l, h = boxes[:, 2], boxes[:, 3]
         with np.errstate(over="ignore"):  # an overflow is the fault reported
             if not (area or np.isfinite(l * h).all()):
                 raise ValueError("box area l * h must be finite")
@@ -230,6 +225,48 @@ class Frame:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """A set of trajectories as one table, a row per state, sorted by
+    (id, frame) with no pair twice: ids and frames (n,) int64, boxes (n, 4)
+    float64 rows (x, y, l, h) and matched (n,) bool, False where a track
+    held its state while it waited; every ground-truth row is matched. The
+    columns are read-only, and tables are equal when their columns are. A
+    table has no length, iteration or truth value: code that takes it for
+    a dict of objects fails at once rather than count rows as objects.
+    """
+
+    ids: np.ndarray
+    frames: np.ndarray
+    boxes: np.ndarray
+    matched: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, states: dict) -> "Trajectories":
+        """The table of `states`, {id: {frame: ObjectState}}, every row
+        matched. An id without states is a ValueError: no row could keep it."""
+        empty = [oid for oid, by_frame in states.items() if not by_frame]
+        if empty:
+            raise ValueError(f"ids without states: {empty}")
+        rows = [(oid, f, s) for oid in sorted(states) for f, s in sorted(states[oid].items())]
+        boxes = [(s.x, s.y, s.l, s.h) for _, _, s in rows]
+        return cls(np.array([oid for oid, _, _ in rows], dtype=np.int64),
+                   np.array([f for _, f, _ in rows], dtype=np.int64),
+                   np.array(boxes, dtype=np.float64).reshape(-1, 4), np.ones(len(rows), dtype=bool))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectories):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __bool__(self):
+        raise TypeError("a trajectory table has no truth value: test len(table.ids)")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from mftrack import kernels
 from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_C, _N_R, LiveRows
 from mftrack.types import Frame, Track, TrackerConfig
+
+
+def boxes(states) -> np.ndarray:
+    """(n, 4) array of the box rows (x, y, l, h) of `states`."""
+    return np.array([(s.x, s.y, s.l, s.h) for s in states]).reshape(-1, 4)
 
 
 def flat_histogram(n=96, value=10.0):
@@ -50,7 +54,7 @@ def live_rows(tracks, cfg=None):
     cfg = cfg or TrackerConfig()
     n_bins = len(tracks[0].last_histogram) if tracks else cfg.n_bins
     rows = LiveRows.born(np.array([t.track_id for t in tracks], dtype=np.int64),
-                         kernels.boxes([t.last_cs for t in tracks]),
+                         boxes([t.last_cs for t in tracks]),
                          np.array([t.last_histogram for t in tracks]).reshape(-1, n_bins),
                          0, cfg)
     rows.count[:, _BIRTH] = [t.birth_frame for t in tracks]

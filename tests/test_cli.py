@@ -25,7 +25,7 @@ def sim_files(tmp_path):
 def test_simulate_writes_detections_and_gt_sidecar(sim_files):
     tmp_path, det_path, gt_path = sim_files
     assert fileio.load_detections(det_path, 96)
-    assert len(fileio.load_ground_truth(gt_path)) == 2
+    assert fileio.load_ground_truth(gt_path).ids.tolist() == [0] * 120 + [1] * 120
 
 
 def test_simulate_seed_override(tmp_path):
@@ -357,6 +357,23 @@ def test_repeated_trajectory_row_exit_code(tmp_path, capsys, comment):
     trk.write_text("1 0 10 10 5 5 1\n")
     assert main(["evaluate", "--trajectories", str(trk), "--ground-truth", str(gt),
                  "--out", str(report)]) == 0
+
+
+@pytest.mark.parametrize("comment", ["", "# café\n"], ids=["block", "lines"])
+def test_status_flag_outside_0_and_1_exit_code(tmp_path, capsys, comment):
+    """`evaluate` rejects a trajectory row whose status flag is neither 1
+    (matched) nor 0 (held) with exit 2 naming its line, and writes no
+    report; such a row used to score as a matched one, M1 = M2 = M3 = 1."""
+    gt, trk, report = tmp_path / "gt.txt", tmp_path / "trk.txt", tmp_path / "r.json"
+    gt.write_text("0 0 10 10 5 5\n")
+    trk.write_text(comment + "0 0 10 10 5 5 2\n", encoding="utf-8")
+    rc = main(["evaluate", "--trajectories", str(trk), "--ground-truth", str(gt),
+               "--out", str(report)])
+    assert rc == 2
+    line = 1 + comment.count("\n")
+    assert f"mftrack: error: {trk}:{line}: status flag 2 is not 0 or 1\n" == \
+        capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("report", ["missing_dir/r.json", "a_dir"])

@@ -12,7 +12,7 @@ from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, Tr
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
 from mftrack.types import (ACTIVE, NOISE, TERMINATED, WAITING, Frame, ObjectState, Track,
-                           TrackerConfig, diagonal_half)
+                           TrackerConfig, Trajectories, diagonal_half)
 
 
 class TestMatchFrame:
@@ -319,14 +319,16 @@ class TestStep:
 
 def _engine_state(eng):
     """Everything step may mutate, in comparable form: the live rows, the
-    log, and every track as the engine reports it. The tracks are read
-    first: a read folds the log into them and empties it."""
+    log, every track as the engine reports it and the trajectory table.
+    The tracks are read first: a read folds the log into them and the
+    kept columns, and empties it."""
     tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
                     t.last_histogram.tolist(), set(t.matched_frames), t.d_max)
               for tid, t in eng.tracks.items()}
     rows = {name: a.tolist() for name, a in vars(eng._rows).items()}  # histograms by value
     log = [(f, ids.tolist(), boxes.tolist(), matched.tolist()) for f, ids, boxes, matched in eng._log]
-    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], rows, log, tracks)
+    return (eng.last_frame, [t.track_id for t in eng.live_tracks()], rows, log, tracks,
+            eng.trajectories())
 
 
 class _ScalarReplay:
@@ -549,6 +551,31 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
     assert 10 * max(handed) < len(eng.tracks)
 
 
+def _table_of_tracks(tracks):
+    """The trajectory table of the tracks' own states and matched frames."""
+    states = Trajectories.of({t.track_id: t.states for t in tracks})
+    matched = [f in t.matched_frames for t in tracks for f in sorted(t.states)]
+    return Trajectories(states.ids, states.frames, states.boxes, np.array(matched, dtype=bool))
+
+
+@pytest.mark.parametrize("reads", [0, 9])
+def test_trajectories_are_the_valid_tracks_states(reads):
+    """The table `trajectories` sorts from the log columns the reads keep
+    holds the states and matched frames of the valid tracks, whether the
+    engine is read once at the end or between steps too."""
+    stream = scenario.generate(scenario.bench_scenario(frames=200, seed=3)).detections_by_frame
+    eng = TrackingEngine()
+    frames = range(min(stream), max(stream) + 1)
+    for f in frames:
+        eng.step(f, stream.get(f, []))
+        if reads and f % (len(frames) // reads) == 0:
+            assert eng.trajectories() == _table_of_tracks(eng.valid_tracks())
+    table = eng.trajectories()
+    assert table == _table_of_tracks(eng.valid_tracks())
+    # noise tracks left out, and held rows kept as unmatched
+    assert any(t.status == NOISE for t in eng.tracks.values()) and not table.matched.all()
+
+
 def test_bench_steps_generated_frames_as_they_are(monkeypatch):
     """run_bench steps the generator's `Frame`s, each handed back by
     `Frame.of` as it is."""
@@ -610,16 +637,15 @@ def test_rejected_frame_raises_as_list_does(rejection):
 def test_frame_rejects_bad_box_as_states_do(box):
     """A non-finite or non-positive box row, or one whose area l * h or
     aspect l / h overflows, is the ValueError, with the message, of the bulk state
-    check `ObjectState.rows`; a single `ObjectState` of it is a ValueError
-    too."""
+    check `ObjectState.rows`, and so is a single `ObjectState` of it."""
     boxes = np.array([[10.0, 10.0, 5.0, 5.0], box])
     with pytest.raises(ValueError) as state_error:
         ObjectState.rows(boxes)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as one_error:
         ObjectState(*box)
     with pytest.raises(ValueError) as frame_error:
         Frame(0, [0, 1], boxes, np.ones((2, 96)))
-    assert str(frame_error.value) == str(state_error.value)
+    assert str(frame_error.value) == str(one_error.value) == str(state_error.value)
 
 
 @settings(max_examples=60, deadline=None)

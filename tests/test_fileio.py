@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_track
-from mftrack import fileio
+from conftest import boxes, make_track
+from mftrack import fileio, metrics
 from mftrack.errors import ConfigError, HistogramShapeError, ParseError
 from mftrack.pipeline import track_stream
 from mftrack.scenario import bench_scenario, generate, lanes_scenario
-from mftrack.types import Frame, ObjectState, TrackerConfig
+from mftrack.types import Frame, ObjectState, TrackerConfig, Trajectories
 
 
 class TestRebin:
@@ -270,14 +270,21 @@ def test_interleaved_frames_load_as_line_parser(tmp_path):
 def test_ordered_load_does_not_import_numpy_ma(tmp_path):
     """Loading a file whose frames are each one run of rows, in a fresh
     interpreter, leaves numpy.ma unimported: np.unique imports it on its
-    first call, about 10 ms of every `mftrack track`."""
-    path = tmp_path / "d.txt"
-    fileio.write_detections(path, generate(lanes_scenario(n_objects=2, duration=9)).detections_by_frame)
+    first call, about 10 ms of every `mftrack track`. So does loading
+    ground truth, its rows in order or not, and evaluating against it."""
+    res = generate(lanes_scenario(n_objects=2, duration=9))
+    path, gt, shuffled = tmp_path / "d.txt", tmp_path / "gt.txt", tmp_path / "shuffled.gt.txt"
+    fileio.write_detections(path, res.detections_by_frame)
+    fileio.write_ground_truth(gt, res.gt)
+    shuffled.write_text("".join(reversed(gt.read_text().splitlines(keepends=True))))
+    # ground truth loaded and evaluated too, in (id, frame) order and sorted
     code = ("import sys, numpy; print('numpy.ma' in sys.modules); "
-            "from mftrack import fileio; fileio.load_detections(sys.argv[1], 96); "
-            "print('numpy.ma' in sys.modules)")
+            "from mftrack import fileio, metrics; fileio.load_detections(sys.argv[1], 96); "
+            "gts = [fileio.load_ground_truth(p) for p in sys.argv[2:]]; "
+            "metrics.evaluate(gts[0], gts[1]); print('numpy.ma' in sys.modules)")
     src = os.path.dirname(os.path.dirname(fileio.__file__))
-    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, str(path), str(gt), str(shuffled)],
+                         capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
     if out[0] == "True":
         pytest.skip("importing numpy alone loads numpy.ma")
@@ -362,13 +369,23 @@ _TABLE_CORPUS = [
     (6, "99999999999999999999 0 10 10 5 5\n"),
     (6, "0 0 1e400 10 5 5\n"),
     (6, "0 0 .5 10 5 5\n"),
+    (7, "2 0 10 10 5 5 2\n"),
+    (7, "2 1 10 10 5 5 0\n2 0 10 10 5 5 1\n1 5 10 10 5 5 1\n"),
+    (6, "0 0 10 10 5 5\n0 0 10 10 5 5\n"),
     *_TABLE_BULK,
 ]
 
 
+def _table_columns(table):
+    """A trajectory table's columns, bit for bit."""
+    return [(c.dtype, c.shape, c.tobytes()) for c in (table.ids, table.frames, table.boxes,
+                                                      table.matched)]
+
+
 def _table_outcome(read, path, ncols):
+    """What a table reader made of a file: its table, bit for bit, or its error."""
     try:
-        return repr(read(path, ncols))
+        return _table_columns(read(path, ncols))
     except Exception as e:  # compared between the two readers
         return type(e), str(e)
 
@@ -682,8 +699,8 @@ def test_byte_order_mark_keeps_the_block_path(tmp_path, monkeypatch, parts, head
     fileio.write_ground_truth(gt, res.gt)
     fileio.write_trajectories(trk, engine.valid_tracks())
     loads = [(det, lambda path: _outcome(fileio.load_detections, path, 96)),
-             (gt, lambda path: repr(fileio.load_ground_truth(path))),
-             (trk, lambda path: repr(fileio.load_trajectories(path)))]
+             (gt, lambda path: _table_columns(fileio.load_ground_truth(path))),
+             (trk, lambda path: _table_columns(fileio.load_trajectories(path)))]
     for path, _ in loads:
         path.write_bytes(head + path.read_bytes())
     want = [load(path) for path, load in loads]
@@ -809,6 +826,8 @@ def test_parent_parse_error_kills_and_reaps_children(tmp_path, monkeypatch):
 @pytest.mark.parametrize("load,rows", [
     (fileio.load_ground_truth, ["0 0 10 10 5 5", "1 0 50 50 5 5", "0 0 90 90 5 5"]),
     (fileio.load_trajectories, ["4 2 10 10 5 5 1", "4 3 11 10 5 5 0", "4 2 90 90 5 5 1"]),
+    # in (id, frame) order, the repeat right after its first row
+    (fileio.load_ground_truth, ["0 0 10 10 5 5", "0 1 50 50 5 5", "0 1 90 90 5 5"]),
 ])
 @pytest.mark.parametrize("reader", ["block", "lines"])
 def test_repeated_id_and_frame_rejected(tmp_path, load, rows, reader):
@@ -823,6 +842,19 @@ def test_repeated_id_and_frame_rejected(tmp_path, load, rows, reader):
         load(path)
 
 
+@pytest.mark.parametrize("flag", ["2", "-1", "9223372036854775807"])
+@pytest.mark.parametrize("reader", ["block", "lines"])
+def test_status_flag_outside_0_and_1_rejected(tmp_path, flag, reader):
+    """A status flag is 1 (matched) or 0 (held): any other integer is a
+    ParseError naming its line, with one message whether the file parses
+    as one block or line by line."""
+    path = tmp_path / "t.trk.txt"
+    path.write_text(("# café\n+" if reader == "lines" else "# header\n") +
+                    f"4 2 10 10 5 5 1\n4 3 11 10 5 5 {flag}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{path}:3: status flag {flag} is not 0 or 1$"):
+        fileio.load_trajectories(path)
+
+
 @pytest.mark.parametrize("spec", _WORKLOADS)
 def test_workload_tables_match_line_parser(tmp_path, spec):
     res = generate(spec)
@@ -833,21 +865,25 @@ def test_workload_tables_match_line_parser(tmp_path, spec):
     assert fileio.load_trajectories(traj) == engine.trajectories()
     assert fileio.load_ground_truth(gt) == res.gt
     for path, ncols in ((traj, 7), (gt, 6)):
-        assert repr(fileio._load_table(path, ncols)) == repr(fileio._table_by_line(path, ncols))
+        assert _table_outcome(fileio._load_table, path, ncols) == \
+            _table_outcome(fileio._table_by_line, path, ncols)
 
 
 class TestGroundTruthIO:
     def test_round_trip(self, tmp_path):
-        gt = {0: {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)},
-              3: {7: ObjectState(9, 9, 1, 1)}}
+        gt = Trajectories.of({0: {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)},
+                              3: {7: ObjectState(9, 9, 1, 1)}})
         path = tmp_path / "gt.txt"
         fileio.write_ground_truth(path, gt)
         assert fileio.load_ground_truth(path) == gt
 
     def test_loads_in_gt_id_order(self, tmp_path):
         path = tmp_path / "gt.txt"
-        path.write_text("3 7 9 9 1 1\n0 1 5 5 2 2\n3 8 9 9 1 1\n")
-        assert list(fileio.load_ground_truth(path)) == [0, 3]
+        path.write_text("3 8 9 9 1 1\n0 1 5 5 2 2\n3 7 9 9 1 1\n")
+        gt = fileio.load_ground_truth(path)
+        assert (gt.ids.tolist(), gt.frames.tolist()) == ([0, 3, 3], [1, 7, 8])
+        assert gt.boxes.tolist() == [[5, 5, 2, 2], [9, 9, 1, 1], [9, 9, 1, 1]]
+        assert gt.matched.all()
 
 
 class TestTrajectoriesIO:
@@ -859,7 +895,8 @@ class TestTrajectoriesIO:
         path = tmp_path / "trk.txt"
         fileio.write_trajectories(path, [t])
         loaded = fileio.load_trajectories(path)
-        assert loaded == {4: dict(t.states)}
+        assert loaded == Trajectories(np.array([4, 4, 4]), np.array([0, 1, 2]),
+                                      boxes(t.states.values()), np.array([True, True, False]))
         lines = path.read_text().splitlines()
         assert [ln.split()[-1] for ln in lines] == ["1", "1", "0"]
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mftrack import kalman, kernels
+from conftest import boxes as box_rows
+from mftrack import kalman
 from mftrack.errors import NumericOverflowError
 from mftrack.types import ObjectState, TrackerConfig
 
@@ -275,7 +276,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
     starts, frames, overflow = run
     filters = [kalman.init_kalman(s, cfg) for s in starts]
     prev = list(starts)
-    rows = kalman.init_rows(kernels.boxes(starts), cfg)
+    rows = kalman.init_rows(box_rows(starts), cfg)
     _assert_rows_equal(rows, filters)
 
     for f, measured in enumerate(frames):
@@ -310,7 +311,7 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
                                     for (ks, es), z, p in zip(predicted, measured, prev)])
             # one call: it writes the rows in place, so a second would correct them twice
             got = _raised(lambda: out.append(kalman.correct_rows(
-                rows, hit, kernels.boxes([measured[i] for i in hit]), boxes[hit], cfg.w,
+                rows, hit, box_rows([measured[i] for i in hit]), boxes[hit], cfg.w,
                 cfg.measurement_noise)))
         assert str(got) == str(want)
         if want is not None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import boxes
 from mftrack import kernels
 from mftrack.similarity import (
     area_similarity,
@@ -41,8 +42,8 @@ def test_kernel_matches_scalar_reference():
     weights = (1.0, 0.5, 2.0, 1.5)
     for _ in range(5):
         tstates, dstates, thist, dhist, m, treach = random_batch(rng, 7, 9, 24)
-        got = kernels.score_matrix(kernels.boxes(tstates), treach, thist,
-                                   kernels.boxes(dstates), dhist, weights)
+        got = kernels.score_matrix(boxes(tstates), treach, thist,
+                                   boxes(dstates), dhist, weights)
         want = scalar_reference(tstates, dstates, thist, dhist, m, weights)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -79,8 +80,8 @@ def test_sparse_kernel_equals_dense_reference_exactly(reach, gated, nt, nd):
         # bins empty in both histograms of some pairs
         thist[:, ::5] = 0.0
         dhist[:, ::5] = 0.0
-        got = kernels.score_matrix(kernels.boxes(tstates), treach, thist,
-                                   kernels.boxes(dstates), dhist, weights)
+        got = kernels.score_matrix(boxes(tstates), treach, thist,
+                                   boxes(dstates), dhist, weights)
         want = dense_reference(tstates, treach, thist, dstates, dhist, weights)
         assert np.array_equal(got, want)
         if gated == "all":
@@ -90,17 +91,18 @@ def test_sparse_kernel_equals_dense_reference_exactly(reach, gated, nt, nd):
 
 
 def test_boxes_rows():
+    """The tests' box rows of states, which score_matrix takes."""
     states = [ObjectState(1.5, 2.0, 3.0, 4.0), ObjectState(5.0, 6.0, 7.0, 8.5)]
-    assert np.array_equal(kernels.boxes(states), [[1.5, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.5]])
-    assert kernels.boxes([]).shape == (0, 4)
+    assert np.array_equal(boxes(states), [[1.5, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.5]])
+    assert boxes([]).shape == (0, 4)
 
 
 def test_empty_inputs():
-    b = kernels.boxes([])
+    b = boxes([])
     h = np.empty((0, 8))
     out = kernels.score_matrix(b, np.empty(0), h, b, h, (1, 1, 1, 1))
     assert out.shape == (0, 0)
-    one = kernels.boxes([ObjectState(1.0, 1.0, 2.0, 2.0)])
+    one = boxes([ObjectState(1.0, 1.0, 2.0, 2.0)])
     out = kernels.score_matrix(one, np.ones(1), np.ones((1, 8)), b, h, (1, 1, 1, 1))
     assert out.shape == (1, 0)
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import boxes
 from mftrack.errors import MeasurementError, MetricError
 from mftrack.metrics import (
     _iou_matrix,
@@ -12,12 +15,23 @@ from mftrack.metrics import (
     m3,
     throughput,
 )
-from mftrack.types import ObjectState
+from mftrack.types import ObjectState, Trajectories
 
 
 def moving(frames, x=50.0, y=50.0, step=0.0):
     """A ground-truth object's states: a 10x10 box stepping along x."""
     return {f: ObjectState(x + step * f, y, 10, 10) for f in frames}
+
+
+# {id: {frame: state}} of up to 5 ids and 8 of frames 0..9, each box one
+# of a few positions and sizes, so that boxes coincide and IoUs tie
+_OBJECTS = st.dictionaries(
+    st.integers(0, 12),
+    st.dictionaries(st.integers(0, 9),
+                    st.builds(ObjectState, st.sampled_from([45.0, 50.0, 55.0]), st.just(50.0),
+                              st.sampled_from([10.0, 20.0]), st.just(10.0)),
+                    min_size=1, max_size=8),
+    max_size=5)
 
 
 class TestIoU:
@@ -36,39 +50,40 @@ class TestIoU:
 
     def test_matrix_equals_scalar_iou_exactly(self):
         rng = np.random.default_rng(4)
-        boxes = [ObjectState(*rng.uniform(0, 60, 2), *rng.uniform(1, 30, 2)) for _ in range(40)]
-        gs, ts = boxes[:15], boxes[15:] + boxes[:3]
+        states = [ObjectState(*rng.uniform(0, 60, 2), *rng.uniform(1, 30, 2)) for _ in range(40)]
+        gs, ts = states[:15], states[15:] + states[:3]
         want = np.array([[iou(g, t) for t in ts] for g in gs])
-        assert np.array_equal(_iou_matrix(gs, ts), want)
+        assert np.array_equal(_iou_matrix(boxes(gs), boxes(ts)), want)
         assert 0 < np.count_nonzero(want) < want.size
 
 class TestAssociate:
     def test_matches_identical_boxes(self):
-        gt = {0: moving(range(3))}
-        tracks = {1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}}
+        gt = Trajectories.of({0: moving(range(3))})
+        tracks = Trajectories.of({1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}})
         corr = associate(gt, tracks)
         assert corr == {0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]}
 
     def test_below_threshold_unmatched(self):
-        gt = {0: moving([0])}
-        tracks = {1: {0: ObjectState(55, 55, 10, 10)}}  # IoU = 1/7 < 0.5
+        gt = Trajectories.of({0: moving([0])})
+        tracks = Trajectories.of({1: {0: ObjectState(55, 55, 10, 10)}})  # IoU = 1/7 < 0.5
         assert associate(gt, tracks) == {0: []}
 
     def test_greedy_and_hungarian_agree_on_clear_case(self):
-        gt = {0: moving([0], x=50), 1: moving([0], x=200)}
-        tracks = {1: {0: ObjectState(51, 50, 10, 10)}, 2: {0: ObjectState(201, 50, 10, 10)}}
+        gt = Trajectories.of({0: moving([0], x=50), 1: moving([0], x=200)})
+        tracks = Trajectories.of({1: {0: ObjectState(51, 50, 10, 10)},
+                                  2: {0: ObjectState(201, 50, 10, 10)}})
         assert associate(gt, tracks, method="greedy") == associate(gt, tracks, method="hungarian")
 
     def test_one_to_one(self):
-        gt = {0: moving([0], x=50), 1: moving([0], x=52)}
-        tracks = {1: {0: ObjectState(51, 50, 10, 10)}}
+        gt = Trajectories.of({0: moving([0], x=50), 1: moving([0], x=52)})
+        tracks = Trajectories.of({1: {0: ObjectState(51, 50, 10, 10)}})
         corr = associate(gt, tracks)
         assert len(corr[0]) == 1
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_frame_without_tracks_has_no_pairs(self, method):
-        gt = {0: moving(range(3))}
-        tracks = {1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}}
+        gt = Trajectories.of({0: moving(range(3))})
+        tracks = Trajectories.of({1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}})
         assert associate(gt, tracks, method=method) == {0: [(0, 1)], 1: [], 2: [(0, 1)]}
         assert evaluate(gt, tracks, method=method).m1 == pytest.approx(2 / 3)
 
@@ -76,7 +91,7 @@ class TestAssociate:
                                     {"method": "optimal"}])
     def test_rejects_bad_arguments(self, kw):
         with pytest.raises(ValueError):
-            associate({0: moving([0])}, {1: moving([0])}, **kw)
+            associate(Trajectories.of({0: moving([0])}), Trajectories.of({1: moving([0])}), **kw)
 
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
@@ -101,15 +116,28 @@ class TestAssociate:
             tracks[40] = dict(tracks[max(tracks)])
             gt = {9: dict(list(gt.values())[-1]), **gt}
             for thr in (0.3, 0.5):
-                assert associate(gt, tracks, thr, method) == _pairwise_iou_loop(gt, tracks, thr, method)
+                assert associate(Trajectories.of(gt), Trajectories.of(tracks), thr, method) == \
+                    _pairwise_iou_loop(gt, tracks, thr, method)
+
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    @settings(max_examples=100, deadline=None)
+    @given(gt=_OBJECTS, tracks=_OBJECTS, thr=st.sampled_from([0.3, 0.5, 1.0]))
+    def test_matches_pairwise_iou_loop_on_generated_sets(self, method, gt, tracks, thr):
+        """Generated sets, boxes on a coarse grid so that IoUs tie: frames
+        that no track covers, objects of one row, and tracks in frames
+        without ground truth; the correspondence equals the loop's."""
+        assert associate(Trajectories.of(gt), Trajectories.of(tracks), thr, method) == \
+            _pairwise_iou_loop(gt, tracks, thr, method)
 
 
 def _pairwise_iou_loop(gt, tracks, iou_threshold, method):
+    """The correspondence of one `iou` call per pair, frame by frame,
+    ground truth and tracks each in id order, the order of their tables."""
     from scipy.optimize import linear_sum_assignment
 
     correspondence = {}
     for f in sorted({f for states in gt.values() for f in states}):
-        gts = [(gid, states[f]) for gid, states in gt.items() if f in states]
+        gts = [(gid, gt[gid][f]) for gid in sorted(gt) if f in gt[gid]]
         trs = [(tid, tracks[tid][f]) for tid in sorted(tracks) if f in tracks[tid]]
         if not trs:
             correspondence[f] = []
@@ -136,51 +164,47 @@ def _pairwise_iou_loop(gt, tracks, iou_threshold, method):
 
 class TestM1:
     def test_full_coverage(self):
-        gt = {0: moving(range(10))}
+        gt = Trajectories.of({0: moving(range(10))})
         corr = {f: [(0, 1)] for f in range(10)}
         assert m1(corr, gt) == 1.0
 
     def test_partial(self):
-        gt = {0: moving(range(100))}
+        gt = Trajectories.of({0: moving(range(100))})
         corr = {f: ([(0, 1)] if f < 36 else []) for f in range(100)}
         assert m1(corr, gt) == pytest.approx(0.36)
 
     def test_no_matches(self):
-        gt = {0: moving(range(5))}
+        gt = Trajectories.of({0: moving(range(5))})
         assert m1({f: [] for f in range(5)}, gt) == 0.0
 
     def test_empty_gt_rejected(self):
         with pytest.raises(MetricError):
-            m1({}, {})
-
-    def test_object_without_states_rejected(self):
-        with pytest.raises(MetricError, match=r"without states: \[0\]"):
-            m1({}, {0: {}})
+            m1({}, Trajectories.of({}))
 
 
 class TestM2:
     def test_single_id(self):
-        gt = {0: moving(range(4))}
+        gt = Trajectories.of({0: moving(range(4))})
         corr = {f: [(0, 7)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_five_fragments(self):
-        gt = {0: moving(range(100))}
+        gt = Trajectories.of({0: moving(range(100))})
         corr = {f: [(0, 1 + f // 20)] for f in range(100)}
         assert m2(corr, gt) == pytest.approx(0.2)
 
     def test_mixed(self):
-        gt = {0: moving(range(4)), 1: moving(range(4))}
+        gt = Trajectories.of({0: moving(range(4)), 1: moving(range(4))})
         corr = {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 3)], 2: [], 3: []}
         assert m2(corr, gt) == pytest.approx(0.75)  # (1 + 1/2) / 2
 
     def test_unmatched_objects_excluded(self):
-        gt = {0: moving(range(4)), 1: moving(range(4))}
+        gt = Trajectories.of({0: moving(range(4)), 1: moving(range(4))})
         corr = {f: [(0, 1)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_fragmentation_strictly_decreases_m2(self):
-        gt = {0: moving(range(120))}
+        gt = Trajectories.of({0: moving(range(120))})
         vals = []
         for k in (1, 2, 3, 4, 6):
             corr = {f: [(0, 1 + f * k // 120)] for f in range(120)}
@@ -204,8 +228,8 @@ class TestM3:
 
 class TestEvaluate:
     def test_mbar_identity(self):
-        gt = {0: moving(range(50), step=1.0)}
-        tracks = {1: {f: ObjectState(50 + f, 50, 10, 10) for f in range(50)}}
+        gt = Trajectories.of({0: moving(range(50), step=1.0)})
+        tracks = Trajectories.of({1: {f: ObjectState(50 + f, 50, 10, 10) for f in range(50)}})
         rep = evaluate(gt, tracks)
         assert rep.m_bar == pytest.approx((rep.m1 + rep.m2 + rep.m3) / 3, abs=1e-12)
         assert rep.m1 == rep.m2 == rep.m3 == 1.0
@@ -213,27 +237,23 @@ class TestEvaluate:
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(31)
-        gt = {i: moving(range(20), x=50 + 40 * i) for i in range(3)}
-        tracks = {
+        gt = Trajectories.of({i: moving(range(20), x=50 + 40 * i) for i in range(3)})
+        tracks = Trajectories.of({
             j: {f: ObjectState(float(rng.uniform(30, 180)), 50, 10, 10) for f in range(20)}
             for j in range(1, 5)
-        }
+        })
         rep = evaluate(gt, tracks)
         for v in (rep.m1, rep.m2, rep.m3, rep.m_bar):
             assert 0.0 <= v <= 1.0
-
-    def test_object_without_states_rejected(self):
-        tracks = {1: {0: ObjectState(50, 50, 10, 10)}}
-        with pytest.raises(MetricError, match=r"without states: \[0\]"):
-            evaluate({0: {}, 1: moving([0])}, tracks)
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_scores_are_the_metric_functions(self, method):
         """evaluate reports m1, m2 and m3 of its association, bit for bit."""
         rng = np.random.default_rng(5)
-        gt = {i: moving(range(30), x=50 + 15 * i) for i in range(4)}
-        tracks = {j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
-                      for f in range(int(rng.integers(0, 5)), 30)} for j in range(1, 7)}
+        gt = Trajectories.of({i: moving(range(30), x=50 + 15 * i) for i in range(4)})
+        tracks = Trajectories.of({j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
+                                      for f in range(int(rng.integers(0, 5)), 30)}
+                                  for j in range(1, 7)})
         corr = associate(gt, tracks, method=method)
         rep = evaluate(gt, tracks, method=method)
         assert (rep.m1, rep.m2, rep.m3) == (m1(corr, gt), m2(corr, gt), m3(corr))

@@ -17,7 +17,7 @@ from mftrack.scenario import (
     spec_from_json,
     spec_to_json,
 )
-from mftrack.types import Frame, ObjectState, TrackerConfig
+from mftrack.types import Frame, TrackerConfig
 
 
 def single_object_spec(duration=100, speed=2.0, **kw):
@@ -45,7 +45,7 @@ class TestGenerate:
         res = generate(single_object_spec())
         for f, dets in res.detections_by_frame.items():
             assert len(dets) == 1
-            assert ObjectState(*dets.boxes[0]) == res.gt[0][f]
+            assert dets.boxes[0].tolist() == res.gt.boxes[res.gt.frames == f][0].tolist()
 
     def test_burst_drop_single_gap(self):
         res = generate(single_object_spec(burst_drops=((0, 40, 3),)))
@@ -57,11 +57,12 @@ class TestGenerate:
         obj = MotionScript(waypoints=((0, 0, 0.001, 10, 10), (10, 20, 0.001, 10, 10),
                                       (20, 20, 50, 10, 30)))
         res = generate(ScenarioSpec(seed=0, duration=21, objects=(obj,)))
-        s5 = res.gt[0][5]
-        assert (s5.x, s5.y) == (10, 0.001)
-        s15 = res.gt[0][15]
-        assert s15.y == pytest.approx(25.0005)
-        assert s15.h == pytest.approx(20.0)
+        assert res.gt.frames.tolist() == list(range(21))  # object 0's rows, in frame order
+        x5, y5, _, _ = res.gt.boxes[5]
+        assert (x5, y5) == (10, 0.001)
+        _, y15, _, h15 = res.gt.boxes[15]
+        assert y15 == pytest.approx(25.0005)
+        assert h15 == pytest.approx(20.0)
 
     def test_clutter_spread_bounded(self):
         blob = ClutterBlob(start_frame=0, lifetime=50, x=100, y=100)
