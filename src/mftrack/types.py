@@ -97,8 +97,8 @@ def check_boxes(boxes: np.ndarray) -> None:
         raise ValueError("non-finite state component in box rows")
     if not len(boxes):
         return
-    (l_min, h_min), (l_max, h_max) = (boxes[:, 2:].min(axis=0).tolist(),
-                                      boxes[:, 2:].max(axis=0).tolist())
+    l, h = boxes[:, 2], boxes[:, 3]
+    l_min, h_min, l_max, h_max = float(l.min()), float(h.min()), float(l.max()), float(h.max())
     if not (l_min > 0 and h_min > 0):
         raise ValueError("box dimensions must be positive")
     # an area or an aspect overflows only if the largest l times the largest
@@ -108,7 +108,6 @@ def check_boxes(boxes: np.ndarray) -> None:
     area = math.isfinite(l_max * h_max)
     aspect = math.isfinite(l_max / h_min) and math.isfinite(h_max / l_min)
     if not (area and aspect):
-        l, h = boxes[:, 2], boxes[:, 3]
         with np.errstate(over="ignore"):  # an overflow is the fault reported
             if not (area or np.isfinite(l * h).all()):
                 raise ValueError("box area l * h must be finite")
