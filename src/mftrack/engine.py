@@ -8,15 +8,14 @@ one block per frame. `match_frame` reads a frame: it validates it,
 predicts the filter rows, scores the pairs and resolves the assignment,
 changing nothing. `TrackingEngine.step` then writes it, one column
 operation at a time: correct, hold, spawn, log, sweep. No object is made
-per detection or per track on the way; `Track` objects are filled from
-the store and the log only when they are read.
+per detection or per track on the way; `Track` objects take their rows
+of the log, and their counters from the store, only when they are read.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .types import (
     TERMINATED,
     WAITING,
     Frame,
-    ObjectState,
     Track,
     TrackerConfig,
     Trajectories,
@@ -39,7 +37,7 @@ _KF = kalman.WIDTH  # LiveRows.real: filter, d_max, box, base, histogram
 _D_MAX, _BOX, _BASE, _HIST = _KF, slice(_KF + 1, _KF + 5), _KF + 5, slice(_KF + 6, None)
 _MATCHED = slice(_KF + 1, None)  # box, base and histogram: what a match writes
 _ID, _BIRTH, _F_L, _N_R, _N_C = range(5)  # LiveRows.count columns
-_READ_CHUNK = 64  # log blocks TrackingEngine._read folds at once
+_READ_CHUNK = 64  # log blocks TrackingEngine._read takes at once
 
 
 @dataclass(eq=False)
@@ -228,12 +226,11 @@ class TrackingEngine:
     end frame. `step` touches no `Track`.
 
     `tracks` holds every track ever created, in id order. Reading it, or
-    any method that lists tracks, first folds the log blocks into the
-    tracks' states, which then hold the history alone, and copies the
-    counters from the store; the rows the sweep dropped wait in `_ended`
-    until then. The fold keeps the blocks' rows too, as the columns
-    (frames, ids, boxes, matched) in `_kept`, in step order, which
-    `trajectories` sorts into a table. Ids only grow, dense from 1.
+    any method that lists tracks, first appends each track's rows of the
+    log blocks to its columns, which then hold the history alone, and
+    copies the counters from the store; the rows the sweep dropped wait
+    in `_ended` until then. `trajectories` puts the valid tracks' columns
+    end to end. Ids only grow, dense from 1.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -244,8 +241,6 @@ class TrackingEngine:
         # (frame, count, d_max, hist, noisy) of the rows each sweep ended
         self._ended: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._tracks: dict[int, Track] = {}
-        self._kept = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
-                       np.zeros(0, dtype=bool))]
         self._n_born = 0
         self.last_frame: int | None = None
 
@@ -331,33 +326,29 @@ class TrackingEngine:
                            waiting=result.unmatched_tracks, terminated=terminated, noise=noise)
 
     def _read(self) -> None:
-        """Bring `_tracks` up to the last step: fold the log blocks into
-        the states, keeping their columns and dropping each chunk of blocks
-        once it is folded, then copy the counters of the ended rows and of
-        the live rows."""
+        """Bring `_tracks` up to the last step: append each track's rows of
+        the log blocks to its columns, a chunk of blocks at a time, each
+        chunk dropped from the log as it is read, then copy the counters of
+        the ended rows and of the live rows."""
         log, tracks = self._log, self._tracks
         if not log:
             return
-        # a chunk of blocks at a time, which bounds the memory the read takes
-        while log:
-            blocks = list(islice(log, _READ_CHUNK))
-            # each frame's int as step was given it, not a copy per row
-            frames = [f for f, ids, _, _ in blocks for _ in range(len(ids))]
+        while log:  # a chunk at a time, which bounds the memory the read takes
+            blocks = [log.popleft() for _ in range(min(_READ_CHUNK, len(log)))]
+            frames = np.repeat(np.array([b[0] for b in blocks], dtype=np.int64),
+                               [len(b[1]) for b in blocks])
             ids, boxes, matched = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
-            self._kept.append((np.repeat([b[0] for b in blocks], [len(b[1]) for b in blocks]),
-                               ids, boxes, matched))
-            corrected = iter(ObjectState.rows(boxes[matched]))
-            for f, tid, hit in zip(frames, ids.tolist(), matched.tolist()):
+            # step order is frame order within each id: one stable sort by id
+            order = np.argsort(ids, kind="stable")
+            ids, frames, boxes, matched = ids[order], frames[order], boxes[order], matched[order]
+            starts = np.flatnonzero(np.diff(ids, prepend=0))  # ids start at 1
+            ends = [*starts[1:].tolist(), len(ids)]
+            for tid, lo, hi in zip(ids[starts].tolist(), starts.tolist(), ends):
                 t = tracks.get(tid)
-                if t is None:  # its first block: born at f
-                    t = tracks[tid] = Track(tid, f, {}, None, f)
-                if hit:
-                    t.states[f] = next(corrected)
-                    t.matched_frames.add(f)
+                if t is None:  # its first rows: born at the first of their frames
+                    tracks[tid] = Track(tid, frames[lo:hi], boxes[lo:hi], matched[lo:hi], None, 0)
                 else:
-                    t.states[f] = t.last_cs
-            for _ in blocks:
-                log.popleft()
+                    t.append(frames[lo:hi], boxes[lo:hi], matched[lo:hi])
         for f_c, count, d_max, hist, noisy in self._ended:
             self._fill(f_c, count, d_max, hist, [NOISE if n else TERMINATED for n in noisy.tolist()])
         self._ended.clear()
@@ -380,14 +371,5 @@ class TrackingEngine:
                 f_l, n_r, f_c - birth + 1 - n_r, status, h, d)
 
     def trajectories(self) -> Trajectories:
-        """The states of every valid track (noise excluded) as one table."""
-        self._read()
-        if len(self._kept) > 1:
-            self._kept = [tuple(map(np.concatenate, zip(*self._kept)))]
-        frames, ids, boxes, matched = self._kept[0]
-        noise = np.zeros(self._n_born + 1, dtype=bool)
-        noise[[t.track_id for t in self._tracks.values() if t.status == NOISE]] = True
-        # step order is frame order within each id: one stable sort by id
-        order = np.argsort(ids, kind="stable")
-        rows = order[~noise[ids[order]]]
-        return Trajectories(ids[rows], frames[rows], boxes[rows], matched[rows])
+        """The rows of every valid track (noise excluded) as one table."""
+        return Trajectories.of_tracks(self.valid_tracks())

@@ -119,16 +119,12 @@ def _rebin(raw: np.ndarray, n: int) -> np.ndarray:
     return raw.reshape(*lead, 3, b, 256 // b).sum(axis=-1).reshape(*lead, n)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_detections(path: str | Path, frames: dict[int, Frame]) -> None:
     """One row per detection, frames in id order, rows in frame order."""
     with open(path, "w") as fh:
         for f in sorted(frames):
             frame = frames[f]
-            # tolist gives Python floats, whose repr is _fmt's text
+            # tolist gives Python floats, whose repr is the text written
             rows = np.hstack([frame.boxes, frame.hist]).tolist()
             fh.writelines(f"{frame.frame_id} {did} {' '.join(map(repr, row))}\n"
                           for did, row in zip(frame.ids.tolist(), rows))
@@ -466,7 +462,7 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
 def write_ground_truth(path: str | Path, gt: Trajectories) -> None:
     """One row per row of the table, in its (id, frame) order."""
     with open(path, "w") as fh:
-        # tolist gives Python floats, whose repr is _fmt's text
+        # tolist gives Python floats, whose repr is the text written
         fh.writelines(f"{gid} {f} {x!r} {y!r} {l!r} {h!r}\n" for gid, f, (x, y, l, h) in
                       zip(gt.ids.tolist(), gt.frames.tolist(), gt.boxes.tolist()))
 
@@ -536,12 +532,14 @@ def load_ground_truth(path: str | Path) -> Trajectories:
 
 
 def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
+    """One row per row of the tracks, in (id, frame) order, ending in its
+    status flag: 1 where the track matched, 0 where it held its box."""
+    table = Trajectories.of_tracks(sorted(tracks, key=lambda t: t.track_id))
     with open(path, "w") as fh:
-        for t in sorted(tracks, key=lambda t: t.track_id):
-            for f in sorted(t.states):
-                s = t.states[f]
-                flag = 1 if f in t.matched_frames else 0
-                fh.write(f"{t.track_id} {f} {_fmt(s.x)} {_fmt(s.y)} {_fmt(s.l)} {_fmt(s.h)} {flag}\n")
+        # tolist gives Python floats, whose repr is the text written
+        fh.writelines(f"{tid} {f} {x!r} {y!r} {l!r} {h!r} {hit:d}\n"
+                      for tid, f, (x, y, l, h), hit in zip(table.ids.tolist(), table.frames.tolist(),
+                                                           table.boxes.tolist(), table.matched.tolist()))
 
 
 def load_trajectories(path: str | Path) -> Trajectories:

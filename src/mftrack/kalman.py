@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericOverflowError
-from .types import ObjectState, TrackerConfig
+from .types import ObjectState, TrackerConfig, check_boxes
 
 # floor for predicted box dimensions; a long waiting streak under the
 # constant-velocity model can otherwise drive l or h non-positive
@@ -71,18 +71,32 @@ def init_kalman(state: ObjectState, cfg: TrackerConfig) -> np.ndarray:
                            (cfg.measurement_noise, 0.0, _velocity_noise(cfg)[0])))
 
 
-def _state_from_mean(mean: np.ndarray) -> ObjectState:
+def _state_from_mean(mean: np.ndarray, message: str) -> ObjectState:
+    """The box of a finite mean, l and h floored; a box that `ObjectState`
+    refuses is a NumericOverflowError."""
     x, y, l, h = mean
-    return ObjectState(float(x), float(y), max(float(l), _MIN_EXTENT), max(float(h), _MIN_EXTENT))
+    try:
+        return ObjectState(float(x), float(y), max(float(l), _MIN_EXTENT), max(float(h), _MIN_EXTENT))
+    except ValueError:
+        raise NumericOverflowError(message) from None
 
 
 # per-column floor of a box row: x and y free, l and h at least _MIN_EXTENT
 _FLOOR = np.array([-np.inf, -np.inf, _MIN_EXTENT, _MIN_EXTENT])
 
 
-def _floored(means: np.ndarray) -> np.ndarray:
-    """Box rows of `means`, with l and h raised to at least _MIN_EXTENT."""
-    return np.maximum(means, _FLOOR)
+def _floored(means: np.ndarray, message: str) -> np.ndarray:
+    """Box rows of the finite `means`, l and h raised to at least
+    _MIN_EXTENT; rows that `check_boxes` refuses, as `ObjectState` does,
+    are a NumericOverflowError. An l and h of at most 1e154 keep the area
+    and the aspects finite, so the check runs only past that."""
+    boxes = np.maximum(means, _FLOOR)
+    if boxes[:, 2:].max(initial=0.0) > 1e154:
+        try:
+            check_boxes(boxes)
+        except ValueError:
+            raise NumericOverflowError(message) from None
+    return boxes
 
 
 def predict(ks: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, ObjectState]:
@@ -94,7 +108,7 @@ def predict(ks: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, ObjectState
                           (p + 2.0 * c + v + cfg.process_noise_pos, c + v,
                            v + _velocity_noise(cfg)[1])))
     _require_finite(new, "filter prediction produced non-finite values")
-    return new, _state_from_mean(new[:4])
+    return new, _state_from_mean(new[:4], "filter prediction produced non-finite values")
 
 
 def correct(
@@ -129,7 +143,7 @@ def correct(
 
     blended = w * z + (1.0 - w) * estimated.as_vector()
     _require_finite(blended, "filter update produced non-finite values")
-    return new, _state_from_mean(blended)
+    return new, _state_from_mean(blended, "filter update produced non-finite values")
 
 
 # -- row functions: the same filter over one row per track -------------------
@@ -145,21 +159,24 @@ def init_rows(boxes: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
 
 def predict_rows(block: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
     """`predict` on every row: the propagated rows and the estimated box
-    rows, l and h floored at _MIN_EXTENT.
+    rows, l and h floored at _MIN_EXTENT. Like `predict`, it refuses a row
+    that is not finite or whose estimated box has an area or an aspect
+    beyond a float.
 
     The new rows are computed in place on a copy, each column's formula in
     `predict`'s order, and each before the columns it reads change.
     """
     block = block.copy()
     position, velocity, p, c, v = columns(block)
-    position += velocity
-    p += 2.0 * c
-    p += v
-    p += cfg.process_noise_pos
-    c += v
-    v += _velocity_noise(cfg)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports an overflow
+        position += velocity
+        p += 2.0 * c
+        p += v
+        p += cfg.process_noise_pos
+        c += v
+        v += _velocity_noise(cfg)[1]
     _require_finite(block, "filter prediction produced non-finite values")
-    return block, _floored(position)
+    return block, _floored(position, "filter prediction produced non-finite values")
 
 
 def correct_rows(
@@ -173,11 +190,11 @@ def correct_rows(
     """`correct` with a measurement on the rows `matched` of block, in place.
 
     measured and estimated hold one box row per index in `matched`. Those
-    rows of block are updated only once the updated rows and their
-    corrected box rows are all finite, so a call that raises leaves block
-    as it was; the other rows keep their predicted values, as `correct`
-    without a measurement does. Returns the corrected box rows, l and h
-    floored at _MIN_EXTENT.
+    rows of block are updated only once the updated rows, their corrected
+    box rows and the boxes' areas and aspects are all finite, as `correct`
+    requires, so a call that raises leaves block as it was; the other rows
+    keep their predicted values, as `correct` without a measurement does.
+    Returns the corrected box rows, l and h floored at _MIN_EXTENT.
     """
     # the matched rows and their blended boxes side by side, so that one
     # check covers both; each row is updated in place, as predict_rows does
@@ -193,9 +210,9 @@ def correct_rows(
         v -= c * c / s
         p *= keep
         c *= keep
-    blended = work[:, WIDTH:]
-    np.multiply(w, measured, out=blended)
-    blended += (1.0 - w) * estimated
+        blended = np.multiply(w, measured, out=work[:, WIDTH:])
+        blended += (1.0 - w) * estimated
     _require_finite(work, "filter update produced non-finite values")
+    boxes = _floored(blended, "filter update produced non-finite values")
     block[matched] = new
-    return _floored(blended)
+    return boxes

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .types import (MAX_RAW_BINS, Frame, ObjectState, TrackerConfig, Trajectories, check_boxes,
-                    is_integer, is_real)
+from .types import (MAX_RAW_BINS, Frame, TrackerConfig, Trajectories, check_boxes, is_integer,
+                    is_real)
 
 CLUTTER = -1  # provenance label for clutter detections
 
@@ -41,18 +41,21 @@ class MotionScript:
     def frame_range(self) -> tuple[int, int]:
         return int(self.waypoints[0][0]), int(self.waypoints[-1][0])
 
-    def state_at(self, frame: int) -> ObjectState:
-        wps = self.waypoints
-        if frame <= wps[0][0]:
-            _, x, y, l, h = wps[0]
-            return ObjectState(x, y, l, h)
-        for (f0, x0, y0, l0, h0), (f1, x1, y1, l1, h1) in zip(wps, wps[1:]):
-            if frame <= f1:
-                a = (frame - f0) / (f1 - f0)
-                return ObjectState(x0 + a * (x1 - x0), y0 + a * (y1 - y0),
-                                   l0 + a * (l1 - l0), h0 + a * (h1 - h0))
-        _, x, y, l, h = wps[-1]
-        return ObjectState(x, y, l, h)
+    def boxes_at(self, frames: np.ndarray) -> np.ndarray:
+        """The (x, y, l, h) rows at frames, each from the first to the last
+        waypoint frame, unchecked: the first waypoint's box up to its frame,
+        after it the interpolation along the first segment that ends at or
+        after the frame. The waypoints are taken as float64 first."""
+        wps = np.array(self.waypoints, dtype=np.float64)
+        if len(wps) == 1:
+            return wps[[0] * len(frames), 1:]
+        end = np.clip(np.searchsorted(wps[:, 0], frames), 1, len(wps) - 1)
+        w0, w1 = wps[end - 1], wps[end]
+        with np.errstate(over="ignore", invalid="ignore"):  # check_boxes judges the boxes
+            a = (frames - w0[:, 0]) / (w1[:, 0] - w0[:, 0])
+            boxes = w0[:, 1:] + a[:, None] * (w1[:, 1:] - w0[:, 1:])
+        boxes[frames <= wps[0, 0]] = wps[0, 1:]
+        return boxes
 
 
 @dataclass(frozen=True)
@@ -226,15 +229,25 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
-    by_object = {}
+    # each object's frames in the stream and their boxes, one block each,
+    # after empty blocks that give the ground truth its columns' shapes
+    frames_of, boxes_of = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 4))]
     for gid, script in enumerate(spec.objects):
         f0, f1 = script.frame_range()
-        by_object[gid] = states = {}
-        for f in range(max(f0, 0), min(f1 + 1, spec.duration)):
-            try:  # valid waypoints can still interpolate to an invalid box
-                states[f] = script.state_at(f)
-            except ValueError as e:
-                raise InputError(f"object {gid} at frame {f}: {e}") from None
+        in_stream = np.arange(max(f0, 0), min(f1 + 1, spec.duration), dtype=np.int64)
+        block = script.boxes_at(in_stream)
+        try:  # valid waypoints can still interpolate to an invalid box
+            check_boxes(block)
+        except ValueError:  # the first bad frame, checked alone, names the fault
+            for f, row in zip(in_stream.tolist(), block):
+                try:
+                    check_boxes(row[None])
+                except ValueError as e:
+                    raise InputError(f"object {gid} at frame {f}: {e}") from None
+        frames_of.append(in_stream)
+        boxes_of.append(block)
+    # per object, its first frame and its box rows as the Python floats the jitter adds to
+    by_object = [(int(f[0]), b.tolist()) for f, b in zip(frames_of[1:], boxes_of[1:])]
 
     gaps = {(obj_idx, f) for obj_idx, start, length in spec.burst_drops
             for f in range(start, start + length)}
@@ -271,16 +284,16 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     provenance: dict[tuple[int, int], int] = {}
     for f in range(spec.duration):
         boxes, hists = [], []
-        for gid, states in by_object.items():
-            if f not in states or (gid, f) in gaps:
+        for gid, (first, rows) in enumerate(by_object):
+            if not 0 <= f - first < len(rows) or (gid, f) in gaps:
                 continue
             if spec.drop_probability > 0 and rng.random() < spec.drop_probability:
                 continue
-            s = states[f]
-            x = s.x + jitter(spec.position_jitter_sigma)
-            y = s.y + jitter(spec.position_jitter_sigma)
-            l = max(s.l + jitter(spec.size_jitter_sigma), 1.0)
-            h = max(s.h + jitter(spec.size_jitter_sigma), 1.0)
+            x, y, l, h = rows[f - first]
+            x += jitter(spec.position_jitter_sigma)
+            y += jitter(spec.position_jitter_sigma)
+            l = max(l + jitter(spec.size_jitter_sigma), 1.0)
+            h = max(h + jitter(spec.size_jitter_sigma), 1.0)
             hist = units[gid] * (l * h)
             if spec.histogram_noise > 0:
                 hist = np.clip(hist * (1.0 + spec.histogram_noise * rng.normal(size=hist.size)), 0.0, None)
@@ -300,8 +313,11 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
             hists.append(blob_hists[k])
         frames[f] = Frame(f, np.arange(len(boxes)), boxes, hists or np.zeros((0, spec.n_bins)))
 
-    return ScenarioResult(gt=Trajectories.of(by_object), detections_by_frame=frames,
-                          provenance=provenance)
+    counts = [len(f) for f in frames_of[1:]]
+    gt = Trajectories(np.arange(len(counts), dtype=np.int64).repeat(counts),
+                      np.concatenate(frames_of), np.concatenate(boxes_of),
+                      np.ones(sum(counts), dtype=bool))
+    return ScenarioResult(gt=gt, detections_by_frame=frames, provenance=provenance)
 
 
 def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple[int, list[int]]]:

@@ -259,6 +259,16 @@ class Trajectories:
                    np.array([f for _, f, _ in rows], dtype=np.int64),
                    np.array(boxes, dtype=np.float64).reshape(-1, 4), np.ones(len(rows), dtype=bool))
 
+    @classmethod
+    def of_tracks(cls, tracks: list["Track"]) -> "Trajectories":
+        """The table of the tracks' rows, the tracks given in id order: their
+        columns end to end, with no sort."""
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0, dtype=bool))
+        frames, boxes, matched = map(np.concatenate, zip(
+            empty, *((t.frames, t.boxes, t.matched) for t in tracks)))
+        ids = np.array([t.track_id for t in tracks], dtype=np.int64)
+        return cls(ids.repeat([len(t.frames) for t in tracks]), frames, boxes, matched)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectories):
             return NotImplemented
@@ -333,35 +343,58 @@ class TrackerConfig:
 class Track:
     """A tracked object, as the owning engine reports it.
 
-    `states` holds one state per frame from birth to the last processed
-    frame, in frame order: the corrected state on a matched frame, the
-    held one on a waiting frame. The last corrected state and the end
-    frame are read from it, not stored.
+    Its history is three read-only columns in frame order, a row per frame
+    from birth to the last processed frame: `frames` (n,) int64, `boxes`
+    (n, 4) float64 rows (x, y, l, h) and `matched` (n,) bool, False where
+    the track held its box while waiting. The birth frame, last state, end
+    frame and span are read from the rows; `states` and `matched_frames`
+    are built from them when asked for.
 
-    The engine keeps a live track as a row of its column store and its
-    history as blocks of its append-only log, and fills the track from
-    them when it is read (`TrackingEngine.tracks` and the methods that
-    list tracks), so a track held from before a step is brought up to date
-    by the next such read. The filter of a live track is a row of the
-    store, not a field of the track, and so are the centers behind its
-    d_max: `update_extent` and `_centers` are the scalar rule the store's
-    extent columns are tested against, and stay empty on the engine's
-    tracks.
+    The engine brings a track up to its last step when it is read
+    (`TrackingEngine.tracks` and the methods that list tracks). A live
+    track's filter, and the centers behind its d_max, are rows of the
+    engine's store: `update_extent` and `_centers` are the scalar rule the
+    store's extent columns are tested against, and stay empty there.
     """
 
     track_id: int
-    birth_frame: int
-    states: dict[int, ObjectState]
+    frames: np.ndarray
+    boxes: np.ndarray
+    matched: np.ndarray
     last_histogram: np.ndarray  # (n_bins,) counts, read-only
     f_l: int  # frame of the last successful match
     n_r: int = 1  # number of matched frames
     t_w: int = 0  # cumulative waiting frames
     status: str = ACTIVE
-    matched_frames: set[int] = field(default_factory=set)
     # spatial-extent bookkeeping: exact max pairwise center distance,
     # frozen once it crosses the cap the engine cares about (t4)
     _centers: list[tuple[float, float]] = field(default_factory=list)
     _d_max: float = 0.0
+
+    def __post_init__(self):
+        self._set(np.array(self.frames, dtype=np.int64), np.array(self.boxes, dtype=np.float64),
+                  np.array(self.matched, dtype=bool))
+
+    def append(self, frames, boxes, matched) -> None:
+        """Rows after the last: each column is replaced by a copy that ends
+        with them."""
+        self._set(*map(np.concatenate, zip((self.frames, self.boxes, self.matched),
+                                           (frames, boxes, matched))))
+
+    def _set(self, frames: np.ndarray, boxes: np.ndarray, matched: np.ndarray) -> None:
+        for column in (frames, boxes, matched):
+            column.flags.writeable = False
+        self.frames, self.boxes, self.matched = frames, boxes, matched
+
+    @property
+    def states(self) -> dict[int, ObjectState]:
+        """{frame: state} of the rows, in frame order, built when asked for."""
+        return dict(zip(self.frames.tolist(), ObjectState.rows(self.boxes)))
+
+    @property
+    def matched_frames(self) -> set[int]:
+        """The frames of the matched rows, built when asked for."""
+        return set(self.frames[self.matched].tolist())
 
     @property
     def d_max(self) -> float:
@@ -374,25 +407,24 @@ class Track:
         return self._d_max
 
     @property
+    def birth_frame(self) -> int:
+        return int(self.frames[0])
+
+    @property
     def last_cs(self) -> ObjectState:
         """State of the last processed frame: its corrected state, or the
         one held while waiting."""
-        return next(reversed(self.states.values()))
-
-    @property
-    def last_state_frame(self) -> int:
-        # states are inserted in frame order, so the last key is the latest
-        return next(reversed(self.states))
+        return ObjectState(*self.boxes[-1].tolist())
 
     @property
     def end_frame(self) -> int | None:
         """Frame at which the lifecycle ended the track; None while live."""
-        return None if self.status in (ACTIVE, WAITING) else self.last_state_frame
+        return None if self.status in (ACTIVE, WAITING) else int(self.frames[-1])
 
     @property
     def span(self) -> int:
         """Trajectory length in frames, waiting time included."""
-        return self.last_state_frame - self.birth_frame + 1
+        return int(self.frames[-1]) - self.birth_frame + 1
 
     def update_extent(self, x: float, y: float, cap: float = math.inf) -> None:
         if self._d_max >= cap:

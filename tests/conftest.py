@@ -37,13 +37,13 @@ def make_track(track_id, state, birth=0, hist=None, n=96, **kw):
     it at `state` again, since the seeded velocity is 0."""
     t = Track(
         track_id=track_id,
-        birth_frame=birth,
-        states={birth: state},
+        frames=[birth],
+        boxes=boxes([state]),
+        matched=[True],
         last_histogram=hist if hist is not None else flat_histogram(n),
         f_l=birth,
         **kw,
     )
-    t.matched_frames.add(birth)
     t.update_extent(state.x, state.y)
     return t
 

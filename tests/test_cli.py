@@ -212,6 +212,35 @@ def test_filter_overflow_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+_ZERO_BINS = " 0" * 96
+
+
+@pytest.mark.parametrize("rows,message", [
+    pytest.param(["0 0 100.0 100.0 1e-05 1e+300" + _ZERO_BINS,
+                  "1 0 100.0 100.0 1.7e+308 0.95" + _ZERO_BINS],
+                 "filter update produced non-finite values in frame 1", id="corrected_area"),
+    pytest.param(["0 0 1e307 100 1e-06 1e-06", "1 0 1e307 100 1e308 1.0",
+                  "2 0 -1e307 100 1.7e308 0.95"],
+                 "filter prediction produced non-finite values in frame 2", id="predicted_position"),
+    pytest.param(["0 0 100 100 1e-06 1e154", "1 0 100 100 1e154 1e154", "2 0 100 100 1 1"],
+                 "filter prediction produced non-finite values in frame 2", id="estimated_area"),
+])
+def test_filter_box_overflow_exit_code(tmp_path, capsys, rows, message):
+    """A corrected box whose area l * h overflows a float, a predicted
+    position that overflows and an estimated box whose area overflows are
+    input errors naming the frame: exit 2, the error line alone on stderr,
+    with no numpy warning before it, and no trajectory file."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("feature_weights = 1 0 0 0\nt1 = 0.5\n")
+    det = tmp_path / "d.txt"
+    det.write_text("".join(row + "\n" for row in rows))
+    out = tmp_path / "o.txt"
+    rc = main(["track", "--detections", str(det), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"mftrack: error: {message}\n"
+    assert not out.exists()
+
+
 def test_far_apart_pair_tracks_without_warning(tmp_path, capsys):
     """Two detections whose distance is past the largest float are out of
     each other's reach: two tracks, exit 0, and nothing on stderr."""

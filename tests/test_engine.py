@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import live_rows, make_frame, make_track, peaked_histogram
-from mftrack import bench, kalman, kernels, lifecycle, scenario
+from conftest import boxes, live_rows, make_frame, make_track, peaked_histogram
+from mftrack import bench, fileio, kalman, kernels, lifecycle, scenario
 from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, TrackingEngine,
                             match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
@@ -224,8 +224,8 @@ class TestStep:
         assert t.states[2] == t.states[1]  # held corrected state
 
     def test_read_empties_log_and_held_track_follows(self, cfg):
-        """A read folds the log, over several chunks of blocks, into the
-        tracks and keeps none of it; a track held from an earlier read is
+        """A read appends the log, over several chunks of blocks, to the
+        tracks' rows and keeps none of it; a track held from an earlier read is
         brought up to date by the next."""
         eng = TrackingEngine(cfg)
         eng.step(0, make_frame(0, [(50, 50)]))
@@ -320,8 +320,8 @@ class TestStep:
 def _engine_state(eng):
     """Everything step may mutate, in comparable form: the live rows, the
     log, every track as the engine reports it and the trajectory table.
-    The tracks are read first: a read folds the log into them and the
-    kept columns, and empties it."""
+    The tracks are read first: a read appends the log to their rows and
+    empties it."""
     tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
                     t.last_histogram.tolist(), set(t.matched_frames), t.d_max)
               for tid, t in eng.tracks.items()}
@@ -359,7 +359,7 @@ class _ScalarReplay:
             ks, es = kalman.predict(self.filters[tid], cfg)
             self.filters[tid], cs = kalman.correct(ks, es, None if i is None else states[i],
                                                    shadow.last_cs, cfg.w, cfg.measurement_noise)
-            shadow.states[f] = cs
+            shadow.append([f], boxes([cs]), [i is not None])
             if i is None:
                 shadow.t_w += 1
                 shadow.status = WAITING
@@ -367,24 +367,23 @@ class _ScalarReplay:
                 shadow.last_histogram = frame.hist[i]
                 shadow.f_l, shadow.status = f, ACTIVE
                 shadow.n_r += 1
-                shadow.matched_frames.add(f)
                 shadow.update_extent(cs.x, cs.y, cap=cfg.t4)
         spawned = [i for i in range(len(frame)) if i not in matched.values()]
         assert len(spawned) == len(report.new_tracks)
         for tid, i in zip(report.new_tracks, spawned):
             s = states[i]
             self.filters[tid] = kalman.init_kalman(s, cfg)
-            self.shadows[tid] = shadow = Track(tid, f, {f: s}, frame.hist[i], f,
-                                               matched_frames={f})
+            self.shadows[tid] = shadow = Track(tid, [f], boxes([s]), [True], frame.hist[i], f)
             shadow.update_extent(s.x, s.y, cap=cfg.t4)
         shadows = list(self.shadows.values())
         assert lifecycle.sweep(shadows, f, cfg) == (report.terminated, report.noise)
         for shadow in shadows:
             t = eng.tracks[shadow.track_id]
-            assert (t.status, t.birth_frame, t.f_l, t.n_r, t.t_w, t.d_max, t.states,
-                    t.matched_frames) == (
+            assert (t.status, t.birth_frame, t.f_l, t.n_r, t.t_w, t.d_max, t.frames.tolist(),
+                    t.boxes.tolist(), t.matched.tolist()) == (
                 shadow.status, shadow.birth_frame, shadow.f_l, shadow.n_r, shadow.t_w,
-                shadow.d_max, shadow.states, shadow.matched_frames)
+                shadow.d_max, shadow.frames.tolist(), shadow.boxes.tolist(),
+                shadow.matched.tolist())
             # a view of the track's hist row when read: the same counts, bit for bit
             assert t.last_histogram.tobytes() == shadow.last_histogram.tobytes()
             if shadow.status not in (ACTIVE, WAITING):
@@ -560,7 +559,7 @@ def _table_of_tracks(tracks):
 
 @pytest.mark.parametrize("reads", [0, 9])
 def test_trajectories_are_the_valid_tracks_states(reads):
-    """The table `trajectories` sorts from the log columns the reads keep
+    """The table `trajectories` puts together from the tracks' columns
     holds the states and matched frames of the valid tracks, whether the
     engine is read once at the end or between steps too."""
     stream = scenario.generate(scenario.bench_scenario(frames=200, seed=3)).detections_by_frame
@@ -574,6 +573,96 @@ def test_trajectories_are_the_valid_tracks_states(reads):
     assert table == _table_of_tracks(eng.valid_tracks())
     # noise tracks left out, and held rows kept as unmatched
     assert any(t.status == NOISE for t in eng.tracks.values()) and not table.matched.all()
+
+
+def _columns(t):
+    """A track's rows, bit for bit."""
+    return (t.track_id, t.frames.tobytes(), t.boxes.tobytes(), t.matched.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 1000), n=st.integers(1, 90), clutter=st.sampled_from([0.0, 2.0, 6.0]),
+       reads=st.sets(st.integers(0, 89), max_size=12), chunk=st.sampled_from([1, 3, 64]))
+def test_track_columns_are_their_rows_of_the_table(tmp_path_factory, seed, n, clutter, reads,
+                                                    chunk):
+    """Over a generated stream, read between arbitrary steps and in chunks
+    of any size, every track holds a row per frame from its birth, matched
+    where a frame report matched or spawned it and held at its previous
+    box elsewhere; its rows equal those of an engine read once at the end,
+    noise tracks' too, and a valid track's rows are its rows of the table.
+    The table reloads from the file written from the valid tracks, whose
+    bytes are those the engine read once writes."""
+    stream = scenario.generate(scenario.bench_scenario(frames=n, objects=3, clutter=clutter,
+                                                       seed=seed)).detections_by_frame
+    eng, once = TrackingEngine(), TrackingEngine()
+    matched_at = {}  # track id -> frames a report matched or spawned it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("mftrack.engine._READ_CHUNK", chunk)
+        for f in range(n):
+            report = eng.step(f, stream[f])
+            once.step(f, stream[f])
+            for tid in [tid for tid, _, _ in report.matches] + report.new_tracks:
+                matched_at.setdefault(tid, []).append(f)
+            if f in reads:
+                eng.tracks
+        once.tracks
+    assert list(map(_columns, eng.tracks.values())) == list(map(_columns, once.tracks.values()))
+    for t in eng.tracks.values():
+        last = n - 1 if t.end_frame is None else t.end_frame
+        assert t.frames.tolist() == list(range(t.birth_frame, last + 1))
+        assert t.frames[t.matched].tolist() == matched_at[t.track_id]
+        held = (~t.matched).nonzero()[0]
+        assert t.boxes[held].tobytes() == t.boxes[held - 1].tobytes()
+    table = eng.trajectories()
+    valid = eng.valid_tracks()
+    assert table.ids.tolist() == [t.track_id for t in valid for _ in t.frames]
+    for t in valid:
+        rows = table.ids == t.track_id
+        assert _columns(t) == (t.track_id, table.frames[rows].tobytes(),
+                               table.boxes[rows].tobytes(), table.matched[rows].tobytes())
+    folder = tmp_path_factory.mktemp("trk")
+    fileio.write_trajectories(folder / "read.txt", valid)
+    fileio.write_trajectories(folder / "once.txt", once.valid_tracks())
+    assert fileio.load_trajectories(folder / "read.txt") == table
+    assert (folder / "read.txt").read_bytes() == (folder / "once.txt").read_bytes()
+
+
+def test_track_columns_are_read_only(cfg):
+    """A track's columns cannot be written, as the engine reads them, as
+    built by hand and after `append`; append replaces them by copies."""
+    eng = TrackingEngine(cfg)
+    for f in range(3):
+        eng.step(f, make_frame(f, [(50 + f, 50)]))
+    made = make_track(1, ObjectState(0, 0, 10, 10))
+    before = made.frames
+    made.append([1], boxes([ObjectState(1, 0, 10, 10)]), [False])
+    assert before.tolist() == [0] and made.frames.tolist() == [0, 1]
+    for t in (eng.tracks[1], make_track(1, ObjectState(0, 0, 10, 10)), made):
+        for column in (t.frames, t.boxes, t.matched):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+
+def test_reads_and_writes_build_no_state(tmp_path, monkeypatch):
+    """Stepping, reading the tracks, `trajectories` and `write_trajectories`
+    build no `ObjectState`: a track's history is its columns alone."""
+    stream = scenario.generate(scenario.bench_scenario(frames=120, seed=5)).detections_by_frame
+
+    def refuse(*args):
+        raise AssertionError("an ObjectState was built")
+
+    monkeypatch.setattr(ObjectState, "__post_init__", refuse)
+    monkeypatch.setattr(ObjectState, "rows", classmethod(refuse))
+    eng = TrackingEngine()
+    for f in range(120):
+        eng.step(f, stream[f])
+        if f % 50 == 0:
+            eng.tracks
+    eng.trajectories()
+    fileio.write_trajectories(tmp_path / "t.txt", eng.valid_tracks())
+    with pytest.raises(AssertionError):
+        ObjectState(1, 1, 1, 1)
 
 
 def test_bench_steps_generated_frames_as_they_are(monkeypatch):

@@ -889,9 +889,7 @@ class TestGroundTruthIO:
 class TestTrajectoriesIO:
     def test_round_trip_with_status_flags(self, tmp_path):
         t = make_track(4, ObjectState(10, 10, 6, 8))
-        t.states[1] = ObjectState(12.5, 10, 6, 8)
-        t.matched_frames.add(1)
-        t.states[2] = t.states[1]  # held
+        t.append([1, 2], boxes([ObjectState(12.5, 10, 6, 8)] * 2), [True, False])  # then held
         path = tmp_path / "trk.txt"
         fileio.write_trajectories(path, [t])
         loaded = fileio.load_trajectories(path)

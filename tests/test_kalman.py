@@ -327,3 +327,31 @@ def test_rows_equal_scalar_oracle(motion_model, process_noise_pos, process_noise
         prev = [state for _, state in corrected]
     # an injected overflow has raised and returned above
     assert overflow is None
+
+
+@pytest.mark.parametrize("position,velocity,measured", [
+    pytest.param((0, 0, 1e154, 1e154), (0, 0, 1e154, 0), None, id="estimated_area"),
+    pytest.param((0, 0, 1e303, 1.0), (0, 0, 0, -2.0), None, id="estimated_aspect"),
+    pytest.param((100, 100, 1e-5, 1e300), (0, 0, 0, 0), (100, 100, 1.7e308, 0.95),
+                 id="corrected_area"),
+])
+def test_box_beyond_float_refused_by_scalar_and_rows(position, velocity, measured):
+    """An estimated box whose area l * h or aspect l / h overflows a float
+    (this one's h floored), and a corrected box whose area does, are
+    refused alike by the scalar and the row functions: one
+    NumericOverflowError with one message, and a refused correction leaves
+    the rows as they were."""
+    cfg = TrackerConfig()
+    ks = identity_state(position)
+    kalman.columns(ks)[1][:] = velocity
+    rows = ks[None].copy()
+    if measured is None:
+        want = _raised(lambda: kalman.predict(ks, cfg))
+        got = _raised(lambda: kalman.predict_rows(rows, cfg))
+    else:
+        (ks, es), (rows, boxes) = kalman.predict(ks, cfg), kalman.predict_rows(rows, cfg)
+        before, z = rows.copy(), ObjectState(*measured)
+        want = _raised(lambda: kalman.correct(ks, es, z, es, cfg.w))
+        got = _raised(lambda: kalman.correct_rows(rows, np.array([0]), box_rows([z]), boxes, cfg.w))
+        assert rows.tobytes() == before.tobytes()
+    assert want is not None and str(got) == str(want)

@@ -18,9 +18,9 @@ def track_with(n_r=5, f_l=100, birth=0, t_w=0, frames=None, centers=None):
     t.n_r = n_r
     t.f_l = f_l
     t.t_w = t_w
-    if frames:
-        for f in frames:
-            t.states[f] = t.states[t.birth_frame]
+    if frames:  # held at the birth state after birth
+        rest = [f for f in frames if f != birth]
+        t.append(rest, t.boxes[[0] * len(rest)], [False] * len(rest))
     if centers:
         for x, y in centers:
             t.update_extent(x, y)
@@ -142,7 +142,8 @@ def _live_tracks(draw):
         t = make_track(tid, ObjectState(10, 10, 10, 10), birth=birth, n_r=n_r, t_w=span - n_r,
                        status=ACTIVE if f_l == f_c else WAITING)
         t.f_l = f_l
-        t.states[f_c] = t.last_cs
+        if f_c > birth:  # a row at f_c, the birth state held
+            t.append([f_c], t.boxes, [False])
         t._d_max = draw(st.sampled_from([0.0, 2.5, 4.999, 5.0, 7.5, 40.0]))
         tracks.append(t)
     return f_c, tracks

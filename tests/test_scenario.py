@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mftrack.errors import InputError
 from mftrack.pipeline import track_stream
@@ -142,6 +144,16 @@ class TestGenerate:
         with pytest.raises(InputError, match="^object 0 at frame 5: box dimensions must be positive"):
             generate(spec)
 
+    def test_first_bad_frame_named(self):
+        """Of an object whose interpolated boxes break the box rules at
+        several frames, the first is named; an earlier valid object is not."""
+        spec = spec_from_json('{"duration": 20, "objects": ['
+                              '{"waypoints": [[0, 40, 60, 10, 10], [19, 90, 60, 10, 10]]}, '
+                              '{"waypoints": [[0, 40, 60, 10, 1], [5, 100, 60, 10, 1e-300], '
+                              '[6, 100, 60, 10, 1], [12, 100, 60, 10, 1e-300]]}]}')
+        with pytest.raises(InputError, match="^object 1 at frame 5: box dimensions must be positive"):
+            generate(spec)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(InputError):
             ScenarioSpec(duration=0).validate()
@@ -196,3 +208,37 @@ class TestSpecJson:
             spec_from_json('["list"]')
         with pytest.raises(InputError):
             spec_from_json('{"no_such_field": 1}')
+
+
+def _state_at(waypoints, frame):
+    """The box at frame, interpolated one frame at a time in Python
+    arithmetic: the first waypoint's box up to its frame, after it along
+    the first segment that ends at or after the frame."""
+    if frame <= waypoints[0][0]:
+        return tuple(waypoints[0][1:])
+    for (f0, *b0), (f1, *b1) in zip(waypoints, waypoints[1:]):
+        if frame <= f1:
+            a = (frame - f0) / (f1 - f0)
+            return tuple(v0 + a * (v1 - v0) for v0, v1 in zip(b0, b1))
+    raise AssertionError(f"frame {frame} past the last waypoint")
+
+
+_value = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3, allow_nan=False),
+                   st.sampled_from([-0.0, 0.1, 0.3, 1e-300, 2.0**52 + 1]))
+_frame = st.one_of(st.integers(-30, 60), st.integers(-60, 120).map(lambda k: k / 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(_frame, min_size=1, max_size=5, unique=True),
+       boxes=st.lists(st.tuples(_value, _value, _value, _value), min_size=5, max_size=5),
+       duration=st.integers(1, 40))
+def test_boxes_at_equals_per_frame_interpolation(frames, boxes, duration):
+    """The block of an object's boxes in the stream is, bit for bit, the
+    per-frame interpolation of its waypoints, integers, halves and -0.0
+    included."""
+    script = MotionScript(tuple((f, *b) for f, b in zip(sorted(frames), boxes)))
+    f0, f1 = script.frame_range()
+    stream = np.arange(max(f0, 0), min(f1 + 1, duration), dtype=np.int64)
+    want = np.array([_state_at(script.waypoints, f) for f in stream.tolist()],
+                    dtype=np.float64).reshape(-1, 4)
+    assert script.boxes_at(stream).tobytes() == want.tobytes()
