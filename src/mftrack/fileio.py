@@ -14,6 +14,7 @@ ground-truth row is matched, a trajectory row where its flag is 1. An
 (id, frame) pair may appear once, and a status flag is 0 or 1.
 
 Floats are written with repr so that write -> read round-trips exactly.
+The ground-truth and trajectory writers format a block of rows at a time.
 A detection row's histogram must have either the configured bin count or
 768 raw bins (then rebinned); a missing histogram is stored as all zeros.
 A UTF-8 byte-order mark at the start of a file is skipped.
@@ -459,12 +460,30 @@ def _detections_by_line(path: str | Path, n_bins: int) -> dict[int, Frame]:
             for fid, rows in out.items()}
 
 
+# the rows _write_rows formats at a time
+_WRITE_ROWS = 512
+
+
+def _write_rows(path: str | Path, ids: np.ndarray, frames: np.ndarray, boxes: np.ndarray,
+                flags: np.ndarray | None = None) -> None:
+    """Write the rows `id frame x y l h [flag]` of the columns, floats by
+    repr, _WRITE_ROWS rows at a time: only one block's Python objects are
+    alive at once, not the whole table's."""
+    with open(path, "w") as fh:
+        for a in range(0, len(ids), _WRITE_ROWS):
+            block = slice(a, a + _WRITE_ROWS)
+            # tolist gives Python floats, whose repr is the text written
+            rows = zip(ids[block].tolist(), frames[block].tolist(), boxes[block].tolist())
+            if flags is None:
+                fh.writelines(f"{i} {f} {x!r} {y!r} {l!r} {h!r}\n" for i, f, (x, y, l, h) in rows)
+            else:
+                fh.writelines(f"{i} {f} {x!r} {y!r} {l!r} {h!r} {hit:d}\n"
+                              for (i, f, (x, y, l, h)), hit in zip(rows, flags[block].tolist()))
+
+
 def write_ground_truth(path: str | Path, gt: Trajectories) -> None:
     """One row per row of the table, in its (id, frame) order."""
-    with open(path, "w") as fh:
-        # tolist gives Python floats, whose repr is the text written
-        fh.writelines(f"{gid} {f} {x!r} {y!r} {l!r} {h!r}\n" for gid, f, (x, y, l, h) in
-                      zip(gt.ids.tolist(), gt.frames.tolist(), gt.boxes.tolist()))
+    _write_rows(path, gt.ids, gt.frames, gt.boxes)
 
 
 def _load_table(path: str | Path, ncols: int) -> Trajectories:
@@ -535,11 +554,7 @@ def write_trajectories(path: str | Path, tracks: list[Track]) -> None:
     """One row per row of the tracks, in (id, frame) order, ending in its
     status flag: 1 where the track matched, 0 where it held its box."""
     table = Trajectories.of_tracks(sorted(tracks, key=lambda t: t.track_id))
-    with open(path, "w") as fh:
-        # tolist gives Python floats, whose repr is the text written
-        fh.writelines(f"{tid} {f} {x!r} {y!r} {l!r} {h!r} {hit:d}\n"
-                      for tid, f, (x, y, l, h), hit in zip(table.ids.tolist(), table.frames.tolist(),
-                                                           table.boxes.tolist(), table.matched.tolist()))
+    _write_rows(path, table.ids, table.frames, table.boxes, table.matched)
 
 
 def load_trajectories(path: str | Path) -> Trajectories:

@@ -53,20 +53,28 @@ def iou(a: ObjectState, b: ObjectState) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _iou_matrix(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """`iou` of every pair (g[i], t[j]) of box rows (x, y, l, h), with the
-    same float operations."""
-    b = np.concatenate((g, t))
-    x1, y1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
-    x2, y2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
-    area = b[:, 2] * b[:, 3]
-    n = len(g)
-    iw = np.minimum(x2[:n, None], x2[None, n:]) - np.maximum(x1[:n, None], x1[None, n:])
-    ih = np.minimum(y2[:n, None], y2[None, n:]) - np.maximum(y1[:n, None], y1[None, n:])
+def _edges(boxes: np.ndarray) -> np.ndarray:
+    """The rows x1, y1, x2, y2 and area of box rows (x, y, l, h), with
+    `iou`'s float operations, each written straight into one (5, n) block."""
+    x, y, l, h = boxes.T
+    out = np.empty((5, len(boxes)))
+    np.subtract(x, l / 2, out=out[0])
+    np.subtract(y, h / 2, out=out[1])
+    np.add(x, l / 2, out=out[2])
+    np.add(y, h / 2, out=out[3])
+    np.multiply(l, h, out=out[4])
+    return out
+
+
+def _edge_iou(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`iou` of every pair (g[:, i], t[:, j]) of _edges columns."""
+    (gx1, gy1, gx2, gy2, g_area), (tx1, ty1, tx2, ty2, t_area) = g, t
+    iw = np.minimum(gx2[:, None], tx2) - np.maximum(gx1[:, None], tx1)
+    ih = np.minimum(gy2[:, None], ty2) - np.maximum(gy1[:, None], ty1)
     out = np.zeros(iw.shape)
     i, j = np.nonzero((iw > 0) & (ih > 0))
     inter = iw[i, j] * ih[i, j]
-    out[i, j] = inter / (area[i] + area[n + j] - inter)
+    out[i, j] = inter / (g_area[i] + t_area[j] - inter)
     return out
 
 
@@ -75,6 +83,18 @@ def _runs(values: np.ndarray) -> list[int]:
     if not len(values):
         return [0]
     return [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
+
+
+def _by_frame(side: Trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frames, ids and _edges of the rows of `side` in frame order, its
+    (id, frame) order kept within a frame."""
+    order = np.argsort(side.frames, kind="stable")
+    edges = _edges(side.boxes)
+    # sorted a row at a time: a frame-ordered copy of the boxes or of the
+    # edges beside them would raise the peak memory of an evaluation
+    for row in edges:
+        row[:] = row[order]
+    return side.frames[order], side.ids[order], edges
 
 
 def associate(
@@ -96,10 +116,8 @@ def associate(
         raise ValueError(f"unknown association method {method!r}")
     if method == "hungarian":
         from scipy.optimize import linear_sum_assignment
-    # each side in frame order, its (id, frame) order kept within a frame
-    g, t = (np.argsort(side.frames, kind="stable") for side in (gt, tracks))
-    g_frames, g_ids, g_boxes = gt.frames[g], gt.ids[g], gt.boxes[g]
-    t_frames, t_ids, t_boxes = tracks.frames[t], tracks.ids[t], tracks.boxes[t]
+    g_frames, g_ids, g_edges = _by_frame(gt)
+    t_frames, t_ids, t_edges = _by_frame(tracks)
     # each run of one gt frame, and the same frame's run of track rows
     g_bounds = _runs(g_frames)
     frames = g_frames[g_bounds[:-1]]
@@ -111,7 +129,7 @@ def associate(
             correspondence[f] = []
             continue
         gids, tids = g_ids[a:b].tolist(), t_ids[c:d].tolist()
-        mat = _iou_matrix(g_boxes[a:b], t_boxes[c:d])
+        mat = _edge_iou(g_edges[:, a:b], t_edges[:, c:d])
         if method == "hungarian":
             rows, cols = linear_sum_assignment(-mat)
             index_pairs = [(i, j) for i, j in zip(rows, cols) if mat[i, j] >= iou_threshold]

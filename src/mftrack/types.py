@@ -247,19 +247,6 @@ class Trajectories:
             column.flags.writeable = False
 
     @classmethod
-    def of(cls, states: dict) -> "Trajectories":
-        """The table of `states`, {id: {frame: ObjectState}}, every row
-        matched. An id without states is a ValueError: no row could keep it."""
-        empty = [oid for oid, by_frame in states.items() if not by_frame]
-        if empty:
-            raise ValueError(f"ids without states: {empty}")
-        rows = [(oid, f, s) for oid in sorted(states) for f, s in sorted(states[oid].items())]
-        boxes = [(s.x, s.y, s.l, s.h) for _, _, s in rows]
-        return cls(np.array([oid for oid, _, _ in rows], dtype=np.int64),
-                   np.array([f for _, f, _ in rows], dtype=np.int64),
-                   np.array(boxes, dtype=np.float64).reshape(-1, 4), np.ones(len(rows), dtype=bool))
-
-    @classmethod
     def of_tracks(cls, tracks: list["Track"]) -> "Trajectories":
         """The table of the tracks' rows, the tracks given in id order: their
         columns end to end, with no sort."""

@@ -2,12 +2,26 @@ import numpy as np
 import pytest
 
 from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_C, _N_R, LiveRows
-from mftrack.types import Frame, Track, TrackerConfig
+from mftrack.types import Frame, Track, TrackerConfig, Trajectories
 
 
 def boxes(states) -> np.ndarray:
     """(n, 4) array of the box rows (x, y, l, h) of `states`."""
     return np.array([(s.x, s.y, s.l, s.h) for s in states]).reshape(-1, 4)
+
+
+def table_of(states: dict) -> Trajectories:
+    """The table of `states`, {id: {frame: ObjectState}}, every row
+    matched. An id without states is a ValueError: no row could keep it."""
+    empty = [oid for oid, by_frame in states.items() if not by_frame]
+    if empty:
+        raise ValueError(f"ids without states: {empty}")
+    rows = [(oid, f, s) for oid in sorted(states) for f, s in sorted(states[oid].items())]
+    box_rows = [(s.x, s.y, s.l, s.h) for _, _, s in rows]
+    return Trajectories(np.array([oid for oid, _, _ in rows], dtype=np.int64),
+                        np.array([f for _, f, _ in rows], dtype=np.int64),
+                        np.array(box_rows, dtype=np.float64).reshape(-1, 4),
+                        np.ones(len(rows), dtype=bool))
 
 
 def flat_histogram(n=96, value=10.0):

@@ -28,9 +28,9 @@ from mftrack.similarity import (
     global_similarity,
     shape_similarity,
 )
-from mftrack.types import ObjectState, TrackerConfig, Trajectories
+from mftrack.types import ObjectState, TrackerConfig
 
-from conftest import make_track
+from conftest import make_track, table_of
 
 TOL = 1e-9
 
@@ -173,12 +173,12 @@ def test_criterion_5_noise_filtering():
 
 
 def test_criterion_6_m2_fragmentation_sensitivity():
-    gt = Trajectories.of({0: {f: ObjectState(50.0 + f, 50, 10, 10) for f in range(100)}})
+    gt = table_of({0: {f: ObjectState(50.0 + f, 50, 10, 10) for f in range(100)}})
     # 5 fragments of 20 frames each
     tracks = {tid: {} for tid in range(1, 6)}
     for f in range(100):
         tracks[1 + f // 20][f] = ObjectState(50.0 + f, 50, 10, 10)
-    corr = metrics.associate(gt, Trajectories.of(tracks))
+    corr = metrics.associate(gt, table_of(tracks))
     ok = metrics.m2(corr, gt) == 0.2
     report(6, "M2 with 5 forced fragments = 0.20", ok)
 

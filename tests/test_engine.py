@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes, live_rows, make_frame, make_track, peaked_histogram
+from conftest import boxes, live_rows, make_frame, make_track, peaked_histogram, table_of
 from mftrack import bench, fileio, kalman, kernels, lifecycle, scenario
 from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, TrackingEngine,
                             match_frame)
@@ -552,7 +552,7 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
 
 def _table_of_tracks(tracks):
     """The trajectory table of the tracks' own states and matched frames."""
-    states = Trajectories.of({t.track_id: t.states for t in tracks})
+    states = table_of({t.track_id: t.states for t in tracks})
     matched = [f in t.matched_frames for t in tracks for f in sorted(t.states)]
     return Trajectories(states.ids, states.frames, states.boxes, np.array(matched, dtype=bool))
 

@@ -8,18 +8,19 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes, make_track
+from conftest import boxes, make_track, table_of
 from mftrack import fileio, metrics
 from mftrack.errors import ConfigError, HistogramShapeError, ParseError
 from mftrack.pipeline import track_stream
 from mftrack.scenario import bench_scenario, generate, lanes_scenario
-from mftrack.types import Frame, ObjectState, TrackerConfig, Trajectories
+from mftrack.types import Frame, ObjectState, Track, TrackerConfig, Trajectories
 
 
 class TestRebin:
@@ -871,8 +872,8 @@ def test_workload_tables_match_line_parser(tmp_path, spec):
 
 class TestGroundTruthIO:
     def test_round_trip(self, tmp_path):
-        gt = Trajectories.of({0: {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)},
-                              3: {7: ObjectState(9, 9, 1, 1)}})
+        gt = table_of({0: {f: ObjectState(1.5 + f, 2.25, 3, 4) for f in range(5)},
+                      3: {7: ObjectState(9, 9, 1, 1)}})
         path = tmp_path / "gt.txt"
         fileio.write_ground_truth(path, gt)
         assert fileio.load_ground_truth(path) == gt
@@ -897,6 +898,127 @@ class TestTrajectoriesIO:
                                       boxes(t.states.values()), np.array([True, True, False]))
         lines = path.read_text().splitlines()
         assert [ln.split()[-1] for ln in lines] == ["1", "1", "0"]
+
+
+def _repr_rows(table: Trajectories, flags: bool) -> str:
+    """The rows of `table` as the table writers wrote them before their
+    block formatter, with the status flag where `flags`: tolist gives
+    Python floats, whose repr is the text written."""
+    rows = zip(table.ids.tolist(), table.frames.tolist(), table.boxes.tolist(),
+               table.matched.tolist())
+    if flags:
+        return "".join(f"{tid} {f} {x!r} {y!r} {l!r} {h!r} {hit:d}\n"
+                       for tid, f, (x, y, l, h), hit in rows)
+    return "".join(f"{gid} {f} {x!r} {y!r} {l!r} {h!r}\n" for gid, f, (x, y, l, h), _ in rows)
+
+
+def _tracks_of(table: Trajectories) -> list[Track]:
+    """A track per run of one id of `table`, whose ids rise run by run."""
+    bounds = metrics._runs(table.ids)
+    return [Track(int(table.ids[a]), table.frames[a:b], table.boxes[a:b], table.matched[a:b],
+                  np.zeros(3), 0) for a, b in zip(bounds, bounds[1:])]
+
+
+def _write_both(tmp_path, table: Trajectories) -> tuple[str, str]:
+    """The text write_ground_truth writes for `table`, and the text
+    write_trajectories writes for the tracks of its runs of one id."""
+    gt, trk = tmp_path / "gt.txt", tmp_path / "trk.txt"
+    fileio.write_ground_truth(gt, table)
+    fileio.write_trajectories(trk, _tracks_of(table))
+    return gt.read_text(), trk.read_text()
+
+
+# the doubles where repr switches between fixed and exponent notation, or
+# nearly: either side of 1e-4 and 1e16, subnormals, the extremes and both
+# zeros
+_EDGE_DOUBLES = sorted({v for x in (1e-4, 1e16) for v in
+                        (x, math.nextafter(x, 0), math.nextafter(x, math.inf))} |
+                       {5e-324, 2.2250738585072014e-308, 1e-300, 5e-05, 1e-06, 1e+22,
+                        sys.float_info.max, 0.0}, key=abs)
+_EDGE_DOUBLES += [-x for x in _EDGE_DOUBLES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                            st.sampled_from(_EDGE_DOUBLES))] * 4),
+                     max_size=12),
+       matched=st.lists(st.booleans(), min_size=12, max_size=12))
+def test_table_writers_write_repr_text(tmp_path_factory, rows, matched):
+    """Any finite box rows are written byte for byte as repr writes
+    them, by both table writers."""
+    n = len(rows)
+    ids = np.repeat(np.arange(-1, 2), -(-n // 3))[:n]  # three runs of one id
+    table = Trajectories(ids, np.arange(n) - 2, np.array(rows, dtype=np.float64).reshape(-1, 4),
+                         np.array(matched[:n], dtype=bool))
+    gt, trk = _write_both(tmp_path_factory.mktemp("rows"), table)
+    assert gt == _repr_rows(table, flags=False)
+    assert trk == _repr_rows(table, flags=True)
+
+
+_ID_EXTREMES = [-2**63, -2**62, -7, 0, 2**63 - 1]
+
+
+def _mixed_table(n: int, odd_every: int = 7) -> Trajectories:
+    """n rows of valid boxes, with a value of _EDGE_DOUBLES (a positive
+    one in l and h) in every odd_every-th row, so a block holds rows in
+    exponent notation among rows in fixed notation; ids from the int64
+    extremes up in five runs, frames from -2**63 up."""
+    rng = np.random.default_rng(n)
+    box = np.column_stack((rng.uniform(-1e3, 1e3, (n, 2)), rng.uniform(1, 100, (n, 2))))
+    edge = [x for x in _EDGE_DOUBLES if 1e-6 <= x <= 1e17]
+    for j, i in enumerate(range(0, n, odd_every)):
+        values = edge if j % 4 >= 2 else _EDGE_DOUBLES
+        box[i, j % 4] = values[j % len(values)]
+    ids = np.array(_ID_EXTREMES, dtype=np.int64).repeat(-(-n // 5))[:n]
+    frames = np.iinfo(np.int64).min + np.arange(n)
+    frames[-1:] = np.iinfo(np.int64).max  # the last row of the last id
+    return Trajectories(ids, frames, box, rng.random(n) < 0.8)
+
+
+_BLOCK = fileio._WRITE_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_table_writers_across_blocks(tmp_path, n):
+    """Tables that end before, at and after a block boundary, with
+    exponent-notation values among fixed-notation ones, and ids and frames
+    at the int64 extremes: both writers write the oracle's text, and each
+    file loads back to its table."""
+    table = _mixed_table(n)
+    gt, trk = _write_both(tmp_path, table)
+    assert gt == _repr_rows(table, flags=False)
+    assert trk == _repr_rows(table, flags=True)
+    loaded = fileio._load_table(tmp_path / "gt.txt", 6)
+    assert loaded == Trajectories(table.ids, table.frames, table.boxes, np.ones(n, dtype=bool))
+    assert fileio.load_trajectories(tmp_path / "trk.txt") == table
+
+
+def test_ground_truth_writer_holds_one_block(tmp_path):
+    """Writing a 100,000-row table holds one block's text at a time: under
+    1 MiB traced."""
+    table = _mixed_table(100_000, odd_every=1000)
+    tracemalloc.start()
+    try:
+        fileio.write_ground_truth(tmp_path / "gt.txt", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trajectory_writer_holds_the_columns_and_one_block(tmp_path):
+    """Writing 100 tracks of 1,000 rows holds their concatenated columns
+    (4.8 MiB) and one block's text: under 6 MiB traced."""
+    table = _mixed_table(100_000, odd_every=1000)
+    tracks = [Track(i, table.frames[i * 1000:(i + 1) * 1000], table.boxes[i * 1000:(i + 1) * 1000],
+                    table.matched[i * 1000:(i + 1) * 1000], np.zeros(3), 0) for i in range(100)]
+    tracemalloc.start()
+    try:
+        fileio.write_trajectories(tmp_path / "trk.txt", tracks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 @pytest.mark.parametrize("load,row,message", [

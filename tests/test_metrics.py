@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes
+from conftest import boxes, table_of
 from mftrack.errors import MeasurementError, MetricError
 from mftrack.metrics import (
-    _iou_matrix,
+    _edge_iou,
+    _edges,
     associate,
     evaluate,
     iou,
@@ -15,7 +16,7 @@ from mftrack.metrics import (
     m3,
     throughput,
 )
-from mftrack.types import ObjectState, Trajectories
+from mftrack.types import ObjectState
 
 
 def moving(frames, x=50.0, y=50.0, step=0.0):
@@ -53,37 +54,37 @@ class TestIoU:
         states = [ObjectState(*rng.uniform(0, 60, 2), *rng.uniform(1, 30, 2)) for _ in range(40)]
         gs, ts = states[:15], states[15:] + states[:3]
         want = np.array([[iou(g, t) for t in ts] for g in gs])
-        assert np.array_equal(_iou_matrix(boxes(gs), boxes(ts)), want)
+        assert np.array_equal(_edge_iou(_edges(boxes(gs)), _edges(boxes(ts))), want)
         assert 0 < np.count_nonzero(want) < want.size
 
 class TestAssociate:
     def test_matches_identical_boxes(self):
-        gt = Trajectories.of({0: moving(range(3))})
-        tracks = Trajectories.of({1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}})
+        gt = table_of({0: moving(range(3))})
+        tracks = table_of({1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}})
         corr = associate(gt, tracks)
         assert corr == {0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]}
 
     def test_below_threshold_unmatched(self):
-        gt = Trajectories.of({0: moving([0])})
-        tracks = Trajectories.of({1: {0: ObjectState(55, 55, 10, 10)}})  # IoU = 1/7 < 0.5
+        gt = table_of({0: moving([0])})
+        tracks = table_of({1: {0: ObjectState(55, 55, 10, 10)}})  # IoU = 1/7 < 0.5
         assert associate(gt, tracks) == {0: []}
 
     def test_greedy_and_hungarian_agree_on_clear_case(self):
-        gt = Trajectories.of({0: moving([0], x=50), 1: moving([0], x=200)})
-        tracks = Trajectories.of({1: {0: ObjectState(51, 50, 10, 10)},
-                                  2: {0: ObjectState(201, 50, 10, 10)}})
+        gt = table_of({0: moving([0], x=50), 1: moving([0], x=200)})
+        tracks = table_of({1: {0: ObjectState(51, 50, 10, 10)},
+                           2: {0: ObjectState(201, 50, 10, 10)}})
         assert associate(gt, tracks, method="greedy") == associate(gt, tracks, method="hungarian")
 
     def test_one_to_one(self):
-        gt = Trajectories.of({0: moving([0], x=50), 1: moving([0], x=52)})
-        tracks = Trajectories.of({1: {0: ObjectState(51, 50, 10, 10)}})
+        gt = table_of({0: moving([0], x=50), 1: moving([0], x=52)})
+        tracks = table_of({1: {0: ObjectState(51, 50, 10, 10)}})
         corr = associate(gt, tracks)
         assert len(corr[0]) == 1
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_frame_without_tracks_has_no_pairs(self, method):
-        gt = Trajectories.of({0: moving(range(3))})
-        tracks = Trajectories.of({1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}})
+        gt = table_of({0: moving(range(3))})
+        tracks = table_of({1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}})
         assert associate(gt, tracks, method=method) == {0: [(0, 1)], 1: [], 2: [(0, 1)]}
         assert evaluate(gt, tracks, method=method).m1 == pytest.approx(2 / 3)
 
@@ -91,7 +92,7 @@ class TestAssociate:
                                     {"method": "optimal"}])
     def test_rejects_bad_arguments(self, kw):
         with pytest.raises(ValueError):
-            associate(Trajectories.of({0: moving([0])}), Trajectories.of({1: moving([0])}), **kw)
+            associate(table_of({0: moving([0])}), table_of({1: moving([0])}), **kw)
 
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
@@ -116,7 +117,7 @@ class TestAssociate:
             tracks[40] = dict(tracks[max(tracks)])
             gt = {9: dict(list(gt.values())[-1]), **gt}
             for thr in (0.3, 0.5):
-                assert associate(Trajectories.of(gt), Trajectories.of(tracks), thr, method) == \
+                assert associate(table_of(gt), table_of(tracks), thr, method) == \
                     _pairwise_iou_loop(gt, tracks, thr, method)
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
@@ -126,7 +127,7 @@ class TestAssociate:
         """Generated sets, boxes on a coarse grid so that IoUs tie: frames
         that no track covers, objects of one row, and tracks in frames
         without ground truth; the correspondence equals the loop's."""
-        assert associate(Trajectories.of(gt), Trajectories.of(tracks), thr, method) == \
+        assert associate(table_of(gt), table_of(tracks), thr, method) == \
             _pairwise_iou_loop(gt, tracks, thr, method)
 
 
@@ -164,47 +165,47 @@ def _pairwise_iou_loop(gt, tracks, iou_threshold, method):
 
 class TestM1:
     def test_full_coverage(self):
-        gt = Trajectories.of({0: moving(range(10))})
+        gt = table_of({0: moving(range(10))})
         corr = {f: [(0, 1)] for f in range(10)}
         assert m1(corr, gt) == 1.0
 
     def test_partial(self):
-        gt = Trajectories.of({0: moving(range(100))})
+        gt = table_of({0: moving(range(100))})
         corr = {f: ([(0, 1)] if f < 36 else []) for f in range(100)}
         assert m1(corr, gt) == pytest.approx(0.36)
 
     def test_no_matches(self):
-        gt = Trajectories.of({0: moving(range(5))})
+        gt = table_of({0: moving(range(5))})
         assert m1({f: [] for f in range(5)}, gt) == 0.0
 
     def test_empty_gt_rejected(self):
         with pytest.raises(MetricError):
-            m1({}, Trajectories.of({}))
+            m1({}, table_of({}))
 
 
 class TestM2:
     def test_single_id(self):
-        gt = Trajectories.of({0: moving(range(4))})
+        gt = table_of({0: moving(range(4))})
         corr = {f: [(0, 7)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_five_fragments(self):
-        gt = Trajectories.of({0: moving(range(100))})
+        gt = table_of({0: moving(range(100))})
         corr = {f: [(0, 1 + f // 20)] for f in range(100)}
         assert m2(corr, gt) == pytest.approx(0.2)
 
     def test_mixed(self):
-        gt = Trajectories.of({0: moving(range(4)), 1: moving(range(4))})
+        gt = table_of({0: moving(range(4)), 1: moving(range(4))})
         corr = {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 3)], 2: [], 3: []}
         assert m2(corr, gt) == pytest.approx(0.75)  # (1 + 1/2) / 2
 
     def test_unmatched_objects_excluded(self):
-        gt = Trajectories.of({0: moving(range(4)), 1: moving(range(4))})
+        gt = table_of({0: moving(range(4)), 1: moving(range(4))})
         corr = {f: [(0, 1)] for f in range(4)}
         assert m2(corr, gt) == 1.0
 
     def test_fragmentation_strictly_decreases_m2(self):
-        gt = Trajectories.of({0: moving(range(120))})
+        gt = table_of({0: moving(range(120))})
         vals = []
         for k in (1, 2, 3, 4, 6):
             corr = {f: [(0, 1 + f * k // 120)] for f in range(120)}
@@ -228,8 +229,8 @@ class TestM3:
 
 class TestEvaluate:
     def test_mbar_identity(self):
-        gt = Trajectories.of({0: moving(range(50), step=1.0)})
-        tracks = Trajectories.of({1: {f: ObjectState(50 + f, 50, 10, 10) for f in range(50)}})
+        gt = table_of({0: moving(range(50), step=1.0)})
+        tracks = table_of({1: {f: ObjectState(50 + f, 50, 10, 10) for f in range(50)}})
         rep = evaluate(gt, tracks)
         assert rep.m_bar == pytest.approx((rep.m1 + rep.m2 + rep.m3) / 3, abs=1e-12)
         assert rep.m1 == rep.m2 == rep.m3 == 1.0
@@ -237,8 +238,8 @@ class TestEvaluate:
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(31)
-        gt = Trajectories.of({i: moving(range(20), x=50 + 40 * i) for i in range(3)})
-        tracks = Trajectories.of({
+        gt = table_of({i: moving(range(20), x=50 + 40 * i) for i in range(3)})
+        tracks = table_of({
             j: {f: ObjectState(float(rng.uniform(30, 180)), 50, 10, 10) for f in range(20)}
             for j in range(1, 5)
         })
@@ -250,10 +251,10 @@ class TestEvaluate:
     def test_scores_are_the_metric_functions(self, method):
         """evaluate reports m1, m2 and m3 of its association, bit for bit."""
         rng = np.random.default_rng(5)
-        gt = Trajectories.of({i: moving(range(30), x=50 + 15 * i) for i in range(4)})
-        tracks = Trajectories.of({j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
-                                      for f in range(int(rng.integers(0, 5)), 30)}
-                                  for j in range(1, 7)})
+        gt = table_of({i: moving(range(30), x=50 + 15 * i) for i in range(4)})
+        tracks = table_of({j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
+                               for f in range(int(rng.integers(0, 5)), 30)}
+                           for j in range(1, 7)})
         corr = associate(gt, tracks, method=method)
         rep = evaluate(gt, tracks, method=method)
         assert (rep.m1, rep.m2, rep.m3) == (m1(corr, gt), m2(corr, gt), m3(corr))

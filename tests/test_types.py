@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import table_of
 from mftrack.errors import ConfigError, InputError
 from mftrack.types import (
     Frame,
@@ -42,7 +43,7 @@ class TestObjectState:
 class TestTrajectories:
     def test_of_sorts_rows_by_id_then_frame(self):
         a, b, c = ObjectState(1, 2, 3, 4), ObjectState(5, 6, 7, 8), ObjectState(9, 9, 1, 1)
-        table = Trajectories.of({3: {7: c, 2: b}, 0: {5: a}})
+        table = table_of({3: {7: c, 2: b}, 0: {5: a}})
         assert (table.ids.tolist(), table.frames.tolist()) == ([0, 3, 3], [5, 2, 7])
         assert table.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 9, 1, 1]]
         assert table.matched.tolist() == [True, True, True]
@@ -52,7 +53,7 @@ class TestTrajectories:
             assert not column.flags.writeable
 
     def test_of_nothing_is_the_empty_table(self):
-        table = Trajectories.of({})
+        table = table_of({})
         assert (table.ids.shape, table.frames.shape, table.boxes.shape, table.matched.shape) == \
             ((0,), (0,), (0, 4), (0,))
 
@@ -61,21 +62,21 @@ class TestTrajectories:
     def test_of_refuses_id_without_states(self, states):
         """An object without states has no row to keep it: refused, not dropped."""
         with pytest.raises(ValueError, match=r"^ids without states: \[0\]$"):
-            Trajectories.of(states)
+            table_of(states)
 
     def test_equal_when_every_column_is(self):
         s, t = ObjectState(1, 2, 3, 4), ObjectState(1, 2, 3, 4.5)
-        table = Trajectories.of({1: {0: s, 1: s}})
-        assert table == Trajectories.of({1: {1: s, 0: s}})
+        table = table_of({1: {0: s, 1: s}})
+        assert table == table_of({1: {1: s, 0: s}})
         held = Trajectories(table.ids, table.frames, table.boxes, np.array([True, False]))
-        for other in (Trajectories.of({1: {0: s, 1: t}}), Trajectories.of({1: {0: s, 2: s}}),
-                      Trajectories.of({2: {0: s, 1: s}}), Trajectories.of({1: {0: s}}), held):
+        for other in (table_of({1: {0: s, 1: t}}), table_of({1: {0: s, 2: s}}),
+                      table_of({2: {0: s, 1: s}}), table_of({1: {0: s}}), held):
             assert table != other and not table == other
         assert table != {1: {0: s, 1: s}}
 
     def test_no_length_iteration_or_truth(self):
         """A table is no dict of objects: using it as one fails at once."""
-        table = Trajectories.of({1: {0: ObjectState(1, 2, 3, 4)}})
+        table = table_of({1: {0: ObjectState(1, 2, 3, 4)}})
         with pytest.raises(TypeError):
             len(table)
         with pytest.raises(TypeError):
