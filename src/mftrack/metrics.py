@@ -11,7 +11,12 @@ Three scores in [0, 1], higher is better:
 
 m_bar is their plain average. Ground truth and tracks are each a
 `types.Trajectories` table, and are associated per frame by bounding-box
-IoU, greedy by default (Hungarian optional).
+IoU, greedy by default (Hungarian optional). `associate` returns the
+matched pairs as int64 columns (frame, gt id, track id), sorted by (frame,
+gt id), and `score` counts the three measures from the id columns. m1 and
+m2 average over gt ids in id order; m3 averages over tracks in the order
+the pairs first name them, so that its float sum does not depend on how
+the tracks are numbered.
 """
 from __future__ import annotations
 
@@ -102,9 +107,10 @@ def associate(
     tracks: Trajectories,
     iou_threshold: float = 0.5,
     method: str = "greedy",
-) -> dict[int, list[tuple[int, int]]]:
-    """Per-frame one-to-one (gt_id, track_id) correspondences by IoU, for
-    every frame of the ground truth.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame one-to-one correspondences by IoU, over every frame of the
+    ground truth, as int64 columns (frames, gt ids, track ids): a row per
+    matched pair, sorted by (frame, gt id).
 
     greedy takes pairs by descending IoU, ties broken by lower gt id then
     lower track id; hungarian maximises the summed IoU, gt ids and track
@@ -123,83 +129,74 @@ def associate(
     frames = g_frames[g_bounds[:-1]]
     t_lo = np.searchsorted(t_frames, frames, "left").tolist()
     t_hi = np.searchsorted(t_frames, frames, "right").tolist()
-    correspondence: dict[int, list[tuple[int, int]]] = {}
-    for f, a, b, c, d in zip(frames.tolist(), g_bounds, g_bounds[1:], t_lo, t_hi):
+    # the track row each gt row is matched to, -1 where none
+    match = np.full(len(g_ids), -1, dtype=np.intp)
+    for a, b, c, d in zip(g_bounds, g_bounds[1:], t_lo, t_hi):
         if c == d:
-            correspondence[f] = []
             continue
-        gids, tids = g_ids[a:b].tolist(), t_ids[c:d].tolist()
         mat = _edge_iou(g_edges[:, a:b], t_edges[:, c:d])
         if method == "hungarian":
             rows, cols = linear_sum_assignment(-mat)
             index_pairs = [(i, j) for i, j in zip(rows, cols) if mat[i, j] >= iou_threshold]
         else:
-            index_pairs = kernels.greedy_pairs(mat, gids, tids, iou_threshold)
-        correspondence[f] = sorted((gids[i], tids[j]) for i, j in index_pairs)
-    return correspondence
+            index_pairs = kernels.greedy_pairs(mat, g_ids[a:b], t_ids[c:d], iou_threshold)
+        for i, j in index_pairs:
+            match[a + i] = c + j
+    # the gt rows are in (frame, id) order, and so are the pairs
+    matched = np.flatnonzero(match >= 0)
+    return g_frames[matched], g_ids[matched], t_ids[match[matched]]
 
 
-def _objects(gt: Trajectories) -> dict[int, int]:
-    """{gt id: its row count}, in id order."""
-    bounds = _runs(gt.ids)
-    return dict(zip(gt.ids[bounds[:-1]].tolist(), np.diff(bounds).tolist()))
+def _mean_reciprocal(counts: np.ndarray) -> float:
+    """Mean of 1/count over counts, in their order; 0.0 if there are none."""
+    return float(np.mean(1.0 / counts)) if len(counts) else 0.0
 
 
-def _tally(correspondence: dict[int, list[tuple[int, int]]], gids,
-           ) -> tuple[dict[int, int], dict[int, set[int]], dict[int, set[int]]]:
-    """Count a correspondence once: per gt id (in the order of gids) the
-    frames it is matched in and the track ids covering it; per track id
-    the gt ids it covers."""
-    frames = dict.fromkeys(gids, 0)
-    gt_tracks: dict[int, set[int]] = {gid: set() for gid in gids}
-    track_gts: dict[int, set[int]] = {}
-    for pairs in correspondence.values():
-        for gid, tid in pairs:
-            frames[gid] = frames.get(gid, 0) + 1
-            gt_tracks.setdefault(gid, set()).add(tid)
-            track_gts.setdefault(tid, set()).add(gid)
-    return frames, gt_tracks, track_gts
+def score(
+    gt: Trajectories,
+    gt_ids: np.ndarray,
+    track_ids: np.ndarray,
+    fps: float | None = None,
+) -> EvalReport:
+    """The report of the matched pairs (gt_ids[k], track_ids[k]) of
+    `associate(gt, ...)`, each pair one matched frame, in its order.
 
-
-def _m1(frames: dict[int, int], objects: dict[int, int]) -> float:
-    if not objects:
-        raise MetricError("m1 undefined without ground-truth objects")
-    return float(np.mean([frames[gid] / n for gid, n in objects.items()]))
-
-
-def _mean_reciprocal(id_sets) -> float:
-    """Mean of 1/len over the non-empty sets; 0.0 if there are none."""
-    vals = [1.0 / len(s) for s in id_sets if s]
-    return float(np.mean(vals)) if vals else 0.0
-
-
-def m1(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
-    """Mean over ground-truth objects of their matched-frame fraction."""
-    objects = _objects(gt)
-    return _m1(_tally(correspondence, objects)[0], objects)
-
-
-def _m2(gt_tracks: dict[int, set[int]], gids) -> float:
-    return _mean_reciprocal(gt_tracks[gid] for gid in gids)
-
-
-def _m3(track_gts: dict[int, set[int]]) -> float:
-    return _mean_reciprocal(track_gts.values())
-
-
-def m2(correspondence: dict[int, list[tuple[int, int]]], gt: Trajectories) -> float:
-    """Mean reciprocal track-id count per ground-truth object with a match.
-
-    Objects never matched are excluded (their reciprocal is undefined);
-    returns 0.0 if nothing matched at all.
+    m1 averages each gt object's matched-row fraction and m2 the reciprocal
+    of its distinct track ids, both over gt ids in id order, m2 over the
+    objects with a match only. m3 averages the reciprocal of each track's
+    distinct gt ids, the tracks in the order the pairs first name them.
+    m2 and m3 are 0.0 when nothing matched.
     """
-    objects = _objects(gt)
-    return _m2(_tally(correspondence, objects)[1], objects)
-
-
-def m3(correspondence: dict[int, list[tuple[int, int]]]) -> float:
-    """Mean reciprocal ground-truth-id count per track with a match."""
-    return _m3(_tally(correspondence, ())[2])
+    if not len(gt.ids):
+        raise MetricError("m1 undefined without ground-truth objects")
+    bounds = _runs(gt.ids)
+    ids = gt.ids[bounds[:-1]]
+    obj = np.searchsorted(ids, gt_ids)
+    coverage = np.bincount(obj, minlength=len(ids)) / np.diff(bounds)
+    # the pairs by (track id, object), each track's pairs a run, each
+    # distinct (track, object) link a run within it
+    order = np.lexsort((obj, track_ids))
+    t, o = track_ids[order], obj[order]
+    new_track = np.ones(len(t), dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=new_track[1:])
+    new_link = new_track.copy()
+    new_link[1:] |= o[1:] != o[:-1]
+    tracks_per_object = np.bincount(o[new_link], minlength=len(ids))
+    # per track its links, the tracks in the order of their first pair
+    starts = np.flatnonzero(new_track)
+    by_first = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
+    tids = t[starts][by_first]
+    objects_per_track = np.add.reduceat(new_link, starts)[by_first]
+    v1 = float(np.mean(coverage))
+    v2 = _mean_reciprocal(tracks_per_object[tracks_per_object > 0])
+    v3 = _mean_reciprocal(objects_per_track)
+    return EvalReport(
+        m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
+        per_gt_coverage=dict(zip(ids.tolist(), coverage.tolist())),
+        per_gt_track_ids=dict(zip(ids.tolist(), tracks_per_object.tolist())),
+        per_track_gt_ids=dict(zip(tids.tolist(), objects_per_track.tolist())),
+        fps=fps,
+    )
 
 
 def evaluate(
@@ -209,17 +206,8 @@ def evaluate(
     method: str = "greedy",
     fps: float | None = None,
 ) -> EvalReport:
-    objects = _objects(gt)
-    frames, gt_tracks, track_gts = _tally(
-        associate(gt, tracks, iou_threshold, method), objects)
-    v1, v2, v3 = _m1(frames, objects), _m2(gt_tracks, objects), _m3(track_gts)
-    return EvalReport(
-        m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
-        per_gt_coverage={gid: frames[gid] / n for gid, n in objects.items()},
-        per_gt_track_ids={gid: len(gt_tracks[gid]) for gid in objects},
-        per_track_gt_ids={tid: len(s) for tid, s in track_gts.items()},
-        fps=fps,
-    )
+    _, gt_ids, track_ids = associate(gt, tracks, iou_threshold, method)
+    return score(gt, gt_ids, track_ids, fps)
 
 
 def throughput(frame_count: int, elapsed_seconds: float) -> float:

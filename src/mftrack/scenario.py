@@ -39,7 +39,8 @@ class MotionScript:
     hist_width: float = 4.0
 
     def frame_range(self) -> tuple[int, int]:
-        return int(self.waypoints[0][0]), int(self.waypoints[-1][0])
+        # floored, not truncated: a last waypoint at frame -0.5 ends before frame 0
+        return int(self.waypoints[0][0]), math.floor(self.waypoints[-1][0])
 
     def boxes_at(self, frames: np.ndarray) -> np.ndarray:
         """The (x, y, l, h) rows at frames, each from the first to the last

@@ -178,8 +178,8 @@ def test_criterion_6_m2_fragmentation_sensitivity():
     tracks = {tid: {} for tid in range(1, 6)}
     for f in range(100):
         tracks[1 + f // 20][f] = ObjectState(50.0 + f, 50, 10, 10)
-    corr = metrics.associate(gt, table_of(tracks))
-    ok = metrics.m2(corr, gt) == 0.2
+    _, gt_ids, track_ids = metrics.associate(gt, table_of(tracks))
+    ok = metrics.score(gt, gt_ids, track_ids).m2 == 0.2
     report(6, "M2 with 5 forced fragments = 0.20", ok)
 
 

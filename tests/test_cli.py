@@ -644,6 +644,8 @@ def _blob(**fields):
                  id="object_after_stream"),
     pytest.param(_first_object(waypoints=[[-10, 10, 10, 4, 8], [-5, 20, 10, 4, 8]]),
                  id="object_before_stream"),
+    pytest.param(_first_object(waypoints=[[-10, 10, 10, 4, 8], [-0.5, 20, 10, 4, 8]]),
+                 id="object_ending_at_frame_minus_half"),
     # waypoints that validate but interpolate to a box of height 0 at frame 5
     pytest.param(_first_object(waypoints=[[0, 40, 60, 10, 1], [5, 100, 60, 10, 1e-300]]),
                  id="interpolated_height_zero"),

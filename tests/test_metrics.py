@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from conftest import boxes, table_of
 from mftrack.errors import MeasurementError, MetricError
 from mftrack.metrics import (
+    EvalReport,
     _edge_iou,
     _edges,
     associate,
     evaluate,
     iou,
-    m1,
-    m2,
-    m3,
+    score,
     throughput,
 )
 from mftrack.types import ObjectState
@@ -33,6 +32,50 @@ _OBJECTS = st.dictionaries(
                               st.sampled_from([10.0, 20.0]), st.just(10.0)),
                     min_size=1, max_size=8),
     max_size=5)
+
+
+@st.composite
+def _swapping(draw):
+    """Ground truth drawn as _OBJECTS, and tracks on its boxes whose id is
+    drawn anew for each (gt id, frame) state: tracks cover several gt ids,
+    so that m3 averages mixed reciprocals, the case where the order of its
+    terms shows in the last bit."""
+    gt = draw(_OBJECTS)
+    tracks = {}
+    for gid in sorted(gt):
+        for f, state in sorted(gt[gid].items()):
+            tracks.setdefault(draw(st.integers(-2, 6)), {}).setdefault(f, state)
+    return gt, tracks
+
+
+def _pairs_by_frame(gt, columns):
+    """{frame: [(gt id, track id), ...]} of `associate`'s columns, a key for
+    every frame of gt; the columns must be int64 and sorted by (frame, gt
+    id)."""
+    frames, gt_ids, track_ids = columns
+    assert frames.dtype == gt_ids.dtype == track_ids.dtype == np.int64
+    assert np.all(np.lexsort((gt_ids, frames)) == np.arange(len(frames)))
+    correspondence = {f: [] for f in sorted(set(gt.frames.tolist()))}
+    for f, gid, tid in zip(frames.tolist(), gt_ids.tolist(), track_ids.tolist()):
+        correspondence[f].append((gid, tid))
+    return correspondence
+
+
+def _score(gt, correspondence):
+    """`score` of a {frame: [(gt id, track id), ...]} correspondence."""
+    pairs = [pair for f in sorted(correspondence) for pair in correspondence[f]]
+    gt_ids, track_ids = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return score(gt, gt_ids, track_ids)
+
+
+def _gt_of(correspondence):
+    """Ground truth with each gt id of the correspondence in the frames
+    where it is matched."""
+    frames = {}
+    for f, pairs in correspondence.items():
+        for gid, _ in pairs:
+            frames.setdefault(gid, []).append(f)
+    return table_of({gid: moving(fs) for gid, fs in frames.items()})
 
 
 class TestIoU:
@@ -61,31 +104,33 @@ class TestAssociate:
     def test_matches_identical_boxes(self):
         gt = table_of({0: moving(range(3))})
         tracks = table_of({1: {f: ObjectState(50, 50, 10, 10) for f in range(3)}})
-        corr = associate(gt, tracks)
+        corr = _pairs_by_frame(gt, associate(gt, tracks))
         assert corr == {0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]}
 
     def test_below_threshold_unmatched(self):
         gt = table_of({0: moving([0])})
         tracks = table_of({1: {0: ObjectState(55, 55, 10, 10)}})  # IoU = 1/7 < 0.5
-        assert associate(gt, tracks) == {0: []}
+        assert _pairs_by_frame(gt, associate(gt, tracks)) == {0: []}
 
     def test_greedy_and_hungarian_agree_on_clear_case(self):
         gt = table_of({0: moving([0], x=50), 1: moving([0], x=200)})
         tracks = table_of({1: {0: ObjectState(51, 50, 10, 10)},
                            2: {0: ObjectState(201, 50, 10, 10)}})
-        assert associate(gt, tracks, method="greedy") == associate(gt, tracks, method="hungarian")
+        assert _pairs_by_frame(gt, associate(gt, tracks, method="greedy")) == \
+            _pairs_by_frame(gt, associate(gt, tracks, method="hungarian"))
 
     def test_one_to_one(self):
         gt = table_of({0: moving([0], x=50), 1: moving([0], x=52)})
         tracks = table_of({1: {0: ObjectState(51, 50, 10, 10)}})
-        corr = associate(gt, tracks)
+        corr = _pairs_by_frame(gt, associate(gt, tracks))
         assert len(corr[0]) == 1
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_frame_without_tracks_has_no_pairs(self, method):
         gt = table_of({0: moving(range(3))})
         tracks = table_of({1: {f: ObjectState(50, 50, 10, 10) for f in (0, 2)}})
-        assert associate(gt, tracks, method=method) == {0: [(0, 1)], 1: [], 2: [(0, 1)]}
+        assert _pairs_by_frame(gt, associate(gt, tracks, method=method)) == \
+            {0: [(0, 1)], 1: [], 2: [(0, 1)]}
         assert evaluate(gt, tracks, method=method).m1 == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize("kw", [{"iou_threshold": 0.0}, {"iou_threshold": 1.5},
@@ -116,8 +161,9 @@ class TestAssociate:
                         f, ObjectState(s.x + jitter[0], s.y + jitter[1], s.l, s.h))
             tracks[40] = dict(tracks[max(tracks)])
             gt = {9: dict(list(gt.values())[-1]), **gt}
+            gt_table, track_table = table_of(gt), table_of(tracks)
             for thr in (0.3, 0.5):
-                assert associate(table_of(gt), table_of(tracks), thr, method) == \
+                assert _pairs_by_frame(gt_table, associate(gt_table, track_table, thr, method)) == \
                     _pairwise_iou_loop(gt, tracks, thr, method)
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
@@ -127,7 +173,8 @@ class TestAssociate:
         """Generated sets, boxes on a coarse grid so that IoUs tie: frames
         that no track covers, objects of one row, and tracks in frames
         without ground truth; the correspondence equals the loop's."""
-        assert associate(table_of(gt), table_of(tracks), thr, method) == \
+        gt_table = table_of(gt)
+        assert _pairs_by_frame(gt_table, associate(gt_table, table_of(tracks), thr, method)) == \
             _pairwise_iou_loop(gt, tracks, thr, method)
 
 
@@ -163,68 +210,128 @@ def _pairwise_iou_loop(gt, tracks, iou_threshold, method):
     return correspondence
 
 
+def _reference_report(correspondence, gt):
+    """The report of a {frame: [(gt id, track id), ...]} correspondence,
+    its frames in order, tallied pair by pair into per-id dicts and sets:
+    m1 and m2 over gt ids in id order, m3 over tracks in the order the
+    pairs first name them."""
+    objects = {}
+    for gid in gt.ids.tolist():
+        objects[gid] = objects.get(gid, 0) + 1
+    frames = dict.fromkeys(objects, 0)
+    gt_tracks = {gid: set() for gid in objects}
+    track_gts = {}
+    for pairs in correspondence.values():
+        for gid, tid in pairs:
+            frames[gid] += 1
+            gt_tracks[gid].add(tid)
+            track_gts.setdefault(tid, set()).add(gid)
+
+    def mean_reciprocal(id_sets):
+        vals = [1.0 / len(s) for s in id_sets if s]
+        return float(np.mean(vals)) if vals else 0.0
+
+    v1 = float(np.mean([frames[gid] / n for gid, n in objects.items()]))
+    v2, v3 = mean_reciprocal(gt_tracks.values()), mean_reciprocal(track_gts.values())
+    return EvalReport(
+        m1=v1, m2=v2, m3=v3, m_bar=(v1 + v2 + v3) / 3.0,
+        per_gt_coverage={gid: frames[gid] / n for gid, n in objects.items()},
+        per_gt_track_ids={gid: len(s) for gid, s in gt_tracks.items()},
+        per_track_gt_ids={tid: len(s) for tid, s in track_gts.items()},
+    )
+
+
+def _assert_reference_report(gt, tracks, thr, method):
+    """evaluate equals the reference tally of the pairwise loop's
+    correspondence bit for bit, its per-id dicts in the same order; an
+    empty ground truth is a MetricError for both."""
+    if not gt:
+        with pytest.raises(MetricError):
+            evaluate(table_of(gt), table_of(tracks), thr, method)
+        return
+    want = _reference_report(_pairwise_iou_loop(gt, tracks, thr, method), table_of(gt))
+    rep = evaluate(table_of(gt), table_of(tracks), thr, method)
+    assert rep == want
+    for name in ("per_gt_coverage", "per_gt_track_ids", "per_track_gt_ids"):
+        assert list(getattr(rep, name).items()) == list(getattr(want, name).items())
+
+
+class TestReferenceTally:
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    @settings(max_examples=100, deadline=None)
+    @given(gt=_OBJECTS, tracks=_OBJECTS, thr=st.sampled_from([0.3, 0.5, 1.0]))
+    def test_generated_sets(self, method, gt, tracks, thr):
+        _assert_reference_report(gt, tracks, thr, method)
+
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    @settings(max_examples=100, deadline=None)
+    @given(sets=_swapping(), thr=st.sampled_from([0.3, 0.5, 1.0]))
+    def test_swapping_tracks(self, method, sets, thr):
+        _assert_reference_report(*sets, thr, method)
+
+
 class TestM1:
     def test_full_coverage(self):
         gt = table_of({0: moving(range(10))})
         corr = {f: [(0, 1)] for f in range(10)}
-        assert m1(corr, gt) == 1.0
+        assert _score(gt, corr).m1 == 1.0
 
     def test_partial(self):
         gt = table_of({0: moving(range(100))})
         corr = {f: ([(0, 1)] if f < 36 else []) for f in range(100)}
-        assert m1(corr, gt) == pytest.approx(0.36)
+        assert _score(gt, corr).m1 == pytest.approx(0.36)
 
     def test_no_matches(self):
         gt = table_of({0: moving(range(5))})
-        assert m1({f: [] for f in range(5)}, gt) == 0.0
+        assert _score(gt, {f: [] for f in range(5)}).m1 == 0.0
 
     def test_empty_gt_rejected(self):
         with pytest.raises(MetricError):
-            m1({}, table_of({}))
+            _score(table_of({}), {})
 
 
 class TestM2:
     def test_single_id(self):
         gt = table_of({0: moving(range(4))})
         corr = {f: [(0, 7)] for f in range(4)}
-        assert m2(corr, gt) == 1.0
+        assert _score(gt, corr).m2 == 1.0
 
     def test_five_fragments(self):
         gt = table_of({0: moving(range(100))})
         corr = {f: [(0, 1 + f // 20)] for f in range(100)}
-        assert m2(corr, gt) == pytest.approx(0.2)
+        assert _score(gt, corr).m2 == pytest.approx(0.2)
 
     def test_mixed(self):
         gt = table_of({0: moving(range(4)), 1: moving(range(4))})
         corr = {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 3)], 2: [], 3: []}
-        assert m2(corr, gt) == pytest.approx(0.75)  # (1 + 1/2) / 2
+        assert _score(gt, corr).m2 == pytest.approx(0.75)  # (1 + 1/2) / 2
 
     def test_unmatched_objects_excluded(self):
         gt = table_of({0: moving(range(4)), 1: moving(range(4))})
         corr = {f: [(0, 1)] for f in range(4)}
-        assert m2(corr, gt) == 1.0
+        assert _score(gt, corr).m2 == 1.0
 
     def test_fragmentation_strictly_decreases_m2(self):
         gt = table_of({0: moving(range(120))})
         vals = []
         for k in (1, 2, 3, 4, 6):
             corr = {f: [(0, 1 + f * k // 120)] for f in range(120)}
-            vals.append(m2(corr, gt))
+            vals.append(_score(gt, corr).m2)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestM3:
     def test_single_gt_per_track(self):
         corr = {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 2)]}
-        assert m3(corr) == 1.0
+        assert _score(_gt_of(corr), corr).m3 == 1.0
 
     def test_swapping_track(self):
         corr = {0: [(0, 1)], 1: [(1, 1)]}
-        assert m3(corr) == 0.5
+        assert _score(_gt_of(corr), corr).m3 == 0.5
 
     def test_mixed_counts(self):
         corr = {0: [(0, 1), (1, 2), (2, 3)], 1: [(0, 1), (1, 2), (3, 3)]}
-        assert m3(corr) == pytest.approx((1 + 1 + 0.5) / 3)
+        assert _score(_gt_of(corr), corr).m3 == pytest.approx((1 + 1 + 0.5) / 3)
 
 
 class TestEvaluate:
@@ -249,16 +356,61 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("method", ["greedy", "hungarian"])
     def test_scores_are_the_metric_functions(self, method):
-        """evaluate reports m1, m2 and m3 of its association, bit for bit."""
+        """evaluate reports the score of its association, bit for bit."""
         rng = np.random.default_rng(5)
         gt = table_of({i: moving(range(30), x=50 + 15 * i) for i in range(4)})
         tracks = table_of({j: {f: ObjectState(float(rng.uniform(30, 120)), 50, 10, 10)
                                for f in range(int(rng.integers(0, 5)), 30)}
                            for j in range(1, 7)})
-        corr = associate(gt, tracks, method=method)
+        _, gt_ids, track_ids = associate(gt, tracks, method=method)
+        scored = score(gt, gt_ids, track_ids)
         rep = evaluate(gt, tracks, method=method)
-        assert (rep.m1, rep.m2, rep.m3) == (m1(corr, gt), m2(corr, gt), m3(corr))
+        assert (rep.m1, rep.m2, rep.m3) == (scored.m1, scored.m2, scored.m3)
         assert 0.0 < rep.m2 < 1.0 and 0.0 < rep.m3 < 1.0
+
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    @pytest.mark.parametrize("tracks", [
+        pytest.param({1: moving(range(5), x=500.0)}, id="no_overlap"),
+        pytest.param({}, id="no_rows"),
+        pytest.param({1: moving(range(10, 15))}, id="frames_without_gt"),
+    ])
+    def test_no_pair(self, method, tracks):
+        """No matched pair: m1 = m2 = m3 = 0, every gt id with no track and
+        no track with a gt id."""
+        states = {0: moving(range(5)), 3: moving(range(2, 4))}
+        gt = table_of(states)
+        columns = associate(gt, table_of(tracks), method=method)
+        assert [c.dtype for c in columns] == [np.dtype(np.int64)] * 3
+        assert [len(c) for c in columns] == [0, 0, 0]
+        rep = evaluate(gt, table_of(tracks), method=method)
+        assert (rep.m1, rep.m2, rep.m3, rep.m_bar) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.per_gt_coverage == {0: 0.0, 3: 0.0}
+        assert rep.per_gt_track_ids == {0: 0, 3: 0}
+        assert rep.per_track_gt_ids == {}
+        _assert_reference_report(states, tracks, 0.5, method)
+
+    def test_empty_gt_rejected(self):
+        tracks = table_of({1: moving(range(3))})
+        with pytest.raises(MetricError):
+            evaluate(table_of({}), tracks)
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(MetricError):
+            score(table_of({}), empty, empty)
+
+    @pytest.mark.parametrize("method", ["greedy", "hungarian"])
+    def test_negative_and_extreme_ids(self, method):
+        """Ids at both ends of int64 and below 0: a track that covers two gt
+        ids, a gt id covered by two tracks."""
+        lo, hi = -2**63, 2**63 - 1
+        gt = {lo: moving(range(4)), -1: moving(range(4), x=200.0), hi: moving(range(4), x=400.0)}
+        tracks = {hi: {**moving(range(2)), **moving(range(2, 4), x=200.0)},
+                  lo: moving(range(2, 4)),
+                  -7: {**moving(range(2), x=200.0), **moving(range(2, 4), x=400.0)}}
+        rep = evaluate(table_of(gt), table_of(tracks), method=method)
+        assert rep.per_gt_track_ids == {lo: 2, -1: 2, hi: 1}
+        assert list(rep.per_track_gt_ids.items()) == [(hi, 2), (-7, 2), (lo, 1)]
+        assert rep.per_gt_coverage == {lo: 1.0, -1: 1.0, hi: 0.5}
+        _assert_reference_report(gt, tracks, 0.5, method)
 
 
 class TestThroughput:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mftrack.errors import InputError
@@ -229,6 +229,7 @@ _frame = st.one_of(st.integers(-30, 60), st.integers(-60, 120).map(lambda k: k /
 
 
 @settings(max_examples=300, deadline=None)
+@example(frames=[-0.5], boxes=[(1, 1, 1, 1)] * 5, duration=1)
 @given(frames=st.lists(_frame, min_size=1, max_size=5, unique=True),
        boxes=st.lists(st.tuples(_value, _value, _value, _value), min_size=5, max_size=5),
        duration=st.integers(1, 40))
