@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman, kernels, lifecycle
-from .errors import NumericOverflowError, SequencingError
+from .errors import InputError, NumericOverflowError, SequencingError
 from .types import (
     ACTIVE,
     NOISE,
@@ -30,6 +30,7 @@ from .types import (
     Track,
     TrackerConfig,
     Trajectories,
+    is_integer,
 )
 
 
@@ -57,12 +58,12 @@ class LiveRows:
     `count` holds the integer columns ids, birth, f_l and n_r (the `Track`
     fields of those names) and n_c; a live track waited on every frame of
     its span that did not match it, so its t_w is f_c - birth + 1 - n_r at
-    frame f_c and needs no column. While a row's d_max is under
-    the engine's cap t4, `centers[i, :n_c[i]]` holds the (x, y) of its
-    matched boxes, as `Track.update_extent` keeps them; the slots after
-    them repeat its first center, which leaves every maximum distance as
-    it is. No column holds an object: a track's `last_histogram` is a
-    read-only view of its hist row, handed over when the track is read.
+    frame f_c and needs no column. While a row's d_max is under the
+    engine's cap t4, `centers[i, :n_c[i]]` holds the (x, y) of its matched
+    boxes, as the test oracle `extent` keeps them; the slots after them
+    repeat its first center, which leaves every maximum distance as it is.
+    No column holds an object: a track's `last_histogram` is a read-only
+    view of its hist row, handed over when the track is read.
     """
 
     real: np.ndarray  # (n, kalman.WIDTH + 6 + n_bins)
@@ -98,9 +99,8 @@ class LiveRows:
                         np.concatenate((_widen(self.centers, k), _widen(other.centers, k))))
 
     def extend(self, index: np.ndarray, xy: np.ndarray, cap: float) -> None:
-        """`Track.update_extent(x, y, cap)` on the rows `index`, row j of
-        xy being the new center of row index[j], in place. A row whose
-        d_max has reached the cap is left as it is for good."""
+        """The test oracle `extent` (tests/conftest.py) on the rows `index`, in
+        place, xy[j] the new center of row index[j]; a row at the cap stays as it is."""
         d_max, n_c = self.real[:, _D_MAX], self.count[:, _N_C]
         old = d_max[index]
         open_ = old < cap
@@ -260,7 +260,7 @@ class TrackingEngine:
         return [t for t in self.tracks.values() if t.status != NOISE]
 
     def step(self, frame_id: int, detections: Frame | list) -> FrameReport:
-        """Process one frame; frame ids must be strictly increasing.
+        """Process one frame; frame ids must be integers, strictly increasing.
 
         The filters of the matched rows are corrected as one block, their
         box, base and histogram written with one scatter, and every other
@@ -273,6 +273,8 @@ class TrackingEngine:
         matched, the log and the sweep when no row is live, and all but the
         frame's checks when there is neither a row nor a detection.
         """
+        if not is_integer(frame_id):
+            raise InputError(f"frame id {frame_id!r} is not an integer")
         if self.last_frame is not None and frame_id <= self.last_frame:
             raise SequencingError(
                 f"frame {frame_id} not after last processed frame {self.last_frame}")
@@ -367,7 +369,7 @@ class TrackingEngine:
         for (tid, birth, f_l, n_r, _), d, h, status in zip(
                 count.tolist(), d_max.tolist(), hist, statuses):
             t = self._tracks[tid]
-            t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t._d_max = (
+            t.f_l, t.n_r, t.t_w, t.status, t.last_histogram, t.d_max = (
                 f_l, n_r, f_c - birth + 1 - n_r, status, h, d)
 
     def trajectories(self) -> Trajectories:

@@ -327,7 +327,7 @@ def brute_force_tracks(result: ScenarioResult, cfg: TrackerConfig) -> list[tuple
     Uses the simulator's provenance to assign each detection to its true
     object, then splits each object's detection timeline into fragments
     wherever the termination rule would force the engine to give up
-    (gap > min(matched-so-far, T2)). Returns (gt_id, matched_frames)
+    (gap > min(matched-so-far, T2)). Returns (gt_id, matched frames)
     fragments. Guarded to desk-scale instances.
     """
     by_object: dict[int, list[int]] = {gid: [] for gid in result.gt.ids.tolist()}

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +52,6 @@ class ObjectState:
 
     def __post_init__(self):
         check_boxes(np.array(((self.x, self.y, self.l, self.h),), dtype=np.float64))
-
-    @classmethod
-    def rows(cls, boxes: np.ndarray) -> list["ObjectState"]:
-        """One state per (x, y, l, h) row of an (n, 4) array.
-
-        The rows are checked at once, as the constructor checks one state,
-        and each state is then made without a check of its own: each field
-        is set by its slot's own setter, mapped over all the states.
-        """
-        boxes = np.asarray(boxes, dtype=np.float64)
-        check_boxes(boxes)
-        states = list(map(object.__new__, repeat(cls, len(boxes))))
-        for name, column in zip(("x", "y", "l", "h"), boxes.T.tolist()):
-            list(map(getattr(cls, name).__set__, states, column))
-        return states
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     @property
     def area(self) -> float:
@@ -157,6 +137,19 @@ def check_rows(frame_ids: int | np.ndarray, ids: np.ndarray, boxes: np.ndarray,
     check_counts(hist)
 
 
+def _int64_ids(ids, frame_id: int) -> np.ndarray:
+    """ids as an int64 column (a copy); an id that is not an integer (a
+    bool or a float is not one) or is beyond int64 is an InputError."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids, np.int64):
+        return ids.astype(np.int64).reshape(-1)
+    given = np.array(ids, dtype=object).reshape(-1)
+    for v in given.tolist():
+        if not is_integer(v, -2**63, 2**63 - 1):
+            raise InputError(f"detection id {v} beyond int64 in frame {frame_id}" if is_integer(v)
+                             else f"detection id {v!r} in frame {frame_id} is not an integer")
+    return given.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """The detections of one frame as columns, row i for the i-th detection:
@@ -164,7 +157,8 @@ class Frame:
     counts, all three read-only.
 
     The constructor copies the rows and checks them once, as arrays, by
-    `check_rows`; a detection id beyond int64 is an InputError.
+    `check_rows`. A frame or detection id that is not an integer, or a
+    detection id beyond int64, is an InputError naming it.
     """
 
     frame_id: int
@@ -173,10 +167,9 @@ class Frame:
     hist: np.ndarray
 
     def __post_init__(self):
-        try:
-            ids = np.array(self.ids, dtype=np.int64).reshape(-1)
-        except OverflowError:
-            raise InputError(f"detection id beyond int64 in frame {self.frame_id}") from None
+        if not is_integer(self.frame_id):
+            raise InputError(f"frame id {self.frame_id!r} is not an integer")
+        ids = _int64_ids(self.ids, self.frame_id)
         boxes = np.array(self.boxes, dtype=np.float64).reshape(len(ids), 4)
         hist = np.array(self.hist, dtype=np.float64)
         if hist.ndim != 2 or len(hist) != len(ids):
@@ -333,15 +326,13 @@ class Track:
     Its history is three read-only columns in frame order, a row per frame
     from birth to the last processed frame: `frames` (n,) int64, `boxes`
     (n, 4) float64 rows (x, y, l, h) and `matched` (n,) bool, False where
-    the track held its box while waiting. The birth frame, last state, end
-    frame and span are read from the rows; `states` and `matched_frames`
-    are built from them when asked for.
+    the track held its box while waiting. Its last state is `boxes[-1]`,
+    its matched frames `frames[matched]`.
 
     The engine brings a track up to its last step when it is read
     (`TrackingEngine.tracks` and the methods that list tracks). A live
     track's filter, and the centers behind its d_max, are rows of the
-    engine's store: `update_extent` and `_centers` are the scalar rule the
-    store's extent columns are tested against, and stay empty there.
+    engine's store.
     """
 
     track_id: int
@@ -353,10 +344,7 @@ class Track:
     n_r: int = 1  # number of matched frames
     t_w: int = 0  # cumulative waiting frames
     status: str = ACTIVE
-    # spatial-extent bookkeeping: exact max pairwise center distance,
-    # frozen once it crosses the cap the engine cares about (t4)
-    _centers: list[tuple[float, float]] = field(default_factory=list)
-    _d_max: float = 0.0
+    d_max: float = 0.0  # max pairwise matched-center distance, frozen once it reaches t4
 
     def __post_init__(self):
         self._set(np.array(self.frames, dtype=np.int64), np.array(self.boxes, dtype=np.float64),
@@ -374,34 +362,8 @@ class Track:
         self.frames, self.boxes, self.matched = frames, boxes, matched
 
     @property
-    def states(self) -> dict[int, ObjectState]:
-        """{frame: state} of the rows, in frame order, built when asked for."""
-        return dict(zip(self.frames.tolist(), ObjectState.rows(self.boxes)))
-
-    @property
-    def matched_frames(self) -> set[int]:
-        """The frames of the matched rows, built when asked for."""
-        return set(self.frames[self.matched].tolist())
-
-    @property
-    def d_max(self) -> float:
-        """Maximum pairwise distance between trajectory center positions.
-
-        Exact until it reaches the engine's spatial-noise threshold, after
-        which it is frozen (every noise decision only compares against that
-        threshold, and the value is monotone non-decreasing).
-        """
-        return self._d_max
-
-    @property
     def birth_frame(self) -> int:
         return int(self.frames[0])
-
-    @property
-    def last_cs(self) -> ObjectState:
-        """State of the last processed frame: its corrected state, or the
-        one held while waiting."""
-        return ObjectState(*self.boxes[-1].tolist())
 
     @property
     def end_frame(self) -> int | None:
@@ -412,16 +374,3 @@ class Track:
     def span(self) -> int:
         """Trajectory length in frames, waiting time included."""
         return int(self.frames[-1]) - self.birth_frame + 1
-
-    def update_extent(self, x: float, y: float, cap: float = math.inf) -> None:
-        if self._d_max >= cap:
-            return
-        if self._centers:
-            cx = np.array([c[0] for c in self._centers])
-            cy = np.array([c[1] for c in self._centers])
-            d = float(np.max(np.hypot(cx - x, cy - y)))
-            if d > self._d_max:
-                self._d_max = d
-        self._centers.append((x, y))
-        if self._d_max >= cap:
-            self._centers.clear()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,10 +48,31 @@ def make_frame(frame_id, centers, ids=None, l=10.0, h=10.0, hist=None, n=96):
     return Frame(frame_id, range(m) if ids is None else ids, boxes, np.tile(bins, (m, 1)))
 
 
+def extent(centers: list, d_max: float, x: float, y: float, cap: float = math.inf) -> float:
+    """The scalar extent rule `LiveRows.extend` is tested against, on one
+    track: its d_max once the center (x, y) joins `centers`, the centers
+    kept so far, which takes it in place. d_max is the largest distance
+    between two centers until it reaches cap; from then on it is frozen,
+    and the centers are dropped."""
+    if d_max >= cap:
+        return d_max
+    if centers:
+        cx = np.array([c[0] for c in centers])
+        cy = np.array([c[1] for c in centers])
+        d = float(np.max(np.hypot(cx - x, cy - y)))
+        if d > d_max:
+            d_max = d
+    centers.append((x, y))
+    if d_max >= cap:
+        centers.clear()
+    return d_max
+
+
 def make_track(track_id, state, birth=0, hist=None, n=96, **kw):
-    """Track born in `state`; a filter row seeded at its `last_cs` predicts
-    it at `state` again, since the seeded velocity is 0."""
-    t = Track(
+    """Track born in `state`, its one matched center, so its d_max is 0; a
+    filter row seeded at its last box predicts it at `state` again, since
+    the seeded velocity is 0."""
+    return Track(
         track_id=track_id,
         frames=[birth],
         boxes=boxes([state]),
@@ -58,28 +81,28 @@ def make_track(track_id, state, birth=0, hist=None, n=96, **kw):
         f_l=birth,
         **kw,
     )
-    t.update_extent(state.x, state.y)
-    return t
 
 
 def live_rows(tracks, cfg=None):
     """The tracks as an engine's live rows, row i for tracks[i], its filter
-    seeded at the track's last state."""
+    seeded at the track's last box and its centers the (x, y) of its
+    matched boxes."""
     cfg = cfg or TrackerConfig()
     n_bins = len(tracks[0].last_histogram) if tracks else cfg.n_bins
     rows = LiveRows.born(np.array([t.track_id for t in tracks], dtype=np.int64),
-                         boxes([t.last_cs for t in tracks]),
+                         np.array([t.boxes[-1] for t in tracks]).reshape(-1, 4),
                          np.array([t.last_histogram for t in tracks]).reshape(-1, n_bins),
                          0, cfg)
     rows.count[:, _BIRTH] = [t.birth_frame for t in tracks]
     rows.count[:, _F_L], rows.count[:, _N_R] = [t.f_l for t in tracks], [t.n_r for t in tracks]
     rows.real[:, _D_MAX] = [t.d_max for t in tracks]
-    rows.count[:, _N_C] = [len(t._centers) for t in tracks]
+    centers = [t.boxes[t.matched, :2] for t in tracks]
+    rows.count[:, _N_C] = [len(c) for c in centers]
     rows.centers = np.zeros((len(tracks), max([1, *rows.count[:, _N_C].tolist()]), 2))
-    for i, t in enumerate(tracks):
-        if t._centers:  # the slots after a row's centers repeat its first
-            rows.centers[i] = t._centers[0]
-            rows.centers[i, :len(t._centers)] = t._centers
+    for i, c in enumerate(centers):
+        if len(c):  # the slots after a row's centers repeat its first
+            rows.centers[i] = c[0]
+            rows.centers[i, :len(c)] = c
     return rows
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes, live_rows, make_frame, make_track, peaked_histogram, table_of
+from conftest import boxes, extent, live_rows, make_frame, make_track, peaked_histogram, table_of
 from mftrack import bench, fileio, kalman, kernels, lifecycle, scenario
 from mftrack.engine import (_BASE, _BOX, _D_MAX, _ID, _KF, _N_C, FrameReport, TrackingEngine,
                             match_frame)
 from mftrack.errors import HistogramShapeError, InputError, NumericOverflowError, SequencingError
 from mftrack.similarity import distance_similarity, global_similarity
 from mftrack.types import (ACTIVE, NOISE, TERMINATED, WAITING, Frame, ObjectState, Track,
-                           TrackerConfig, Trajectories, diagonal_half)
+                           TrackerConfig, Trajectories, check_boxes, diagonal_half)
 
 
 class TestMatchFrame:
@@ -221,7 +221,8 @@ class TestStep:
         eng.step(2, [])
         assert eng.tracks[1] is t
         assert (t.n_r, t.t_w) == (2, 1)
-        assert t.states[2] == t.states[1]  # held corrected state
+        assert t.frames.tolist() == [0, 1, 2]
+        assert t.boxes[2].tolist() == t.boxes[1].tolist()  # held corrected state
 
     def test_read_empties_log_and_held_track_follows(self, cfg):
         """A read appends the log, over several chunks of blocks, to the
@@ -236,12 +237,12 @@ class TestStep:
             eng.step(f, make_frame(f, [(50 + f, 50)]) if f % 3 else [])
         assert len(eng._log) == 150
         assert eng.tracks[1] is t and not eng._log
-        assert list(t.states) == list(range(151)) and t.matched_frames == {0, *matched}
+        assert t.frames.tolist() == list(range(151)) and t.frames[t.matched].tolist() == [0, *matched]
         assert (t.status, t.n_r, t.t_w, t.f_l) == (WAITING, 101, 50, 149)
-        assert t.states[150] == t.states[149] == ObjectState(*eng._rows.real[0, _BOX])
+        assert t.boxes[150].tolist() == t.boxes[149].tolist() == eng._rows.real[0, _BOX].tolist()
         eng.step(151, make_frame(151, [(201, 50)]))
         assert eng.tracks[1] is t and (t.status, t.n_r, t.f_l) == (ACTIVE, 102, 151)
-        assert list(t.states) == list(range(152)) and not eng._log
+        assert t.frames.tolist() == list(range(152)) and not eng._log
 
     def test_last_histogram_read_is_kept(self, cfg):
         """A track's last_histogram is a view of a copy of its row when
@@ -322,8 +323,8 @@ def _engine_state(eng):
     log, every track as the engine reports it and the trajectory table.
     The tracks are read first: a read appends the log to their rows and
     empties it."""
-    tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, dict(t.states), t.last_cs,
-                    t.last_histogram.tolist(), set(t.matched_frames), t.d_max)
+    tracks = {tid: (t.status, t.end_frame, t.f_l, t.n_r, t.t_w, t.frames.tolist(),
+                    t.boxes.tolist(), t.last_histogram.tolist(), t.matched.tolist(), t.d_max)
               for tid, t in eng.tracks.items()}
     rows = {name: a.tolist() for name, a in vars(eng._rows).items()}  # histograms by value
     log = [(f, ids.tolist(), boxes.tolist(), matched.tolist()) for f, ids, boxes, matched in eng._log]
@@ -334,7 +335,7 @@ def _engine_state(eng):
 class _ScalarReplay:
     """The engine's frames rerun through the scalar rules, from its frame
     reports: every track's filter through the scalar kalman functions, and
-    its counters, extent and lifecycle through `Track.update_extent` and
+    its counters, extent and lifecycle through `extent` and
     `lifecycle.sweep` on shadow tracks, which the engine's columns must
     agree with."""
 
@@ -342,6 +343,7 @@ class _ScalarReplay:
         self.cfg = cfg
         self.filters = {}  # track id -> filter row
         self.shadows = {}  # track id -> Track, live ones only
+        self.centers = {}  # track id -> the centers `extent` keeps
 
     def follow(self, eng, detections, report):
         """Advance the replay over the frame `report` describes, a `Frame`
@@ -351,14 +353,15 @@ class _ScalarReplay:
         its histogram row as a histogram of the same bins."""
         cfg, f = self.cfg, report.frame_id
         frame = Frame.of(detections, f, cfg.n_bins)
-        states = ObjectState.rows(frame.boxes)
+        states = [ObjectState(*box) for box in frame.boxes.tolist()]
         row = {did: i for i, did in enumerate(frame.ids.tolist())}
         matched = {tid: row[did] for tid, did, _ in report.matches}
         for tid in [tid for tid, _, _ in report.matches] + report.waiting:
             shadow, i = self.shadows[tid], matched.get(tid)
             ks, es = kalman.predict(self.filters[tid], cfg)
             self.filters[tid], cs = kalman.correct(ks, es, None if i is None else states[i],
-                                                   shadow.last_cs, cfg.w, cfg.measurement_noise)
+                                                   ObjectState(*shadow.boxes[-1].tolist()), cfg.w,
+                                                   cfg.measurement_noise)
             shadow.append([f], boxes([cs]), [i is not None])
             if i is None:
                 shadow.t_w += 1
@@ -367,14 +370,15 @@ class _ScalarReplay:
                 shadow.last_histogram = frame.hist[i]
                 shadow.f_l, shadow.status = f, ACTIVE
                 shadow.n_r += 1
-                shadow.update_extent(cs.x, cs.y, cap=cfg.t4)
+                shadow.d_max = extent(self.centers[tid], shadow.d_max, cs.x, cs.y, cfg.t4)
         spawned = [i for i in range(len(frame)) if i not in matched.values()]
         assert len(spawned) == len(report.new_tracks)
         for tid, i in zip(report.new_tracks, spawned):
             s = states[i]
             self.filters[tid] = kalman.init_kalman(s, cfg)
             self.shadows[tid] = shadow = Track(tid, [f], boxes([s]), [True], frame.hist[i], f)
-            shadow.update_extent(s.x, s.y, cap=cfg.t4)
+            self.centers[tid] = []
+            shadow.d_max = extent(self.centers[tid], shadow.d_max, s.x, s.y, cfg.t4)
         shadows = list(self.shadows.values())
         assert lifecycle.sweep(shadows, f, cfg) == (report.terminated, report.noise)
         for shadow in shadows:
@@ -387,7 +391,7 @@ class _ScalarReplay:
             # a view of the track's hist row when read: the same counts, bit for bit
             assert t.last_histogram.tobytes() == shadow.last_histogram.tobytes()
             if shadow.status not in (ACTIVE, WAITING):
-                del self.shadows[shadow.track_id]
+                del self.shadows[shadow.track_id], self.centers[shadow.track_id]
 
     def check_rows(self, eng):
         """The engine's rows are the live tracks' scalar filters, boxes and
@@ -396,8 +400,8 @@ class _ScalarReplay:
         assert rows.count[:, _ID].tolist() == [t.track_id for t in live] == list(self.shadows)
         for i, t in enumerate(live):
             assert rows.real[i, :_KF].tolist() == self.filters[t.track_id].tolist()
-            assert ObjectState(*rows.real[i, _BOX]) == t.last_cs
-            assert rows.real[i, _BASE] == diagonal_half(t.last_cs)
+            assert rows.real[i, _BOX].tolist() == t.boxes[-1].tolist()
+            assert rows.real[i, _BASE] == diagonal_half(ObjectState(*t.boxes[-1].tolist()))
 
 
 @st.composite
@@ -498,11 +502,12 @@ def test_reach_past_largest_float_takes_in_every_distance():
 @given(starts=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6),
        cap=st.sampled_from([2.0, 5.0, 9.0]), data=st.data())
 def test_extend_equals_update_extent(starts, cap, data):
-    """LiveRows.extend keeps, row by row, the d_max and centers that
-    Track.update_extent keeps, across the widening of the centers block."""
+    """LiveRows.extend keeps, row by row, the d_max and centers that the
+    scalar rule `extent` keeps, across the widening of the centers block."""
     tracks = [make_track(i + 1, ObjectState(float(x), float(y), 10, 10))
               for i, (x, y) in enumerate(starts)]
     rows = live_rows(tracks)
+    kept = [[(float(x), float(y))] for x, y in starts]  # each track's birth center
     for _ in range(data.draw(st.integers(1, 20))):
         index = data.draw(st.lists(st.sampled_from(range(len(tracks))), unique=True))
         xy = [(float(x), float(y)) for x, y in
@@ -510,11 +515,11 @@ def test_extend_equals_update_extent(starts, cap, data):
                                  min_size=len(index), max_size=len(index)))]
         rows.extend(np.array(index, dtype=np.intp), np.array(xy).reshape(-1, 2), cap)
         for i, (x, y) in zip(index, xy):
-            tracks[i].update_extent(x, y, cap=cap)
+            tracks[i].d_max = extent(kept[i], tracks[i].d_max, x, y, cap)
         assert rows.real[:, _D_MAX].tolist() == [t.d_max for t in tracks]
         for i, t in enumerate(tracks):
             if t.d_max < cap:
-                assert rows.centers[i, :rows.count[i, _N_C]].tolist() == [list(c) for c in t._centers]
+                assert rows.centers[i, :rows.count[i, _N_C]].tolist() == [list(c) for c in kept[i]]
 
 
 def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
@@ -551,10 +556,14 @@ def test_sweep_and_live_set_stay_at_live_size(monkeypatch):
 
 
 def _table_of_tracks(tracks):
-    """The trajectory table of the tracks' own states and matched frames."""
-    states = table_of({t.track_id: t.states for t in tracks})
-    matched = [f in t.matched_frames for t in tracks for f in sorted(t.states)]
-    return Trajectories(states.ids, states.frames, states.boxes, np.array(matched, dtype=bool))
+    """The trajectory table of the tracks' own states and matched frames,
+    put together state by state."""
+    states = table_of({t.track_id: {f: ObjectState(*box) for f, box in
+                                    zip(t.frames.tolist(), t.boxes.tolist())} for t in tracks})
+    matched = {(t.track_id, f) for t in tracks for f in t.frames[t.matched].tolist()}
+    rows = zip(states.ids.tolist(), states.frames.tolist())
+    return Trajectories(states.ids, states.frames, states.boxes,
+                        np.array([row in matched for row in rows], dtype=bool))
 
 
 @pytest.mark.parametrize("reads", [0, 9])
@@ -653,7 +662,6 @@ def test_reads_and_writes_build_no_state(tmp_path, monkeypatch):
         raise AssertionError("an ObjectState was built")
 
     monkeypatch.setattr(ObjectState, "__post_init__", refuse)
-    monkeypatch.setattr(ObjectState, "rows", classmethod(refuse))
     eng = TrackingEngine()
     for f in range(120):
         eng.step(f, stream[f])
@@ -687,6 +695,8 @@ _REJECTIONS = {
     "wrong_bins": (HistogramShapeError, "detection 0 in frame 1 has 48 histogram bins, expected 96"),
     "wrong_frame_id": (InputError, "detection 0 carries frame 7, expected 1"),
     "negative_frame_id": (ValueError, "frame_id must be non-negative"),
+    "fractional_frame_id": (InputError, "frame id 1.5 is not an integer"),
+    "fractional_detection_id": (InputError, "detection id 1.5 in frame 1 is not an integer"),
     "overflow": (NumericOverflowError, "filter update produced non-finite values in frame 1"),
 }
 
@@ -694,9 +704,9 @@ _REJECTIONS = {
 @pytest.mark.parametrize("rejection", list(_REJECTIONS))
 def test_rejected_frame_raises_as_list_does(rejection):
     """Each rejection of a frame raises its exception class with its
-    message, and leaves the engine as it was. A repeated detection id and
-    a negative frame id are refused as the `Frame` is built, the others by
-    `step`."""
+    message, and leaves the engine as it was. A repeated detection id, a
+    negative or fractional frame id and a fractional detection id are
+    refused as the `Frame` is built, the others by `step`."""
     cfg = TrackerConfig(t1=0.0)  # every pair is accepted, so the overflow case corrects
     f, n_bins, ids = 1, cfg.n_bins, [0, 1, 2]
     centers = [(40.0 + 100 * j, 50.0) for j in ids]
@@ -708,6 +718,10 @@ def test_rejected_frame_raises_as_list_does(rejection):
         f = 7
     elif rejection == "negative_frame_id":
         f = -1
+    elif rejection == "fractional_frame_id":
+        f = 1.5
+    elif rejection == "fractional_detection_id":
+        ids = [0, 1.5, 2]
     elif rejection == "overflow":
         ids, centers = [0], [(-1.5e308, 50.0)]
     error, message = _REJECTIONS[rejection]
@@ -725,11 +739,11 @@ def test_rejected_frame_raises_as_list_does(rejection):
                                  (10.0, 10.0, 1e300, 1e300), (10.0, 10.0, 1e300, 1e-10)])
 def test_frame_rejects_bad_box_as_states_do(box):
     """A non-finite or non-positive box row, or one whose area l * h or
-    aspect l / h overflows, is the ValueError, with the message, of the bulk state
-    check `ObjectState.rows`, and so is a single `ObjectState` of it."""
+    aspect l / h overflows, is the ValueError, with the message, of the bulk
+    box check `check_boxes`, and so is a single `ObjectState` of it."""
     boxes = np.array([[10.0, 10.0, 5.0, 5.0], box])
     with pytest.raises(ValueError) as state_error:
-        ObjectState.rows(boxes)
+        check_boxes(boxes)
     with pytest.raises(ValueError) as one_error:
         ObjectState(*box)
     with pytest.raises(ValueError) as frame_error:
@@ -843,6 +857,41 @@ def test_id_beyond_int64_rejected_before_any_write(frame_id, ids):
     with pytest.raises(InputError, match="past 9223372036854775806$|beyond int64 in frame 1$"):
         eng.step(frame_id, [] if ids is None else make_frame(frame_id, [(50.0, 50.0)], ids))
     assert pickle.dumps(eng) == before
+
+
+@pytest.mark.parametrize("ids, message", [
+    (np.array([1.0, 2.0]), "detection id 1.0 in frame 1 is not an integer"),
+    (np.array([2**63], dtype=np.uint64), "detection id 9223372036854775808 beyond int64 in frame 1"),
+    (["7"], "detection id '7' in frame 1 is not an integer"),
+    ([True], "detection id True in frame 1 is not an integer"),
+    ([3, True], "detection id True in frame 1 is not an integer"),
+], ids=["float_column", "uint64_past_int64", "string", "bool", "bool_among_ints"])
+def test_frame_refuses_id_that_is_not_an_int64(ids, message):
+    """A detection id is taken as it is or refused, never truncated,
+    parsed or wrapped: an InputError naming it."""
+    with pytest.raises(InputError) as raised:
+        make_frame(1, [(50.0, 50.0)] * len(ids), ids)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("frame_id, form", [(1.5, "list"), (2.0, "frame"), (True, "frame"),
+                                            ("2", "frame")])
+def test_step_refuses_frame_id_that_is_not_an_integer(frame_id, form):
+    """A frame id that is not an integer is an InputError naming it before
+    any write, whether the frame is an empty list or a `Frame` of an equal
+    integer id; a fractional id stepped between two frames would give a
+    track two rows in one frame."""
+    eng = TrackingEngine()
+    for f in (0, 1):
+        eng.step(f, make_frame(f, [(50.0 + f, 50.0)]))
+    before = _engine_state(eng)
+    detections = [] if form == "list" else make_frame(2, [(52.0, 50.0)])
+    with pytest.raises(InputError) as raised:
+        eng.step(frame_id, detections)
+    assert str(raised.value) == f"frame id {frame_id!r} is not an integer"
+    assert _engine_state(eng) == before
+    eng.step(2, [])
+    assert eng.tracks[1].frames.tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("cfg", [

@@ -895,7 +895,7 @@ class TestTrajectoriesIO:
         fileio.write_trajectories(path, [t])
         loaded = fileio.load_trajectories(path)
         assert loaded == Trajectories(np.array([4, 4, 4]), np.array([0, 1, 2]),
-                                      boxes(t.states.values()), np.array([True, True, False]))
+                                      t.boxes, np.array([True, True, False]))
         lines = path.read_text().splitlines()
         assert [ln.split()[-1] for ln in lines] == ["1", "1", "0"]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import live_rows, make_track, peaked_histogram
+from conftest import extent, live_rows, make_track, peaked_histogram
 from mftrack.engine import _BIRTH, _D_MAX, _F_L, _N_R, TrackingEngine
 from mftrack.lifecycle import is_noise, should_terminate, sweep, sweep_rows
 from mftrack.scenario import MotionScript, ScenarioSpec, generate
@@ -22,8 +22,9 @@ def track_with(n_r=5, f_l=100, birth=0, t_w=0, frames=None, centers=None):
         rest = [f for f in frames if f != birth]
         t.append(rest, t.boxes[[0] * len(rest)], [False] * len(rest))
     if centers:
+        kept = [(10, 10)]  # the birth center
         for x, y in centers:
-            t.update_extent(x, y)
+            t.d_max = extent(kept, t.d_max, x, y)
     return t
 
 
@@ -144,7 +145,7 @@ def _live_tracks(draw):
         t.f_l = f_l
         if f_c > birth:  # a row at f_c, the birth state held
             t.append([f_c], t.boxes, [False])
-        t._d_max = draw(st.sampled_from([0.0, 2.5, 4.999, 5.0, 7.5, 40.0]))
+        t.d_max = draw(st.sampled_from([0.0, 2.5, 4.999, 5.0, 7.5, 40.0]))
         tracks.append(t)
     return f_c, tracks
 

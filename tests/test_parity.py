@@ -162,8 +162,8 @@ def _sha(data: bytes) -> str:
 
 def _track_fields(t) -> tuple:
     return (t.track_id, t.birth_frame, t.status, t.end_frame, t.f_l, t.n_r, t.t_w, t.span,
-            t.d_max, sorted(t.matched_frames),
-            [(f, s.x, s.y, s.l, s.h) for f, s in t.states.items()],
+            t.d_max, t.frames[t.matched].tolist(),
+            [(f, *box) for f, box in zip(t.frames.tolist(), t.boxes.tolist())],
             t.last_histogram.tolist())
 
 

@@ -36,7 +36,7 @@ class TestObjectState:
 
     def test_subpixel_centers_allowed(self):
         s = ObjectState(1.25, -3.5, 0.5, 0.25)
-        assert s.center == (1.25, -3.5)
+        assert (s.x, s.y) == (1.25, -3.5)
         assert s.area == pytest.approx(0.125)
 
 
